@@ -1,189 +1,7 @@
-"""Projected-subspace dynamics for small open quantum models."""
+"""Projected-subspace dynamics for small open quantum models.
 
-from .classify import (
-    CELLS,
-    DECOHERES,
-    DF,
-    PHASE_ERROR,
-    DFReport,
-    FidelityTrace,
-    check_diagonal_condition,
-    check_triangular_condition,
-    classify,
-    fidelity,
-    fidelity_trace,
-)
-from .config import DIM_CAP, SCENARIOS, ConfigError, ScenarioConfig, load_config
-from .gates import (
-    CNOT_PERMUTATION,
-    RLSGate,
-    SwapCalibration,
-    build_cnot_rls,
-    calibrate_timing,
-    calibrate_timing_exact,
-    calibrate_timing_second_order,
-    exchange_hamiltonian,
-    exchange_swap_time,
-    ideal_swap,
-    nonideal_swap,
-    verify_closure,
-)
-from .linalg import (
-    DefectiveMatrixError,
-    EigenSystem,
-    NonHermitianError,
-    NotPositiveSemidefiniteError,
-    TensorSpace,
-    commutator_superop,
-    dyad_vec,
-    eig,
-    expm_action,
-    random_density,
-    unvec,
-    vec,
-)
-from .models import (
-    MODEL_KINDS,
-    ModelOperators,
-    ModelSpec,
-    block_eigensolve,
-    build_model,
-    canonical_initial_state,
-    extract_block,
-)
-from .report import RunReport, write_report
-from .runner import resolve_output_dir, run
-from .subdynamics import (
-    ORDERS,
-    Decomposition,
-    NuIndex,
-    PhiBasis,
-    ProjectedDensity,
-    ResonanceError,
-    creation_first_order,
-    creation_resolvent,
-    decompose,
-    decompose_model,
-    destruction_second_order,
-    energies_second_order,
-    evolve_exact,
-    evolve_grid,
-    evolve_projected,
-    kinetic_consistency_residual,
-    liouville_basis,
-    project_density,
-    similarity_operator,
-    similarity_residual,
-    stationary_residual,
-    theta,
-    total_projector,
-)
-from .turing import (
-    BlochVector,
-    TuringMachine,
-    bloch_circle_residual,
-    bloch_head,
-    decompose_entangled,
-    generators,
-    isometry_residual,
-    recompose_bloch,
-    rotation_step,
-    shear_step,
-    step,
-    tape_state,
-    trajectory,
-    transition,
-)
+The library is imported from its submodules (subdyn.subdynamics,
+subdyn.classify, subdyn.gates, ...); the package itself exports nothing else.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CELLS",
-    "CNOT_PERMUTATION",
-    "DECOHERES",
-    "DF",
-    "DIM_CAP",
-    "MODEL_KINDS",
-    "ORDERS",
-    "PHASE_ERROR",
-    "SCENARIOS",
-    "BlochVector",
-    "ConfigError",
-    "DFReport",
-    "Decomposition",
-    "DefectiveMatrixError",
-    "EigenSystem",
-    "FidelityTrace",
-    "ModelOperators",
-    "ModelSpec",
-    "NonHermitianError",
-    "NotPositiveSemidefiniteError",
-    "NuIndex",
-    "PhiBasis",
-    "ProjectedDensity",
-    "RLSGate",
-    "ResonanceError",
-    "RunReport",
-    "ScenarioConfig",
-    "SwapCalibration",
-    "TensorSpace",
-    "TuringMachine",
-    "bloch_circle_residual",
-    "bloch_head",
-    "block_eigensolve",
-    "build_cnot_rls",
-    "build_model",
-    "calibrate_timing",
-    "calibrate_timing_exact",
-    "calibrate_timing_second_order",
-    "canonical_initial_state",
-    "check_diagonal_condition",
-    "check_triangular_condition",
-    "classify",
-    "commutator_superop",
-    "creation_first_order",
-    "creation_resolvent",
-    "decompose",
-    "decompose_entangled",
-    "decompose_model",
-    "destruction_second_order",
-    "dyad_vec",
-    "eig",
-    "energies_second_order",
-    "evolve_exact",
-    "evolve_grid",
-    "evolve_projected",
-    "exchange_hamiltonian",
-    "exchange_swap_time",
-    "expm_action",
-    "extract_block",
-    "fidelity",
-    "fidelity_trace",
-    "generators",
-    "ideal_swap",
-    "isometry_residual",
-    "kinetic_consistency_residual",
-    "liouville_basis",
-    "load_config",
-    "nonideal_swap",
-    "project_density",
-    "random_density",
-    "recompose_bloch",
-    "resolve_output_dir",
-    "rotation_step",
-    "run",
-    "shear_step",
-    "similarity_operator",
-    "similarity_residual",
-    "stationary_residual",
-    "step",
-    "tape_state",
-    "theta",
-    "total_projector",
-    "trajectory",
-    "transition",
-    "unvec",
-    "vec",
-    "verify_closure",
-    "write_report",
-]

@@ -7,14 +7,13 @@ Exit codes: 0 success, 2 configuration rejected, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .config import SCENARIOS, ConfigError, load_config
+from .config import SCENARIOS, ConfigError, load_config, read_config
 from .linalg import DefectiveMatrixError, NotPositiveSemidefiniteError
 from .report import REPORT_NAME, RunReport
 from .runner import resolve_output_dir, run
@@ -57,20 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_raw(path: pathlib.Path | None) -> dict:
-    if path is None:
-        return {"model": dict(DEFAULT_MODEL)}
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return data
-
-
 def _summary(report: RunReport) -> str:
     p = report.payload
     if report.scenario == "classify":
@@ -95,7 +80,7 @@ def _summary(report: RunReport) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = _load_raw(args.config)
+        raw = {"model": dict(DEFAULT_MODEL)} if args.config is None else read_config(args.config)
         raw["scenario"] = args.scenario
         if args.out is not None:
             raw["output_dir"] = str(args.out)

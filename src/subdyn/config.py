@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import json
+import math
+import numbers
 import pathlib
 
 from .models import ModelSpec
@@ -19,7 +21,6 @@ SCENARIOS = ("classify", "evolve", "swap-calibrate", "cnot-demo", "turing-demo",
 DIM_CAP = 64
 
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelSpec))
-_INT_FIELDS = {"fock_cutoff", "bath_cutoff", "seed", "tape_spins"}
 
 
 class ConfigError(ValueError):
@@ -69,15 +70,39 @@ def _reject_unknown(keys, valid, where: str) -> None:
 
 
 def _coerce_int(value, name: str) -> int:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         out = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
-    if isinstance(value, float) and value != out:
+    if value != out:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return out
+
+
+def _coerce_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} must be finite, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def _coerce_floats(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_coerce_float(x, f"{name}[{k}]") for k, x in enumerate(value))
+
+
+def _require_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false")
+    return value
 
 
 def _build_model(raw: dict) -> ModelSpec:
@@ -85,36 +110,47 @@ def _build_model(raw: dict) -> ModelSpec:
         raise ConfigError("model must be an object of ModelSpec fields")
     _reject_unknown(raw.keys(), _MODEL_KEYS, "model")
     fields = dict(raw)
+    for name in ("omega0", "omega", "g", "lam"):
+        if name in fields:
+            fields[name] = _coerce_float(fields[name], f"model.{name}")
     if "omega_atoms" in fields:
-        fields["omega_atoms"] = tuple(float(x) for x in fields["omega_atoms"])
+        fields["omega_atoms"] = _coerce_floats(fields["omega_atoms"], "model.omega_atoms")
     if "bath" in fields:
-        fields["bath"] = tuple(tuple(float(x) for x in mode) for mode in fields["bath"])
+        bath = fields["bath"]
+        if not isinstance(bath, (list, tuple)):
+            raise ConfigError(f"model.bath must be a list of [omega_k, g_k] pairs, got {bath!r}")
+        fields["bath"] = tuple(_coerce_floats(mode, f"model.bath[{k}]")
+                               for k, mode in enumerate(bath))
     for name in ("fock_cutoff", "bath_cutoff"):
         if name in fields:
             fields[name] = _coerce_int(fields[name], f"model.{name}")
+    for name in ("hermitian_variant", "diagonal_in_free"):
+        if name in fields:
+            _require_bool(fields[name], f"model.{name}")
     try:
         return ModelSpec(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
 
-def load_config(source) -> ScenarioConfig:
-    """Parse and validate a config document (path, JSON text, or dict)."""
-    if isinstance(source, dict):
-        raw = dict(source)
-    else:
-        path = pathlib.Path(source)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {source}: {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {source} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config document must be a JSON object")
+def read_config(path) -> dict:
+    """Read a config file and parse it as one JSON object."""
+    try:
+        text = pathlib.Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return raw
 
+
+def load_config(source) -> ScenarioConfig:
+    """Validate a config document given as a path to a JSON file or as a dict."""
+    raw = dict(source) if isinstance(source, dict) else read_config(source)
     _reject_unknown(raw.keys(), _TOP_KEYS, "config")
     if "scenario" not in raw:
         raise ConfigError("config needs a 'scenario' key")
@@ -138,14 +174,16 @@ def load_config(source) -> ScenarioConfig:
         grid = raw["t_grid"]
         if not isinstance(grid, (list, tuple)) or len(grid) != 3:
             raise ConfigError("t_grid must be [t_start, t_end, steps]")
-        start, end, steps = float(grid[0]), float(grid[1]), _coerce_int(grid[2], "t_grid steps")
+        start = _coerce_float(grid[0], "t_grid start")
+        end = _coerce_float(grid[1], "t_grid end")
+        steps = _coerce_int(grid[2], "t_grid steps")
         if end < start:
             raise ConfigError(f"t_grid end {end} is before start {start}")
         if steps < 1:
             raise ConfigError("t_grid needs at least one step")
         fields["t_grid"] = (start, end, steps)
     if "eta" in raw:
-        eta = float(raw["eta"])
+        eta = _coerce_float(raw["eta"], "eta")
         if eta < 0:
             raise ConfigError("eta must be non-negative")
         fields["eta"] = eta
@@ -154,13 +192,11 @@ def load_config(source) -> ScenarioConfig:
             fields[name] = _coerce_int(raw[name], name)
     for name in ("t_swap", "rotation_angle", "shear_strength"):
         if name in raw:
-            fields[name] = float(raw[name])
+            fields[name] = _coerce_float(raw[name], name)
     if "output_dir" in raw and raw["output_dir"] is not None:
         fields["output_dir"] = str(raw["output_dir"])
     if "allow_large" in raw:
-        if not isinstance(raw["allow_large"], bool):
-            raise ConfigError("allow_large must be true or false")
-        fields["allow_large"] = raw["allow_large"]
+        fields["allow_large"] = _require_bool(raw["allow_large"], "allow_large")
 
     config = ScenarioConfig(**fields)
     if config.tape_spins < 0:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from .linalg import DEFAULT_TOL, as_complex_matrix
+from .linalg import DEFAULT_TOL
 from .subdynamics import decompose
 
 CNOT_PERMUTATION = (0, 1, 3, 2)
@@ -45,18 +45,14 @@ class SwapCalibration:
 
 
 def ideal_swap(energies_free, t_sw: float) -> np.ndarray:
-    """Free dyad-phase superoperator sum_nu e^{-i E0_nu t} |phi_nu)(phi_nu|."""
+    """Free dyad-phase superoperator sum_nu e^{-i E0_nu t} |phi_nu)(phi_nu|.
+
+    Passed shifted energies E_nu instead, it is the non-ideal swap; for
+    Im E_nu < 0 every singular value e^{Im E_nu t} is below 1 at t > 0, so
+    the map is a contraction (one-sided in time).
+    """
     e0 = np.atleast_1d(np.asarray(energies_free, dtype=np.complex128))
     return np.diag(np.exp(-1j * e0 * t_sw))
-
-
-def nonideal_swap(energies_int, t: float) -> np.ndarray:
-    """Shifted dyad-phase superoperator sum_nu e^{-i E_nu t} |phi_nu)(phi_nu|.
-
-    For Im E_nu < 0 every singular value e^{Im E_nu t} is below 1 at t > 0,
-    so the map is a contraction (one-sided in time).
-    """
-    return ideal_swap(energies_int, t)
 
 
 def exchange_hamiltonian(g_ex: float) -> np.ndarray:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -155,11 +154,6 @@ def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def dyad_vec(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """vec(|u><w|) under column stacking, i.e. conj(w) kron u."""
-    return np.kron(np.conj(np.asarray(w, dtype=np.complex128)), np.asarray(u, dtype=np.complex128))
-
-
 def commutator_superop(hamiltonian) -> np.ndarray:
     """Superoperator of X -> [H, X] under column stacking.
 
@@ -291,17 +285,3 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    """Computational basis column vector."""
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v
-
-
-def product_labels(parts: Sequence[Iterable]) -> list[tuple]:
-    """Cartesian product of per-factor label lists, kron (row-major) order."""
-    out: list[tuple] = [()]
-    for part in parts:
-        out = [prefix + (p,) for prefix in out for p in part]
-    return out

@@ -101,10 +101,6 @@ class PhiBasis:
         f = self.f_vectors
         return f @ unvec(rho_vec, self.dim) @ f.conj().T
 
-    def dyad_matrix(self, nu: NuIndex) -> np.ndarray:
-        """|f_i><f_j| as a dense matrix in the original frame."""
-        return np.outer(self.f_vectors[:, nu.row], self.f_vectors[:, nu.col].conj())
-
 
 def liouville_basis(h0, tol: float = DEFAULT_TOL) -> PhiBasis:
     """Diagonalize a Hermitian free Hamiltonian into the dyad frame."""
@@ -117,53 +113,6 @@ def liouville_basis(h0, tol: float = DEFAULT_TOL) -> PhiBasis:
     e0 = vec(np.subtract.outer(eps, eps)).astype(np.complex128)
     nus = tuple(NuIndex(i, j) for j in range(d) for i in range(d))
     return PhiBasis(f_values=eps, f_vectors=system.right_vectors, e0=e0, nu_indices=nus)
-
-
-@dataclasses.dataclass(frozen=True)
-class SubdynDecomposition:
-    """Per-nu bundle of projected-subspace operators.
-
-    Matrices are materialized in the phi frame on demand; the compact state
-    lives in the parent Decomposition (one column/row per nu).
-    """
-
-    nu: NuIndex
-    index: int
-    order: str
-    e0: complex
-    energy: complex
-    parent: "Decomposition"
-
-    @property
-    def P(self) -> np.ndarray:
-        n = self.parent.basis.dim2
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[self.index, self.index] = 1.0
-        return out
-
-    @property
-    def Q(self) -> np.ndarray:
-        out = np.eye(self.parent.basis.dim2, dtype=np.complex128)
-        out[self.index, self.index] = 0.0
-        return out
-
-    @property
-    def C(self) -> np.ndarray:
-        n = self.parent.basis.dim2
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[:, self.index] = self.parent.c_cols[:, self.index]
-        return out
-
-    @property
-    def D(self) -> np.ndarray:
-        n = self.parent.basis.dim2
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[self.index, :] = self.parent.d_rows[self.index, :]
-        return out
-
-    @property
-    def Pi(self) -> np.ndarray:
-        return self.parent.total_projector(self.nu)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,15 +141,6 @@ class Decomposition:
     def liouvillian(self) -> np.ndarray:
         """Full phi-frame Liouvillian diag(E0) + lam * L1."""
         return np.diag(self.basis.e0) + self.lam * self.v1
-
-    def bundle(self, nu: NuIndex) -> SubdynDecomposition:
-        k = self.basis.liouville_index(nu)
-        return SubdynDecomposition(nu=nu, index=k, order=self.order,
-                                   e0=complex(self.basis.e0[k]),
-                                   energy=complex(self.energies[k]), parent=self)
-
-    def bundles(self) -> list[SubdynDecomposition]:
-        return [self.bundle(nu) for nu in self.basis.nu_indices]
 
     def omega(self) -> np.ndarray:
         """Similarity operator Omega = sum_nu (P_nu + C_nu) = I + C."""
@@ -353,31 +293,6 @@ def decompose_model(ops, order="exact", eta: float = 0.0, lam: float | None = No
     return decompose(ops.h0, ops.h1, lam=scale, order=order, eta=eta, tol=tol)
 
 
-def eigenprojectors(basis: PhiBasis) -> list[np.ndarray]:
-    """Rank-1 phi-frame projectors P_nu for every ordered dyad."""
-    n = basis.dim2
-    out = []
-    for k in range(n):
-        p = np.zeros((n, n), dtype=np.complex128)
-        p[k, k] = 1.0
-        out.append(p)
-    return out
-
-
-def creation_first_order(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
-                         eta: float = 0.0) -> np.ndarray:
-    """First-order creation column for one nu (phi frame)."""
-    c, _ = _perturbative_columns(basis, v1, lam, eta, "1")
-    return c[:, basis.liouville_index(nu)]
-
-
-def destruction_second_order(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
-                             eta: float = 0.0) -> np.ndarray:
-    """Second-order destruction row for one nu (phi frame)."""
-    _, d = _perturbative_columns(basis, v1, lam, eta, "2")
-    return d[basis.liouville_index(nu), :]
-
-
 def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
                        z: complex | None = None, eta: float = 0.0,
                        self_consistent: bool = False, max_iter: int = 60,
@@ -438,23 +353,6 @@ def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex
     return float(np.linalg.norm(res)) / scale
 
 
-def energies_second_order(basis: PhiBasis, v1: np.ndarray, lam: float,
-                          eta: float = 0.0) -> np.ndarray:
-    """Second-order kinetic eigenvalues for every nu (retarded branch)."""
-    c1, _ = _perturbative_columns(basis, v1, lam, eta, "1")
-    return _theta_energies(basis, v1, lam, c1)
-
-
-def theta(decomp: Decomposition) -> np.ndarray:
-    """Intermediate operator of a built decomposition (phi frame, diagonal)."""
-    return decomp.theta_matrix()
-
-
-def similarity_operator(decomp: Decomposition) -> np.ndarray:
-    """Omega = I + C with L Omega = Omega Theta at exact order."""
-    return decomp.omega()
-
-
 def similarity_residual(decomp: Decomposition) -> float:
     """|| L Omega - Omega Theta || / || L || for the built order."""
     l_full = decomp.liouvillian()
@@ -463,20 +361,12 @@ def similarity_residual(decomp: Decomposition) -> float:
     return float(np.linalg.norm(res)) / norm_scale(l_full)
 
 
-def total_projector(decomp: Decomposition, nu: NuIndex) -> np.ndarray:
-    """Pi_nu of a built decomposition (phi frame)."""
-    return decomp.total_projector(nu)
-
-
 @dataclasses.dataclass(frozen=True)
 class ProjectedDensity:
     """Kinetic coefficients c_nu of a state over the dyad grid."""
 
     coefficients: np.ndarray
     basis: PhiBasis
-
-    def coefficient(self, nu: NuIndex) -> complex:
-        return complex(self.coefficients[self.basis.liouville_index(nu)])
 
     def reconstruct(self) -> np.ndarray:
         """sum_nu c_nu |f_i><f_j| as a dense matrix in the original frame."""
@@ -500,13 +390,7 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> ProjectedDensity:
 
 
 def evolve_projected(projected: ProjectedDensity, energies: np.ndarray, t: float) -> ProjectedDensity:
-    """Kinetic evolution c_nu(t) = e^{-i E_nu t} c_nu(0).
-
-    energies may be the E_nu array or the diagonal Theta matrix.
-    """
-    energies = np.asarray(energies)
-    if energies.ndim == 2:
-        energies = np.diag(energies)
+    """Kinetic evolution c_nu(t) = e^{-i E_nu t} c_nu(0)."""
     phases = np.exp(-1j * energies * t)
     return ProjectedDensity(coefficients=phases * projected.coefficients,
                             basis=projected.basis)

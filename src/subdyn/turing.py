@@ -127,11 +127,6 @@ class BlochVector:
         return (self.x.real, self.y.real, self.z.real)
 
 
-def standard_dual(psi: np.ndarray) -> np.ndarray:
-    """Conjugate-transpose dual, the orthonormal-case pairing partner."""
-    return np.asarray(psi, dtype=np.complex128).conj()
-
-
 def pairing(psi_dual: np.ndarray, psi: np.ndarray) -> complex:
     """<psi~|psi> without conjugation: the dual row applied to the ket."""
     return complex(np.asarray(psi_dual) @ np.asarray(psi))

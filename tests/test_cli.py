@@ -1,5 +1,6 @@
 """End-to-end command line runs with exit code checks."""
 
+import dataclasses
 import json
 
 import pytest
@@ -54,6 +55,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "did you mean 'lam'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--eta", "nan", "--order", "1"],
+    ["classify", "--eta", "inf"],
+])
+def test_non_finite_override_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert "eta must be finite" in capsys.readouterr().err
+    assert not (out / REPORT_NAME).exists()
+
+
+def test_malformed_config_value_exit_code(tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({"model": {"kind": "diagonal", "lam": "x"}}))
+    assert main(["classify", "--config", str(doc)]) == EXIT_CONFIG
+    assert "model.lam must be a number" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):
@@ -117,6 +136,31 @@ def test_verify_failures_exit_nonzero(tmp_path, capsys, monkeypatch):
     code = main(["verify", "--out", str(tmp_path / "v")])
     capsys.readouterr()
     assert code == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("field", ["c_cols", "d_rows"])
+def test_verify_block_structure_catches_corrupted_decomposition(tmp_path, capsys,
+                                                                monkeypatch, field):
+    # nu index 1 lies off the first, middle and last dyads, so only a check
+    # over every nu sees the corrupted diagonal entry
+    from subdyn import runner
+
+    real = runner.decompose_model
+
+    def corrupted(*args, **kwargs):
+        decomp = real(*args, **kwargs)
+        bad = getattr(decomp, field).copy()
+        bad[1, 1] = 1e-6
+        return dataclasses.replace(decomp, **{field: bad})
+
+    monkeypatch.setattr(runner, "decompose_model", corrupted)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == EXIT_NUMERICAL
+    capsys.readouterr()
+    checks = json.loads((out / REPORT_NAME).read_text())["payload"]["checks"]
+    block = next(c for c in checks if c["name"] == "block_structure")
+    assert block["passed"] is False
+    assert block["value"] == 1e-6
 
 
 def test_output_root_env_var(tmp_path, capsys, monkeypatch):

@@ -72,11 +72,19 @@ def test_t_grid_validation():
         load_config({**GOOD, "t_grid": [0.0, 1.0, 0]})
     with pytest.raises(ConfigError, match="integer"):
         load_config({**GOOD, "t_grid": [0.0, 1.0, 10.5]})
+    with pytest.raises(ConfigError, match="t_grid start must be a number"):
+        load_config({**GOOD, "t_grid": ["a", 1, 3]})
+    with pytest.raises(ConfigError, match="t_grid end must be finite"):
+        load_config({**GOOD, "t_grid": [0.0, float("inf"), 3]})
 
 
 def test_eta_must_be_nonnegative():
     with pytest.raises(ConfigError, match="non-negative"):
         load_config({**GOOD, "eta": -0.1})
+    with pytest.raises(ConfigError, match="eta must be a number"):
+        load_config({**GOOD, "eta": "abc"})
+    with pytest.raises(ConfigError, match="eta must be finite"):
+        load_config({**GOOD, "eta": float("nan")})
     assert load_config({**GOOD, "eta": 0.2}).eta == pytest.approx(0.2)
 
 
@@ -85,6 +93,47 @@ def test_booleans_are_not_integers():
     doc["model"] = {**GOOD["model"], "fock_cutoff": True}
     with pytest.raises(ConfigError, match="integer"):
         load_config(doc)
+    doc["model"] = {**GOOD["model"], "lam": True}
+    with pytest.raises(ConfigError, match="model.lam must be a number"):
+        load_config(doc)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        load_config({**GOOD, "seed": "3"})
+    with pytest.raises(ConfigError, match="tape_spins must be an integer"):
+        load_config({**GOOD, "tape_spins": float("nan")})
+
+
+def test_model_flags_must_be_json_booleans():
+    # a string "false" is truthy and would run the opposite model
+    tri = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4,
+           "lam": 1.0, "fock_cutoff": 2}
+    for name in ("diagonal_in_free", "hermitian_variant"):
+        with pytest.raises(ConfigError, match=f"model.{name} must be true or false"):
+            load_config({**GOOD, "model": {**tri, name: "false"}})
+        with pytest.raises(ConfigError, match=f"model.{name} must be true or false"):
+            load_config({**GOOD, "model": {**tri, name: 0}})
+    assert load_config({**GOOD, "model": {**tri, "diagonal_in_free": False}}) \
+        .model.diagonal_in_free is False
+
+
+def test_non_numbers_rejected_with_key():
+    general = {"kind": "general", "omega_atoms": [1.0, 1.0], "bath": [[0.9, 0.6]]}
+    cases = [
+        ({**GOOD, "model": {**GOOD["model"], "lam": "x"}}, "model.lam must be a number"),
+        ({**GOOD, "model": {**GOOD["model"], "g": float("nan")}}, "model.g must be finite"),
+        ({**GOOD, "model": {**general, "omega_atoms": [1.0, "z"]}},
+         r"model.omega_atoms\[1\] must be a number"),
+        ({**GOOD, "model": {**general, "omega_atoms": 1.0}},
+         "model.omega_atoms must be a list"),
+        ({**GOOD, "model": {**general, "bath": [[0.9, None]]}},
+         r"model.bath\[0\]\[1\] must be a number"),
+        ({**GOOD, "model": {**general, "bath": 0.9}}, "model.bath must be a list"),
+        ({**GOOD, "t_swap": "abc"}, "t_swap must be a number"),
+        ({**GOOD, "rotation_angle": float("-inf")}, "rotation_angle must be finite"),
+        ({**GOOD, "shear_strength": 10 ** 400}, "shear_strength must be finite"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            load_config(doc)
 
 
 def test_order_normalized_and_validated():
@@ -119,6 +168,10 @@ def test_load_from_path(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(missing)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(binary)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):

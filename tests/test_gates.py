@@ -15,7 +15,6 @@ from subdyn.gates import (
     exchange_hamiltonian,
     exchange_swap_time,
     ideal_swap,
-    nonideal_swap,
     verify_closure,
 )
 from subdyn.linalg import propagator
@@ -27,9 +26,10 @@ def test_ideal_swap_is_diagonal_phase_matrix():
     np.testing.assert_allclose(u, np.diag(np.exp(-1j * e0 * 0.7)), atol=1e-14)
 
 
-def test_nonideal_swap_contracts_for_decaying_energies():
+def test_ideal_swap_contracts_for_decaying_energies():
+    # shifted energies with Im E < 0 give the non-ideal swap, a contraction
     energies = np.array([1.0 - 0.2j, 2.0 - 0.1j])
-    u = nonideal_swap(energies, 3.0)
+    u = ideal_swap(energies, 3.0)
     s = np.linalg.svd(u, compute_uv=False)
     assert np.all(s < 1.0)
     np.testing.assert_allclose(s, np.exp(energies.imag * 3.0)[np.argsort(

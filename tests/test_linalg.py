@@ -11,13 +11,10 @@ from subdyn.linalg import (
     NonHermitianError,
     NotPositiveSemidefiniteError,
     TensorSpace,
-    basis_state,
     commutator_superop,
     degenerate_groups,
-    dyad_vec,
     eig,
     expm_action,
-    product_labels,
     propagator,
     random_density,
     sqrtm_psd,
@@ -53,20 +50,22 @@ def test_vec_kron_identity(seed, dim):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * dim)
 
 
-def test_dyad_vec_basis_index():
+def test_vec_of_basis_dyad_is_column_stacking_index():
     d = 4
+    eye = np.eye(d)
     for i in range(d):
         for j in range(d):
-            v = dyad_vec(basis_state(d, i), basis_state(d, j))
+            v = vec(np.outer(eye[i], eye[j]))
             expected = np.zeros(d * d)
             expected[i + d * j] = 1.0
             np.testing.assert_allclose(v, expected)
 
 
-def test_dyad_vec_conjugates_bra():
+def test_vec_of_dyad_is_conjugate_bra_kron_ket():
+    # vec(|u><w|) = conj(w) kron u under column stacking
     u = np.array([1.0, 0.0])
     w = np.array([0.0, 1.0j])
-    np.testing.assert_allclose(unvec(dyad_vec(u, w)), np.outer(u, w.conj()))
+    np.testing.assert_allclose(vec(np.outer(u, w.conj())), np.kron(w.conj(), u))
 
 
 def test_commutator_superop_matches_direct():
@@ -182,7 +181,3 @@ def test_tensor_space_lookup():
     with pytest.raises(ValueError):
         TensorSpace((("a", 2), ("a", 2)))
 
-
-def test_product_labels_order():
-    labels = product_labels([(1, 2), (0, 1)])
-    assert labels == [(1, 0), (1, 1), (2, 0), (2, 1)]

@@ -1,6 +1,5 @@
 """Scenario runner payloads and report persistence."""
 
-import numpy as np
 import pytest
 
 from subdyn.config import load_config

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from subdyn.linalg import tensor
 from subdyn.turing import (
     TuringMachine,
     biorthonormality_residual,
@@ -16,7 +15,6 @@ from subdyn.turing import (
     recompose_bloch,
     rotation_step,
     shear_step,
-    standard_dual,
     step,
     tape_state,
     trajectory,
@@ -83,10 +81,11 @@ def test_transition_operator_algebra():
         np.testing.assert_allclose(prod, want, atol=1e-12)
 
 
-def test_pairing_with_standard_dual_is_norm():
+def test_pairing_with_conjugate_dual_is_norm():
+    # the orthonormal-case dual is the conjugate row
     rng = np.random.default_rng(1)
     psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert pairing(standard_dual(psi), psi) == pytest.approx(
+    assert pairing(psi.conj(), psi) == pytest.approx(
         np.linalg.norm(psi) ** 2, abs=1e-12)
 
 
