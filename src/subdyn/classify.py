@@ -76,8 +76,12 @@ def fidelity(rho_a, rho_b, tol: float = 1e-9) -> float:
 
 def check_diagonal_condition(decomp: Decomposition) -> float:
     """Residual of P_nu L1 Q_nu = 0 for every nu: largest off-diagonal
-    interaction element in the dyad frame."""
-    off = decomp.lam * decomp.v1.copy()
+    interaction element in the dyad frame.
+
+    The off-diagonal entries of L1 = [h1_f, .] are the off-diagonal entries
+    of h1_f and their negatives, so this reads h1_f instead of building L1.
+    """
+    off = decomp.lam * decomp.h1_f
     np.fill_diagonal(off, 0.0)
     return float(np.max(np.abs(off)))
 

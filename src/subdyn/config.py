@@ -14,13 +14,21 @@ import math
 import numbers
 import pathlib
 
-from .models import ModelSpec
+from .models import MODEL_KINDS, ModelSpec
 from .subdynamics import normalize_order
 
 SCENARIOS = ("classify", "evolve", "swap-calibrate", "cnot-demo", "turing-demo", "verify")
 DIM_CAP = 64
 
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelSpec))
+# Model keys read by some kinds only. Set on another kind, such a key would be
+# echoed in the report without shaping the model that ran, so it is an error.
+_KIND_KEYS = {
+    "omega0": ("diagonal", "triangular"),
+    "omega_atoms": ("general",),
+    "bath": ("general",),
+    "bath_cutoff": ("general",),
+}
 
 
 class ConfigError(ValueError):
@@ -109,6 +117,11 @@ def _build_model(raw: dict) -> ModelSpec:
     if not isinstance(raw, dict):
         raise ConfigError("model must be an object of ModelSpec fields")
     _reject_unknown(raw.keys(), _MODEL_KEYS, "model")
+    kind = raw.get("kind")
+    for name, kinds in _KIND_KEYS.items():
+        if name in raw and kind in MODEL_KINDS and kind not in kinds:
+            raise ConfigError(f"model.{name} is not read by the {kind!r} kind "
+                              f"(only by {' and '.join(kinds)})")
     fields = dict(raw)
     for name in ("omega0", "omega", "g", "lam"):
         if name in fields:

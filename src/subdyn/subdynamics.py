@@ -18,8 +18,11 @@ truncated at first ("1") or second ("2") order in lam.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .linalg import (
@@ -119,9 +122,14 @@ def liouville_basis(h0, tol: float = DEFAULT_TOL) -> PhiBasis:
 class Decomposition:
     """Complete projected-subspace decomposition at one construction order.
 
-    c_cols stacks the creation columns (C = sum_nu c_nu e_nu^T), d_rows the
-    destruction rows, energies the kinetic eigenvalues E_nu. All entries are
-    phi-frame quantities.
+    energies holds the kinetic eigenvalues E_nu; all entries are phi-frame
+    quantities. The exact order stores the matched eigensystem of H: psi
+    (right eigenvectors as columns), psi_tilde (left eigenvectors as rows,
+    psi_tilde @ psi = I) and z (eigenvalues), and computes everything from
+    these d x d factors. The perturbative orders store the dense creation
+    columns and destruction rows as series = (c_cols, d_rows). The d^2 x d^2
+    matrices c_cols, d_rows and v1 are built on first request and cached;
+    they are meant for small-d checks.
     """
 
     basis: PhiBasis
@@ -129,14 +137,40 @@ class Decomposition:
     lam: float
     eta: float
     h1_f: np.ndarray
-    v1: np.ndarray
-    c_cols: np.ndarray
-    d_rows: np.ndarray
     energies: np.ndarray
+    psi: np.ndarray | None = None
+    psi_tilde: np.ndarray | None = None
+    z: np.ndarray | None = None
+    series: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim2(self) -> int:
         return self.basis.dim2
+
+    @functools.cached_property
+    def v1(self) -> np.ndarray:
+        """Interaction Liouvillian L1 = [h1_f, .] as a dense matrix."""
+        return commutator_superop(self.h1_f)
+
+    @functools.cached_property
+    def c_cols(self) -> np.ndarray:
+        """Creation columns: c_nu = vec(psi_i psi~_j)/(psi_ii psi~_jj) - e_nu."""
+        if self.series is not None:
+            return self.series[0]
+        w = np.kron(self.psi_tilde.T, self.psi)
+        c = w / np.diag(w)[None, :]
+        np.fill_diagonal(c, 0.0)
+        return c
+
+    @functools.cached_property
+    def d_rows(self) -> np.ndarray:
+        """Destruction rows: d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T."""
+        if self.series is not None:
+            return self.series[1]
+        l = np.kron(self.psi.T, self.psi_tilde)
+        d = l / np.diag(l)[:, None]
+        np.fill_diagonal(d, 0.0)
+        return d
 
     def liouvillian(self) -> np.ndarray:
         """Full phi-frame Liouvillian diag(E0) + lam * L1."""
@@ -151,7 +185,13 @@ class Decomposition:
         return np.diag(self.energies)
 
     def pairing(self) -> np.ndarray:
-        """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block."""
+        """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
+
+        Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
+        """
+        if self.series is None:
+            a = np.diag(self.psi) * np.diag(self.psi_tilde)
+            return vec(1.0 / np.outer(a, a))
         return 1.0 + np.einsum("ij,ji->i", self.d_rows, self.c_cols)
 
     def total_projector(self, nu: NuIndex) -> np.ndarray:
@@ -222,14 +262,18 @@ def _theta_energies(basis: PhiBasis, v1: np.ndarray, lam: float, c_cols: np.ndar
     return (basis.e0 + lam * np.diag(v1) + lam * np.einsum("ij,ji->i", v1, c_cols))
 
 
-def _exact_columns(basis: PhiBasis, h1_f: np.ndarray, lam: float, tol: float = DEFAULT_TOL):
-    """Exact C/D/E from the eigendecomposition of H in the phi frame.
+def _phi_hamiltonian(basis: PhiBasis, lam: float, h1_f: np.ndarray) -> np.ndarray:
+    """H = diag(f_values) + lam * h1_f in the phi frame."""
+    return np.diag(basis.f_values).astype(np.complex128) + lam * h1_f
+
+
+def _exact_factors(h: np.ndarray, tol: float = DEFAULT_TOL):
+    """Matched eigensystem (psi, psi_tilde, z) of the phi-frame Hamiltonian.
 
     Eigenvectors are matched to the free basis by maximum-overlap assignment,
     so each nu tracks the branch continuously connected to its dyad.
     """
-    d = basis.dim
-    h = np.diag(basis.f_values).astype(np.complex128) + lam * h1_f
+    d = h.shape[0]
     system = eig(h, tol=tol)
     overlap = np.abs(system.right_vectors)
     rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
@@ -244,21 +288,7 @@ def _exact_columns(basis: PhiBasis, h1_f: np.ndarray, lam: float, tol: float = D
         raise ValueError(
             "eigenvector branch lost its free anchor (interaction too strong "
             f"for dyad tracking; smallest overlap {np.min(anchors):.3e})")
-
-    # Liouville right vectors w_nu = kron(psi~_j, psi_i), left rows
-    # l_nu = kron(psi_j, psi~_i); both indexed by nu = i + d*j.
-    w = np.kron(psi_tilde.T, psi)
-    l = np.kron(psi.T, psi_tilde)
-    w_diag = np.diag(w).copy()
-    l_diag = np.diag(l).copy()
-    c_cols = w / w_diag[None, :]
-    np.fill_diagonal(c_cols, 1.0)
-    c_cols -= np.eye(d * d, dtype=np.complex128)
-    d_rows = l / l_diag[:, None]
-    np.fill_diagonal(d_rows, 1.0)
-    d_rows -= np.eye(d * d, dtype=np.complex128)
-    energies = vec(np.subtract.outer(z, z)).astype(np.complex128)
-    return c_cols, d_rows, energies
+    return psi, psi_tilde, z
 
 
 def normalize_order(order) -> str:
@@ -276,14 +306,16 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0,
     basis = liouville_basis(h0, tol)
     f = basis.f_vectors
     h1_f = f.conj().T @ as_complex_matrix(h1, "h1") @ f
-    v1 = commutator_superop(h1_f)
     if order == "exact":
-        c_cols, d_rows, energies = _exact_columns(basis, h1_f, lam, tol)
-    else:
-        c_cols, d_rows = _perturbative_columns(basis, v1, lam, eta, order)
-        energies = _theta_energies(basis, v1, lam, c_cols)
+        psi, psi_tilde, z = _exact_factors(_phi_hamiltonian(basis, lam, h1_f), tol)
+        energies = vec(np.subtract.outer(z, z))
+        return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
+                             energies=energies, psi=psi, psi_tilde=psi_tilde, z=z)
+    v1 = commutator_superop(h1_f)
+    c_cols, d_rows = _perturbative_columns(basis, v1, lam, eta, order)
+    energies = _theta_energies(basis, v1, lam, c_cols)
     return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                         v1=v1, c_cols=c_cols, d_rows=d_rows, energies=energies)
+                         energies=energies, series=(c_cols, d_rows))
 
 
 def decompose_model(ops, order="exact", eta: float = 0.0, lam: float | None = None,
@@ -354,11 +386,72 @@ def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex
 
 
 def similarity_residual(decomp: Decomposition) -> float:
-    """|| L Omega - Omega Theta || / || L || for the built order."""
-    l_full = decomp.liouvillian()
-    omega = decomp.omega()
-    res = l_full @ omega - omega @ decomp.theta_matrix()
-    return float(np.linalg.norm(res)) / norm_scale(l_full)
+    """|| L Omega - Omega Theta || / || L || for the built order.
+
+    Exact order, from d x d data: column nu of L Omega - Omega Theta is
+    vec(R_i psi~_j - psi_i S_j)/(psi_ii psi~_jj) with the eigen-residuals
+    R = H psi - psi Z and S = psi~ H - Z psi~, and
+    ||L||_F = sqrt(2d) ||H - (tr H/d) I||_F.
+    """
+    if decomp.series is not None:
+        l_full = decomp.liouvillian()
+        omega = decomp.omega()
+        res = l_full @ omega - omega @ decomp.theta_matrix()
+        return float(np.linalg.norm(res)) / norm_scale(l_full)
+    h = _phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f)
+    psi, psi_tilde, z = decomp.psi, decomp.psi_tilde, decomp.z
+    r = h @ psi - psi * z[None, :]
+    s = psi_tilde @ h - z[:, None] * psi_tilde
+    # Summed over nu with weights u_i v_j = 1/|psi_ii psi~_jj|^2:
+    # ||R_i psi~_j - psi_i S_j||^2 = |R_i|^2 |psi~_j|^2 + |psi_i|^2 |S_j|^2
+    #                                - 2 Re[(R_i^H psi_i)(psi~_j^* . S_j)]
+    u = 1.0 / np.abs(np.diag(psi)) ** 2
+    v = 1.0 / np.abs(np.diag(psi_tilde)) ** 2
+
+    def dots(weights, a, b, axis):
+        return weights @ np.sum(a.conj() * b, axis=axis)
+
+    total = (dots(u, r, r, 0) * dots(v, psi_tilde, psi_tilde, 1)
+             + dots(u, psi, psi, 0) * dots(v, s, s, 1)
+             - 2.0 * dots(u, r, psi, 0) * dots(v, psi_tilde, s, 1)).real
+    d = h.shape[0]
+    centred = h - (np.trace(h) / d) * np.eye(d)
+    l_norm = math.sqrt(2 * d) * float(np.linalg.norm(centred))
+    return math.sqrt(max(float(total), 0.0)) / max(l_norm, 1.0)
+
+
+def completeness_residual(decomp: Decomposition) -> float:
+    """|| sum_nu Pi_nu - I ||_F.
+
+    Exact order: sum_nu Pi_nu = kron(M^T, M) with M = psi psi~. Its distance
+    from the identity is expanded in E = M - I, so no O(d^2) terms cancel:
+    ||kron(E^T, I) + kron(I, E) + kron(E^T, E)||^2
+      = 2d|E|^2 + |E|^4 + 2|tr E|^2 + 4|E|^2 Re tr E.
+    """
+    if decomp.series is not None:
+        return float(np.linalg.norm(decomp.projector_sum() - np.eye(decomp.dim2)))
+    err = decomp.psi @ decomp.psi_tilde - np.eye(decomp.basis.dim)
+    e2 = float(np.linalg.norm(err)) ** 2
+    tr = complex(np.trace(err))
+    total = 2 * decomp.basis.dim * e2 + e2 ** 2 + 2 * abs(tr) ** 2 + 4 * e2 * tr.real
+    return math.sqrt(max(total, 0.0))
+
+
+def block_residual(decomp: Decomposition) -> float:
+    """max_nu |P_nu C_nu P_nu|, |P_nu D_nu P_nu|: the diagonals of c_cols, d_rows.
+
+    With P_nu = e_k e_k^T, Q_nu = I - P_nu, C_nu = c_k e_k^T and
+    D_nu = e_k d_k^T, P + Q = I and PQ = 0 hold identically, while
+    C - QCP = c_kk P and D - PDQ = d_kk P. At the exact order c_kk and d_kk
+    are the weights of the normalized eigen-dyads on their own dyads minus 1,
+    (psi_ii psi~_jj)/(psi_ii psi~_jj) - 1 and its transpose over every nu:
+    zero to rounding while each anchor psi_ii psi~_jj is finite and nonzero.
+    """
+    if decomp.series is not None:
+        return max(float(np.max(np.abs(np.diag(decomp.c_cols)))),
+                   float(np.max(np.abs(np.diag(decomp.d_rows)))))
+    anchors = np.outer(np.diag(decomp.psi), np.diag(decomp.psi_tilde))
+    return float(np.max(np.abs(anchors / anchors - 1.0)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -379,13 +472,21 @@ class ProjectedDensity:
 
 
 def project_density(decomp: Decomposition, rho: np.ndarray) -> ProjectedDensity:
-    """Coefficients c_nu = weight of P_nu Pi_nu rho on each dyad."""
+    """Coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
+
+    Exact order: c_nu = (psi~ rho_f psi)_ij psi_ii psi~_jj.
+    """
     rho_f = decomp.basis.to_frame(rho)
     kappa = decomp.pairing()
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
-    left = np.eye(decomp.dim2, dtype=np.complex128) + decomp.d_rows
-    coeff = (left @ rho_f) / kappa
+    if decomp.series is None:
+        psi, psi_tilde = decomp.psi, decomp.psi_tilde
+        core = psi_tilde @ unvec(rho_f, decomp.basis.dim) @ psi
+        coeff = vec(core * np.outer(np.diag(psi), np.diag(psi_tilde)))
+    else:
+        left = np.eye(decomp.dim2, dtype=np.complex128) + decomp.d_rows
+        coeff = (left @ rho_f) / kappa
     return ProjectedDensity(coefficients=coeff, basis=decomp.basis)
 
 
@@ -399,8 +500,9 @@ def evolve_projected(projected: ProjectedDensity, energies: np.ndarray, t: float
 def evolve_exact(hamiltonian, rho0, t: float) -> np.ndarray:
     """Brute-force commutator evolution rho(t) = unvec(e^{-i L t} vec rho0).
 
-    Reference oracle route: builds the full Liouvillian of the supplied
-    Hamiltonian and exponentiates it, independent of the projected machinery.
+    Reference oracle route for small-d checks: builds the full d^2 x d^2
+    Liouvillian of the supplied Hamiltonian and exponentiates it,
+    independent of the projected machinery.
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")
@@ -408,12 +510,21 @@ def evolve_exact(hamiltonian, rho0, t: float) -> np.ndarray:
     return unvec(expm_action(l_full, t, vec(rho)), h.shape[0])
 
 
+def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} rho e^{+iHt} from two d x d exponentials.
+
+    The right factor is the inverse of the left one, which is not its
+    adjoint when H is not Hermitian.
+    """
+    return scipy.linalg.expm(-1j * t * h) @ rho @ scipy.linalg.expm(1j * t * h)
+
+
 def evolve_grid(hamiltonian, rho0, times) -> np.ndarray:
     """rho(t) on a time grid from one eigendecomposition of H.
 
     Same commutator flow as evolve_exact, factored through
-    e^{-iHt} rho e^{+iHt}; falls back to per-point exponentials when H is
-    defective. Returns an array of shape (len(times), d, d).
+    e^{-iHt} rho e^{+iHt}; falls back to per-point d x d exponentials when
+    H is defective. Returns an array of shape (len(times), d, d).
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")
@@ -421,7 +532,7 @@ def evolve_grid(hamiltonian, rho0, times) -> np.ndarray:
     try:
         system = eig(h)
     except DefectiveMatrixError:
-        return np.stack([evolve_exact(h, rho, float(t)) for t in ts])
+        return np.stack([_hilbert_flow(h, rho, float(t)) for t in ts])
     core = system.left_vectors @ rho @ system.right_vectors
     out = np.empty((ts.shape[0], h.shape[0], h.shape[0]), dtype=np.complex128)
     for k, t in enumerate(ts):
@@ -435,10 +546,14 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
                                  t: float) -> float:
     """Operator-norm gap between projected exact evolution and kinetic phases.
 
-    Compares P_nu Pi_nu e^{-iLt} rho0 (exact route) against
+    Compares P_nu Pi_nu e^{-iLt} rho0 (exact route, the Hilbert-space flow
+    e^{-iHt} rho0 e^{+iHt} through d x d exponentials, independent of the
+    eigendecomposition behind the projection) against
     e^{-i Theta t} P_nu Pi_nu rho0 (kinetic route), reconstructed over all nu.
     """
-    lhs = project_density(decomp, evolve_exact(hamiltonian, rho0, t))
-    rhs = evolve_projected(project_density(decomp, rho0), decomp.energies, t)
+    h = as_complex_matrix(hamiltonian, "hamiltonian")
+    rho = as_complex_matrix(rho0, "rho0")
+    lhs = project_density(decomp, _hilbert_flow(h, rho, t))
+    rhs = evolve_projected(project_density(decomp, rho), decomp.energies, t)
     gap = lhs.coefficients - rhs.coefficients
     return float(np.linalg.norm(decomp.basis.from_frame(gap), ord=2))

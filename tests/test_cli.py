@@ -75,6 +75,16 @@ def test_malformed_config_value_exit_code(tmp_path, capsys):
     assert "model.lam must be a number" in capsys.readouterr().err
 
 
+def test_key_unused_by_kind_exit_code(tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({"model": {"kind": "diagonal", "bath": [[0.9, 0.6]],
+                                         "omega_atoms": [2.0, 3.0]}}))
+    out = tmp_path / "run"
+    assert main(["classify", "--config", str(doc), "--out", str(out)]) == EXIT_CONFIG
+    assert "model.omega_atoms is not read by the 'diagonal' kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["classify", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
@@ -138,11 +148,17 @@ def test_verify_failures_exit_nonzero(tmp_path, capsys, monkeypatch):
     assert code == EXIT_NUMERICAL
 
 
-@pytest.mark.parametrize("field", ["c_cols", "d_rows"])
-def test_verify_block_structure_catches_corrupted_decomposition(tmp_path, capsys,
-                                                                monkeypatch, field):
-    # nu index 1 lies off the first, middle and last dyads, so only a check
-    # over every nu sees the corrupted diagonal entry
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field, entry, value, failing", [
+    # an off-diagonal entry nudged by 1e-6 breaks the eigen-relation and the
+    # completeness of the eigenbasis
+    ("psi", (1, 2), 1e-6, ("similarity_relation", "projector_completeness")),
+    ("psi_tilde", (1, 2), 1e-6, ("similarity_relation", "projector_completeness")),
+    # a zero anchor psi_11 leaves the dyads of level 1 without a P-block weight
+    ("psi", (1, 1), None, ("block_structure",)),
+], ids=["psi", "psi_tilde", "psi_anchor"])
+def test_verify_catches_corrupted_decomposition(tmp_path, capsys, monkeypatch, field,
+                                               entry, value, failing):
     from subdyn import runner
 
     real = runner.decompose_model
@@ -150,17 +166,16 @@ def test_verify_block_structure_catches_corrupted_decomposition(tmp_path, capsys
     def corrupted(*args, **kwargs):
         decomp = real(*args, **kwargs)
         bad = getattr(decomp, field).copy()
-        bad[1, 1] = 1e-6
+        bad[entry] = 0.0 if value is None else bad[entry] + value
         return dataclasses.replace(decomp, **{field: bad})
 
     monkeypatch.setattr(runner, "decompose_model", corrupted)
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == EXIT_NUMERICAL
     capsys.readouterr()
-    checks = json.loads((out / REPORT_NAME).read_text())["payload"]["checks"]
-    block = next(c for c in checks if c["name"] == "block_structure")
-    assert block["passed"] is False
-    assert block["value"] == 1e-6
+    checks = {c["name"]: c for c in json.loads((out / REPORT_NAME).read_text())["payload"]["checks"]}
+    for name in failing:
+        assert checks[name]["passed"] is False
 
 
 def test_output_root_env_var(tmp_path, capsys, monkeypatch):

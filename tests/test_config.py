@@ -115,6 +115,22 @@ def test_model_flags_must_be_json_booleans():
         .model.diagonal_in_free is False
 
 
+def test_keys_the_kind_never_reads_are_rejected():
+    general = {"kind": "general", "omega_atoms": [1.0, 1.0], "bath": [[0.9, 0.6]]}
+    cases = [
+        ({**GOOD["model"], "bath": [[0.9, 0.6]], "omega_atoms": [2.0, 3.0]}, "model.omega_atoms"),
+        ({**GOOD["model"], "bath": [[0.9, 0.6]]}, "model.bath"),
+        ({**GOOD["model"], "bath_cutoff": 2}, "model.bath_cutoff"),
+        ({**GOOD["model"], "kind": "triangular", "omega_atoms": [1.0, 1.0]},
+         "model.omega_atoms"),
+        ({**general, "omega0": 1.0}, "model.omega0"),
+    ]
+    for model, key in cases:
+        with pytest.raises(ConfigError, match=f"{key} is not read by the '{model['kind']}' kind"):
+            load_config({**GOOD, "model": model})
+    assert load_config({**GOOD, "model": general}).model.bath == ((0.9, 0.6),)
+
+
 def test_non_numbers_rejected_with_key():
     general = {"kind": "general", "omega_atoms": [1.0, 1.0], "bath": [[0.9, 0.6]]}
     cases = [

@@ -6,11 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdyn.linalg import random_density, unvec
+from subdyn.linalg import norm_scale, random_density, unvec
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
 from subdyn.subdynamics import (
     NuIndex,
     ResonanceError,
+    block_residual,
+    completeness_residual,
     creation_resolvent,
     decompose,
     decompose_model,
@@ -342,6 +344,18 @@ def test_evolve_grid_defective_fallback():
                                    atol=1e-12)
 
 
+def test_evolve_grid_defective_fallback_is_the_expm_sandwich():
+    # a Jordan block has no eigenbasis, so the grid takes the per-point
+    # route; the right factor is the inverse of the left one, not its adjoint
+    h = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]], dtype=complex)
+    rho0 = random_density(np.random.default_rng(10), 3)
+    times = np.linspace(0.0, 2.0, 5)
+    grid = evolve_grid(h, rho0, times)
+    for k, t in enumerate(times):
+        u = scipy.linalg.expm(-1j * t * h)
+        np.testing.assert_allclose(grid[k], u @ rho0 @ np.linalg.inv(u), atol=1e-12)
+
+
 def test_creation_resolvent_solves_stationary_equation(gen_ops):
     decomp = decompose_model(gen_ops, order="1")
     basis, v1, lam = decomp.basis, decomp.v1, decomp.lam
@@ -502,3 +516,98 @@ def test_exact_decomposition_properties_random(seed, dim):
     t = float(rng.uniform(0.0, 4.0))
     res = kinetic_consistency_residual(decomp, h0 + 0.05 * h1, rho, t)
     assert res <= 1e-8
+
+
+# Dense-route oracles for the factored exact order: every kind at d = 16,
+# the dense d^2 x d^2 matrices built on request from the stored eigensystem.
+ORACLE_SPECS = {
+    "general": GEN_SPEC,
+    "triangular": ModelSpec(kind="triangular", omega0=1.0, omega=1.3, g=0.4, lam=1.0,
+                            fock_cutoff=7, diagonal_in_free=True),
+    "triangular_hermitian": ModelSpec(kind="triangular", omega0=1.0, omega=1.3, g=0.4,
+                                      lam=0.3, fock_cutoff=7, hermitian_variant=True),
+    "diagonal": ModelSpec(kind="diagonal", omega0=1.0, omega=1.3, g=0.5, lam=1.0,
+                          fock_cutoff=7),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_SPECS))
+def oracle_case(request):
+    ops = build_model(ORACLE_SPECS[request.param])
+    assert ops.dim == 16
+    return ops, decompose_model(ops, order="exact")
+
+
+def _dense_pairing(decomp):
+    return 1.0 + np.einsum("ij,ji->i", decomp.d_rows, decomp.c_cols)
+
+
+def test_factored_pairing_matches_dense(oracle_case):
+    _, decomp = oracle_case
+    np.testing.assert_allclose(decomp.pairing(), _dense_pairing(decomp), rtol=0, atol=1e-12)
+
+
+def test_factored_projection_matches_dense(oracle_case):
+    ops, decomp = oracle_case
+    rho = random_density(np.random.default_rng(11), ops.dim)
+    left = np.eye(decomp.dim2) + decomp.d_rows
+    dense = (left @ decomp.basis.to_frame(rho)) / _dense_pairing(decomp)
+    np.testing.assert_allclose(project_density(decomp, rho).coefficients, dense,
+                               rtol=0, atol=1e-12)
+
+
+def test_factored_similarity_residual_matches_dense(oracle_case):
+    _, decomp = oracle_case
+    l_full = decomp.liouvillian()
+    omega = decomp.omega()
+    dense = float(np.linalg.norm(l_full @ omega - omega @ decomp.theta_matrix())) \
+        / norm_scale(l_full)
+    assert abs(similarity_residual(decomp) - dense) <= 1e-12
+
+
+def test_factored_completeness_matches_dense(oracle_case):
+    _, decomp = oracle_case
+    right = (np.eye(decomp.dim2) + decomp.c_cols) / _dense_pairing(decomp)
+    dense = float(np.linalg.norm(right @ (np.eye(decomp.dim2) + decomp.d_rows)
+                                 - np.eye(decomp.dim2)))
+    assert abs(completeness_residual(decomp) - dense) <= 1e-12
+
+
+def test_factored_block_residual_matches_dense(oracle_case):
+    _, decomp = oracle_case
+    dense = max(np.max(np.abs(np.diag(decomp.c_cols))), np.max(np.abs(np.diag(decomp.d_rows))))
+    assert abs(block_residual(decomp) - dense) <= 1e-12
+
+
+def test_factored_kinetic_consistency_matches_liouville_route(oracle_case):
+    ops, decomp = oracle_case
+    h = ops.hamiltonian()
+    rng = np.random.default_rng(12)
+    rho0 = random_density(rng, ops.dim)
+    t = 2.3
+    left = np.eye(decomp.dim2) + decomp.d_rows
+    kappa = _dense_pairing(decomp)
+    exact = (left @ decomp.basis.to_frame(evolve_exact(h, rho0, t))) / kappa
+    kinetic = np.exp(-1j * decomp.energies * t) * (left @ decomp.basis.to_frame(rho0)) / kappa
+    dense = float(np.linalg.norm(decomp.basis.from_frame(exact - kinetic), ord=2))
+    assert abs(kinetic_consistency_residual(decomp, h, rho0, t) - dense) <= 1e-12
+
+
+def test_exact_decompose_and_classify_stay_small_at_d48():
+    # one dense d^2 x d^2 complex matrix at d = 48 is 85 MB
+    import tracemalloc
+
+    from subdyn.classify import classify
+
+    ops = build_model(ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
+                                lam=0.05, bath=((0.9, 0.6), (0.97, 0.6)), fock_cutoff=2,
+                                bath_cutoff=1))
+    assert ops.dim == 48
+    tracemalloc.start()
+    try:
+        decompose_model(ops, order="exact")
+        classify(ops, order="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
