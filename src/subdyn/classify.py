@@ -106,8 +106,10 @@ def fidelity_trace(decomp: Decomposition, rho0, times=None) -> FidelityTrace:
     if total <= 0.0:
         raise ValueError("initial state has no weight on any dyad")
     weights = mags / total
-    moduli = np.exp(np.outer(ts, decomp.energies.imag))
-    return FidelityTrace(times=ts, values=moduli @ weights, weights=weights)
+    # sum(weights) is 1 only to rounding, so the deviation from 1 is summed
+    # directly: exactly zero when every E_nu is real
+    deviation = (np.exp(np.outer(ts, decomp.energies.imag)) - 1.0) @ weights
+    return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
 
 
 def total_space_evidence(decomp: Decomposition, hamiltonian, rho0, times) -> dict[str, float]:

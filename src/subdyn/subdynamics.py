@@ -126,10 +126,16 @@ class Decomposition:
     quantities. The exact order stores the matched eigensystem of H: psi
     (right eigenvectors as columns), psi_tilde (left eigenvectors as rows,
     psi_tilde @ psi = I) and z (eigenvalues), and computes everything from
-    these d x d factors. The perturbative orders store the dense creation
-    columns and destruction rows as series = (c_cols, d_rows). The d^2 x d^2
-    matrices c_cols, d_rows and v1 are built on first request and cached;
-    they are meant for small-d checks.
+    these d x d factors. Order 1 stores first_order = (A, A'), the
+    resolvent-weighted interactions A = lam h1_f * r and A' = lam h1_f * r^T
+    (elementwise products) with r[k, i] = 1/(eps_i - eps_k + i eta), zero on
+    k = i and, at eta = 0, on degenerate pairs: its creation columns are the
+    superoperator [A, .] and its destruction rows [A', .] (the Rayleigh-
+    Schroedinger eigenvector corrections), and everything it reports is a
+    d x d expression in A and A'. Order 2 stores its dense creation columns
+    and destruction rows as series = (c_cols, d_rows). The d^2 x d^2
+    matrices c_cols, d_rows and v1 are otherwise built on first request and
+    cached; they are meant for small-d checks.
     """
 
     basis: PhiBasis
@@ -141,6 +147,7 @@ class Decomposition:
     psi: np.ndarray | None = None
     psi_tilde: np.ndarray | None = None
     z: np.ndarray | None = None
+    first_order: tuple[np.ndarray, np.ndarray] | None = None
     series: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -154,9 +161,14 @@ class Decomposition:
 
     @functools.cached_property
     def c_cols(self) -> np.ndarray:
-        """Creation columns: c_nu = vec(psi_i psi~_j)/(psi_ii psi~_jj) - e_nu."""
+        """Creation columns: c_nu = vec(psi_i psi~_j)/(psi_ii psi~_jj) - e_nu.
+
+        Order 1: the superoperator [A, .], column nu = vec([A, e_i e_j^T]).
+        """
         if self.series is not None:
             return self.series[0]
+        if self.first_order is not None:
+            return commutator_superop(self.first_order[0])
         w = np.kron(self.psi_tilde.T, self.psi)
         c = w / np.diag(w)[None, :]
         np.fill_diagonal(c, 0.0)
@@ -164,9 +176,14 @@ class Decomposition:
 
     @functools.cached_property
     def d_rows(self) -> np.ndarray:
-        """Destruction rows: d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T."""
+        """Destruction rows: d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T.
+
+        Order 1: the superoperator [A', .], so d_nu . vec(X) = [A', X]_ij.
+        """
         if self.series is not None:
             return self.series[1]
+        if self.first_order is not None:
+            return commutator_superop(self.first_order[1])
         l = np.kron(self.psi.T, self.psi_tilde)
         d = l / np.diag(l)[:, None]
         np.fill_diagonal(d, 0.0)
@@ -188,11 +205,16 @@ class Decomposition:
         """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
 
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
+        Order 1: kappa_nu = 1 + (A' A)_ii + (A A')_jj.
         """
-        if self.series is None:
-            a = np.diag(self.psi) * np.diag(self.psi_tilde)
-            return vec(1.0 / np.outer(a, a))
-        return 1.0 + np.einsum("ij,ji->i", self.d_rows, self.c_cols)
+        if self.series is not None:
+            return 1.0 + np.einsum("ij,ji->i", self.d_rows, self.c_cols)
+        if self.first_order is not None:
+            a, a_dual = self.first_order
+            return vec(1.0 + np.einsum("ia,ai->i", a_dual, a)[:, None]
+                       + np.einsum("jb,bj->j", a, a_dual)[None, :])
+        a = np.diag(self.psi) * np.diag(self.psi_tilde)
+        return vec(1.0 / np.outer(a, a))
 
     def total_projector(self, nu: NuIndex) -> np.ndarray:
         """Pi_nu = (P + C)(P + DC)^-1(P + D), a rank-1 phi-frame matrix."""
@@ -218,48 +240,87 @@ class Decomposition:
         return (right / kappa) @ left
 
 
-def _degeneracy_masks(e0: np.ndarray, v1: np.ndarray, lam: float, tol: float):
-    """Boolean masks for degenerate pairs and for coupled (resonant) ones."""
-    scale = max(1.0, float(np.max(np.abs(e0))))
-    gap = np.abs(e0[None, :] - e0[:, None])
-    degenerate = gap <= tol * scale
-    coupling = np.abs(lam * v1) > DEFAULT_TOL * max(1.0, float(np.linalg.norm(lam * v1)))
-    off = ~np.eye(e0.shape[0], dtype=bool)
-    return degenerate, degenerate & coupling & off
-
-
 def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[NuIndex, NuIndex]]:
-    rows, cols = np.nonzero(mask)
-    return [(basis.nu_indices[r], basis.nu_indices[c]) for r, c in zip(rows, cols)]
+    """Dyad pairs (mu, nu) that L1 = [h1_f, .] couples through a resonant h1_f[x, y].
 
-
-def _perturbative_columns(basis: PhiBasis, v1: np.ndarray, lam: float, eta: float,
-                          order: str, tol: float = DEGENERACY_TOL):
-    """Stationary-resolvent series for C (columns) and D (rows) at order 1 or 2.
-
-    Denominators are E0_nu - E0_mu + i eta (retarded branch). Terms between
-    uncoupled degenerate partners are dropped; coupled degenerate partners at
-    eta = 0 raise ResonanceError.
+    h1_f[x, y] couples mu = (x, k) to nu = (y, k) and mu = (k, y) to
+    nu = (k, x) for every k; pairs are listed in Liouville (row, column) order.
     """
-    e0 = basis.e0
-    degenerate, resonant = _degeneracy_masks(e0, v1, lam, tol)
-    if eta == 0.0 and resonant.any():
-        raise ResonanceError(_resonant_pairs(basis, resonant))
-    # delta[mu, nu] = E0_nu - E0_mu + i eta
-    delta = e0[None, :] - e0[:, None] + 1j * eta
-    blocked = degenerate if eta == 0.0 else np.eye(e0.shape[0], dtype=bool)
-    inv = np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, delta))
-    c = lam * v1 * inv
-    d = lam * v1 * inv.T
-    if order == "2":
-        c = c + lam * (v1 @ c) * inv
-        d = d + lam * (d @ v1) * inv.T
-    return c, d
+    d = basis.dim
+    x, y = (v[:, None] for v in np.nonzero(mask))
+    k = np.arange(d)[None, :]
+    rows = np.concatenate([(x + d * k).ravel(), (k + d * y).ravel()])
+    cols = np.concatenate([(y + d * k).ravel(), (k + d * x).ravel()])
+    order = np.lexsort((cols, rows))
+    return [(basis.nu_indices[r], basis.nu_indices[c]) for r, c in zip(rows[order], cols[order])]
 
 
-def _theta_energies(basis: PhiBasis, v1: np.ndarray, lam: float, c_cols: np.ndarray) -> np.ndarray:
-    """Diagonal of Theta: E_nu = E0_nu + lam*V[nu,nu] + lam*(V c)[nu,nu]."""
-    return (basis.e0 + lam * np.diag(v1) + lam * np.einsum("ij,ji->i", v1, c_cols))
+def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float,
+                    tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """r[k, i] = 1/(eps_i - eps_k + i eta), the resolvent of one dyad index.
+
+    r is zero on k = i and, at eta = 0, on every degenerate pair; h1_f
+    coupling a degenerate pair at eta = 0 raises ResonanceError. The coupling
+    threshold is relative to ||lam L1||_F = |lam| sqrt(2d|h1_f|^2 - 2|tr h1_f|^2).
+    """
+    eps = basis.f_values
+    d = eps.shape[0]
+    gap = eps[None, :] - eps[:, None]
+    if eta == 0.0:
+        blocked = np.abs(gap) <= tol * max(1.0, float(np.max(np.abs(basis.e0))))
+        norm2 = 2 * d * float(np.linalg.norm(h1_f)) ** 2 - 2 * abs(np.trace(h1_f)) ** 2
+        scale = max(1.0, abs(lam) * math.sqrt(max(norm2, 0.0)))
+        resonant = blocked & (np.abs(lam * h1_f) > DEFAULT_TOL * scale)
+        np.fill_diagonal(resonant, False)
+        if resonant.any():
+            raise ResonanceError(_resonant_pairs(basis, resonant))
+    else:
+        blocked = np.eye(d, dtype=bool)
+    return np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, gap + 1j * eta))
+
+
+def _dyad_resolvent(basis: PhiBasis, eta: float, tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """1/(E0_nu - E0_mu + i eta) as a [b, a, j, i] tensor, mu = (a, b), nu = (i, j).
+
+    Zero on mu = nu and, at eta = 0, on every degenerate pair of dyads; real
+    at eta = 0.
+    """
+    d = basis.dim
+    e0 = basis.e0.real.reshape(d, d)  # e0[b, a] = eps_a - eps_b
+    gap = e0[None, None, :, :] - e0[:, :, None, None]
+    if eta == 0.0:
+        blocked = np.abs(gap) <= tol * max(1.0, float(np.max(np.abs(basis.e0))))
+        inv = gap
+    else:
+        blocked = np.eye(d * d, dtype=bool).reshape(gap.shape)
+        inv = gap + 1j * eta
+    inv[blocked] = 1.0
+    np.divide(1.0, inv, out=inv)
+    inv[blocked] = 0.0
+    return inv
+
+
+def _second_order_columns(h: np.ndarray, g: np.ndarray, lam: float,
+                          resolvent: np.ndarray) -> np.ndarray:
+    """Order-2 creation columns grown from the first-order superoperator [g, .].
+
+    Column nu = (i, j) is [g, E] + lam * resolvent_nu * [h, [g, E]] with
+    E = e_i e_j^T, returned as a d^2 x d^2 matrix. Entry mu = (a, b) of the
+    double commutator is delta_bj (h g)[a, i] + delta_ai (g h)[j, b]
+    - h[a, i] g[j, b] - g[a, i] h[j, b]; the tensor axes are [b, a, j, i].
+    Rows with g = A' are the transposed columns of (h^T, A'^T).
+    """
+    d = h.shape[0]
+    k = np.arange(d)
+    s = -lam * g
+    out = np.multiply(h.T[:, None, :, None], s[None, :, None, :], order="C")
+    out += s.T[:, None, :, None] * h[None, :, None, :]
+    out[k, :, k, :] -= h @ s
+    out[:, k, :, k] -= (s @ h).T
+    out *= resolvent
+    out[k, :, k, :] += g
+    out[:, k, :, k] -= g.T
+    return out.reshape(d * d, d * d)
 
 
 def _phi_hamiltonian(basis: PhiBasis, lam: float, h1_f: np.ndarray) -> np.ndarray:
@@ -311,9 +372,25 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0,
         energies = vec(np.subtract.outer(z, z))
         return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
                              energies=energies, psi=psi, psi_tilde=psi_tilde, z=z)
-    v1 = commutator_superop(h1_f)
-    c_cols, d_rows = _perturbative_columns(basis, v1, lam, eta, order)
-    energies = _theta_energies(basis, v1, lam, c_cols)
+    r = _free_resolvent(basis, h1_f, lam, eta)
+    a, a_dual = lam * h1_f * r, lam * h1_f * r.T
+    level = basis.f_values + lam * np.diag(h1_f)
+    if order == "1":
+        # E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu = z_i - w_j
+        z = level + lam * np.einsum("ia,ai->i", h1_f, a)
+        w = level - lam * np.einsum("jb,bj->j", a, h1_f)
+        return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
+                             energies=vec(np.subtract.outer(z, w)), first_order=(a, a_dual))
+    d = basis.dim
+    resolvent = _dyad_resolvent(basis, eta)
+    c_cols = _second_order_columns(h1_f, a, lam, resolvent)
+    d_rows = _second_order_columns(h1_f.T, a_dual.T, lam, resolvent).T
+    # (L1 c_nu)_nu reads the entries of c_nu on the dyads (a, j) and (i, b)
+    cols = c_cols.reshape(d, d, d, d)
+    k = np.arange(d)
+    shift = (np.einsum("ia,jai->ij", h1_f, cols[k, :, k, :])
+             - np.einsum("bj,ibj->ij", h1_f, cols[:, k, :, k]))
+    energies = vec(np.subtract.outer(level, level) + lam * shift)
     return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
                          energies=energies, series=(c_cols, d_rows))
 
@@ -393,7 +470,7 @@ def similarity_residual(decomp: Decomposition) -> float:
     R = H psi - psi Z and S = psi~ H - Z psi~, and
     ||L||_F = sqrt(2d) ||H - (tr H/d) I||_F.
     """
-    if decomp.series is not None:
+    if decomp.psi is None:
         l_full = decomp.liouvillian()
         omega = decomp.omega()
         res = l_full @ omega - omega @ decomp.theta_matrix()
@@ -428,7 +505,7 @@ def completeness_residual(decomp: Decomposition) -> float:
     ||kron(E^T, I) + kron(I, E) + kron(E^T, E)||^2
       = 2d|E|^2 + |E|^4 + 2|tr E|^2 + 4|E|^2 Re tr E.
     """
-    if decomp.series is not None:
+    if decomp.psi is None:
         return float(np.linalg.norm(decomp.projector_sum() - np.eye(decomp.dim2)))
     err = decomp.psi @ decomp.psi_tilde - np.eye(decomp.basis.dim)
     e2 = float(np.linalg.norm(err)) ** 2
@@ -447,7 +524,7 @@ def block_residual(decomp: Decomposition) -> float:
     (psi_ii psi~_jj)/(psi_ii psi~_jj) - 1 and its transpose over every nu:
     zero to rounding while each anchor psi_ii psi~_jj is finite and nonzero.
     """
-    if decomp.series is not None:
+    if decomp.psi is None:
         return max(float(np.max(np.abs(np.diag(decomp.c_cols)))),
                    float(np.max(np.abs(np.diag(decomp.d_rows)))))
     anchors = np.outer(np.diag(decomp.psi), np.diag(decomp.psi_tilde))
@@ -475,18 +552,22 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> ProjectedDensity:
     """Coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
 
     Exact order: c_nu = (psi~ rho_f psi)_ij psi_ii psi~_jj.
+    Order 1: c_nu = (rho_f + [A', rho_f])_ij / kappa_nu.
     """
     rho_f = decomp.basis.to_frame(rho)
     kappa = decomp.pairing()
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
-    if decomp.series is None:
+    if decomp.series is not None:
+        coeff = (rho_f + decomp.d_rows @ rho_f) / kappa
+    elif decomp.first_order is not None:
+        a_dual = decomp.first_order[1]
+        x = unvec(rho_f, decomp.basis.dim)
+        coeff = vec(x + a_dual @ x - x @ a_dual) / kappa
+    else:
         psi, psi_tilde = decomp.psi, decomp.psi_tilde
         core = psi_tilde @ unvec(rho_f, decomp.basis.dim) @ psi
         coeff = vec(core * np.outer(np.diag(psi), np.diag(psi_tilde)))
-    else:
-        left = np.eye(decomp.dim2, dtype=np.complex128) + decomp.d_rows
-        coeff = (left @ rho_f) / kappa
     return ProjectedDensity(coefficients=coeff, basis=decomp.basis)
 
 

@@ -1,5 +1,8 @@
 """Scenario runner payloads and report persistence."""
 
+import json
+import pathlib
+
 import pytest
 
 from subdyn.config import load_config
@@ -46,6 +49,16 @@ def test_classify_payload_links_cells_to_evidence():
     for cell, (verdict, key, value) in by_cell.items():
         assert p["verdicts"][cell] == verdict
         assert p["evidence"][key] == value
+
+
+def test_general_config_at_order_one_records_exact_unit_fidelity():
+    # every kinetic eigenvalue of the shipped general model is real at
+    # order 1, so the fidelity deviation is exactly zero, not rounding noise
+    config_path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json"
+    raw = json.loads(config_path.read_text())
+    raw["order"] = "1"
+    report = run(load_config(raw), write=False)
+    assert report.payload["evidence"]["kinetic_fidelity_deviation"] == 0.0
 
 
 def test_evolve_payload_unit_fidelity_and_consistency():

@@ -6,7 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdyn.linalg import norm_scale, random_density, unvec
+from subdyn.linalg import (
+    DEFAULT_TOL,
+    DEGENERACY_TOL,
+    commutator_superop,
+    norm_scale,
+    random_density,
+    unvec,
+)
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
 from subdyn.subdynamics import (
     NuIndex,
@@ -159,7 +166,12 @@ def test_resonance_raises_on_coupled_degeneracy():
     np.testing.assert_allclose(np.abs(basis.f_vectors), np.eye(3), atol=1e-12)
     with pytest.raises(ResonanceError) as excinfo:
         decompose(h0, h1, lam=0.1, order="1")
-    assert len(excinfo.value.pairs) > 0
+    # h1[0, 1] couples the dyads (0, k) <-> (1, k) and (k, 0) <-> (k, 1);
+    # pairs run in Liouville (row, column) order, as the dense mask lists them
+    expected = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 0)), ((1, 0), (1, 1)),
+                ((2, 0), (2, 1)), ((0, 1), (0, 0)), ((0, 1), (1, 1)), ((1, 1), (1, 0)),
+                ((1, 1), (0, 1)), ((2, 1), (2, 0)), ((0, 2), (1, 2)), ((1, 2), (0, 2))]
+    assert excinfo.value.pairs == [(NuIndex(*a), NuIndex(*b)) for a, b in expected]
     assert "eta" in str(excinfo.value)
 
 
@@ -593,21 +605,151 @@ def test_factored_kinetic_consistency_matches_liouville_route(oracle_case):
     assert abs(kinetic_consistency_residual(decomp, h, rho0, t) - dense) <= 1e-12
 
 
-def test_exact_decompose_and_classify_stay_small_at_d48():
-    # one dense d^2 x d^2 complex matrix at d = 48 is 85 MB
+def _traced_peak_mb(fn) -> float:
     import tracemalloc
 
-    from subdyn.classify import classify
-
-    ops = build_model(ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
-                                lam=0.05, bath=((0.9, 0.6), (0.97, 0.6)), fock_cutoff=2,
-                                bath_cutoff=1))
-    assert ops.dim == 48
     tracemalloc.start()
     try:
-        decompose_model(ops, order="exact")
-        classify(ops, order="exact")
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+
+
+def _general_ops(fock_cutoff):
+    """General model with two bath modes: d = 32 at fock_cutoff 1, 48 at 2."""
+    return build_model(ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
+                                 lam=0.05, bath=((0.9, 0.6), (0.97, 0.6)),
+                                 fock_cutoff=fock_cutoff, bath_cutoff=1))
+
+
+def _decompose_and_classify_peak_mb(ops, order) -> float:
+    from subdyn.classify import classify
+
+    def run():
+        decompose_model(ops, order=order)
+        classify(ops, order=order)
+
+    return _traced_peak_mb(run)
+
+
+def test_exact_decompose_and_classify_stay_small_at_d48():
+    # one dense d^2 x d^2 complex matrix at d = 48 is 85 MB
+    ops = _general_ops(2)
+    assert ops.dim == 48
+    assert _decompose_and_classify_peak_mb(ops, "exact") < 40
+
+
+def test_first_order_decompose_and_classify_stay_small_at_d48():
+    # order 1 keeps two d x d factors where the dense route built v1,
+    # c_cols and d_rows, 85 MB each
+    ops = _general_ops(2)
+    assert ops.dim == 48
+    assert _decompose_and_classify_peak_mb(ops, "1") < 40
+
+
+def test_second_order_swap_calibration_stays_small_at_d48():
+    from subdyn.gates import calibrate_timing_second_order
+
+    ops = _general_ops(2)
+    assert ops.dim == 48
+    peak = _traced_peak_mb(lambda: calibrate_timing_second_order(
+        ops.h0, ops.h1, ops.spec.lam, 1.0))
+    assert peak < 40
+
+
+def test_second_order_decompose_holds_five_dense_arrays_at_d32():
+    # one dense d^2 x d^2 complex array at d = 32 is 16 MB; the build holds
+    # c_cols, d_rows, the dyad resolvent and one temporary at its peak
+    ops = _general_ops(1)
+    assert ops.dim == 32
+    assert _traced_peak_mb(lambda: decompose_model(ops, order="2")) < 80
+
+
+# Dense oracle for the perturbative orders: the stationary-resolvent series
+# built from the d^2 x d^2 interaction Liouvillian L1 = [h1_f, .], with an
+# O(d^6) L1 @ c product at order 2.
+def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
+    """(c_cols, d_rows, energies, kappa) of the dense series, or ResonanceError."""
+    basis = liouville_basis(h0)
+    f = basis.f_vectors
+    v1 = commutator_superop(f.conj().T @ np.asarray(h1, dtype=complex) @ f)
+    e0 = basis.e0
+    gap = np.abs(e0[None, :] - e0[:, None])
+    degenerate = gap <= tol * max(1.0, float(np.max(np.abs(e0))))
+    coupling = np.abs(lam * v1) > DEFAULT_TOL * max(1.0, float(np.linalg.norm(lam * v1)))
+    resonant = degenerate & coupling & ~np.eye(e0.shape[0], dtype=bool)
+    if eta == 0.0 and resonant.any():
+        rows, cols = np.nonzero(resonant)
+        raise ResonanceError([(basis.nu_indices[r], basis.nu_indices[c])
+                              for r, c in zip(rows, cols)])
+    # delta[mu, nu] = E0_nu - E0_mu + i eta
+    delta = e0[None, :] - e0[:, None] + 1j * eta
+    blocked = degenerate if eta == 0.0 else np.eye(e0.shape[0], dtype=bool)
+    inv = np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, delta))
+    c = lam * v1 * inv
+    d = lam * v1 * inv.T
+    if order == "2":
+        c = c + lam * (v1 @ c) * inv
+        d = d + lam * (d @ v1) * inv.T
+    energies = e0 + lam * np.diag(v1) + lam * np.einsum("ij,ji->i", v1, c)
+    kappa = 1.0 + np.einsum("ij,ji->i", d, c)
+    return c, d, energies, kappa
+
+
+def assert_matches_dense(decomp, oracle, rho, scaled=False):
+    """Every perturbative quantity within 1e-12 of the oracle's, times
+    max(1, max|oracle value|) when scaled."""
+    c, d, energies, kappa = oracle
+    rho_f = decomp.basis.to_frame(rho)
+    pairs = {
+        "c_cols": (decomp.c_cols, c),
+        "d_rows": (decomp.d_rows, d),
+        "energies": (decomp.energies, energies),
+        "pairing": (decomp.pairing(), kappa),
+        "project_density": (project_density(decomp, rho).coefficients,
+                            (rho_f + d @ rho_f) / kappa),
+    }
+    for name, (got, want) in pairs.items():
+        atol = 1e-12 * (max(1.0, float(np.max(np.abs(want)))) if scaled else 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol, err_msg=name)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+@pytest.mark.parametrize("order", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_perturbative_orders_match_dense_oracle(name, order, eta):
+    ops = build_model(ORACLE_SPECS[name])
+    assert ops.dim == 16
+    decomp = decompose_model(ops, order=order, eta=eta)
+    oracle = dense_perturbative(ops.h0, ops.h1, ops.spec.lam, eta, order)
+    rho = random_density(np.random.default_rng(13), ops.dim)
+    assert_matches_dense(decomp, oracle, rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5),
+       one_sided=st.booleans(), eta=st.sampled_from([0.0, 0.03]),
+       order=st.sampled_from(["1", "2"]))
+def test_factored_orders_match_dense_oracle_random(seed, dim, one_sided, eta, order):
+    rng = np.random.default_rng(seed)
+    levels = np.sort(rng.uniform(0.0, 2.0, dim))
+    # force degeneracies: copy some levels onto their lower neighbour
+    for k in range(1, dim):
+        if rng.uniform() < 0.4:
+            levels[k] = levels[k - 1]
+    h1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h1 = np.triu(h1, 1) if one_sided else h1 + h1.conj().T
+    h0 = np.diag(levels)
+    lam = float(rng.uniform(0.01, 0.3))
+    try:
+        oracle = dense_perturbative(h0, h1, lam, eta, order)
+    except ResonanceError as dense_error:
+        with pytest.raises(ResonanceError) as excinfo:
+            decompose(h0, h1, lam=lam, order=order, eta=eta)
+        assert excinfo.value.pairs == dense_error.pairs
+        return
+    decomp = decompose(h0, h1, lam=lam, order=order, eta=eta)
+    # near-degenerate dyad pairs give large, ill-conditioned entries; the
+    # two routes round the free gaps differently, so the bound scales
+    assert_matches_dense(decomp, oracle, random_density(rng, dim), scaled=True)
