@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the regularisation parameter")
         p.add_argument("--seed", type=int, default=None,
                        help="override the RNG seed")
-        p.add_argument("--allow-large", action="store_true",
-                       help="permit Hilbert space dimensions above the cap")
     return parser
 
 
@@ -90,8 +88,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             raw["eta"] = args.eta
         if args.seed is not None:
             raw["seed"] = args.seed
-        if args.allow_large:
-            raw["allow_large"] = True
         config = load_config(raw)
     except ConfigError as exc:
         print(f"subdyn: config error: {exc}", file=sys.stderr)

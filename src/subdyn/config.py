@@ -12,13 +12,18 @@ import difflib
 import json
 import math
 import numbers
+import os
 import pathlib
 
 from .models import MODEL_KINDS, ModelSpec
 from .subdynamics import normalize_order
 
 SCENARIOS = ("classify", "evolve", "swap-calibrate", "cnot-demo", "turing-demo", "verify")
-DIM_CAP = 64
+# Scenarios that read the time grid, and those of them that decompose at the
+# configured order (verify runs the exact order, swap-calibrate the exact
+# order and order 1, both on d x d factors).
+_GRID_SCENARIOS = ("classify", "evolve", "verify")
+_ORDERED_SCENARIOS = ("classify", "evolve")
 
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelSpec))
 # Model keys read by some kinds only. Set on another kind, such a key would be
@@ -52,7 +57,6 @@ class ScenarioConfig:
     eta: float = 0.0
     seed: int = 0
     output_dir: str | None = None
-    allow_large: bool = False
     t_swap: float = 1.0
     tape_spins: int = 2
     rotation_angle: float = 0.8
@@ -208,17 +212,38 @@ def load_config(source) -> ScenarioConfig:
             fields[name] = _coerce_float(raw[name], name)
     if "output_dir" in raw and raw["output_dir"] is not None:
         fields["output_dir"] = str(raw["output_dir"])
-    if "allow_large" in raw:
-        fields["allow_large"] = _require_bool(raw["allow_large"], "allow_large")
 
     config = ScenarioConfig(**fields)
     if config.tape_spins < 0:
         raise ConfigError("tape_spins must be non-negative")
-    if config.model.dim > DIM_CAP and not config.allow_large:
-        raise ConfigError(
-            f"model Hilbert dimension {config.model.dim} exceeds the cap {DIM_CAP} "
-            "(Liouville space grows as its square); pass allow_large to override")
+    _check_memory(config)
     return config
+
+
+def _check_memory(config: ScenarioConfig) -> int:
+    """Estimate the run's peak bytes; refuse it above half of physical memory.
+
+    The estimate is 16 ((steps + 32) d^2 + 4 d^4) bytes, the d^4 term only
+    for order 2. The d^2 term covers evolve_grid's (steps, d, d) stack,
+    fidelity_trace's steps x d^2 exponent table and the d x d eigen data;
+    the d^4 term covers order 2's dyad resolvent, its dense c_cols/d_rows
+    and the temporary that builds them. tracemalloc peaks of runner.run are
+    16 (steps + 27..31) d^2 bytes plus 16 (3.3..3.5) d^4 at order 2, for
+    every model kind from d = 16 up; below that a fixed ~0.1 MB dominates.
+    """
+    d = config.model.dim
+    steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
+    ordered = config.scenario in _ORDERED_SCENARIOS
+    quartic = 4 * d**4 if ordered and config.order == "2" else 0
+    estimate = 16 * ((steps + 32) * d**2 + quartic)
+    budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    if estimate > budget:
+        route = f"order {config.order}" if ordered else "d x d routes"
+        raise ConfigError(
+            f"{config.scenario} at Hilbert dimension {d} ({route}, {steps} time steps) "
+            f"needs an estimated {estimate / 2**20:.6g} MiB, over the budget of "
+            f"{budget / 2**20:.6g} MiB (half of physical memory)")
+    return estimate
 
 
 def config_echo(config: ScenarioConfig) -> dict:

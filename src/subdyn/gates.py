@@ -81,6 +81,28 @@ def _phase_metrics(e0: np.ndarray, energies: np.ndarray, t_sw: float,
     return residual, gap
 
 
+def _newton_polish(e0: np.ndarray, energies: np.ndarray, t_sw: float,
+                   delta_t: float, bound: float) -> float:
+    """Newton steps on the least-squares cost's stationarity condition.
+
+    The cost sum |e^{-i E0 t_sw} - e^{-i E (t_sw + dt)}|^2 has derivative
+    2 g(dt) with g = sum E sin(E (t_sw + dt) - E0 t_sw) and curvature
+    sum E^2 cos(.). Bounded Brent stops about sqrt(eps) |dt| short of the
+    minimiser, so the value would follow the last bits of the energies;
+    from there Newton converges to rounding in a few steps. Brent's point is
+    kept when the curvature is not positive or the polished point lies
+    outside the search interval.
+    """
+    polished = delta_t
+    for _ in range(4):
+        phase = energies * (t_sw + polished) - e0 * t_sw
+        curvature = float(np.sum(energies**2 * np.cos(phase)))
+        if not curvature > 0.0:
+            return delta_t
+        polished -= float(np.sum(energies * np.sin(phase))) / curvature
+    return polished if abs(polished) <= bound else delta_t
+
+
 def calibrate_timing(energies_free, energies_int, t_sw: float,
                      homogeneity_tol: float = 1e-6, order: str = "first",
                      branch: int = 0) -> SwapCalibration:
@@ -136,10 +158,12 @@ def calibrate_timing(energies_free, energies_int, t_sw: float,
             actual = np.exp(-1j * energies * (t_sw + dt))
             return float(np.sum(np.abs(ideal - actual) ** 2))
 
+        # xatol stays below scipy's 1e-5 default for optima on the interval's
+        # edge, where the Newton polish does not apply
         result = scipy.optimize.minimize_scalar(
             cost, bounds=(-bound, bound), method="bounded",
             options={"xatol": 1e-13, "maxiter": 500})
-        delta_t = float(result.x)
+        delta_t = _newton_polish(e0, energies, t_sw, float(result.x), bound)
 
     residual, gap = _phase_metrics(e0, energies, t_sw, delta_t)
     return SwapCalibration(t_sw=t_sw, delta_t=delta_t, E0_over_dE=ratio,

@@ -66,42 +66,6 @@ def is_hermitian(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 @dataclasses.dataclass(frozen=True)
-class TensorSpace:
-    """Ordered tensor-factor structure of a Hilbert space.
-
-    factors holds (label, dimension) pairs in kron order; labels must be
-    unique so subsystems can be addressed by name.
-    """
-
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        labels = [label for label, _ in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
-        for label, dim in self.factors:
-            if dim < 1:
-                raise ValueError(f"factor {label!r} has non-positive dimension {dim}")
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for _, d in self.factors:
-            out *= d
-        return out
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.factors)
-
-    def dim_of(self, label: str) -> int:
-        for name, d in self.factors:
-            if name == label:
-                return d
-        raise KeyError(f"no factor labelled {label!r}")
-
-
-@dataclasses.dataclass(frozen=True)
 class EigenSystem:
     """Eigendecomposition with explicit left and right eigenvectors.
 
@@ -220,22 +184,6 @@ def eig(matrix, hermitian: bool | None = None, tol: float = DEFAULT_TOL) -> Eige
     return EigenSystem(values=values, right_vectors=right, left_vectors=left, hermitian=False)
 
 
-def degenerate_groups(values: np.ndarray, scale: float, tol: float = DEGENERACY_TOL) -> list[list[int]]:
-    """Group indices of (real,imag)-sorted eigenvalues within tol * scale.
-
-    Greedy chaining on the sorted sequence; adequate for the cluster sizes
-    met here (exact coincidences plus well-separated bands).
-    """
-    threshold = tol * max(scale, 1.0)
-    groups: list[list[int]] = []
-    for idx in eigen_sort_order(np.asarray(values, dtype=np.complex128)):
-        if groups and abs(values[idx] - values[groups[-1][-1]]) <= threshold:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
-
-
 def sqrtm_psd(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root via eigh.
 
@@ -254,24 +202,12 @@ def sqrtm_psd(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (vectors * np.sqrt(clipped)) @ vectors.conj().T
 
 
-def expm_action(matrix, t: float, vector: np.ndarray) -> np.ndarray:
-    """Apply the propagator e^{-i M t} to a vector.
+def propagator(matrix, t: float) -> np.ndarray:
+    """Dense e^{-i M t}.
 
     Hermitian M goes through one eigh call; the general case falls back to
     scipy's scaling-and-squaring expm.
     """
-    m = as_complex_matrix(matrix)
-    v = np.asarray(vector, dtype=np.complex128).ravel()
-    if v.size != m.shape[0]:
-        raise ValueError(f"vector length {v.size} does not match matrix dimension {m.shape[0]}")
-    if is_hermitian(m):
-        values, vectors = np.linalg.eigh(m)
-        return vectors @ (np.exp(-1j * values * t) * (vectors.conj().T @ v))
-    return scipy.linalg.expm(-1j * t * m) @ v
-
-
-def propagator(matrix, t: float) -> np.ndarray:
-    """Dense e^{-i M t}; same branch selection as expm_action."""
     m = as_complex_matrix(matrix)
     if is_hermitian(m):
         values, vectors = np.linalg.eigh(m)

@@ -15,16 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    DEGENERACY_TOL,
-    NonHermitianError,
-    TensorSpace,
-    as_complex_matrix,
-    degenerate_groups,
-    is_hermitian,
-    norm_scale,
-    tensor,
-)
+from .linalg import is_hermitian, tensor
 
 MODEL_KINDS = ("diagonal", "triangular", "general")
 
@@ -126,7 +117,6 @@ class ModelOperators:
     """
 
     spec: ModelSpec
-    space: TensorSpace
     h0: np.ndarray
     h1: np.ndarray
     basis_labels: tuple[tuple, ...]
@@ -161,14 +151,13 @@ def build_diagonal_model(spec: ModelSpec) -> ModelOperators:
     if spec.kind != "diagonal":
         raise ValueError(f"spec.kind is {spec.kind!r}, not 'diagonal'")
     nf = spec.fock_cutoff + 1
-    space = TensorSpace((("atom", 2), ("field", nf)))
     n_op = number_op(nf)
     eye_f = np.eye(nf, dtype=np.complex128)
     h0 = spec.omega0 * tensor(SIGMA_Z_TWO_LEVEL, eye_f) + spec.omega * tensor(np.eye(2), n_op)
     upper = np.diag([0.0, 1.0]).astype(np.complex128)
     h1 = spec.g * tensor(upper, n_op)
     labels = tuple((j, n) for j in (1, 2) for n in range(nf))
-    return ModelOperators(spec=spec, space=space, h0=h0, h1=h1,
+    return ModelOperators(spec=spec, h0=h0, h1=h1,
                           basis_labels=labels, hermitian_h1=True)
 
 
@@ -184,7 +173,6 @@ def build_triangular_model(spec: ModelSpec) -> ModelOperators:
     if spec.kind != "triangular":
         raise ValueError(f"spec.kind is {spec.kind!r}, not 'triangular'")
     nf = spec.fock_cutoff + 1
-    space = TensorSpace((("atom", 2), ("field", nf)))
     labels = tuple((j, n) for j in (1, 2) for n in range(nf))
     index = {label: i for i, label in enumerate(labels)}
 
@@ -204,7 +192,7 @@ def build_triangular_model(spec: ModelSpec) -> ModelOperators:
         h1 = diag_part + hop_part
     if spec.hermitian_variant:
         h1 = h1 + hop_part.conj().T
-    return ModelOperators(spec=spec, space=space, h0=h0, h1=h1,
+    return ModelOperators(spec=spec, h0=h0, h1=h1,
                           basis_labels=labels, hermitian_h1=is_hermitian(h1))
 
 
@@ -220,12 +208,11 @@ def build_general_model(spec: ModelSpec) -> ModelOperators:
         raise ValueError(f"spec.kind is {spec.kind!r}, not 'general'")
     nf = spec.fock_cutoff + 1
     nb = spec.bath_cutoff + 1
-    factors: list[tuple[str, int]] = [("atom1", 2), ("atom2", 2), ("field", nf)]
-    factors += [(f"bath{k}", nb) for k in range(len(spec.bath))]
-    space = TensorSpace(tuple(factors))
+    factors = (("atom1", 2), ("atom2", 2), ("field", nf)) + tuple(
+        (f"bath{k}", nb) for k in range(len(spec.bath)))
 
     def embed(ops: dict[str, np.ndarray]) -> np.ndarray:
-        mats = [ops.get(name, np.eye(dim, dtype=np.complex128)) for name, dim in space.factors]
+        mats = [ops.get(name, np.eye(dim, dtype=np.complex128)) for name, dim in factors]
         return tensor(*mats)
 
     a = lowering_op(nf)
@@ -251,7 +238,7 @@ def build_general_model(spec: ModelSpec) -> ModelOperators:
         for n in range(nf)
         for nks in itertools.product(range(nb), repeat=len(spec.bath))
     )
-    return ModelOperators(spec=spec, space=space, h0=h0, h1=h1,
+    return ModelOperators(spec=spec, h0=h0, h1=h1,
                           basis_labels=labels, hermitian_h1=True)
 
 
@@ -364,20 +351,3 @@ def extract_block(ops: ModelOperators, n: int, bath_occupation: tuple[int, ...] 
     except ValueError as exc:
         raise ValueError(f"block states {want} not all inside the truncated space") from exc
     return ops.h0[np.ix_(idx, idx)]
-
-
-def spectral_decomposition(hamiltonian, tol: float = DEGENERACY_TOL) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalue/projector pairs of a Hermitian matrix, degeneracies merged.
-
-    Returns [(e_group, P_group), ...] sorted ascending, with projectors of
-    merged rank for eigenvalues within tol * scale of each other.
-    """
-    h = as_complex_matrix(hamiltonian, "hamiltonian")
-    if not is_hermitian(h):
-        raise NonHermitianError("spectral_decomposition expects a Hermitian matrix")
-    values, vectors = np.linalg.eigh(h)
-    out: list[tuple[float, np.ndarray]] = []
-    for group in degenerate_groups(values.astype(np.complex128), norm_scale(h), tol):
-        cols = vectors[:, group]
-        out.append((float(np.mean(values[group])), cols @ cols.conj().T))
-    return out

@@ -33,9 +33,9 @@ from .linalg import (
     as_complex_matrix,
     commutator_superop,
     eig,
-    expm_action,
     is_hermitian,
     norm_scale,
+    propagator,
     unvec,
     vec,
 )
@@ -588,7 +588,7 @@ def evolve_exact(hamiltonian, rho0, t: float) -> np.ndarray:
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")
     l_full = commutator_superop(h)
-    return unvec(expm_action(l_full, t, vec(rho)), h.shape[0])
+    return unvec(propagator(l_full, t) @ vec(rho), h.shape[0])
 
 
 def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:

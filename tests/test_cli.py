@@ -90,13 +90,35 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_dimension_cap_reported_as_config_error(tmp_path, capsys):
+def _diagonal_doc(tmp_path, fock_cutoff):
     doc = tmp_path / "big.json"
     doc.write_text(json.dumps({"model": {"kind": "diagonal", "omega0": 1.0,
                                          "omega": 1.3, "g": 0.5, "lam": 1.0,
-                                         "fock_cutoff": 40}}))
-    assert main(["classify", "--config", str(doc)]) == EXIT_CONFIG
-    assert "allow_large" in capsys.readouterr().err
+                                         "fock_cutoff": fock_cutoff}}))
+    return doc
+
+
+def test_dimension_cap_reported_as_config_error(tmp_path, capsys, monkeypatch):
+    # order 2 at d = 512 is estimated at about 4 TiB; refused before any model is built
+    def build_model(spec):
+        raise AssertionError("model built for a refused run")
+
+    monkeypatch.setattr("subdyn.runner.build_model", build_model)
+    doc = _diagonal_doc(tmp_path, 255)
+    assert main(["classify", "--config", str(doc), "--order", "2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "order 2" in err
+    assert "estimated" in err and "budget" in err
+
+
+@pytest.mark.parametrize("scenario", ["classify", "evolve", "verify", "swap-calibrate"])
+def test_runs_above_the_old_cap_of_64_need_no_flag(tmp_path, capsys, scenario):
+    doc = _diagonal_doc(tmp_path, 40)
+    out = tmp_path / "run"
+    assert main([scenario, "--config", str(doc), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    data = json.loads((out / REPORT_NAME).read_text())
+    assert data["diagnostics"]["hilbert_dim"] == 82
 
 
 def test_resonant_perturbation_exit_code(tmp_path, capsys):

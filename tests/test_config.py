@@ -1,17 +1,19 @@
-"""Strict config parsing: typos rejected with suggestions, sizes capped."""
+"""Strict config parsing: typos rejected with suggestions, oversize runs refused."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from subdyn import config as config_module
 from subdyn.config import (
-    DIM_CAP,
     SCENARIOS,
     ConfigError,
     config_echo,
     load_config,
 )
+from subdyn.runner import run
 
 GOOD = {
     "scenario": "classify",
@@ -28,7 +30,6 @@ def test_minimal_document_gets_defaults():
     assert cfg.eta == 0.0
     assert cfg.seed == 0
     assert cfg.output_dir is None
-    assert not cfg.allow_large
     assert cfg.model.kind == "diagonal"
 
 
@@ -164,15 +165,68 @@ def test_tape_spins_nonnegative():
         load_config({**GOOD, "tape_spins": -1})
 
 
+def diagonal_doc(dim, **extra):
+    """GOOD's diagonal model at Hilbert dimension dim (fock_cutoff dim/2 - 1)."""
+    return {**GOOD, "model": {**GOOD["model"], "fock_cutoff": dim // 2 - 1}, **extra}
+
+
 def test_dimension_cap_and_override():
-    doc = dict(GOOD)
-    doc["model"] = {**GOOD["model"], "fock_cutoff": 40}
-    with pytest.raises(ConfigError, match="allow_large"):
-        load_config(doc)
-    big = load_config({**doc, "allow_large": True})
-    assert big.model.dim > DIM_CAP
-    with pytest.raises(ConfigError, match="true or false"):
-        load_config({**doc, "allow_large": "yes"})
+    # order 2 at d = 512 needs 16 * 4 * 512^4 bytes, about 4 TiB: refused everywhere
+    with pytest.raises(ConfigError, match=r"order 2.*estimated .* MiB.*budget of .* MiB"):
+        load_config(diagonal_doc(512, order="2"))
+    # the run the old fixed cap of d = 64 refused needs a few MiB
+    assert load_config(diagonal_doc(82)).model.dim == 82
+    # there is no override: the old key is a typo like any other
+    with pytest.raises(ConfigError, match="unknown config key 'allow_large'"):
+        load_config(diagonal_doc(82, allow_large=True))
+
+
+def test_memory_budget_is_half_of_physical_memory(monkeypatch):
+    cfg = load_config(diagonal_doc(82))
+    estimate = config_module._check_memory(cfg)
+    # a machine whose half memory is one byte short of the estimate refuses it
+    pages = {"SC_PHYS_PAGES": 2 * (estimate - 1), "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigError, match="budget"):
+        load_config(diagonal_doc(82))
+    pages["SC_PHYS_PAGES"] = 2 * estimate
+    assert load_config(diagonal_doc(82)).model.dim == 82
+
+
+def test_memory_estimate_counts_steps_and_order_two_only_where_run():
+    est = config_module._check_memory
+    d = 16
+    base = est(load_config(diagonal_doc(d)))
+    assert base == 16 * (101 + 32) * d**2
+    assert est(load_config(diagonal_doc(d, order="1"))) == base
+    assert est(load_config(diagonal_doc(d, order="2"))) == base + 64 * d**4
+    assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == 16 * 1033 * d**2
+    # verify runs the exact order; swap-calibrate reads no time grid
+    assert est(load_config(diagonal_doc(d, scenario="verify", order="2"))) == base
+    assert est(load_config(diagonal_doc(d, scenario="swap-calibrate", order="2"))) \
+        == 16 * 32 * d**2
+
+
+def _traced_peak(cfg) -> int:
+    tracemalloc.start()
+    try:
+        run(cfg, write=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim,order", [(16, "exact"), (16, "1"), (16, "2"),
+                                       (32, "exact"), (32, "1"), (32, "2"),
+                                       (82, "exact")])
+def test_memory_estimate_bounds_traced_peak(dim, order):
+    cfg = load_config(diagonal_doc(dim, order=order))
+    estimate = config_module._check_memory(cfg)
+    peak = _traced_peak(cfg)
+    assert peak <= estimate
+    if (dim, order) in ((32, "2"), (82, "exact")):
+        # tight enough not to refuse runs that fit
+        assert estimate <= 2 * peak
 
 
 def test_load_from_path(tmp_path):

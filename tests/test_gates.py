@@ -18,6 +18,8 @@ from subdyn.gates import (
     verify_closure,
 )
 from subdyn.linalg import propagator
+from subdyn.models import ModelSpec, build_model
+from subdyn.subdynamics import decompose
 
 
 def test_ideal_swap_is_diagonal_phase_matrix():
@@ -119,6 +121,35 @@ def test_inconsistent_ratios_fall_back_to_least_squares():
     cal = calibrate_timing(e0, energies, t_sw=1.0)
     assert not cal.homogeneous
     assert cal.spread > 1e-6
+
+
+def _general_config_energies(order):
+    """Free and shifted energies of configs/general.json at the given order."""
+    ops = build_model(ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
+                                lam=0.05, bath=((0.9, 0.6),), fock_cutoff=1, bath_cutoff=1))
+    decomp = decompose(ops.h0, ops.h1, lam=0.05, order=order)
+    return decomp.basis.e0.real, decomp.energies.real
+
+
+@pytest.mark.parametrize("order", ["exact", "1"])
+def test_least_squares_calibration_is_stationary_to_rounding(order):
+    e0, energies = _general_config_energies(order)
+    cal = calibrate_timing(e0, energies, t_sw=1.0)
+    assert not cal.homogeneous
+    # the cost's derivative vanishes at the returned point
+    g = np.sum(energies * np.sin(energies * (1.0 + cal.delta_t) - e0))
+    assert abs(g) <= 1e-12 * np.sum(np.abs(energies))
+    # a one-ulp relative change of the energies barely moves it (Brent alone: ~5e-11)
+    nudged = calibrate_timing(e0, energies * (1.0 + 2.0**-52), t_sw=1.0)
+    assert abs(nudged.delta_t - cal.delta_t) <= 1e-14
+
+
+def test_edge_optimum_stays_in_search_interval():
+    # the cost falls toward the edge pi / max|E| of the search interval; Newton
+    # from Brent's edge point would run on to the stationary point at 1.139
+    cal = calibrate_timing([1.0, 2.0], [0.5, 3.0], t_sw=3.0)
+    assert not cal.homogeneous
+    assert math.pi / 3.0 - 1e-7 <= cal.delta_t <= math.pi / 3.0
 
 
 def test_calibration_input_validation():

@@ -10,11 +10,8 @@ from subdyn.linalg import (
     DefectiveMatrixError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
-    TensorSpace,
     commutator_superop,
-    degenerate_groups,
     eig,
-    expm_action,
     propagator,
     random_density,
     sqrtm_psd,
@@ -117,14 +114,13 @@ def test_eig_hermitian_forced_rejects():
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
-def test_expm_action_matches_dense_exponential(hermitian):
+def test_propagator_matches_dense_exponential(hermitian):
     rng = np.random.default_rng(4)
     m = random_complex(rng, (5, 5))
     if hermitian:
         m = m + m.conj().T
-    v = random_complex(rng, 5)
-    expected = scipy.linalg.expm(-1j * 0.7 * m) @ v
-    np.testing.assert_allclose(expm_action(m, 0.7, v), expected, atol=1e-10)
+    expected = scipy.linalg.expm(-1j * 0.7 * m)
+    np.testing.assert_allclose(propagator(m, 0.7), expected, atol=1e-10)
 
 
 def test_propagator_unitary_for_hermitian():
@@ -152,12 +148,6 @@ def test_sqrtm_psd_rejects_non_hermitian():
         sqrtm_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_degenerate_groups_chains_clusters():
-    values = np.array([0.0, 0.0, 1.0, 1.0 + 5e-9, 2.0])
-    groups = degenerate_groups(values, scale=1.0)
-    assert groups == [[0, 1], [2, 3], [4]]
-
-
 def test_random_density_is_state():
     rng = np.random.default_rng(7)
     rho = random_density(rng, 6)
@@ -169,15 +159,3 @@ def test_random_density_is_state():
 def test_tensor_matches_kron_chain():
     a, b, c = np.eye(2), np.diag([1.0, 2.0]), np.ones((2, 2))
     np.testing.assert_allclose(tensor(a, b, c), np.kron(a, np.kron(b, c)))
-
-
-def test_tensor_space_lookup():
-    space = TensorSpace((("atom", 2), ("field", 3)))
-    assert space.dim == 6
-    assert space.labels == ("atom", "field")
-    assert space.dim_of("field") == 3
-    with pytest.raises(KeyError):
-        space.dim_of("bath")
-    with pytest.raises(ValueError):
-        TensorSpace((("a", 2), ("a", 2)))
-

@@ -10,7 +10,6 @@ from subdyn.models import (
     canonical_initial_state,
     extract_block,
     one_sided_norms,
-    spectral_decomposition,
     triangular_sort_order,
 )
 
@@ -168,12 +167,3 @@ def test_spec_dim_formula():
     assert DIAG_SPEC.dim == 6
     assert GEN_SPEC.dim == 16
     assert ModelSpec(kind="general", bath=(), fock_cutoff=2).dim == 12
-
-
-def test_spectral_decomposition_resolves_identity():
-    ops = build_model(GEN_SPEC)
-    pairs = spectral_decomposition(ops.h0)
-    total = sum(p for _, p in pairs)
-    np.testing.assert_allclose(total, np.eye(ops.dim), atol=1e-12)
-    rebuilt = sum(e * p for e, p in pairs)
-    np.testing.assert_allclose(rebuilt, ops.h0, atol=1e-10)
