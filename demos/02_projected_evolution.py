@@ -13,7 +13,7 @@ from subdyn.linalg import random_density
 from subdyn.models import ModelSpec, build_model
 from subdyn.subdynamics import (
     decompose_model,
-    evolve_exact,
+    evolve_grid,
     evolve_projected,
     kinetic_consistency_residual,
     project_density,
@@ -44,7 +44,7 @@ def main() -> None:
     projected = project_density(decomp, rho0)
     t = 2.5
     advanced = evolve_projected(projected, decomp.energies, t)
-    exact = project_density(decomp, evolve_exact(h, rho0, t))
+    exact = project_density(decomp, evolve_grid(h, rho0, [t])[0])
     print(f"trace through projection: {projected.trace.real:.12f}")
     print(f"trace after phase advance: {advanced.trace.real:.12f}")
     gap = np.max(np.abs(advanced.coefficients - exact.coefficients))

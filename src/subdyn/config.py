@@ -226,10 +226,11 @@ def _check_memory(config: ScenarioConfig) -> int:
     The estimate is 16 ((steps + 32) d^2 + 4 d^4) bytes, the d^4 term only
     for order 2. The d^2 term covers evolve_grid's (steps, d, d) stack,
     fidelity_trace's steps x d^2 exponent table and the d x d eigen data;
-    the d^4 term covers order 2's dyad resolvent, its dense c_cols/d_rows
-    and the temporary that builds them. tracemalloc peaks of runner.run are
-    16 (steps + 27..31) d^2 bytes plus 16 (3.3..3.5) d^4 at order 2, for
-    every model kind from d = 16 up; below that a fixed ~0.1 MB dominates.
+    the d^4 term covers order 2's dyad resolvent, its dense series (creation
+    columns and destruction rows) and the temporary that builds them.
+    tracemalloc peaks of runner.run are 16 (steps + 27..31) d^2 bytes plus
+    16 (3.3..3.5) d^4 at order 2, for every model kind from d = 16 up; below
+    that a fixed ~0.1 MB dominates.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0

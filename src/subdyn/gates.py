@@ -44,17 +44,6 @@ class SwapCalibration:
     phase_gap: float
 
 
-def ideal_swap(energies_free, t_sw: float) -> np.ndarray:
-    """Free dyad-phase superoperator sum_nu e^{-i E0_nu t} |phi_nu)(phi_nu|.
-
-    Passed shifted energies E_nu instead, it is the non-ideal swap; for
-    Im E_nu < 0 every singular value e^{Im E_nu t} is below 1 at t > 0, so
-    the map is a contraction (one-sided in time).
-    """
-    e0 = np.atleast_1d(np.asarray(energies_free, dtype=np.complex128))
-    return np.diag(np.exp(-1j * e0 * t_sw))
-
-
 def exchange_hamiltonian(g_ex: float) -> np.ndarray:
     """Two-qubit XY exchange H = g (s+ s- + s- s+) in the |00,01,10,11> basis."""
     h = np.zeros((4, 4), dtype=np.complex128)

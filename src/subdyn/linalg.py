@@ -1,8 +1,7 @@
 """Dense complex linear algebra used by the rest of the package.
 
-Everything operates on plain numpy arrays (complex128). Superoperators use
-the column-stacking convention, vec(A X B) = (B^T kron A) vec(X), so the
-commutator map [H, .] becomes I kron H - H^T kron I.
+Everything operates on plain numpy arrays (complex128). Vectorization uses
+the column-stacking convention, vec(A X B) = (B^T kron A) vec(X).
 """
 
 from __future__ import annotations
@@ -116,18 +115,6 @@ def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim * dim != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape((dim, dim), order="F")
-
-
-def commutator_superop(hamiltonian) -> np.ndarray:
-    """Superoperator of X -> [H, X] under column stacking.
-
-    Returns I kron H - H^T kron I, a d^2 x d^2 dense matrix. Hermitian H
-    gives a Hermitian superoperator with spectrum {e_i - e_j}.
-    """
-    h = as_complex_matrix(hamiltonian, "hamiltonian")
-    d = h.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    return np.kron(eye, h) - np.kron(h.T, eye)
 
 
 def eig(matrix, hermitian: bool | None = None, tol: float = DEFAULT_TOL) -> EigenSystem:

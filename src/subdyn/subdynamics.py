@@ -1,24 +1,28 @@
 """Projected-subspace decomposition of commutator dynamics.
 
 The free Hamiltonian's eigen-dyads |f_i><f_j| span a complete set of rank-1
-Liouville projectors P_nu, nu = (i, j). For each nu the engine builds a
+Liouville projectors P_nu, nu = (i, j). For each nu the theory has a
 creation operator C_nu = Q_nu C_nu P_nu (how the exact eigenvector leaks out
 of the dyad), a destruction operator D_nu = P_nu D_nu Q_nu (its left
-counterpart), the kinetic eigenvalue E_nu, and the total projector Pi_nu.
-Collecting the nu columns gives the similarity Omega = I + C with
-L Omega = Omega Theta, Theta = diag(E_nu).
+counterpart), the kinetic eigenvalue E_nu, and the total projector
+Pi_nu = (P + C)(P + DC)^-1(P + D). Collecting the nu columns gives the
+similarity Omega = I + C with L Omega = Omega Theta, Theta = diag(E_nu).
 
-All superoperators here are expressed in the frame of the free eigenbasis
+All quantities here are expressed in the frame of the free eigenbasis
 (the "phi frame"), where L0 is diagonal; states convert via rho_f = F^dag
 rho F. Three construction orders are supported: "exact" (from the full
 eigendecomposition of H), and the stationary-resolvent perturbation series
-truncated at first ("1") or second ("2") order in lam.
+truncated at first ("1") or second ("2") order in lam. Each order keeps one
+representation and computes what it reports from it: d x d eigen data at
+the exact order, d x d first-order factors at order 1, the dense series at
+order 2. The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, the
+exact-order columns) are reference oracles for small-d checks and live with
+the tests, in tests/oracle.py.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -31,11 +35,8 @@ from .linalg import (
     DefectiveMatrixError,
     NonHermitianError,
     as_complex_matrix,
-    commutator_superop,
     eig,
     is_hermitian,
-    norm_scale,
-    propagator,
     unvec,
     vec,
 )
@@ -132,10 +133,9 @@ class Decomposition:
     k = i and, at eta = 0, on degenerate pairs: its creation columns are the
     superoperator [A, .] and its destruction rows [A', .] (the Rayleigh-
     Schroedinger eigenvector corrections), and everything it reports is a
-    d x d expression in A and A'. Order 2 stores its dense creation columns
-    and destruction rows as series = (c_cols, d_rows). The d^2 x d^2
-    matrices c_cols, d_rows and v1 are otherwise built on first request and
-    cached; they are meant for small-d checks.
+    d x d expression in A and A'. Order 2 stores its dense d^2 x d^2
+    creation columns and destruction rows as series = (c, d); it is the one
+    order that holds Liouville-sized arrays.
     """
 
     basis: PhiBasis
@@ -154,53 +154,6 @@ class Decomposition:
     def dim2(self) -> int:
         return self.basis.dim2
 
-    @functools.cached_property
-    def v1(self) -> np.ndarray:
-        """Interaction Liouvillian L1 = [h1_f, .] as a dense matrix."""
-        return commutator_superop(self.h1_f)
-
-    @functools.cached_property
-    def c_cols(self) -> np.ndarray:
-        """Creation columns: c_nu = vec(psi_i psi~_j)/(psi_ii psi~_jj) - e_nu.
-
-        Order 1: the superoperator [A, .], column nu = vec([A, e_i e_j^T]).
-        """
-        if self.series is not None:
-            return self.series[0]
-        if self.first_order is not None:
-            return commutator_superop(self.first_order[0])
-        w = np.kron(self.psi_tilde.T, self.psi)
-        c = w / np.diag(w)[None, :]
-        np.fill_diagonal(c, 0.0)
-        return c
-
-    @functools.cached_property
-    def d_rows(self) -> np.ndarray:
-        """Destruction rows: d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T.
-
-        Order 1: the superoperator [A', .], so d_nu . vec(X) = [A', X]_ij.
-        """
-        if self.series is not None:
-            return self.series[1]
-        if self.first_order is not None:
-            return commutator_superop(self.first_order[1])
-        l = np.kron(self.psi.T, self.psi_tilde)
-        d = l / np.diag(l)[:, None]
-        np.fill_diagonal(d, 0.0)
-        return d
-
-    def liouvillian(self) -> np.ndarray:
-        """Full phi-frame Liouvillian diag(E0) + lam * L1."""
-        return np.diag(self.basis.e0) + self.lam * self.v1
-
-    def omega(self) -> np.ndarray:
-        """Similarity operator Omega = sum_nu (P_nu + C_nu) = I + C."""
-        return np.eye(self.dim2, dtype=np.complex128) + self.c_cols
-
-    def theta_matrix(self) -> np.ndarray:
-        """Intermediate operator, diagonal in the phi frame."""
-        return np.diag(self.energies)
-
     def pairing(self) -> np.ndarray:
         """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
 
@@ -208,36 +161,14 @@ class Decomposition:
         Order 1: kappa_nu = 1 + (A' A)_ii + (A A')_jj.
         """
         if self.series is not None:
-            return 1.0 + np.einsum("ij,ji->i", self.d_rows, self.c_cols)
+            c, d = self.series
+            return 1.0 + np.einsum("ij,ji->i", d, c)
         if self.first_order is not None:
             a, a_dual = self.first_order
             return vec(1.0 + np.einsum("ia,ai->i", a_dual, a)[:, None]
                        + np.einsum("jb,bj->j", a, a_dual)[None, :])
         a = np.diag(self.psi) * np.diag(self.psi_tilde)
         return vec(1.0 / np.outer(a, a))
-
-    def total_projector(self, nu: NuIndex) -> np.ndarray:
-        """Pi_nu = (P + C)(P + DC)^-1(P + D), a rank-1 phi-frame matrix."""
-        k = self.basis.liouville_index(nu)
-        kappa = self.pairing()[k]
-        if abs(kappa) < DEFAULT_TOL:
-            raise ValueError(f"(P + DC) numerically singular on the P block of nu={nu.as_tuple()}")
-        right = np.zeros(self.dim2, dtype=np.complex128)
-        right[k] = 1.0
-        right += self.c_cols[:, k]
-        left = np.zeros(self.dim2, dtype=np.complex128)
-        left[k] = 1.0
-        left += self.d_rows[k, :]
-        return np.outer(right, left) / kappa
-
-    def projector_sum(self) -> np.ndarray:
-        """sum_nu Pi_nu; the identity when the decomposition is complete."""
-        kappa = self.pairing()
-        if np.min(np.abs(kappa)) < DEFAULT_TOL:
-            raise ValueError("(P + DC) numerically singular on at least one P block")
-        right = np.eye(self.dim2, dtype=np.complex128) + self.c_cols
-        left = np.eye(self.dim2, dtype=np.complex128) + self.d_rows
-        return (right / kappa) @ left
 
 
 def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[NuIndex, NuIndex]]:
@@ -402,81 +333,28 @@ def decompose_model(ops, order="exact", eta: float = 0.0, lam: float | None = No
     return decompose(ops.h0, ops.h1, lam=scale, order=order, eta=eta, tol=tol)
 
 
-def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
-                       z: complex | None = None, eta: float = 0.0,
-                       self_consistent: bool = False, max_iter: int = 60,
-                       tol: float = 1e-13) -> tuple[np.ndarray, complex]:
-    """Creation column from the resolvent linear solve on the Q block.
+def _exact_eigen_data(decomp: Decomposition, check: str):
+    """(psi, psi_tilde, z) of an exact-order decomposition.
 
-    Solves (z I - Q L Q) c = lam * Q L1 P at z = E0_nu (default) or at a
-    caller-supplied z. With self_consistent=True, z is iterated to the fixed
-    point z = E0_nu + lam V[nu,nu] + lam V[nu,:] c(z), which reproduces the
-    exact kinetic eigenvalue. Returns (column, z_used).
+    The verify residuals are d x d expressions in this eigen data; a
+    perturbative order has none, so asking them of one raises ValueError.
     """
-    k = basis.liouville_index(nu)
-    n = basis.dim2
-    mask = np.arange(n) != k
-    lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
-    rhs = lam * v1[mask, k]
-    z_used = complex(basis.e0[k]) if z is None else complex(z)
-
-    def solve(zval: complex) -> np.ndarray:
-        a = (zval + 1j * eta) * np.eye(n - 1, dtype=np.complex128) - lq
-        try:
-            return np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError([(nu, nu)]) from exc
-
-    cq = solve(z_used)
-    if self_consistent:
-        for _ in range(max_iter):
-            z_next = complex(basis.e0[k] + lam * v1[k, k] + lam * (v1[k, mask] @ cq))
-            if abs(z_next - z_used) <= tol * max(1.0, abs(z_next)):
-                z_used = z_next
-                cq = solve(z_used)
-                break
-            z_used = z_next
-            cq = solve(z_used)
-        else:
-            raise ValueError(f"collision-energy iteration did not converge for nu={nu.as_tuple()}")
-    out = np.zeros(n, dtype=np.complex128)
-    out[mask] = cq
-    return out, z_used
-
-
-def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
-                        column: np.ndarray, z: complex | None = None,
-                        eta: float = 0.0) -> float:
-    """Residual of the stationary creation equation for a candidate column.
-
-    Checks (Q L Q - z - i eta) c + lam Q L1 P = 0 relative to the column and
-    source scale.
-    """
-    k = basis.liouville_index(nu)
-    n = basis.dim2
-    mask = np.arange(n) != k
-    lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
-    z_used = complex(basis.e0[k]) if z is None else complex(z)
-    res = (lq - (z_used + 1j * eta) * np.eye(n - 1)) @ column[mask] + lam * v1[mask, k]
-    scale = max(float(np.linalg.norm(lam * v1[mask, k])), 1e-30)
-    return float(np.linalg.norm(res)) / scale
+    if decomp.order != "exact":
+        raise ValueError(f"{check} reads the exact order's eigen data; "
+                         f"got a decomposition at order {decomp.order}")
+    return decomp.psi, decomp.psi_tilde, decomp.z
 
 
 def similarity_residual(decomp: Decomposition) -> float:
-    """|| L Omega - Omega Theta || / || L || for the built order.
+    """|| L Omega - Omega Theta || / || L || of an exact-order decomposition.
 
-    Exact order, from d x d data: column nu of L Omega - Omega Theta is
+    From d x d data: column nu of L Omega - Omega Theta is
     vec(R_i psi~_j - psi_i S_j)/(psi_ii psi~_jj) with the eigen-residuals
     R = H psi - psi Z and S = psi~ H - Z psi~, and
     ||L||_F = sqrt(2d) ||H - (tr H/d) I||_F.
     """
-    if decomp.psi is None:
-        l_full = decomp.liouvillian()
-        omega = decomp.omega()
-        res = l_full @ omega - omega @ decomp.theta_matrix()
-        return float(np.linalg.norm(res)) / norm_scale(l_full)
+    psi, psi_tilde, z = _exact_eigen_data(decomp, "similarity_residual")
     h = _phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f)
-    psi, psi_tilde, z = decomp.psi, decomp.psi_tilde, decomp.z
     r = h @ psi - psi * z[None, :]
     s = psi_tilde @ h - z[:, None] * psi_tilde
     # Summed over nu with weights u_i v_j = 1/|psi_ii psi~_jj|^2:
@@ -498,16 +376,15 @@ def similarity_residual(decomp: Decomposition) -> float:
 
 
 def completeness_residual(decomp: Decomposition) -> float:
-    """|| sum_nu Pi_nu - I ||_F.
+    """|| sum_nu Pi_nu - I ||_F of an exact-order decomposition.
 
-    Exact order: sum_nu Pi_nu = kron(M^T, M) with M = psi psi~. Its distance
-    from the identity is expanded in E = M - I, so no O(d^2) terms cancel:
+    sum_nu Pi_nu = kron(M^T, M) with M = psi psi~. Its distance from the
+    identity is expanded in E = M - I, so no O(d^2) terms cancel:
     ||kron(E^T, I) + kron(I, E) + kron(E^T, E)||^2
       = 2d|E|^2 + |E|^4 + 2|tr E|^2 + 4|E|^2 Re tr E.
     """
-    if decomp.psi is None:
-        return float(np.linalg.norm(decomp.projector_sum() - np.eye(decomp.dim2)))
-    err = decomp.psi @ decomp.psi_tilde - np.eye(decomp.basis.dim)
+    psi, psi_tilde, _ = _exact_eigen_data(decomp, "completeness_residual")
+    err = psi @ psi_tilde - np.eye(decomp.basis.dim)
     e2 = float(np.linalg.norm(err)) ** 2
     tr = complex(np.trace(err))
     total = 2 * decomp.basis.dim * e2 + e2 ** 2 + 2 * abs(tr) ** 2 + 4 * e2 * tr.real
@@ -515,7 +392,7 @@ def completeness_residual(decomp: Decomposition) -> float:
 
 
 def block_residual(decomp: Decomposition) -> float:
-    """max_nu |P_nu C_nu P_nu|, |P_nu D_nu P_nu|: the diagonals of c_cols, d_rows.
+    """max_nu |P_nu C_nu P_nu|, |P_nu D_nu P_nu| of an exact-order decomposition.
 
     With P_nu = e_k e_k^T, Q_nu = I - P_nu, C_nu = c_k e_k^T and
     D_nu = e_k d_k^T, P + Q = I and PQ = 0 hold identically, while
@@ -524,10 +401,8 @@ def block_residual(decomp: Decomposition) -> float:
     (psi_ii psi~_jj)/(psi_ii psi~_jj) - 1 and its transpose over every nu:
     zero to rounding while each anchor psi_ii psi~_jj is finite and nonzero.
     """
-    if decomp.psi is None:
-        return max(float(np.max(np.abs(np.diag(decomp.c_cols)))),
-                   float(np.max(np.abs(np.diag(decomp.d_rows)))))
-    anchors = np.outer(np.diag(decomp.psi), np.diag(decomp.psi_tilde))
+    psi, psi_tilde, _ = _exact_eigen_data(decomp, "block_residual")
+    anchors = np.outer(np.diag(psi), np.diag(psi_tilde))
     return float(np.max(np.abs(anchors / anchors - 1.0)))
 
 
@@ -553,13 +428,14 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> ProjectedDensity:
 
     Exact order: c_nu = (psi~ rho_f psi)_ij psi_ii psi~_jj.
     Order 1: c_nu = (rho_f + [A', rho_f])_ij / kappa_nu.
+    Order 2: c_nu = (rho_f + d @ rho_f)_nu / kappa_nu with d the series rows.
     """
     rho_f = decomp.basis.to_frame(rho)
     kappa = decomp.pairing()
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
     if decomp.series is not None:
-        coeff = (rho_f + decomp.d_rows @ rho_f) / kappa
+        coeff = (rho_f + decomp.series[1] @ rho_f) / kappa
     elif decomp.first_order is not None:
         a_dual = decomp.first_order[1]
         x = unvec(rho_f, decomp.basis.dim)
@@ -578,19 +454,6 @@ def evolve_projected(projected: ProjectedDensity, energies: np.ndarray, t: float
                             basis=projected.basis)
 
 
-def evolve_exact(hamiltonian, rho0, t: float) -> np.ndarray:
-    """Brute-force commutator evolution rho(t) = unvec(e^{-i L t} vec rho0).
-
-    Reference oracle route for small-d checks: builds the full d^2 x d^2
-    Liouvillian of the supplied Hamiltonian and exponentiates it,
-    independent of the projected machinery.
-    """
-    h = as_complex_matrix(hamiltonian, "hamiltonian")
-    rho = as_complex_matrix(rho0, "rho0")
-    l_full = commutator_superop(h)
-    return unvec(propagator(l_full, t) @ vec(rho), h.shape[0])
-
-
 def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
     """e^{-iHt} rho e^{+iHt} from two d x d exponentials.
 
@@ -603,7 +466,7 @@ def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
 def evolve_grid(hamiltonian, rho0, times) -> np.ndarray:
     """rho(t) on a time grid from one eigendecomposition of H.
 
-    Same commutator flow as evolve_exact, factored through
+    The commutator flow e^{-iLt} vec(rho0), factored through
     e^{-iHt} rho e^{+iHt}; falls back to per-point d x d exponentials when
     H is defective. Returns an array of shape (len(times), d, d).
     """

@@ -1,0 +1,244 @@
+"""Dense d^2 x d^2 Liouville routes: the reference the factored engine is checked against.
+
+subdyn.subdynamics keeps one representation per construction order (d x d
+eigen data at the exact order, d x d first-order factors at order 1, the
+dense series at order 2). The routes here build the superoperators the
+theory writes down -- L = diag(E0) + lam [h1_f, .], the creation columns
+c_nu, the destruction rows d_nu, Omega = I + C and the total projectors
+Pi_nu = (P + C)(P + DC)^-1(P + D) -- as dense matrices from a Decomposition,
+so every test can compare a factored expression with its textbook form.
+They cost O(d^4) memory and up to O(d^6) time, so they are for small d only.
+
+Superoperators use the column-stacking convention of subdyn.linalg.vec:
+vec(A X B) = (B^T kron A) vec(X).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from subdyn.linalg import (
+    DEFAULT_TOL,
+    DEGENERACY_TOL,
+    as_complex_matrix,
+    eig,
+    propagator,
+    unvec,
+    vec,
+)
+from subdyn.subdynamics import (
+    Decomposition,
+    NuIndex,
+    PhiBasis,
+    ResonanceError,
+    liouville_basis,
+)
+
+
+def commutator_superop(hamiltonian) -> np.ndarray:
+    """Superoperator of X -> [H, X] under column stacking.
+
+    Returns I kron H - H^T kron I, a d^2 x d^2 dense matrix. Hermitian H
+    gives a Hermitian superoperator with spectrum {e_i - e_j}.
+    """
+    h = as_complex_matrix(hamiltonian, "hamiltonian")
+    d = h.shape[0]
+    eye = np.eye(d, dtype=np.complex128)
+    return np.kron(eye, h) - np.kron(h.T, eye)
+
+
+def interaction(decomp: Decomposition) -> np.ndarray:
+    """Interaction Liouvillian L1 = [h1_f, .] as a dense matrix."""
+    return commutator_superop(decomp.h1_f)
+
+
+def columns(decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Dense creation columns and destruction rows (c, d) at any order.
+
+    Exact order: c_nu = vec(psi_i psi~_j)/(psi_ii psi~_jj) - e_nu and
+    d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T.
+    Order 1: the superoperators [A, .] and [A', .], so column nu of c is
+    vec([A, e_i e_j^T]) and d_nu . vec(X) = [A', X]_ij.
+    Order 2: the stored series.
+    """
+    if decomp.series is not None:
+        return decomp.series
+    if decomp.first_order is not None:
+        a, a_dual = decomp.first_order
+        return commutator_superop(a), commutator_superop(a_dual)
+    w = np.kron(decomp.psi_tilde.T, decomp.psi)
+    c = w / np.diag(w)[None, :]
+    np.fill_diagonal(c, 0.0)
+    l = np.kron(decomp.psi.T, decomp.psi_tilde)
+    d = l / np.diag(l)[:, None]
+    np.fill_diagonal(d, 0.0)
+    return c, d
+
+
+def liouvillian(decomp: Decomposition) -> np.ndarray:
+    """Full phi-frame Liouvillian diag(E0) + lam * L1."""
+    return np.diag(decomp.basis.e0) + decomp.lam * interaction(decomp)
+
+
+def omega(decomp: Decomposition) -> np.ndarray:
+    """Similarity operator Omega = sum_nu (P_nu + C_nu) = I + C."""
+    return np.eye(decomp.dim2, dtype=np.complex128) + columns(decomp)[0]
+
+
+def theta_matrix(decomp: Decomposition) -> np.ndarray:
+    """Intermediate operator Theta = diag(E_nu), diagonal in the phi frame."""
+    return np.diag(decomp.energies)
+
+
+def pairing(decomp: Decomposition) -> np.ndarray:
+    """kappa_nu = 1 + d_nu . c_nu from the dense columns and rows."""
+    c, d = columns(decomp)
+    return 1.0 + np.einsum("ij,ji->i", d, c)
+
+
+def total_projector(decomp: Decomposition, nu: NuIndex) -> np.ndarray:
+    """Pi_nu = (P + C)(P + DC)^-1(P + D), a rank-1 phi-frame matrix."""
+    k = decomp.basis.liouville_index(nu)
+    c, d = columns(decomp)
+    kappa = 1.0 + d[k, :] @ c[:, k]
+    if abs(kappa) < DEFAULT_TOL:
+        raise ValueError(f"(P + DC) numerically singular on the P block of nu={nu.as_tuple()}")
+    right = c[:, k].copy()
+    right[k] += 1.0
+    left = d[k, :].copy()
+    left[k] += 1.0
+    return np.outer(right, left) / kappa
+
+
+def projector_sum(decomp: Decomposition) -> np.ndarray:
+    """sum_nu Pi_nu; the identity when the decomposition is complete."""
+    c, d = columns(decomp)
+    kappa = 1.0 + np.einsum("ij,ji->i", d, c)
+    if np.min(np.abs(kappa)) < DEFAULT_TOL:
+        raise ValueError("(P + DC) numerically singular on at least one P block")
+    eye = np.eye(decomp.dim2, dtype=np.complex128)
+    return ((eye + c) / kappa) @ (eye + d)
+
+
+def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
+                       z: complex | None = None, eta: float = 0.0,
+                       self_consistent: bool = False, max_iter: int = 60,
+                       tol: float = 1e-13) -> tuple[np.ndarray, complex]:
+    """Creation column from the resolvent linear solve on the Q block.
+
+    Solves (z I - Q L Q) c = lam * Q L1 P at z = E0_nu (default) or at a
+    caller-supplied z. With self_consistent=True, z is iterated to the fixed
+    point z = E0_nu + lam V[nu,nu] + lam V[nu,:] c(z), which reproduces the
+    exact kinetic eigenvalue. Returns (column, z_used).
+    """
+    k = basis.liouville_index(nu)
+    n = basis.dim2
+    mask = np.arange(n) != k
+    lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
+    rhs = lam * v1[mask, k]
+    z_used = complex(basis.e0[k]) if z is None else complex(z)
+
+    def solve(zval: complex) -> np.ndarray:
+        a = (zval + 1j * eta) * np.eye(n - 1, dtype=np.complex128) - lq
+        try:
+            return np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError([(nu, nu)]) from exc
+
+    cq = solve(z_used)
+    if self_consistent:
+        for _ in range(max_iter):
+            z_next = complex(basis.e0[k] + lam * v1[k, k] + lam * (v1[k, mask] @ cq))
+            if abs(z_next - z_used) <= tol * max(1.0, abs(z_next)):
+                z_used = z_next
+                cq = solve(z_used)
+                break
+            z_used = z_next
+            cq = solve(z_used)
+        else:
+            raise ValueError(f"collision-energy iteration did not converge for nu={nu.as_tuple()}")
+    out = np.zeros(n, dtype=np.complex128)
+    out[mask] = cq
+    return out, z_used
+
+
+def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
+                        column: np.ndarray, z: complex | None = None,
+                        eta: float = 0.0) -> float:
+    """Residual of the stationary creation equation for a candidate column.
+
+    Checks (Q L Q - z - i eta) c + lam Q L1 P = 0 relative to the column and
+    source scale.
+    """
+    k = basis.liouville_index(nu)
+    n = basis.dim2
+    mask = np.arange(n) != k
+    lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
+    z_used = complex(basis.e0[k]) if z is None else complex(z)
+    res = (lq - (z_used + 1j * eta) * np.eye(n - 1)) @ column[mask] + lam * v1[mask, k]
+    scale = max(float(np.linalg.norm(lam * v1[mask, k])), 1e-30)
+    return float(np.linalg.norm(res)) / scale
+
+
+def evolve_exact(hamiltonian, rho0, t: float) -> np.ndarray:
+    """Brute-force commutator evolution rho(t) = unvec(e^{-i L t} vec rho0).
+
+    Builds the full d^2 x d^2 Liouvillian of the supplied Hamiltonian and
+    exponentiates it, independent of the projected machinery.
+    """
+    h = as_complex_matrix(hamiltonian, "hamiltonian")
+    rho = as_complex_matrix(rho0, "rho0")
+    l_full = commutator_superop(h)
+    return unvec(propagator(l_full, t) @ vec(rho), h.shape[0])
+
+
+def hamiltonian_spectral_projectors(decomp: Decomposition) -> list[np.ndarray]:
+    """A_i = |psi_i><psi~_i| from a direct eigendecomposition of the phi-frame H.
+
+    Eigenvectors are assigned to free levels by dominant component, not by
+    the engine's max-overlap matching. The Liouville eigenprojector for the
+    dyad (i, j) then acts as X -> A_i X A_j.
+    """
+    h = np.diag(decomp.basis.f_values).astype(complex) + decomp.lam * decomp.h1_f
+    system = eig(h, hermitian=False)
+    assign = {}
+    for col in range(h.shape[0]):
+        k = int(np.argmax(np.abs(system.right_vectors[:, col])))
+        assert k not in assign, "branch assignment ambiguous at this coupling"
+        assign[k] = col
+    return [np.outer(system.right_vectors[:, assign[i]],
+                     system.left_vectors[assign[i], :])
+            for i in range(h.shape[0])]
+
+
+def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
+    """(c, d, energies, kappa) of the dense stationary-resolvent series.
+
+    Built from the d^2 x d^2 interaction Liouvillian L1 = [h1_f, .], with an
+    O(d^6) L1 @ c product at order 2. Raises ResonanceError, listing every
+    coupled degenerate dyad pair, where the series divides by zero.
+    """
+    basis = liouville_basis(h0)
+    f = basis.f_vectors
+    v1 = commutator_superop(f.conj().T @ np.asarray(h1, dtype=complex) @ f)
+    e0 = basis.e0
+    gap = np.abs(e0[None, :] - e0[:, None])
+    degenerate = gap <= tol * max(1.0, float(np.max(np.abs(e0))))
+    coupling = np.abs(lam * v1) > DEFAULT_TOL * max(1.0, float(np.linalg.norm(lam * v1)))
+    resonant = degenerate & coupling & ~np.eye(e0.shape[0], dtype=bool)
+    if eta == 0.0 and resonant.any():
+        rows, cols = np.nonzero(resonant)
+        raise ResonanceError([(basis.nu_indices[r], basis.nu_indices[c])
+                              for r, c in zip(rows, cols)])
+    # delta[mu, nu] = E0_nu - E0_mu + i eta
+    delta = e0[None, :] - e0[:, None] + 1j * eta
+    blocked = degenerate if eta == 0.0 else np.eye(e0.shape[0], dtype=bool)
+    inv = np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, delta))
+    c = lam * v1 * inv
+    d = lam * v1 * inv.T
+    if order == "2":
+        c = c + lam * (v1 @ c) * inv
+        d = d + lam * (d @ v1) * inv.T
+    energies = e0 + lam * np.diag(v1) + lam * np.einsum("ij,ji->i", v1, c)
+    kappa = 1.0 + np.einsum("ij,ji->i", d, c)
+    return c, d, energies, kappa

@@ -14,28 +14,11 @@ from subdyn.gates import (
     calibrate_timing_second_order,
     exchange_hamiltonian,
     exchange_swap_time,
-    ideal_swap,
     verify_closure,
 )
 from subdyn.linalg import propagator
 from subdyn.models import ModelSpec, build_model
 from subdyn.subdynamics import decompose
-
-
-def test_ideal_swap_is_diagonal_phase_matrix():
-    e0 = np.array([0.0, 1.0, 2.5])
-    u = ideal_swap(e0, 0.7)
-    np.testing.assert_allclose(u, np.diag(np.exp(-1j * e0 * 0.7)), atol=1e-14)
-
-
-def test_ideal_swap_contracts_for_decaying_energies():
-    # shifted energies with Im E < 0 give the non-ideal swap, a contraction
-    energies = np.array([1.0 - 0.2j, 2.0 - 0.1j])
-    u = ideal_swap(energies, 3.0)
-    s = np.linalg.svd(u, compute_uv=False)
-    assert np.all(s < 1.0)
-    np.testing.assert_allclose(s, np.exp(energies.imag * 3.0)[np.argsort(
-        -energies.imag * 3.0)], atol=1e-12)
 
 
 def test_exchange_swaps_the_single_excitation_pair():

@@ -6,11 +6,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import commutator_superop
 from subdyn.linalg import (
     DefectiveMatrixError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
-    commutator_superop,
     eig,
     propagator,
     random_density,

@@ -6,24 +6,30 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdyn.linalg import (
-    DEFAULT_TOL,
-    DEGENERACY_TOL,
-    commutator_superop,
-    norm_scale,
-    random_density,
-    unvec,
+from oracle import (
+    columns,
+    creation_resolvent,
+    dense_perturbative,
+    evolve_exact,
+    hamiltonian_spectral_projectors,
+    interaction,
+    liouvillian,
+    omega,
+    pairing,
+    projector_sum,
+    stationary_residual,
+    theta_matrix,
+    total_projector,
 )
+from subdyn.linalg import norm_scale, random_density, unvec
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
 from subdyn.subdynamics import (
     NuIndex,
     ResonanceError,
     block_residual,
     completeness_residual,
-    creation_resolvent,
     decompose,
     decompose_model,
-    evolve_exact,
     evolve_grid,
     evolve_projected,
     kinetic_consistency_residual,
@@ -31,7 +37,6 @@ from subdyn.subdynamics import (
     normalize_order,
     project_density,
     similarity_residual,
-    stationary_residual,
 )
 
 GEN_SPEC = ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
@@ -100,7 +105,7 @@ def test_first_order_creation_frozen_value(tri_first):
     # the (5,0) creation column is 0.4 / 4.5 on the (1,0) dyad
     basis = tri_first.basis
     np.testing.assert_allclose(np.abs(basis.f_vectors), np.eye(6), atol=1e-12)
-    col = tri_first.c_cols[:, basis.liouville_index(NuIndex(5, 0))]
+    col = columns(tri_first)[0][:, basis.liouville_index(NuIndex(5, 0))]
     expected = np.zeros(36, dtype=np.complex128)
     expected[1] = 0.4 / 4.5
     np.testing.assert_allclose(col, expected, atol=1e-14)
@@ -109,7 +114,7 @@ def test_first_order_creation_frozen_value(tri_first):
 def test_first_order_destruction_frozen_value(tri_first):
     # mirror row: the (1,0) destruction row sees the (5,0) dyad with the
     # opposite-sign denominator, and one-sidedness kills everything else
-    row = tri_first.d_rows[tri_first.basis.liouville_index(NuIndex(1, 0)), :]
+    row = columns(tri_first)[1][tri_first.basis.liouville_index(NuIndex(1, 0)), :]
     expected = np.zeros(36, dtype=np.complex128)
     expected[5] = -0.4 / 4.5
     np.testing.assert_allclose(row, expected, atol=1e-14)
@@ -118,7 +123,8 @@ def test_first_order_destruction_frozen_value(tri_first):
 def test_first_order_matches_elementwise_loop(gen_ops):
     # independent oracle: scalar loop over the textbook matrix elements
     decomp = decompose_model(gen_ops, order="1")
-    basis, v1, lam = decomp.basis, decomp.v1, decomp.lam
+    basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
+    c = columns(decomp)[0]
     n = basis.dim2
     scale = max(1.0, float(np.max(np.abs(basis.e0))))
     for k in [3, 17, 100, 255]:
@@ -128,12 +134,12 @@ def test_first_order_matches_elementwise_loop(gen_ops):
             if m == k or abs(gap) <= 1e-8 * scale:
                 continue
             expected[m] = lam * v1[m, k] / gap
-        np.testing.assert_allclose(decomp.c_cols[:, k], expected, atol=1e-13)
+        np.testing.assert_allclose(c[:, k], expected, atol=1e-13)
 
 
 def test_second_order_energies_match_textbook_loop(gen_ops):
     decomp = decompose_model(gen_ops, order="1")
-    basis, v1, lam = decomp.basis, decomp.v1, decomp.lam
+    basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
     n = basis.dim2
     scale = max(1.0, float(np.max(np.abs(basis.e0))))
     expected = np.array(basis.e0, dtype=np.complex128)
@@ -153,9 +159,9 @@ def test_second_order_column_adds_one_resolvent_power(gen_ops):
     two = decompose_model(gen_ops, order="2")
     # the order-2 correction is the squared-resolvent term, O(lam^2), on
     # the creation columns and the destruction rows alike
-    bound = 10 * one.lam ** 2 * np.linalg.norm(one.v1) ** 2
-    assert 0 < np.linalg.norm(two.c_cols - one.c_cols) < bound
-    assert 0 < np.linalg.norm(two.d_rows - one.d_rows) < bound
+    bound = 10 * one.lam ** 2 * np.linalg.norm(interaction(one)) ** 2
+    for dense_two, dense_one in zip(columns(two), columns(one)):
+        assert 0 < np.linalg.norm(dense_two - dense_one) < bound
 
 
 def test_resonance_raises_on_coupled_degeneracy():
@@ -179,21 +185,22 @@ def test_eta_regularizes_resonance():
     h0 = np.diag([0.0, 0.0, 1.0])
     h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     decomp = decompose(h0, h1, lam=0.1, order="1", eta=1e-3)
-    assert np.all(np.isfinite(decomp.c_cols))
+    c = columns(decomp)[0]
+    assert np.all(np.isfinite(c))
     # retarded denominator: coupling / (E0 gap + i eta)
     k = decomp.basis.liouville_index(NuIndex(1, 0))
     m = decomp.basis.liouville_index(NuIndex(0, 0))
-    expected = 0.1 * decomp.v1[m, k] / (decomp.basis.e0[k] - decomp.basis.e0[m] + 1e-3j)
-    np.testing.assert_allclose(decomp.c_cols[m, k], expected, atol=1e-15)
+    expected = 0.1 * interaction(decomp)[m, k] / (decomp.basis.e0[k] - decomp.basis.e0[m] + 1e-3j)
+    np.testing.assert_allclose(c[m, k], expected, atol=1e-15)
 
 
 def test_uncoupled_degeneracy_is_dropped():
     h0 = np.diag([0.0, 0.0, 1.0])
     h1 = np.diag([1.0, 2.0, 3.0])  # diagonal: degenerate but never coupled
     decomp = decompose(h0, h1, lam=0.1, order="2")
-    np.testing.assert_allclose(decomp.c_cols, np.zeros((9, 9)), atol=1e-15)
+    np.testing.assert_allclose(columns(decomp)[0], np.zeros((9, 9)), atol=1e-15)
     np.testing.assert_allclose(decomp.energies,
-                               decomp.basis.e0 + 0.1 * np.diag(decomp.v1),
+                               decomp.basis.e0 + 0.1 * np.diag(interaction(decomp)),
                                atol=1e-14)
 
 
@@ -202,7 +209,7 @@ def test_exact_similarity_relation(gen_exact):
 
 
 def test_exact_projector_completeness(gen_exact):
-    np.testing.assert_allclose(gen_exact.projector_sum(),
+    np.testing.assert_allclose(projector_sum(gen_exact),
                                np.eye(gen_exact.dim2), atol=1e-10)
 
 
@@ -216,19 +223,20 @@ def test_exact_population_dyads_are_stationary(gen_exact):
 def test_bundle_invariants(gen_exact):
     # C_nu = Q C_nu P and D_nu = P D_nu Q hold exactly when no creation
     # column or destruction row touches its own dyad
-    np.testing.assert_array_equal(np.diag(gen_exact.c_cols), 0.0)
-    np.testing.assert_array_equal(np.diag(gen_exact.d_rows), 0.0)
-    l_full = gen_exact.liouvillian()
+    c, d = columns(gen_exact)
+    np.testing.assert_array_equal(np.diag(c), 0.0)
+    np.testing.assert_array_equal(np.diag(d), 0.0)
+    l_full = liouvillian(gen_exact)
     for k in [0, 7, 133, 255]:
-        pi = gen_exact.total_projector(gen_exact.basis.nu_indices[k])
+        pi = total_projector(gen_exact, gen_exact.basis.nu_indices[k])
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-10)
         # eigen-relation of the total projector
         np.testing.assert_allclose(l_full @ pi, gen_exact.energies[k] * pi, atol=1e-8)
 
 
 def test_total_projectors_are_mutually_orthogonal(gen_exact):
-    pi_a = gen_exact.total_projector(NuIndex(0, 1))
-    pi_b = gen_exact.total_projector(NuIndex(2, 0))
+    pi_a = total_projector(gen_exact, NuIndex(0, 1))
+    pi_b = total_projector(gen_exact, NuIndex(2, 0))
     np.testing.assert_allclose(pi_a @ pi_b, np.zeros_like(pi_a), atol=1e-10)
 
 
@@ -287,25 +295,6 @@ def test_project_density_free_theory(gen_ops):
     expected = np.zeros(decomp.dim2)
     expected[0] = 1.0
     np.testing.assert_allclose(coeff, expected, atol=1e-12)
-
-
-def hamiltonian_spectral_projectors(decomp):
-    """Independent oracle route: A_i = |psi_i><psi~_i| from a direct
-    eigendecomposition of the phi-frame Hamiltonian, assigned to free
-    levels by dominant component. The Liouville eigenprojector for the
-    dyad (i, j) then acts as X -> A_i X A_j."""
-    from subdyn.linalg import eig
-
-    h = np.diag(decomp.basis.f_values).astype(complex) + decomp.lam * decomp.h1_f
-    system = eig(h, hermitian=False)
-    assign = {}
-    for col in range(h.shape[0]):
-        k = int(np.argmax(np.abs(system.right_vectors[:, col])))
-        assert k not in assign, "branch assignment ambiguous at this coupling"
-        assign[k] = col
-    return [np.outer(system.right_vectors[:, assign[i]],
-                     system.left_vectors[assign[i], :])
-            for i in range(h.shape[0])]
 
 
 def test_project_density_matches_spectral_projector_oracle(gen_ops, gen_exact):
@@ -370,19 +359,19 @@ def test_evolve_grid_defective_fallback_is_the_expm_sandwich():
 
 def test_creation_resolvent_solves_stationary_equation(gen_ops):
     decomp = decompose_model(gen_ops, order="1")
-    basis, v1, lam = decomp.basis, decomp.v1, decomp.lam
+    basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
     nu = NuIndex(1, 0)
     col, z = creation_resolvent(basis, v1, lam, nu)
     assert z == basis.e0[basis.liouville_index(nu)]
     assert stationary_residual(basis, v1, lam, nu, col, z=z) <= 1e-10
     # the plain series column only solves it to O(lam)
-    c1 = decomp.c_cols[:, basis.liouville_index(nu)]
+    c1 = columns(decomp)[0][:, basis.liouville_index(nu)]
     assert stationary_residual(basis, v1, lam, nu, c1) > 1e-4
 
 
 def test_self_consistent_resolvent_finds_exact_eigenvalue(gen_ops, gen_exact):
     decomp = decompose_model(gen_ops, order="1")
-    basis, v1, lam = decomp.basis, decomp.v1, decomp.lam
+    basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
     nu = NuIndex(1, 0)
     k = basis.liouville_index(nu)
     _, z = creation_resolvent(basis, v1, lam, nu, self_consistent=True)
@@ -394,9 +383,9 @@ def test_resolvent_beats_series_at_small_lambda(gen_ops):
     gaps = []
     for lam in (1e-2, 5e-3):
         decomp = decompose_model(gen_ops, order="1", lam=lam)
-        basis, v1 = decomp.basis, decomp.v1
+        basis, v1 = decomp.basis, interaction(decomp)
         col, _ = creation_resolvent(basis, v1, lam, nu)
-        c1 = decomp.c_cols[:, basis.liouville_index(nu)]
+        c1 = columns(decomp)[0][:, basis.liouville_index(nu)]
         gaps.append(np.linalg.norm(col - c1))
     # the gap is the second Born term, O(lam^2): halving lam quarters it
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
@@ -421,7 +410,7 @@ def test_lambda_halving_ratios():
     for lam in (1e-2, 5e-3, 2.5e-3):
         exact = decompose(h0, h1, lam=lam, order="exact")
         first = decompose(h0, h1, lam=lam, order="1")
-        c_gaps.append(np.linalg.norm(exact.c_cols - first.c_cols))
+        c_gaps.append(np.linalg.norm(columns(exact)[0] - columns(first)[0]))
         e_gaps.append(np.max(np.abs(first.energies - exact.energies)))
     for a, b in zip(c_gaps, c_gaps[1:]):
         assert 3.5 <= a / b <= 4.5
@@ -444,8 +433,8 @@ def test_diagonal_model_has_no_creation():
     ops = build_model(DIAG_SPEC)
     for order in ("1", "2", "exact"):
         decomp = decompose_model(ops, order=order)
-        np.testing.assert_allclose(decomp.c_cols, np.zeros((36, 36)), atol=1e-12)
-        np.testing.assert_allclose(decomp.d_rows, np.zeros((36, 36)), atol=1e-12)
+        for dense in columns(decomp):
+            np.testing.assert_allclose(dense, np.zeros((36, 36)), atol=1e-12)
     h_diag = np.diag(ops.hamiltonian()).real
     decomp = decompose_model(ops, order="exact")
     order_idx = np.argsort(np.diag(ops.h0).real, kind="stable")
@@ -466,7 +455,7 @@ def test_triangular_theta_is_free():
 def test_triangular_creation_is_one_sided():
     ops = build_model(TRI_FREE_SPEC)
     decomp = decompose_model(ops, order="1")
-    c = decomp.c_cols
+    c = columns(decomp)[0]
     np.testing.assert_allclose(np.diag(c), np.zeros(36), atol=1e-14)
     # no reciprocal pairs: the hop graph never runs both ways
     np.testing.assert_allclose(c * c.T, np.zeros_like(c), atol=1e-14)
@@ -480,7 +469,7 @@ def test_total_projector_matches_eig_spectral_projector(gen_exact):
     projs = hamiltonian_spectral_projectors(gen_exact)
     for nu in (NuIndex(1, 0), NuIndex(0, 0), NuIndex(2, 5)):
         oracle = np.kron(projs[nu.col].T, projs[nu.row])
-        np.testing.assert_allclose(gen_exact.total_projector(nu), oracle,
+        np.testing.assert_allclose(total_projector(gen_exact, nu), oracle,
                                    atol=1e-7)
 
 
@@ -490,14 +479,14 @@ def test_group_spectral_projector_of_l_matches_engine_sum(gen_exact):
     # compare with the group spectral projector, which is basis independent
     from subdyn.linalg import eig
 
-    system = eig(gen_exact.liouvillian())
+    system = eig(liouvillian(gen_exact))
     nu = NuIndex(1, 0)
     target = gen_exact.energies[gen_exact.basis.liouville_index(nu)]
     members = [m for m in gen_exact.basis.nu_indices
                if abs(gen_exact.energies[gen_exact.basis.liouville_index(m)]
                       - target) < 1e-8]
     assert len(members) >= 2
-    engine = sum(gen_exact.total_projector(m) for m in members)
+    engine = sum(total_projector(gen_exact, m) for m in members)
     cols = [c for c in range(gen_exact.dim2)
             if abs(system.values[c] - target) < 1e-8]
     assert len(cols) == len(members)
@@ -522,7 +511,7 @@ def test_exact_decomposition_properties_random(seed, dim):
     h1 = h1 + h1.conj().T
     decomp = decompose(h0, h1, lam=0.05, order="exact")
     assert similarity_residual(decomp) <= 1e-8
-    np.testing.assert_allclose(decomp.projector_sum(), np.eye(dim * dim),
+    np.testing.assert_allclose(projector_sum(decomp), np.eye(dim * dim),
                                atol=1e-8)
     rho = random_density(rng, dim)
     t = float(rng.uniform(0.0, 4.0))
@@ -531,7 +520,8 @@ def test_exact_decomposition_properties_random(seed, dim):
 
 
 # Dense-route oracles for the factored exact order: every kind at d = 16,
-# the dense d^2 x d^2 matrices built on request from the stored eigensystem.
+# the dense d^2 x d^2 matrices built by the oracle module from the stored
+# eigensystem.
 ORACLE_SPECS = {
     "general": GEN_SPEC,
     "triangular": ModelSpec(kind="triangular", omega0=1.0, omega=1.3, g=0.4, lam=1.0,
@@ -550,44 +540,40 @@ def oracle_case(request):
     return ops, decompose_model(ops, order="exact")
 
 
-def _dense_pairing(decomp):
-    return 1.0 + np.einsum("ij,ji->i", decomp.d_rows, decomp.c_cols)
-
-
 def test_factored_pairing_matches_dense(oracle_case):
     _, decomp = oracle_case
-    np.testing.assert_allclose(decomp.pairing(), _dense_pairing(decomp), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(decomp.pairing(), pairing(decomp), rtol=0, atol=1e-12)
 
 
 def test_factored_projection_matches_dense(oracle_case):
     ops, decomp = oracle_case
     rho = random_density(np.random.default_rng(11), ops.dim)
-    left = np.eye(decomp.dim2) + decomp.d_rows
-    dense = (left @ decomp.basis.to_frame(rho)) / _dense_pairing(decomp)
+    left = np.eye(decomp.dim2) + columns(decomp)[1]
+    dense = (left @ decomp.basis.to_frame(rho)) / pairing(decomp)
     np.testing.assert_allclose(project_density(decomp, rho).coefficients, dense,
                                rtol=0, atol=1e-12)
 
 
 def test_factored_similarity_residual_matches_dense(oracle_case):
     _, decomp = oracle_case
-    l_full = decomp.liouvillian()
-    omega = decomp.omega()
-    dense = float(np.linalg.norm(l_full @ omega - omega @ decomp.theta_matrix())) \
+    l_full = liouvillian(decomp)
+    sim = omega(decomp)
+    dense = float(np.linalg.norm(l_full @ sim - sim @ theta_matrix(decomp))) \
         / norm_scale(l_full)
     assert abs(similarity_residual(decomp) - dense) <= 1e-12
 
 
 def test_factored_completeness_matches_dense(oracle_case):
     _, decomp = oracle_case
-    right = (np.eye(decomp.dim2) + decomp.c_cols) / _dense_pairing(decomp)
-    dense = float(np.linalg.norm(right @ (np.eye(decomp.dim2) + decomp.d_rows)
-                                 - np.eye(decomp.dim2)))
+    c, d = columns(decomp)
+    right = (np.eye(decomp.dim2) + c) / pairing(decomp)
+    dense = float(np.linalg.norm(right @ (np.eye(decomp.dim2) + d) - np.eye(decomp.dim2)))
     assert abs(completeness_residual(decomp) - dense) <= 1e-12
 
 
 def test_factored_block_residual_matches_dense(oracle_case):
     _, decomp = oracle_case
-    dense = max(np.max(np.abs(np.diag(decomp.c_cols))), np.max(np.abs(np.diag(decomp.d_rows))))
+    dense = max(np.max(np.abs(np.diag(m))) for m in columns(decomp))
     assert abs(block_residual(decomp) - dense) <= 1e-12
 
 
@@ -597,12 +583,21 @@ def test_factored_kinetic_consistency_matches_liouville_route(oracle_case):
     rng = np.random.default_rng(12)
     rho0 = random_density(rng, ops.dim)
     t = 2.3
-    left = np.eye(decomp.dim2) + decomp.d_rows
-    kappa = _dense_pairing(decomp)
+    left = np.eye(decomp.dim2) + columns(decomp)[1]
+    kappa = pairing(decomp)
     exact = (left @ decomp.basis.to_frame(evolve_exact(h, rho0, t))) / kappa
     kinetic = np.exp(-1j * decomp.energies * t) * (left @ decomp.basis.to_frame(rho0)) / kappa
     dense = float(np.linalg.norm(decomp.basis.from_frame(exact - kinetic), ord=2))
     assert abs(kinetic_consistency_residual(decomp, h, rho0, t) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_verify_residuals_refuse_perturbative_orders(gen_ops, order):
+    # the residuals read (psi, psi~, z); a perturbative order has none
+    decomp = decompose_model(gen_ops, order=order)
+    for residual in (similarity_residual, completeness_residual, block_residual):
+        with pytest.raises(ValueError, match=f"{residual.__name__} .* order {order}$"):
+            residual(decomp)
 
 
 def _traced_peak_mb(fn) -> float:
@@ -641,8 +636,8 @@ def test_exact_decompose_and_classify_stay_small_at_d48():
 
 
 def test_first_order_decompose_and_classify_stay_small_at_d48():
-    # order 1 keeps two d x d factors where the dense route built v1,
-    # c_cols and d_rows, 85 MB each
+    # order 1 keeps two d x d factors where the dense route builds L1 and
+    # the creation columns and destruction rows, 85 MB each
     ops = _general_ops(2)
     assert ops.dim == 48
     assert _decompose_and_classify_peak_mb(ops, "1") < 40
@@ -660,41 +655,11 @@ def test_second_order_swap_calibration_stays_small_at_d48():
 
 def test_second_order_decompose_holds_five_dense_arrays_at_d32():
     # one dense d^2 x d^2 complex array at d = 32 is 16 MB; the build holds
-    # c_cols, d_rows, the dyad resolvent and one temporary at its peak
+    # its creation columns, destruction rows, the dyad resolvent and one
+    # temporary at its peak
     ops = _general_ops(1)
     assert ops.dim == 32
     assert _traced_peak_mb(lambda: decompose_model(ops, order="2")) < 80
-
-
-# Dense oracle for the perturbative orders: the stationary-resolvent series
-# built from the d^2 x d^2 interaction Liouvillian L1 = [h1_f, .], with an
-# O(d^6) L1 @ c product at order 2.
-def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
-    """(c_cols, d_rows, energies, kappa) of the dense series, or ResonanceError."""
-    basis = liouville_basis(h0)
-    f = basis.f_vectors
-    v1 = commutator_superop(f.conj().T @ np.asarray(h1, dtype=complex) @ f)
-    e0 = basis.e0
-    gap = np.abs(e0[None, :] - e0[:, None])
-    degenerate = gap <= tol * max(1.0, float(np.max(np.abs(e0))))
-    coupling = np.abs(lam * v1) > DEFAULT_TOL * max(1.0, float(np.linalg.norm(lam * v1)))
-    resonant = degenerate & coupling & ~np.eye(e0.shape[0], dtype=bool)
-    if eta == 0.0 and resonant.any():
-        rows, cols = np.nonzero(resonant)
-        raise ResonanceError([(basis.nu_indices[r], basis.nu_indices[c])
-                              for r, c in zip(rows, cols)])
-    # delta[mu, nu] = E0_nu - E0_mu + i eta
-    delta = e0[None, :] - e0[:, None] + 1j * eta
-    blocked = degenerate if eta == 0.0 else np.eye(e0.shape[0], dtype=bool)
-    inv = np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, delta))
-    c = lam * v1 * inv
-    d = lam * v1 * inv.T
-    if order == "2":
-        c = c + lam * (v1 @ c) * inv
-        d = d + lam * (d @ v1) * inv.T
-    energies = e0 + lam * np.diag(v1) + lam * np.einsum("ij,ji->i", v1, c)
-    kappa = 1.0 + np.einsum("ij,ji->i", d, c)
-    return c, d, energies, kappa
 
 
 def assert_matches_dense(decomp, oracle, rho, scaled=False):
@@ -703,8 +668,8 @@ def assert_matches_dense(decomp, oracle, rho, scaled=False):
     c, d, energies, kappa = oracle
     rho_f = decomp.basis.to_frame(rho)
     pairs = {
-        "c_cols": (decomp.c_cols, c),
-        "d_rows": (decomp.d_rows, d),
+        "creation columns": (columns(decomp)[0], c),
+        "destruction rows": (columns(decomp)[1], d),
         "energies": (decomp.energies, energies),
         "pairing": (decomp.pairing(), kappa),
         "project_density": (project_density(decomp, rho).coefficients,
