@@ -13,10 +13,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import as_complex_matrix, is_hermitian, sqrtm_psd
+from .linalg import DefectiveMatrixError, as_complex_matrix, eig, psd_factor
 from .models import ModelOperators, canonical_initial_state
-from .subdynamics import Decomposition, decompose_model, evolve_grid, project_density
+from .subdynamics import Decomposition, decompose_model, project_density
 
 DF = "DF"
 PHASE_ERROR = "PE"
@@ -65,15 +66,6 @@ class DFReport:
         return tuple(self.verdicts[c] for c in CELLS)
 
 
-def fidelity(rho_a, rho_b, tol: float = 1e-9) -> float:
-    """Density-matrix fidelity Tr sqrt(sqrt(a) b sqrt(a))."""
-    a = as_complex_matrix(rho_a, "rho_a")
-    b = as_complex_matrix(rho_b, "rho_b")
-    root = sqrtm_psd(a, tol)
-    inner = root @ b @ root
-    return float(np.trace(sqrtm_psd(inner, tol)).real)
-
-
 def check_diagonal_condition(decomp: Decomposition) -> float:
     """Residual of P_nu L1 Q_nu = 0 for every nu: largest off-diagonal
     interaction element in the dyad frame.
@@ -112,6 +104,40 @@ def fidelity_trace(decomp: Decomposition, rho0, times=None) -> FidelityTrace:
     return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
 
 
+def _state_flow(hamiltonian, u: np.ndarray, f: np.ndarray):
+    """Free-frame factors of rho(t) = e^{-iHt} u u^dagger e^{+iHt}.
+
+    Returns (hermitian, flow) where flow(t) gives (ket, bra) with
+    F^dagger rho(t) F = ket @ bra, ket d x r and bra r x d. One eigen-
+    decomposition H = R diag(z) R^-1 serves every t at O(d^2 r) a step:
+    ket = (F^dagger R)(e^{-izt} R^-1 u) and bra = (u^dagger R) e^{+izt} (R^-1 F),
+    which is ket^dagger when H is Hermitian. A defective H, never Hermitian,
+    takes two d x d exponentials per t instead.
+    """
+    h = as_complex_matrix(hamiltonian, "hamiltonian")
+    fh = f.conj().T
+    try:
+        system = eig(h)
+    except DefectiveMatrixError:
+        def expm_flow(t):
+            return (fh @ (scipy.linalg.expm(-1j * t * h) @ u),
+                    (u.conj().T @ scipy.linalg.expm(1j * t * h)) @ f)
+        return False, expm_flow
+    z = system.values
+    ket_left = fh @ system.right_vectors
+    ket_right = system.left_vectors @ u
+    bra_left = u.conj().T @ system.right_vectors
+    bra_right = system.left_vectors @ f
+
+    def flow(t):
+        ket = ket_left @ (np.exp(-1j * z * t)[:, None] * ket_right)
+        if system.hermitian:
+            return ket, ket.conj().T
+        return ket, (bra_left * np.exp(1j * z * t)[None, :]) @ bra_right
+
+    return system.hermitian, flow
+
+
 def total_space_evidence(decomp: Decomposition, hamiltonian, rho0, times) -> dict[str, float]:
     """Drift of the exact state against free evolution, in the free eigenbasis.
 
@@ -120,39 +146,49 @@ def total_space_evidence(decomp: Decomposition, hamiltonian, rho0, times) -> dic
     The state fidelity against the free-evolved state is also recorded when
     the full Hamiltonian is Hermitian (it isolates pure phase error: moduli
     constant but fidelity below 1).
+
+    rho0 must be Hermitian PSD and is propagated as its rank-r factor
+    rho0 = U U^dagger, so a step costs O(r d^2). The fidelity is the Uhlmann
+    fidelity ||U_free(t)^dagger U(t)||_tr, the singular values of an r x r
+    matrix; for a pure state it is |<phi_free(t)|phi(t)>|.
     """
     basis = decomp.basis
     f = basis.f_vectors
-    rhos = evolve_grid(hamiltonian, rho0, times)
-    sigma0 = f.conj().T @ as_complex_matrix(rho0, "rho0") @ f
+    u = psd_factor(as_complex_matrix(rho0, "rho0"))
+    hermitian, flow = _state_flow(hamiltonian, u, f)
+    g0 = f.conj().T @ u
+    sigma0 = g0 @ g0.conj().T
+    pop0 = np.diagonal(sigma0)
+    mod0 = np.abs(sigma0)
+    ts = np.asarray(times, dtype=np.float64)
     pop_drift = 0.0
     coh_drift = 0.0
-    fid_min = 1.0
-    hermitian = is_hermitian(as_complex_matrix(hamiltonian, "hamiltonian"))
-    diag_idx = np.arange(basis.dim)
-    for k, t in enumerate(np.asarray(times, dtype=np.float64)):
-        sigma = f.conj().T @ rhos[k] @ f
-        pop_drift = max(pop_drift, float(np.max(np.abs(
-            sigma[diag_idx, diag_idx] - sigma0[diag_idx, diag_idx]))))
-        gap = np.abs(sigma) - np.abs(sigma0)
+    overlaps = np.empty((ts.shape[0], u.shape[1], u.shape[1]), dtype=np.complex128)
+    for k, t in enumerate(ts):
+        ket, bra = flow(t)
+        sigma = ket @ bra
+        pop_drift = max(pop_drift, float(np.max(np.abs(np.diagonal(sigma) - pop0))))
+        gap = np.abs(sigma) - mod0
         np.fill_diagonal(gap, 0.0)
         coh_drift = max(coh_drift, float(np.max(np.abs(gap))))
         if hermitian:
-            phases = np.exp(-1j * basis.f_values * t)
-            sigma_free = (phases[:, None] * sigma0) * phases.conj()[None, :]
-            rho_free = f @ sigma_free @ f.conj().T
-            fid_min = min(fid_min, fidelity(rho_free, rhos[k]))
+            overlaps[k] = (g0.conj().T * np.exp(1j * basis.f_values * t)[None, :]) @ ket
+    fid_min = float("nan")
+    if hermitian:
+        fidelities = np.linalg.svd(overlaps, compute_uv=False).sum(axis=-1)
+        fid_min = float(np.min(fidelities, initial=1.0))
     return {
         "population_drift": pop_drift,
         "coherence_modulus_drift": coh_drift,
-        "fidelity_vs_free_min": fid_min if hermitian else float("nan"),
+        "fidelity_vs_free_min": fid_min,
     }
 
 
 def projected_space_evidence(decomp: Decomposition) -> dict[str, float]:
     """Kinetic eigenvalue structure split into population and coherence dyads."""
     shift = spectral_shift(decomp)
-    pop = np.array([nu.is_population for nu in decomp.basis.nu_indices])
+    # vec of the identity: True on the population dyads nu = (i, i)
+    pop = np.eye(decomp.basis.dim, dtype=bool).ravel(order="F")
     return {
         "population_dyad_shift": float(np.max(np.abs(decomp.energies[pop]))),
         "coherence_dyad_shift": float(np.max(np.abs(shift[~pop].real))),

@@ -224,13 +224,16 @@ def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
     The estimate is 16 ((steps + 32) d^2 + 4 d^4) bytes, the d^4 term only
-    for order 2. The d^2 term covers evolve_grid's (steps, d, d) stack,
-    fidelity_trace's steps x d^2 exponent table and the d x d eigen data;
-    the d^4 term covers order 2's dyad resolvent, its dense series (creation
-    columns and destruction rows) and the temporary that builds them.
-    tracemalloc peaks of runner.run are 16 (steps + 27..31) d^2 bytes plus
-    16 (3.3..3.5) d^4 at order 2, for every model kind from d = 16 up; below
-    that a fixed ~0.1 MB dominates.
+    for order 2. The d^2 term covers fidelity_trace's steps x d^2 exponent
+    table and the d x d eigen data; the d^4 term covers order 2's dyad
+    resolvent, its dense series (creation columns and destruction rows) and
+    the temporary that builds them. classify's total-space evidence holds no
+    (steps, d, d) stack of density matrices, only d x d matrices and the
+    state's d x r factor per time step. tracemalloc peaks of runner.run are
+    16 (steps + 12..18) d^2 bytes plus 16 (3.3..3.5) d^4 at order 2, for
+    every model kind from d = 16 up; below that a fixed ~0.1 MB dominates.
+    The constants were measured when classify still held that stack
+    (16 (steps + 27..31) d^2), so the estimate errs on the high side.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0

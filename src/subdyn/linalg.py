@@ -171,22 +171,25 @@ def eig(matrix, hermitian: bool | None = None, tol: float = DEFAULT_TOL) -> Eige
     return EigenSystem(values=values, right_vectors=right, left_vectors=left, hermitian=False)
 
 
-def sqrtm_psd(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root via eigh.
+def psd_factor(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Factor U with U U^dagger = M for a Hermitian PSD matrix M, via one eigh.
 
-    Eigenvalues in [-tol * scale, 0) are clipped to zero; anything more
-    negative raises NotPositiveSemidefiniteError.
+    U has one column sqrt(w_k) v_k per eigenvalue w_k above
+    d * eps * max|w|, the numerical rank of numpy.linalg.matrix_rank, so a
+    pure state gives a d x 1 factor. Eigenvalues in [-tol * scale, 0) count
+    as zero; anything more negative raises NotPositiveSemidefiniteError.
     """
     m = as_complex_matrix(matrix)
     if not is_hermitian(m, tol):
-        raise NonHermitianError("sqrtm_psd expects a Hermitian matrix")
+        raise NonHermitianError("psd_factor expects a Hermitian matrix")
     values, vectors = np.linalg.eigh(m)
     floor = -tol * norm_scale(m)
     if values.min(initial=0.0) < floor:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {values.min():.3e} below PSD tolerance {floor:.3e}")
-    clipped = np.clip(values, 0.0, None)
-    return (vectors * np.sqrt(clipped)) @ vectors.conj().T
+    cutoff = m.shape[0] * np.finfo(np.float64).eps * np.max(np.abs(values), initial=0.0)
+    keep = values > cutoff
+    return vectors[:, keep] * np.sqrt(values[keep])
 
 
 def propagator(matrix, t: float) -> np.ndarray:

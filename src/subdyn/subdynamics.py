@@ -23,6 +23,7 @@ the tests, in tests/oracle.py.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -82,11 +83,16 @@ class PhiBasis:
     f_values: np.ndarray
     f_vectors: np.ndarray
     e0: np.ndarray
-    nu_indices: tuple[NuIndex, ...]
 
     @property
     def dim(self) -> int:
         return self.f_values.shape[0]
+
+    @functools.cached_property
+    def nu_indices(self) -> tuple[NuIndex, ...]:
+        """Every dyad label in Liouville-index order, built on first use."""
+        d = self.dim
+        return tuple(NuIndex(i, j) for j in range(d) for i in range(d))
 
     @property
     def dim2(self) -> int:
@@ -113,10 +119,8 @@ def liouville_basis(h0, tol: float = DEFAULT_TOL) -> PhiBasis:
         raise NonHermitianError("free Hamiltonian must be Hermitian")
     system = eig(h, hermitian=True, tol=tol)
     eps = system.values.real
-    d = eps.shape[0]
     e0 = vec(np.subtract.outer(eps, eps)).astype(np.complex128)
-    nus = tuple(NuIndex(i, j) for j in range(d) for i in range(d))
-    return PhiBasis(f_values=eps, f_vectors=system.right_vectors, e0=e0, nu_indices=nus)
+    return PhiBasis(f_values=eps, f_vectors=system.right_vectors, e0=e0)
 
 
 @dataclasses.dataclass(frozen=True)

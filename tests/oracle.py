@@ -7,7 +7,8 @@ theory writes down -- L = diag(E0) + lam [h1_f, .], the creation columns
 c_nu, the destruction rows d_nu, Omega = I + C and the total projectors
 Pi_nu = (P + C)(P + DC)^-1(P + D) -- as dense matrices from a Decomposition,
 so every test can compare a factored expression with its textbook form.
-They cost O(d^4) memory and up to O(d^6) time, so they are for small d only.
+The dense density-matrix fidelity and the total-space evidence loop built on
+it are the reference for subdyn.classify's rank-factored evidence. They cost O(d^4) memory and up to O(d^6) time, so they are for small d only.
 
 Superoperators use the column-stacking convention of subdyn.linalg.vec:
 vec(A X B) = (B^T kron A) vec(X).
@@ -20,8 +21,12 @@ import numpy as np
 from subdyn.linalg import (
     DEFAULT_TOL,
     DEGENERACY_TOL,
+    NonHermitianError,
+    NotPositiveSemidefiniteError,
     as_complex_matrix,
     eig,
+    is_hermitian,
+    norm_scale,
     propagator,
     unvec,
     vec,
@@ -31,6 +36,7 @@ from subdyn.subdynamics import (
     NuIndex,
     PhiBasis,
     ResonanceError,
+    evolve_grid,
     liouville_basis,
 )
 
@@ -242,3 +248,66 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     energies = e0 + lam * np.diag(v1) + lam * np.einsum("ij,ji->i", v1, c)
     kappa = 1.0 + np.einsum("ij,ji->i", d, c)
     return c, d, energies, kappa
+
+
+def sqrtm_psd(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian PSD square root via eigh.
+
+    Eigenvalues in [-tol * scale, 0) are clipped to zero; anything more
+    negative raises NotPositiveSemidefiniteError.
+    """
+    m = as_complex_matrix(matrix)
+    if not is_hermitian(m, tol):
+        raise NonHermitianError("sqrtm_psd expects a Hermitian matrix")
+    values, vectors = np.linalg.eigh(m)
+    floor = -tol * norm_scale(m)
+    if values.min(initial=0.0) < floor:
+        raise NotPositiveSemidefiniteError(
+            f"eigenvalue {values.min():.3e} below PSD tolerance {floor:.3e}")
+    clipped = np.clip(values, 0.0, None)
+    return (vectors * np.sqrt(clipped)) @ vectors.conj().T
+
+
+def fidelity(rho_a, rho_b, tol: float = 1e-9) -> float:
+    """Density-matrix fidelity Tr sqrt(sqrt(a) b sqrt(a))."""
+    a = as_complex_matrix(rho_a, "rho_a")
+    b = as_complex_matrix(rho_b, "rho_b")
+    root = sqrtm_psd(a, tol)
+    inner = root @ b @ root
+    return float(np.trace(sqrtm_psd(inner, tol)).real)
+
+
+def dense_total_space_evidence(decomp: Decomposition, hamiltonian, rho0,
+                               times) -> dict[str, float]:
+    """Total-space drifts and fidelity from d x d density matrices.
+
+    Evolves rho0 itself on the grid (evolve_grid), reads populations and
+    coherence moduli from F^dagger rho(t) F and takes the fidelity against
+    the free-evolved state with two PSD square roots per step: O(steps d^3).
+    """
+    basis = decomp.basis
+    f = basis.f_vectors
+    rhos = evolve_grid(hamiltonian, rho0, times)
+    sigma0 = f.conj().T @ as_complex_matrix(rho0, "rho0") @ f
+    pop_drift = 0.0
+    coh_drift = 0.0
+    fid_min = 1.0
+    hermitian = is_hermitian(as_complex_matrix(hamiltonian, "hamiltonian"))
+    diag_idx = np.arange(basis.dim)
+    for k, t in enumerate(np.asarray(times, dtype=np.float64)):
+        sigma = f.conj().T @ rhos[k] @ f
+        pop_drift = max(pop_drift, float(np.max(np.abs(
+            sigma[diag_idx, diag_idx] - sigma0[diag_idx, diag_idx]))))
+        gap = np.abs(sigma) - np.abs(sigma0)
+        np.fill_diagonal(gap, 0.0)
+        coh_drift = max(coh_drift, float(np.max(np.abs(gap))))
+        if hermitian:
+            phases = np.exp(-1j * basis.f_values * t)
+            sigma_free = (phases[:, None] * sigma0) * phases.conj()[None, :]
+            rho_free = f @ sigma_free @ f.conj().T
+            fid_min = min(fid_min, fidelity(rho_free, rhos[k]))
+    return {
+        "population_drift": pop_drift,
+        "coherence_modulus_drift": coh_drift,
+        "fidelity_vs_free_min": fid_min if hermitian else float("nan"),
+    }

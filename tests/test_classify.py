@@ -1,21 +1,27 @@
 """Four-cell decoherence-free classification on the reference models."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from oracle import dense_total_space_evidence, fidelity
 from subdyn.classify import (
     CELLS,
     DEFAULT_TIMES,
     check_diagonal_condition,
     check_triangular_condition,
     classify,
-    fidelity,
     fidelity_trace,
     spectral_shift,
+    total_space_evidence,
 )
-from subdyn.linalg import random_density
+from subdyn.config import load_config
+from subdyn.linalg import NonHermitianError, NotPositiveSemidefiniteError, random_density
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
-from subdyn.subdynamics import decompose_model, evolve_grid
+from subdyn.subdynamics import decompose, decompose_model, evolve_grid
 
 DIAG = ModelSpec(kind="diagonal", omega0=1.0, omega=1.3, g=0.5, lam=1.0,
                  fock_cutoff=2)
@@ -23,6 +29,10 @@ TRI = ModelSpec(kind="triangular", omega0=1.0, omega=1.3, g=0.4, lam=1.0,
                 fock_cutoff=2, diagonal_in_free=True)
 GEN = ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
                 lam=0.05, bath=((0.9, 0.6),), fock_cutoff=1, bath_cutoff=1)
+GEN48 = ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
+                  lam=0.05, bath=((0.9, 0.6), (0.97, 0.6)), fock_cutoff=2,
+                  bath_cutoff=1)
+GENERAL_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json"
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +185,82 @@ def test_evolve_grid_matches_trace_preservation():
                        np.linspace(0.0, 8.0, 17))
     traces = np.einsum("tii->t", rhos)
     np.testing.assert_allclose(traces, 1.0, atol=1e-10)
+
+
+def _shipped_general():
+    config = load_config(json.loads(GENERAL_CONFIG.read_text()))
+    return config.model, config.times()
+
+
+@pytest.mark.parametrize("case", ["configs/general.json", "general d=48"])
+def test_fidelity_vs_free_min_is_the_pure_state_overlap(case):
+    # the canonical state is pure, so the fidelity against free evolution is
+    # |<e^{-i H0 t} phi | e^{-i H t} phi>|, here from two expm per point
+    spec, times = _shipped_general() if case == "configs/general.json" \
+        else (GEN48, DEFAULT_TIMES)
+    ops = build_model(spec)
+    rho0 = canonical_initial_state(ops)
+    phi = np.linalg.eigh(rho0)[1][:, -1]
+    h = ops.hamiltonian(spec.lam)
+    expected = min(abs(np.vdot(scipy.linalg.expm(-1j * t * ops.h0) @ phi,
+                               scipy.linalg.expm(-1j * t * h) @ phi)) for t in times)
+    got = classify(ops, times=times).evidence["fidelity_vs_free_min"]
+    assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _random_state(rng, dim, rank):
+    if rank is None:
+        return random_density(rng, dim)
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _assert_matches_dense(decomp, h, rho0, times):
+    got = total_space_evidence(decomp, h, rho0, times)
+    want = dense_total_space_evidence(decomp, h, rho0, times)
+    assert set(got) == set(want)
+    for key in ("population_drift", "coherence_modulus_drift"):
+        assert got[key] == pytest.approx(want[key], abs=1e-12), key
+    # NaN on both sides when H is not Hermitian
+    np.testing.assert_allclose(got["fidelity_vs_free_min"],
+                               want["fidelity_vs_free_min"], atol=1e-9)
+
+
+@pytest.mark.parametrize("rank", [1, 2, None], ids=["pure", "rank2", "full"])
+@pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
+def test_total_space_evidence_matches_dense_reference(spec, rank):
+    ops = build_model(spec)
+    rng = np.random.default_rng(17)
+    rho0 = _random_state(rng, ops.dim, rank)
+    assert np.linalg.matrix_rank(rho0) == (ops.dim if rank is None else rank)
+    _assert_matches_dense(decompose_model(ops), ops.hamiltonian(spec.lam), rho0,
+                          np.linspace(0.0, 10.0, 41))
+
+
+@pytest.mark.parametrize("rank", [1, None], ids=["pure", "full"])
+def test_total_space_evidence_defective_hamiltonian(rank):
+    # a Jordan block has no eigenbasis: the factors take the expm route
+    h = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rho0 = np.diag([1.0, 0.0]) if rank == 1 else random_density(np.random.default_rng(4), 2)
+    decomp = decompose(np.diag([0.0, 1.0]), np.zeros((2, 2)))
+    _assert_matches_dense(decomp, h, rho0, np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("spec", [GEN, TRI], ids=["hermitian_h", "non_hermitian_h"])
+@pytest.mark.parametrize("state, error", [
+    ("non_hermitian", NonHermitianError),
+    ("negative", NotPositiveSemidefiniteError),
+])
+def test_total_space_evidence_rejects_invalid_state(spec, state, error):
+    ops = build_model(spec)
+    rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
+    if state == "non_hermitian":
+        rho0[0, 0] = 1.0
+        rho0[0, 1] = 0.5
+    else:
+        rho0[0, 0] = 1.5
+        rho0[1, 1] = -0.5
+    with pytest.raises(error):
+        total_space_evidence(decompose_model(ops), ops.hamiltonian(spec.lam), rho0,
+                             DEFAULT_TIMES)

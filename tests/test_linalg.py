@@ -6,15 +6,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import commutator_superop
+from oracle import commutator_superop, sqrtm_psd
 from subdyn.linalg import (
     DefectiveMatrixError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
     eig,
     propagator,
+    psd_factor,
     random_density,
-    sqrtm_psd,
     tensor,
     unvec,
     vec,
@@ -146,6 +146,23 @@ def test_sqrtm_psd_rejects_negative():
 def test_sqrtm_psd_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         sqrtm_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("rank", [1, 3, 5])
+def test_psd_factor_has_the_numerical_rank(rank):
+    rng = np.random.default_rng(12)
+    a = random_complex(rng, (5, rank))
+    rho = a @ a.conj().T
+    u = psd_factor(rho)
+    assert u.shape == (5, np.linalg.matrix_rank(rho)) == (5, rank)
+    np.testing.assert_allclose(u @ u.conj().T, rho, atol=1e-12)
+
+
+def test_psd_factor_rejects_negative_and_non_hermitian():
+    with pytest.raises(NotPositiveSemidefiniteError):
+        psd_factor(np.diag([1.0, -0.5]))
+    with pytest.raises(NonHermitianError):
+        psd_factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_random_density_is_state():

@@ -6,8 +6,10 @@ import pathlib
 import pytest
 
 from subdyn.config import load_config
+from subdyn.models import build_model, canonical_initial_state
 from subdyn.report import REPORT_NAME
 from subdyn.runner import resolve_output_dir, run
+from subdyn.subdynamics import decompose_model, evolve_projected, project_density
 
 DIAG_MODEL = {"kind": "diagonal", "omega0": 1.0, "omega": 1.3, "g": 0.5,
               "lam": 1.0, "fock_cutoff": 2}
@@ -71,6 +73,31 @@ def test_evolve_payload_unit_fidelity_and_consistency():
     assert len(rows) == 16 * 16
     header_f, rows_f = report.tables["fidelity"]
     assert len(rows_f) == 101
+
+
+@pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("2", 0.05)])
+def test_evolve_tables_match_the_per_dyad_loop(order, eta):
+    # the energies rows and trace drift are array expressions; the per-nu
+    # loop over every evolved state is the reference, and must agree exactly
+    config = make_config("evolve", model=GEN_MODEL, order=order, eta=eta)
+    report = run(config, write=False)
+    ops = build_model(config.model)
+    decomp = decompose_model(ops, order=order, eta=eta)
+    projected = project_density(decomp, canonical_initial_state(ops))
+    rows = []
+    for nu in decomp.basis.nu_indices:
+        k = decomp.basis.liouville_index(nu)
+        e0, e = decomp.basis.e0[k], decomp.energies[k]
+        rows.append((nu.row, nu.col, e0.real, e0.imag, e.real, e.imag,
+                     abs(projected.coefficients[k])))
+    drift = 0.0
+    for t in config.times():
+        evolved = evolve_projected(projected, decomp.energies, float(t))
+        drift = max(drift, abs(evolved.trace - projected.trace))
+    assert report.tables["energies"][1] == rows
+    assert report.payload["trace_drift"] == drift
+    if eta > 0.0:
+        assert drift > 0.0
 
 
 def test_swap_calibration_payload_orders():
