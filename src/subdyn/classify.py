@@ -89,18 +89,18 @@ def check_triangular_condition(decomp: Decomposition) -> float:
     return float(np.max(np.abs(spectral_shift(decomp))))
 
 
-def fidelity_trace(decomp: Decomposition, rho0, times=None) -> FidelityTrace:
-    """Kinetic fidelity of the projected evolution of rho0."""
+def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray,
+                   times=None) -> FidelityTrace:
+    """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu."""
     ts = DEFAULT_TIMES if times is None else np.asarray(times, dtype=np.float64)
-    coeff = project_density(decomp, rho0).coefficients
-    mags = np.abs(coeff)
+    mags = np.abs(coefficients)
     total = mags.sum()
     if total <= 0.0:
         raise ValueError("initial state has no weight on any dyad")
     weights = mags / total
     # sum(weights) is 1 only to rounding, so the deviation from 1 is summed
     # directly: exactly zero when every E_nu is real
-    deviation = (np.exp(np.outer(ts, decomp.energies.imag)) - 1.0) @ weights
+    deviation = (np.exp(np.outer(ts, energies.imag)) - 1.0) @ weights
     return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
 
 
@@ -197,21 +197,20 @@ def projected_space_evidence(decomp: Decomposition) -> dict[str, float]:
     }
 
 
-def _verdict_total(drift: float, tol: float) -> str:
-    return DECOHERES if drift > tol else DF
+def _verdict_total(drift: float) -> str:
+    return DECOHERES if drift > DEFAULT_VERDICT_TOL else DF
 
 
-def _verdict_projected(shift: float, decay: float, tol: float) -> str:
-    if decay > tol:
+def _verdict_projected(shift: float, decay: float) -> str:
+    if decay > DEFAULT_VERDICT_TOL:
         return DECOHERES
-    if shift > tol:
+    if shift > DEFAULT_VERDICT_TOL:
         return PHASE_ERROR
     return DF
 
 
 def classify(ops: ModelOperators, rho0=None, order="exact", eta: float = 0.0,
-             lam: float | None = None, times=None,
-             tol: float = DEFAULT_VERDICT_TOL) -> DFReport:
+             lam: float | None = None, times=None) -> DFReport:
     """Run the four-cell decoherence-free classification for one model."""
     ts = DEFAULT_TIMES if times is None else np.asarray(times, dtype=np.float64)
     state = canonical_initial_state(ops) if rho0 is None else as_complex_matrix(rho0, "rho0")
@@ -223,22 +222,22 @@ def classify(ops: ModelOperators, rho0=None, order="exact", eta: float = 0.0,
     projected = projected_space_evidence(decomp)
     diag_cond = check_diagonal_condition(decomp)
     tri_cond = check_triangular_condition(decomp)
-    trace = fidelity_trace(decomp, state, ts)
+    trace = fidelity_trace(decomp.energies, project_density(decomp, state), ts)
 
-    if diag_cond <= tol:
+    if diag_cond <= DEFAULT_VERDICT_TOL:
         row = "diagonal"
-    elif tri_cond <= tol:
+    elif tri_cond <= DEFAULT_VERDICT_TOL:
         row = "triangular"
     else:
         row = "general"
 
     verdicts = {
-        "stationary_total": _verdict_total(total["population_drift"], tol),
-        "evolution_total": _verdict_total(total["coherence_modulus_drift"], tol),
+        "stationary_total": _verdict_total(total["population_drift"]),
+        "evolution_total": _verdict_total(total["coherence_modulus_drift"]),
         "stationary_proj": _verdict_projected(projected["population_dyad_shift"],
-                                              projected["population_dyad_decay"], tol),
+                                              projected["population_dyad_decay"]),
         "evolution_proj": _verdict_projected(projected["coherence_dyad_shift"],
-                                             projected["coherence_dyad_decay"], tol),
+                                             projected["coherence_dyad_decay"]),
     }
     evidence = dict(total)
     evidence.update(projected)
@@ -246,5 +245,5 @@ def classify(ops: ModelOperators, rho0=None, order="exact", eta: float = 0.0,
     evidence["triangular_condition"] = tri_cond
     evidence["kinetic_fidelity_deviation"] = trace.max_deviation
     return DFReport(kind=ops.spec.kind, order=decomp.order, lam=scale, eta=eta,
-                    tol=tol, verdicts=verdicts, evidence=evidence,
+                    tol=DEFAULT_VERDICT_TOL, verdicts=verdicts, evidence=evidence,
                     interaction_row=row)

@@ -207,6 +207,8 @@ def load_config(source) -> ScenarioConfig:
     for name in ("seed", "tape_spins"):
         if name in raw:
             fields[name] = _coerce_int(raw[name], name)
+            if fields[name] < 0:
+                raise ConfigError(f"{name} must be non-negative")
     for name in ("t_swap", "rotation_angle", "shear_strength"):
         if name in raw:
             fields[name] = _coerce_float(raw[name], name)
@@ -214,8 +216,6 @@ def load_config(source) -> ScenarioConfig:
         fields["output_dir"] = str(raw["output_dir"])
 
     config = ScenarioConfig(**fields)
-    if config.tape_spins < 0:
-        raise ConfigError("tape_spins must be non-negative")
     _check_memory(config)
     return config
 
@@ -223,26 +223,33 @@ def load_config(source) -> ScenarioConfig:
 def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
-    The estimate is 16 ((steps + 32) d^2 + 4 d^4) bytes, the d^4 term only
-    for order 2. The d^2 term covers fidelity_trace's steps x d^2 exponent
-    table and the d x d eigen data; the d^4 term covers order 2's dyad
-    resolvent, its dense series (creation columns and destruction rows) and
-    the temporary that builds them. classify's total-space evidence holds no
-    (steps, d, d) stack of density matrices, only d x d matrices and the
-    state's d x r factor per time step. tracemalloc peaks of runner.run are
-    16 (steps + 12..18) d^2 bytes plus 16 (3.3..3.5) d^4 at order 2, for
-    every model kind from d = 16 up; below that a fixed ~0.1 MB dominates.
-    The constants were measured when classify still held that stack
-    (16 (steps + 27..31) d^2), so the estimate errs on the high side.
+    The estimate is 16 ((steps + 32) d^2 + 4 d^4 + 12 D^2) bytes, the d^4
+    term only for order 2 and the D^2 term only for turing-demo, whose head
+    and tape spins span D = 2^(tape_spins + 1) states. The d^2 term covers
+    fidelity_trace's steps x d^2 exponent table and the d x d eigen data;
+    the d^4 term covers order 2's dyad resolvent, its dense series (creation
+    columns and destruction rows) and the temporary that builds them.
+    classify's total-space evidence holds no (steps, d, d) stack of density
+    matrices, only d x d matrices and the state's d x r factor per time
+    step. tracemalloc peaks of runner.run are 16 (steps + 12..18) d^2 bytes
+    plus 16 (3.3..3.5) d^4 at order 2, for every model kind from d = 16 up;
+    below that a fixed ~0.1 MB dominates. The constants were measured when
+    classify still held that stack (16 (steps + 27..31) d^2), so the
+    estimate errs on the high side. turing-demo builds dense D x D step
+    operators and product bases; its peaks are 16 (9.0..9.5) D^2 bytes from
+    D = 128 to 512.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
     quartic = 4 * d**4 if ordered and config.order == "2" else 0
-    estimate = 16 * ((steps + 32) * d**2 + quartic)
+    tape = 2 ** (config.tape_spins + 1) if config.scenario == "turing-demo" else 0
+    estimate = 16 * ((steps + 32) * d**2 + quartic + 12 * tape**2)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if estimate > budget:
         route = f"order {config.order}" if ordered else "d x d routes"
+        if tape:
+            route = f"tape dimension {tape}"
         raise ConfigError(
             f"{config.scenario} at Hilbert dimension {d} ({route}, {steps} time steps) "
             f"needs an estimated {estimate / 2**20:.6g} MiB, over the budget of "

@@ -7,6 +7,9 @@ of the dyad), a destruction operator D_nu = P_nu D_nu Q_nu (its left
 counterpart), the kinetic eigenvalue E_nu, and the total projector
 Pi_nu = (P + C)(P + DC)^-1(P + D). Collecting the nu columns gives the
 similarity Omega = I + C with L Omega = Omega Theta, Theta = diag(E_nu).
+A state is projected once into its kinetic coefficients c_nu = P_nu Pi_nu
+rho (project_density, a plain vector over the dyads); each coefficient then
+only picks up the phase e^{-i E_nu t}.
 
 All quantities here are expressed in the frame of the free eigenbasis
 (the "phi frame"), where L0 is diagonal; states convert via rho_f = F^dag
@@ -33,7 +36,6 @@ import scipy.optimize
 from .linalg import (
     DEFAULT_TOL,
     DEGENERACY_TOL,
-    DefectiveMatrixError,
     NonHermitianError,
     as_complex_matrix,
     eig,
@@ -139,7 +141,9 @@ class Decomposition:
     Schroedinger eigenvector corrections), and everything it reports is a
     d x d expression in A and A'. Order 2 stores its dense d^2 x d^2
     creation columns and destruction rows as series = (c, d); it is the one
-    order that holds Liouville-sized arrays.
+    order that holds Liouville-sized arrays. The pairings kappa, which every
+    projection divides by, are computed from the stored factors on first
+    use and kept with the instance.
     """
 
     basis: PhiBasis
@@ -158,21 +162,27 @@ class Decomposition:
     def dim2(self) -> int:
         return self.basis.dim2
 
-    def pairing(self) -> np.ndarray:
+    @functools.cached_property
+    def kappa(self) -> np.ndarray:
         """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
 
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
         Order 1: kappa_nu = 1 + (A' A)_ii + (A A')_jj.
+        The cached array is read-only, as every caller shares it;
+        dataclasses.replace builds a new instance with a fresh kappa.
         """
         if self.series is not None:
             c, d = self.series
-            return 1.0 + np.einsum("ij,ji->i", d, c)
-        if self.first_order is not None:
+            kappa = 1.0 + np.einsum("ij,ji->i", d, c)
+        elif self.first_order is not None:
             a, a_dual = self.first_order
-            return vec(1.0 + np.einsum("ia,ai->i", a_dual, a)[:, None]
-                       + np.einsum("jb,bj->j", a, a_dual)[None, :])
-        a = np.diag(self.psi) * np.diag(self.psi_tilde)
-        return vec(1.0 / np.outer(a, a))
+            kappa = vec(1.0 + np.einsum("ia,ai->i", a_dual, a)[:, None]
+                        + np.einsum("jb,bj->j", a, a_dual)[None, :])
+        else:
+            a = np.diag(self.psi) * np.diag(self.psi_tilde)
+            kappa = vec(1.0 / np.outer(a, a))
+        kappa.flags.writeable = False
+        return kappa
 
 
 def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[NuIndex, NuIndex]]:
@@ -263,14 +273,14 @@ def _phi_hamiltonian(basis: PhiBasis, lam: float, h1_f: np.ndarray) -> np.ndarra
     return np.diag(basis.f_values).astype(np.complex128) + lam * h1_f
 
 
-def _exact_factors(h: np.ndarray, tol: float = DEFAULT_TOL):
+def _exact_factors(h: np.ndarray):
     """Matched eigensystem (psi, psi_tilde, z) of the phi-frame Hamiltonian.
 
     Eigenvectors are matched to the free basis by maximum-overlap assignment,
     so each nu tracks the branch continuously connected to its dyad.
     """
     d = h.shape[0]
-    system = eig(h, tol=tol)
+    system = eig(h)
     overlap = np.abs(system.right_vectors)
     rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
     perm = np.empty(d, dtype=int)
@@ -280,7 +290,7 @@ def _exact_factors(h: np.ndarray, tol: float = DEFAULT_TOL):
     z = system.values[perm]
 
     anchors = np.abs(np.diag(psi))
-    if np.min(anchors) < 10 * tol:
+    if np.min(anchors) < 10 * DEFAULT_TOL:
         raise ValueError(
             "eigenvector branch lost its free anchor (interaction too strong "
             f"for dyad tracking; smallest overlap {np.min(anchors):.3e})")
@@ -295,15 +305,14 @@ def normalize_order(order) -> str:
     return text
 
 
-def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0,
-              tol: float = DEFAULT_TOL) -> Decomposition:
+def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Decomposition:
     """Build the full projected-subspace decomposition of H = H0 + lam H1."""
     order = normalize_order(order)
-    basis = liouville_basis(h0, tol)
+    basis = liouville_basis(h0)
     f = basis.f_vectors
     h1_f = f.conj().T @ as_complex_matrix(h1, "h1") @ f
     if order == "exact":
-        psi, psi_tilde, z = _exact_factors(_phi_hamiltonian(basis, lam, h1_f), tol)
+        psi, psi_tilde, z = _exact_factors(_phi_hamiltonian(basis, lam, h1_f))
         energies = vec(np.subtract.outer(z, z))
         return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
                              energies=energies, psi=psi, psi_tilde=psi_tilde, z=z)
@@ -330,11 +339,11 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0,
                          energies=energies, series=(c_cols, d_rows))
 
 
-def decompose_model(ops, order="exact", eta: float = 0.0, lam: float | None = None,
-                    tol: float = DEFAULT_TOL) -> Decomposition:
+def decompose_model(ops, order="exact", eta: float = 0.0,
+                    lam: float | None = None) -> Decomposition:
     """decompose() taking a ModelOperators, defaulting lam to ModelSpec.lam."""
     scale = ops.spec.lam if lam is None else lam
-    return decompose(ops.h0, ops.h1, lam=scale, order=order, eta=eta, tol=tol)
+    return decompose(ops.h0, ops.h1, lam=scale, order=order, eta=eta)
 
 
 def _exact_eigen_data(decomp: Decomposition, check: str):
@@ -410,52 +419,29 @@ def block_residual(decomp: Decomposition) -> float:
     return float(np.max(np.abs(anchors / anchors - 1.0)))
 
 
-@dataclasses.dataclass(frozen=True)
-class ProjectedDensity:
-    """Kinetic coefficients c_nu of a state over the dyad grid."""
+def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
+    """Kinetic coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
 
-    coefficients: np.ndarray
-    basis: PhiBasis
-
-    def reconstruct(self) -> np.ndarray:
-        """sum_nu c_nu |f_i><f_j| as a dense matrix in the original frame."""
-        return self.basis.from_frame(self.coefficients)
-
-    @property
-    def trace(self) -> complex:
-        d = self.basis.dim
-        return complex(self.coefficients[:: d + 1].sum())
-
-
-def project_density(decomp: Decomposition, rho: np.ndarray) -> ProjectedDensity:
-    """Coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
+    Returned as a Liouville-index vector; each coefficient evolves alone,
+    c_nu(t) = e^{-i E_nu t} c_nu(0).
 
     Exact order: c_nu = (psi~ rho_f psi)_ij psi_ii psi~_jj.
     Order 1: c_nu = (rho_f + [A', rho_f])_ij / kappa_nu.
     Order 2: c_nu = (rho_f + d @ rho_f)_nu / kappa_nu with d the series rows.
     """
     rho_f = decomp.basis.to_frame(rho)
-    kappa = decomp.pairing()
+    kappa = decomp.kappa
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
     if decomp.series is not None:
-        coeff = (rho_f + decomp.series[1] @ rho_f) / kappa
-    elif decomp.first_order is not None:
+        return (rho_f + decomp.series[1] @ rho_f) / kappa
+    if decomp.first_order is not None:
         a_dual = decomp.first_order[1]
         x = unvec(rho_f, decomp.basis.dim)
-        coeff = vec(x + a_dual @ x - x @ a_dual) / kappa
-    else:
-        psi, psi_tilde = decomp.psi, decomp.psi_tilde
-        core = psi_tilde @ unvec(rho_f, decomp.basis.dim) @ psi
-        coeff = vec(core * np.outer(np.diag(psi), np.diag(psi_tilde)))
-    return ProjectedDensity(coefficients=coeff, basis=decomp.basis)
-
-
-def evolve_projected(projected: ProjectedDensity, energies: np.ndarray, t: float) -> ProjectedDensity:
-    """Kinetic evolution c_nu(t) = e^{-i E_nu t} c_nu(0)."""
-    phases = np.exp(-1j * energies * t)
-    return ProjectedDensity(coefficients=phases * projected.coefficients,
-                            basis=projected.basis)
+        return vec(x + a_dual @ x - x @ a_dual) / kappa
+    psi, psi_tilde = decomp.psi, decomp.psi_tilde
+    core = psi_tilde @ unvec(rho_f, decomp.basis.dim) @ psi
+    return vec(core * np.outer(np.diag(psi), np.diag(psi_tilde)))
 
 
 def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
@@ -465,29 +451,6 @@ def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
     adjoint when H is not Hermitian.
     """
     return scipy.linalg.expm(-1j * t * h) @ rho @ scipy.linalg.expm(1j * t * h)
-
-
-def evolve_grid(hamiltonian, rho0, times) -> np.ndarray:
-    """rho(t) on a time grid from one eigendecomposition of H.
-
-    The commutator flow e^{-iLt} vec(rho0), factored through
-    e^{-iHt} rho e^{+iHt}; falls back to per-point d x d exponentials when
-    H is defective. Returns an array of shape (len(times), d, d).
-    """
-    h = as_complex_matrix(hamiltonian, "hamiltonian")
-    rho = as_complex_matrix(rho0, "rho0")
-    ts = np.asarray(times, dtype=np.float64)
-    try:
-        system = eig(h)
-    except DefectiveMatrixError:
-        return np.stack([_hilbert_flow(h, rho, float(t)) for t in ts])
-    core = system.left_vectors @ rho @ system.right_vectors
-    out = np.empty((ts.shape[0], h.shape[0], h.shape[0]), dtype=np.complex128)
-    for k, t in enumerate(ts):
-        phases = np.exp(-1j * system.values * t)
-        out[k] = ((system.right_vectors * phases) @ core
-                  @ ((1.0 / phases)[:, None] * system.left_vectors))
-    return out
 
 
 def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
@@ -502,6 +465,6 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")
     lhs = project_density(decomp, _hilbert_flow(h, rho, t))
-    rhs = evolve_projected(project_density(decomp, rho), decomp.energies, t)
-    gap = lhs.coefficients - rhs.coefficients
+    rhs = np.exp(-1j * decomp.energies * t) * project_density(decomp, rho)
+    gap = lhs - rhs
     return float(np.linalg.norm(decomp.basis.from_frame(gap), ord=2))

@@ -17,6 +17,7 @@ vec(A X B) = (B^T kron A) vec(X).
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from subdyn.linalg import (
     DEFAULT_TOL,
@@ -36,7 +37,6 @@ from subdyn.subdynamics import (
     NuIndex,
     PhiBasis,
     ResonanceError,
-    evolve_grid,
     liouville_basis,
 )
 
@@ -281,21 +281,25 @@ def dense_total_space_evidence(decomp: Decomposition, hamiltonian, rho0,
                                times) -> dict[str, float]:
     """Total-space drifts and fidelity from d x d density matrices.
 
-    Evolves rho0 itself on the grid (evolve_grid), reads populations and
-    coherence moduli from F^dagger rho(t) F and takes the fidelity against
-    the free-evolved state with two PSD square roots per step: O(steps d^3).
+    Evolves rho0 itself to each grid point by the sandwich
+    e^{-iHt} rho0 e^{+iHt} of two scipy.linalg.expm exponentials, which needs
+    no eigendecomposition of H, reads populations and coherence moduli from
+    F^dagger rho(t) F and takes the fidelity against the free-evolved state
+    with two PSD square roots per step: O(steps d^3).
     """
     basis = decomp.basis
     f = basis.f_vectors
-    rhos = evolve_grid(hamiltonian, rho0, times)
-    sigma0 = f.conj().T @ as_complex_matrix(rho0, "rho0") @ f
+    h = as_complex_matrix(hamiltonian, "hamiltonian")
+    rho = as_complex_matrix(rho0, "rho0")
+    sigma0 = f.conj().T @ rho @ f
     pop_drift = 0.0
     coh_drift = 0.0
     fid_min = 1.0
-    hermitian = is_hermitian(as_complex_matrix(hamiltonian, "hamiltonian"))
+    hermitian = is_hermitian(h)
     diag_idx = np.arange(basis.dim)
-    for k, t in enumerate(np.asarray(times, dtype=np.float64)):
-        sigma = f.conj().T @ rhos[k] @ f
+    for t in np.asarray(times, dtype=np.float64):
+        rho_t = scipy.linalg.expm(-1j * t * h) @ rho @ scipy.linalg.expm(1j * t * h)
+        sigma = f.conj().T @ rho_t @ f
         pop_drift = max(pop_drift, float(np.max(np.abs(
             sigma[diag_idx, diag_idx] - sigma0[diag_idx, diag_idx]))))
         gap = np.abs(sigma) - np.abs(sigma0)
@@ -305,7 +309,7 @@ def dense_total_space_evidence(decomp: Decomposition, hamiltonian, rho0,
             phases = np.exp(-1j * basis.f_values * t)
             sigma_free = (phases[:, None] * sigma0) * phases.conj()[None, :]
             rho_free = f @ sigma_free @ f.conj().T
-            fid_min = min(fid_min, fidelity(rho_free, rhos[k]))
+            fid_min = min(fid_min, fidelity(rho_free, rho_t))
     return {
         "population_drift": pop_drift,
         "coherence_modulus_drift": coh_drift,

@@ -19,7 +19,7 @@ from subdyn.models import ModelSpec, block_eigensolve, build_model, \
 from subdyn.report import REPORT_NAME
 from subdyn.runner import run
 from subdyn.subdynamics import decompose, decompose_model, \
-    kinetic_consistency_residual, similarity_residual
+    kinetic_consistency_residual, project_density, similarity_residual
 from subdyn.turing import TuringMachine, biorthonormality_residual, \
     bloch_circle_residual, bloch_head, decompose_entangled, isometry_residual, \
     recompose_bloch, rotation_step, shear_step, tape_state, trajectory
@@ -118,7 +118,8 @@ def test_criterion_04_unit_trace_fidelity():
         ops = build_model(spec)
         decomp = decompose_model(ops)
         real_spectrum &= float(np.max(np.abs(decomp.energies.imag))) <= 1e-12
-        trace = fidelity_trace(decomp, canonical_initial_state(ops), times)
+        coeff = project_density(decomp, canonical_initial_state(ops))
+        trace = fidelity_trace(decomp.energies, coeff, times)
         worst = max(worst, trace.max_deviation)
     ok = real_spectrum and worst <= 1e-9
     _criterion(4, "kinetic trace fidelity pinned at one on the 101-point grid",

@@ -21,7 +21,7 @@ from subdyn.classify import (
 from subdyn.config import load_config
 from subdyn.linalg import NonHermitianError, NotPositiveSemidefiniteError, random_density
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
-from subdyn.subdynamics import decompose, decompose_model, evolve_grid
+from subdyn.subdynamics import decompose, decompose_model, project_density
 
 DIAG = ModelSpec(kind="diagonal", omega0=1.0, omega=1.3, g=0.5, lam=1.0,
                  fock_cutoff=2)
@@ -133,7 +133,9 @@ def test_fidelity_of_state_with_itself():
 def test_fidelity_trace_unit_for_hermitian_models():
     for spec in (DIAG, TRI, GEN):
         ops = build_model(spec)
-        trace = fidelity_trace(decompose_model(ops), canonical_initial_state(ops))
+        decomp = decompose_model(ops)
+        trace = fidelity_trace(decomp.energies,
+                               project_density(decomp, canonical_initial_state(ops)))
         assert trace.is_unit(1e-9), spec.kind
         assert trace.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
@@ -142,7 +144,7 @@ def test_fidelity_trace_unit_for_hermitian_models():
 def test_fidelity_trace_decays_with_retarded_regulator():
     ops = build_model(GEN)
     d = decompose_model(ops, order=2, eta=0.3)
-    trace = fidelity_trace(d, canonical_initial_state(ops),
+    trace = fidelity_trace(d.energies, project_density(d, canonical_initial_state(ops)),
                            np.linspace(0.0, 10.0, 41))
     assert np.all(trace.values <= 1.0 + 1e-12)
     assert trace.max_deviation > 1e-6
@@ -152,7 +154,7 @@ def test_fidelity_trace_decays_with_retarded_regulator():
 def test_fidelity_trace_rejects_zero_state():
     d = decompose_model(build_model(DIAG))
     with pytest.raises(ValueError, match="weight"):
-        fidelity_trace(d, np.zeros((d.basis.dim, d.basis.dim)))
+        fidelity_trace(d.energies, project_density(d, np.zeros((d.basis.dim, d.basis.dim))))
 
 
 def test_classify_accepts_explicit_state_and_grid():
@@ -175,16 +177,6 @@ def test_report_records_run_parameters(reports):
     assert rep.order == "exact"
     assert rep.lam == pytest.approx(0.05)
     assert rep.eta == 0.0
-
-
-def test_evolve_grid_matches_trace_preservation():
-    ops = build_model(GEN)
-    rng = np.random.default_rng(5)
-    rho0 = random_density(rng, ops.dim)
-    rhos = evolve_grid(ops.hamiltonian(GEN.lam), rho0,
-                       np.linspace(0.0, 8.0, 17))
-    traces = np.einsum("tii->t", rhos)
-    np.testing.assert_allclose(traces, 1.0, atol=1e-10)
 
 
 def _shipped_general():

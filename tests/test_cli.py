@@ -68,6 +68,14 @@ def test_non_finite_override_is_config_error(tmp_path, capsys, argv):
     assert not (out / REPORT_NAME).exists()
 
 
+@pytest.mark.parametrize("scenario", ["cnot-demo", "verify", "turing-demo"])
+def test_negative_seed_is_config_error(tmp_path, capsys, scenario):
+    out = tmp_path / "run"
+    assert main([scenario, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_value_exit_code(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text(json.dumps({"model": {"kind": "diagonal", "lam": "x"}}))

@@ -165,6 +165,13 @@ def test_tape_spins_nonnegative():
         load_config({**GOOD, "tape_spins": -1})
 
 
+def test_seed_nonnegative():
+    # numpy's generator refuses a negative seed; the document is rejected first
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        load_config({**GOOD, "scenario": "cnot-demo", "seed": -1})
+    assert load_config({**GOOD, "seed": 0}).seed == 0
+
+
 def diagonal_doc(dim, **extra):
     """GOOD's diagonal model at Hilbert dimension dim (fock_cutoff dim/2 - 1)."""
     return {**GOOD, "model": {**GOOD["model"], "fock_cutoff": dim // 2 - 1}, **extra}
@@ -216,17 +223,35 @@ def _traced_peak(cfg) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dim,order", [(16, "exact"), (16, "1"), (16, "2"),
-                                       (32, "exact"), (32, "1"), (32, "2"),
-                                       (82, "exact")])
-def test_memory_estimate_bounds_traced_peak(dim, order):
-    cfg = load_config(diagonal_doc(dim, order=order))
+def turing_doc(tape_spins):
+    return {**GOOD, "scenario": "turing-demo", "tape_spins": tape_spins}
+
+
+MEMORY_CASES = {f"{dim}-{order}": diagonal_doc(dim, order=order)
+                for dim, order in [(16, "exact"), (16, "1"), (16, "2"), (32, "exact"),
+                                   (32, "1"), (32, "2"), (82, "exact")]}
+# turing-demo's head and tape span D = 2^(tape_spins + 1) = 128 and 512 states
+MEMORY_CASES.update({f"turing-tape{n}": turing_doc(n) for n in (6, 8)})
+
+
+@pytest.mark.parametrize("case", list(MEMORY_CASES))
+def test_memory_estimate_bounds_traced_peak(case):
+    cfg = load_config(MEMORY_CASES[case])
     estimate = config_module._check_memory(cfg)
     peak = _traced_peak(cfg)
     assert peak <= estimate
-    if (dim, order) in ((32, "2"), (82, "exact")):
+    if case in ("32-2", "82-exact", "turing-tape6", "turing-tape8"):
         # tight enough not to refuse runs that fit
         assert estimate <= 2 * peak
+
+
+def test_turing_tape_is_priced():
+    # 30 tape spins span D = 2^31 states: dense D x D operators need about
+    # 8e20 bytes, while the diagonal model itself has d = 6
+    with pytest.raises(ConfigError, match=r"turing-demo .*tape dimension 2147483648.*budget"):
+        load_config(turing_doc(30))
+    assert config_module._check_memory(load_config(turing_doc(2))) \
+        == 16 * (32 * 6**2 + 12 * 8**2)
 
 
 def test_load_from_path(tmp_path):

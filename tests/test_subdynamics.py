@@ -1,5 +1,7 @@
 """Projected-subspace engine against brute-force commutator evolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,7 @@ from oracle import (
     theta_matrix,
     total_projector,
 )
-from subdyn.linalg import norm_scale, random_density, unvec
+from subdyn.linalg import norm_scale, random_density, unvec, vec
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
 from subdyn.subdynamics import (
     NuIndex,
@@ -30,8 +32,6 @@ from subdyn.subdynamics import (
     completeness_residual,
     decompose,
     decompose_model,
-    evolve_grid,
-    evolve_projected,
     kinetic_consistency_residual,
     liouville_basis,
     normalize_order,
@@ -256,11 +256,10 @@ def test_projected_evolution_reconstructs_projected_exact_state(gen_ops, gen_exa
     rng = np.random.default_rng(3)
     rho0 = random_density(rng, gen_ops.dim)
     t = 2.7
-    kinetic = evolve_projected(project_density(gen_exact, rho0),
-                               gen_exact.energies, t)
+    kinetic = np.exp(-1j * gen_exact.energies * t) * project_density(gen_exact, rho0)
     exact = project_density(gen_exact, evolve_exact(h, rho0, t))
-    np.testing.assert_allclose(kinetic.reconstruct(), exact.reconstruct(),
-                               atol=1e-10)
+    np.testing.assert_allclose(gen_exact.basis.from_frame(kinetic),
+                               gen_exact.basis.from_frame(exact), atol=1e-10)
 
 
 def test_perturbative_orders_improve_consistency(gen_ops):
@@ -276,9 +275,9 @@ def test_perturbative_orders_improve_consistency(gen_ops):
 def test_projected_trace_is_population_sum(gen_ops, gen_exact):
     rng = np.random.default_rng(5)
     rho = random_density(rng, gen_ops.dim)
-    projected = project_density(gen_exact, rho)
-    np.testing.assert_allclose(np.trace(projected.reconstruct()),
-                               projected.trace, atol=1e-12)
+    coeff = project_density(gen_exact, rho)
+    np.testing.assert_allclose(np.trace(gen_exact.basis.from_frame(coeff)),
+                               coeff[:: gen_ops.dim + 1].sum(), atol=1e-12)
 
 
 def test_project_density_free_theory(gen_ops):
@@ -286,12 +285,11 @@ def test_project_density_free_theory(gen_ops):
     decomp = decompose_model(gen_ops, lam=0.0, order="exact")
     rng = np.random.default_rng(6)
     rho = random_density(rng, gen_ops.dim)
-    projected = project_density(decomp, rho)
-    np.testing.assert_allclose(projected.coefficients,
-                               decomp.basis.to_frame(rho), atol=1e-12)
-    np.testing.assert_allclose(projected.reconstruct(), rho, atol=1e-12)
+    coeff = project_density(decomp, rho)
+    np.testing.assert_allclose(coeff, decomp.basis.to_frame(rho), atol=1e-12)
+    np.testing.assert_allclose(decomp.basis.from_frame(coeff), rho, atol=1e-12)
     pure = np.outer(decomp.basis.f_vectors[:, 0], decomp.basis.f_vectors[:, 0].conj())
-    coeff = project_density(decomp, pure).coefficients
+    coeff = project_density(decomp, pure)
     expected = np.zeros(decomp.dim2)
     expected[0] = 1.0
     np.testing.assert_allclose(coeff, expected, atol=1e-12)
@@ -306,7 +304,7 @@ def test_project_density_matches_spectral_projector_oracle(gen_ops, gen_exact):
     for nu in gen_exact.basis.nu_indices:
         k = gen_exact.basis.liouville_index(nu)
         coeff[k] = (projs[nu.row] @ x @ projs[nu.col])[nu.row, nu.col]
-    got = project_density(gen_exact, rho).coefficients
+    got = project_density(gen_exact, rho)
     np.testing.assert_allclose(got, coeff, atol=1e-6)
 
 
@@ -319,42 +317,6 @@ def test_evolve_exact_matches_sandwich():
     u = scipy.linalg.expm(-1j * t * h)
     np.testing.assert_allclose(evolve_exact(h, rho0, t), u @ rho0 @ u.conj().T,
                                atol=1e-12)
-
-
-@pytest.mark.parametrize("hermitian", [True, False])
-def test_evolve_grid_matches_pointwise_exact(hermitian):
-    rng = np.random.default_rng(9)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    if hermitian:
-        h = h + h.conj().T
-    rho0 = random_density(rng, 4)
-    times = np.linspace(0.0, 3.0, 7)
-    grid = evolve_grid(h, rho0, times)
-    for k, t in enumerate(times):
-        np.testing.assert_allclose(grid[k], evolve_exact(h, rho0, float(t)),
-                                   atol=1e-9)
-
-
-def test_evolve_grid_defective_fallback():
-    h = np.array([[0.0, 1.0], [0.0, 0.0]])  # Jordan block, defective
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    times = np.array([0.0, 0.5])
-    grid = evolve_grid(h, rho0, times)
-    for k, t in enumerate(times):
-        np.testing.assert_allclose(grid[k], evolve_exact(h, rho0, float(t)),
-                                   atol=1e-12)
-
-
-def test_evolve_grid_defective_fallback_is_the_expm_sandwich():
-    # a Jordan block has no eigenbasis, so the grid takes the per-point
-    # route; the right factor is the inverse of the left one, not its adjoint
-    h = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]], dtype=complex)
-    rho0 = random_density(np.random.default_rng(10), 3)
-    times = np.linspace(0.0, 2.0, 5)
-    grid = evolve_grid(h, rho0, times)
-    for k, t in enumerate(times):
-        u = scipy.linalg.expm(-1j * t * h)
-        np.testing.assert_allclose(grid[k], u @ rho0 @ np.linalg.inv(u), atol=1e-12)
 
 
 def test_creation_resolvent_solves_stationary_equation(gen_ops):
@@ -542,7 +504,25 @@ def oracle_case(request):
 
 def test_factored_pairing_matches_dense(oracle_case):
     _, decomp = oracle_case
-    np.testing.assert_allclose(decomp.pairing(), pairing(decomp), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(decomp.kappa, pairing(decomp), rtol=0, atol=1e-12)
+
+
+def test_kappa_is_computed_once_per_decomposition(gen_exact):
+    kappa = gen_exact.kappa
+    assert gen_exact.kappa is kappa
+    assert not kappa.flags.writeable
+    # tripling psi's column 1 triples the anchor a_1 = psi_11 psi~_11; the
+    # replaced decomposition reads kappa_nu = 1/(a_i a_j) from its own anchors
+    psi = gen_exact.psi.copy()
+    psi[:, 1] *= 3.0
+    rescaled = dataclasses.replace(gen_exact, psi=psi)
+    a = np.diag(gen_exact.psi) * np.diag(gen_exact.psi_tilde)
+    a[1] *= 3.0
+    np.testing.assert_allclose(rescaled.kappa, vec(1.0 / np.outer(a, a)), rtol=1e-14, atol=0)
+    # nu = (1, 1) carries the anchor twice
+    k = 1 + gen_exact.basis.dim
+    np.testing.assert_allclose(rescaled.kappa[k], kappa[k] / 9.0, rtol=1e-14, atol=0)
+    assert gen_exact.kappa is kappa
 
 
 def test_factored_projection_matches_dense(oracle_case):
@@ -550,8 +530,7 @@ def test_factored_projection_matches_dense(oracle_case):
     rho = random_density(np.random.default_rng(11), ops.dim)
     left = np.eye(decomp.dim2) + columns(decomp)[1]
     dense = (left @ decomp.basis.to_frame(rho)) / pairing(decomp)
-    np.testing.assert_allclose(project_density(decomp, rho).coefficients, dense,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(project_density(decomp, rho), dense, rtol=0, atol=1e-12)
 
 
 def test_factored_similarity_residual_matches_dense(oracle_case):
@@ -671,9 +650,8 @@ def assert_matches_dense(decomp, oracle, rho, scaled=False):
         "creation columns": (columns(decomp)[0], c),
         "destruction rows": (columns(decomp)[1], d),
         "energies": (decomp.energies, energies),
-        "pairing": (decomp.pairing(), kappa),
-        "project_density": (project_density(decomp, rho).coefficients,
-                            (rho_f + d @ rho_f) / kappa),
+        "pairing": (decomp.kappa, kappa),
+        "project_density": (project_density(decomp, rho), (rho_f + d @ rho_f) / kappa),
     }
     for name, (got, want) in pairs.items():
         atol = 1e-12 * (max(1.0, float(np.max(np.abs(want)))) if scaled else 1.0)
