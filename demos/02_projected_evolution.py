@@ -21,10 +21,10 @@ SPEC = ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
 def main() -> None:
     ops = build_model(SPEC)
     decomp = decompose_model(ops)
-    h = ops.hamiltonian(SPEC.lam)
+    h = ops.hamiltonian()
     rng = np.random.default_rng(1)
 
-    print(f"general model, dim {ops.dim}, Liouville dim {decomp.dim2}")
+    print(f"general model, dim {ops.dim}, Liouville dim {decomp.basis.dim ** 2}")
     worst = 0.0
     for k in range(5):
         rho0 = random_density(rng, ops.dim)

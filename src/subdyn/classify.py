@@ -26,6 +26,8 @@ CELLS = ("stationary_total", "evolution_total", "stationary_proj", "evolution_pr
 
 DEFAULT_TIMES = np.linspace(0.0, 20.0, 81)
 DEFAULT_VERDICT_TOL = 1e-8
+# Largest |F(t) - 1| a kinetic fidelity trace may show and still count as unit.
+FIDELITY_UNIT_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,8 +47,8 @@ class FidelityTrace:
     def max_deviation(self) -> float:
         return float(np.max(np.abs(self.values - 1.0)))
 
-    def is_unit(self, tol: float = 1e-9) -> bool:
-        return self.max_deviation <= tol
+    def is_unit(self) -> bool:
+        return self.max_deviation <= FIDELITY_UNIT_TOL
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,14 +211,16 @@ def _verdict_projected(shift: float, decay: float) -> str:
     return DF
 
 
-def classify(ops: ModelOperators, rho0=None, order="exact", eta: float = 0.0,
-             lam: float | None = None, times=None) -> DFReport:
-    """Run the four-cell decoherence-free classification for one model."""
+def classify(ops: ModelOperators, order="exact", eta: float = 0.0, times=None) -> DFReport:
+    """Run the four-cell decoherence-free classification for one model.
+
+    The state is the model's canonical initial state and the scale its own
+    ModelSpec.lam; total_space_evidence takes any other state.
+    """
     ts = DEFAULT_TIMES if times is None else np.asarray(times, dtype=np.float64)
-    state = canonical_initial_state(ops) if rho0 is None else as_complex_matrix(rho0, "rho0")
-    scale = ops.spec.lam if lam is None else lam
-    decomp = decompose_model(ops, order=order, eta=eta, lam=scale)
-    h_full = ops.hamiltonian(scale)
+    state = canonical_initial_state(ops)
+    decomp = decompose_model(ops, order=order, eta=eta)
+    h_full = ops.hamiltonian()
 
     total = total_space_evidence(decomp, h_full, state, ts)
     projected = projected_space_evidence(decomp)
@@ -244,6 +248,6 @@ def classify(ops: ModelOperators, rho0=None, order="exact", eta: float = 0.0,
     evidence["diagonal_condition"] = diag_cond
     evidence["triangular_condition"] = tri_cond
     evidence["kinetic_fidelity_deviation"] = trace.max_deviation
-    return DFReport(kind=ops.spec.kind, order=decomp.order, lam=scale, eta=eta,
+    return DFReport(kind=ops.spec.kind, order=decomp.order, lam=decomp.lam, eta=eta,
                     tol=DEFAULT_VERDICT_TOL, verdicts=verdicts, evidence=evidence,
                     interaction_row=row)

@@ -17,7 +17,7 @@ from .config import SCENARIOS, ConfigError, load_config, read_config
 from .linalg import DefectiveMatrixError, NotPositiveSemidefiniteError
 from .report import REPORT_NAME, RunReport
 from .runner import resolve_output_dir, run
-from .subdynamics import ResonanceError
+from .subdynamics import ORDERS, ResonanceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON scenario config (defaults to a diagonal model)")
         p.add_argument("--out", type=pathlib.Path, default=None,
                        help="output directory for report.json and CSV tables")
-        p.add_argument("--order", choices=("exact", "1", "2"), default=None,
+        p.add_argument("--order", choices=ORDERS, default=None,
                        help="override the perturbative order")
         p.add_argument("--eta", type=float, default=None,
                        help="override the regularisation parameter")

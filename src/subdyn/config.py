@@ -19,9 +19,10 @@ from .models import MODEL_KINDS, ModelSpec
 from .subdynamics import normalize_order
 
 SCENARIOS = ("classify", "evolve", "swap-calibrate", "cnot-demo", "turing-demo", "verify")
-# Scenarios that read the time grid, and those of them that decompose at the
-# configured order (verify runs the exact order, swap-calibrate the exact
-# order and order 1, both on d x d factors).
+# Scenarios that read the time grid and start from the model's canonical
+# initial state, and those of them that decompose at the configured order
+# (verify runs the exact order, swap-calibrate the exact order and order 1,
+# both on d x d factors).
 _GRID_SCENARIOS = ("classify", "evolve", "verify")
 _ORDERED_SCENARIOS = ("classify", "evolve")
 
@@ -180,6 +181,9 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError(f"unknown scenario {scenario!r}{hint}")
 
     model = _build_model(raw["model"])
+    if scenario in _GRID_SCENARIOS and model.kind == "diagonal" and model.fock_cutoff < 1:
+        raise ConfigError(f"{scenario} starts from the diagonal model's reference state, "
+                          "which needs model.fock_cutoff >= 1")
     fields: dict = {"scenario": scenario, "model": model}
 
     if "order" in raw:

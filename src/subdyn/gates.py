@@ -5,8 +5,9 @@ shifts the kinetic eigenvalues E_nu away from E0_nu and the gate dephases.
 When the shifts are homogeneous (E0_nu / dE_nu constant across nu) a single
 timing correction delta_t restores every phase simultaneously; calibration
 solves that phase-matching condition and falls back to least squares
-otherwise. The CNOT is built over four right kets with exact biorthonormal
-duals, so non-orthogonal (rigged) bases work unchanged.
+otherwise; ratios that agree to HOMOGENEITY_TOL count as homogeneous. The
+CNOT is built over four right kets with their duals computed exactly, so
+non-orthogonal (rigged) bases work unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from .subdynamics import decompose
 
 CNOT_PERMUTATION = (0, 1, 3, 2)
 GATE_LABELS = ("00", "01", "10", "11")
+# Largest relative spread of the per-nu ratios E0/dE still counted as homogeneous.
+HOMOGENEITY_TOL = 1e-6
+# Largest entry of |left @ right - I| accepted for the computed CNOT duals.
+DUAL_TOL = 1e-12
+# Largest residual entry verify_closure accepts.
+CLOSURE_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,15 +100,13 @@ def _newton_polish(e0: np.ndarray, energies: np.ndarray, t_sw: float,
 
 
 def calibrate_timing(energies_free, energies_int, t_sw: float,
-                     homogeneity_tol: float = 1e-6, order: str = "first",
-                     branch: int = 0) -> SwapCalibration:
+                     order: str = "first") -> SwapCalibration:
     """Solve e^{-i E0 t_sw} = e^{-i E (t_sw + delta_t)} for one delta_t.
 
     With homogeneous shifts dE = E0 / ratio the principal solution is
-    delta_t = -t_sw / (ratio + 1); a nonzero branch adds 2 pi k through the
-    mean energy (only exact when the populated energies are commensurate).
-    Inhomogeneous shifts get the least-squares delta_t with the residual
-    reporting how far from cancellation the gate stays.
+    delta_t = -t_sw / (ratio + 1). Inhomogeneous shifts get the
+    least-squares delta_t with the residual reporting how far from
+    cancellation the gate stays.
     """
     e0 = np.atleast_1d(np.asarray(energies_free, dtype=np.float64))
     energies = np.atleast_1d(np.asarray(energies_int, dtype=np.complex128))
@@ -130,13 +135,10 @@ def calibrate_timing(energies_free, energies_int, t_sw: float,
         ratios = e0[moved] / shifts[moved]
         ratio = float(np.mean(ratios))
         spread = float(np.max(np.abs(ratios - ratio))) / max(1.0, abs(ratio))
-        homogeneous = spread <= homogeneity_tol
+        homogeneous = spread <= HOMOGENEITY_TOL
 
     if homogeneous:
         delta_t = -t_sw / (ratio + 1.0)
-        if branch:
-            mean_e = float(np.mean(np.abs(energies[moved])))
-            delta_t += 2.0 * math.pi * branch / mean_e
     else:
         # no single delta_t cancels all nu: take the least-squares optimum
         emax = float(np.max(np.abs(energies)))
@@ -160,20 +162,17 @@ def calibrate_timing(energies_free, energies_int, t_sw: float,
                            spread=spread, phase_gap=gap)
 
 
-def calibrate_timing_second_order(h0, h1, lam: float, t_sw: float, eta: float = 0.0,
-                                  homogeneity_tol: float = 1e-6) -> SwapCalibration:
+def calibrate_timing_second_order(h0, h1, lam: float, t_sw: float,
+                                  eta: float = 0.0) -> SwapCalibration:
     """Calibration from the second-order kinetic eigenvalues of H0 + lam H1."""
     decomp = decompose(h0, h1, lam=lam, order="1", eta=eta)
-    return calibrate_timing(decomp.basis.e0.real, decomp.energies, t_sw,
-                            homogeneity_tol=homogeneity_tol, order="second")
+    return calibrate_timing(decomp.basis.e0.real, decomp.energies, t_sw, order="second")
 
 
-def calibrate_timing_exact(h0, h1, lam: float, t_sw: float,
-                           homogeneity_tol: float = 1e-6) -> SwapCalibration:
+def calibrate_timing_exact(h0, h1, lam: float, t_sw: float) -> SwapCalibration:
     """Calibration from the exact kinetic eigenvalues (oracle for convergence)."""
     decomp = decompose(h0, h1, lam=lam, order="exact")
-    return calibrate_timing(decomp.basis.e0.real, decomp.energies, t_sw,
-                            homogeneity_tol=homogeneity_tol, order="exact")
+    return calibrate_timing(decomp.basis.e0.real, decomp.energies, t_sw, order="exact")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,19 +195,20 @@ class RLSGate:
         return self.left_states @ self.matrix @ self.right_states
 
 
-def _dual_rows(right: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _dual_rows(right: np.ndarray) -> np.ndarray:
     left = np.linalg.pinv(right)
-    if np.max(np.abs(left @ right - np.eye(right.shape[1]))) > tol:
+    if np.max(np.abs(left @ right - np.eye(right.shape[1]))) > DUAL_TOL:
         raise ValueError("right states are not linearly independent enough for exact duals")
     return left
 
 
-def build_cnot_rls(right_states=None, left_states=None, tol: float = 1e-12) -> RLSGate:
+def build_cnot_rls(right_states=None) -> RLSGate:
     """Controlled-NOT over a biorthonormal four-state family.
 
     CN = |00)(~00| + |01)(~01| + |10)(~11| + |11)(~10|, i.e. the second label
     bit flips when the first is 1. Defaults to the computational basis; any
-    invertible right family works, with duals computed exactly when not given.
+    linearly independent right family works, and its dual rows are the
+    pseudo-inverse, checked to pair with the kets within DUAL_TOL.
     """
     if right_states is None:
         right = np.eye(4, dtype=np.complex128)
@@ -216,33 +216,27 @@ def build_cnot_rls(right_states=None, left_states=None, tol: float = 1e-12) -> R
         right = np.asarray(right_states, dtype=np.complex128)
     if right.ndim != 2 or right.shape[1] != 4 or right.shape[0] < 4:
         raise ValueError("right_states must stack four kets of dimension >= 4 as columns")
-    left = _dual_rows(right, tol) if left_states is None else np.asarray(left_states,
-                                                                         dtype=np.complex128)
-    if left.shape != (4, right.shape[0]):
-        raise ValueError("left_states must stack four dual rows matching the kets")
-    pairing = left @ right
-    if np.max(np.abs(pairing - np.eye(4))) > tol:
-        raise ValueError("left/right pairing is not biorthonormal within tolerance")
+    left = _dual_rows(right)
     matrix = sum(np.outer(right[:, a], left[CNOT_PERMUTATION[a], :]) for a in range(4))
     return RLSGate(right_states=right, left_states=left, matrix=matrix,
                    permutation=CNOT_PERMUTATION)
 
 
-def verify_closure(gate: RLSGate, tol: float = 1e-10) -> bool:
+def verify_closure(gate: RLSGate) -> bool:
     """True iff the gate permutes the right family and the left family.
 
     Checks that the pairing matrix is a permutation matrix and that the gate
     moves no ket or dual out of its span (images rebuilt from the pairing
-    match exactly).
+    match to CLOSURE_TOL).
     """
     pairing = gate.pairing_matrix()
     perm = np.abs(pairing) > 0.5
     if not (perm.sum(axis=0) == 1).all() or not (perm.sum(axis=1) == 1).all():
         return False
-    if np.max(np.abs(pairing - perm.astype(float))) > tol:
+    if np.max(np.abs(pairing - perm.astype(float))) > CLOSURE_TOL:
         return False
     right_images = gate.matrix @ gate.right_states
-    if np.max(np.abs(right_images - gate.right_states @ pairing)) > tol:
+    if np.max(np.abs(right_images - gate.right_states @ pairing)) > CLOSURE_TOL:
         return False
     left_images = gate.left_states @ gate.matrix
-    return bool(np.max(np.abs(left_images - pairing @ gate.left_states)) <= tol)
+    return bool(np.max(np.abs(left_images - pairing @ gate.left_states)) <= CLOSURE_TOL)

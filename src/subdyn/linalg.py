@@ -7,7 +7,6 @@ the column-stacking convention, vec(A X B) = (B^T kron A) vec(X).
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import scipy.linalg
@@ -58,10 +57,10 @@ def norm_scale(matrix: np.ndarray) -> float:
     return max(float(np.linalg.norm(matrix)), 1.0)
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when ||M - M^dagger|| <= tol * scale(M)."""
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """True when ||M - M^dagger|| <= DEFAULT_TOL * scale(M)."""
     m = np.asarray(matrix)
-    return float(np.linalg.norm(m - m.conj().T)) <= tol * norm_scale(m)
+    return float(np.linalg.norm(m - m.conj().T)) <= DEFAULT_TOL * norm_scale(m)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,14 +76,6 @@ class EigenSystem:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     hermitian: bool
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Return sum_i values[i] * |r_i><l_i| as a dense matrix."""
-        return (self.right_vectors * self.values) @ self.left_vectors
 
 
 def eigen_sort_order(values: np.ndarray) -> np.ndarray:
@@ -107,17 +98,15 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix, dtype=np.complex128).reshape(-1, order="F")
 
 
-def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of vec; dim defaults to sqrt of the length."""
+def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of vec for a dim x dim matrix."""
     v = np.asarray(vector, dtype=np.complex128).ravel()
-    if dim is None:
-        dim = math.isqrt(v.size)
     if dim * dim != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape((dim, dim), order="F")
 
 
-def eig(matrix, hermitian: bool | None = None, tol: float = DEFAULT_TOL) -> EigenSystem:
+def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
     """Full eigendecomposition with biorthonormal left/right vectors.
 
     Parameters
@@ -126,10 +115,9 @@ def eig(matrix, hermitian: bool | None = None, tol: float = DEFAULT_TOL) -> Eige
         Square matrix to decompose.
     hermitian : bool, optional
         Force the Hermitian (True) or general (False) path. None detects
-        hermiticity at tolerance `tol`.
-    tol : float
-        Relative tolerance for the hermiticity check and for flagging a
-        defective eigenvector basis.
+        hermiticity with is_hermitian, at the relative tolerance DEFAULT_TOL.
+        The general path flags the eigenvector basis as defective when its
+        condition number exceeds 1 / DEFAULT_TOL.
 
     Returns
     -------
@@ -145,9 +133,9 @@ def eig(matrix, hermitian: bool | None = None, tol: float = DEFAULT_TOL) -> Eige
     """
     m = as_complex_matrix(matrix)
     if hermitian is None:
-        hermitian = is_hermitian(m, tol)
+        hermitian = is_hermitian(m)
     if hermitian:
-        if not is_hermitian(m, tol):
+        if not is_hermitian(m):
             dev = float(np.linalg.norm(m - m.conj().T)) / norm_scale(m)
             raise NonHermitianError(f"hermitian path requested but relative deviation is {dev:.3e}")
         values, vectors = np.linalg.eigh(m)
@@ -164,26 +152,26 @@ def eig(matrix, hermitian: bool | None = None, tol: float = DEFAULT_TOL) -> Eige
     # Left eigenvectors as rows of the inverse: exact biorthonormality by
     # construction, and a singular right basis is what "defective" means here.
     cond = np.linalg.cond(right)
-    if not np.isfinite(cond) or cond > 1.0 / max(tol, 1e-300):
+    if not np.isfinite(cond) or cond > 1.0 / DEFAULT_TOL:
         raise DefectiveMatrixError(
             f"eigenvector basis is numerically defective (condition estimate {cond:.3e})")
     left = np.linalg.inv(right)
     return EigenSystem(values=values, right_vectors=right, left_vectors=left, hermitian=False)
 
 
-def psd_factor(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_factor(matrix) -> np.ndarray:
     """Factor U with U U^dagger = M for a Hermitian PSD matrix M, via one eigh.
 
     U has one column sqrt(w_k) v_k per eigenvalue w_k above
     d * eps * max|w|, the numerical rank of numpy.linalg.matrix_rank, so a
-    pure state gives a d x 1 factor. Eigenvalues in [-tol * scale, 0) count
-    as zero; anything more negative raises NotPositiveSemidefiniteError.
+    pure state gives a d x 1 factor. Eigenvalues in [-DEFAULT_TOL * scale, 0)
+    count as zero; anything more negative raises NotPositiveSemidefiniteError.
     """
     m = as_complex_matrix(matrix)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NonHermitianError("psd_factor expects a Hermitian matrix")
     values, vectors = np.linalg.eigh(m)
-    floor = -tol * norm_scale(m)
+    floor = -DEFAULT_TOL * norm_scale(m)
     if values.min(initial=0.0) < floor:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {values.min():.3e} below PSD tolerance {floor:.3e}")

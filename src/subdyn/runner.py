@@ -89,8 +89,7 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
     # array may differ in the last bit
     trace_drift = float(np.max(np.hypot(gaps.real, gaps.imag), initial=0.0))
     mid_t = float(times[len(times) // 2])
-    consistency = kinetic_consistency_residual(
-        decomp, ops.hamiltonian(config.model.lam), rho0, mid_t)
+    consistency = kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, mid_t)
 
     fidelity_rows = [(float(t), float(v)) for t, v in zip(trace.times, trace.values)]
     # row k = i + d j lists the dyad nu = (i, j)
@@ -248,7 +247,7 @@ def _run_verify(config: ScenarioConfig, ops: ModelOperators):
     checks.append(("pairing_nonsingular", float(1.0 - np.min(np.abs(decomp.kappa))), 0.5))
     checks.append(("block_structure", block_residual(decomp), 1e-12))
 
-    h_full = ops.hamiltonian(config.model.lam)
+    h_full = ops.hamiltonian()
     consistency = 0.0
     for _ in range(3):
         rho0 = random_density(rng, ops.dim)

@@ -48,11 +48,15 @@ ORDERS = ("exact", "1", "2")
 
 
 class ResonanceError(ValueError):
-    """Degenerate free eigenvalues coupled by the interaction at eta = 0."""
+    """Degenerate free eigenvalues coupled by the interaction at eta = 0.
 
-    def __init__(self, pairs: list[tuple["NuIndex", "NuIndex"]]):
+    pairs lists the coupled dyads as ((i, j), (k, l)) tuples of free-basis
+    indices.
+    """
+
+    def __init__(self, pairs: list[tuple[tuple[int, int], tuple[int, int]]]):
         self.pairs = pairs
-        shown = ", ".join(f"{a.as_tuple()}<->{b.as_tuple()}" for a, b in pairs[:4])
+        shown = ", ".join(f"{a}<->{b}" for a, b in pairs[:4])
         more = "" if len(pairs) <= 4 else f" (+{len(pairs) - 4} more)"
         super().__init__(
             f"resonant nu pairs with coupled degenerate free eigenvalues: {shown}{more}; "
@@ -60,26 +64,12 @@ class ResonanceError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class NuIndex:
-    """Dyad label nu = (i, j) for |f_i><f_j|, indices into the sorted basis."""
-
-    row: int
-    col: int
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.row, self.col)
-
-    @property
-    def is_population(self) -> bool:
-        return self.row == self.col
-
-
-@dataclasses.dataclass(frozen=True)
 class PhiBasis:
     """Free eigenframe: H0 eigenpairs and the induced Liouville dyad grid.
 
-    f_values are sorted ascending; the dyad nu = (i, j) sits at Liouville
-    index i + dim * j (column stacking), listed in nu_indices.
+    f_values are sorted ascending. The dyad nu = (i, j), |f_i><f_j|, sits at
+    Liouville index r = i + dim * j (column stacking), so r % dim and
+    r // dim recover (i, j); e0[r] = eps_i - eps_j.
     """
 
     f_values: np.ndarray
@@ -89,19 +79,6 @@ class PhiBasis:
     @property
     def dim(self) -> int:
         return self.f_values.shape[0]
-
-    @functools.cached_property
-    def nu_indices(self) -> tuple[NuIndex, ...]:
-        """Every dyad label in Liouville-index order, built on first use."""
-        d = self.dim
-        return tuple(NuIndex(i, j) for j in range(d) for i in range(d))
-
-    @property
-    def dim2(self) -> int:
-        return self.e0.shape[0]
-
-    def liouville_index(self, nu: NuIndex) -> int:
-        return nu.row + self.dim * nu.col
 
     def to_frame(self, rho: np.ndarray) -> np.ndarray:
         """Density matrix -> Liouville vector in the free eigenframe."""
@@ -114,12 +91,12 @@ class PhiBasis:
         return f @ unvec(rho_vec, self.dim) @ f.conj().T
 
 
-def liouville_basis(h0, tol: float = DEFAULT_TOL) -> PhiBasis:
+def liouville_basis(h0) -> PhiBasis:
     """Diagonalize a Hermitian free Hamiltonian into the dyad frame."""
     h = as_complex_matrix(h0, "h0")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise NonHermitianError("free Hamiltonian must be Hermitian")
-    system = eig(h, hermitian=True, tol=tol)
+    system = eig(h, hermitian=True)
     eps = system.values.real
     e0 = vec(np.subtract.outer(eps, eps)).astype(np.complex128)
     return PhiBasis(f_values=eps, f_vectors=system.right_vectors, e0=e0)
@@ -158,10 +135,6 @@ class Decomposition:
     first_order: tuple[np.ndarray, np.ndarray] | None = None
     series: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def dim2(self) -> int:
-        return self.basis.dim2
-
     @functools.cached_property
     def kappa(self) -> np.ndarray:
         """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
@@ -185,7 +158,7 @@ class Decomposition:
         return kappa
 
 
-def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[NuIndex, NuIndex]]:
+def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[tuple, tuple]]:
     """Dyad pairs (mu, nu) that L1 = [h1_f, .] couples through a resonant h1_f[x, y].
 
     h1_f[x, y] couples mu = (x, k) to nu = (y, k) and mu = (k, y) to
@@ -197,11 +170,11 @@ def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[NuIndex, Nu
     rows = np.concatenate([(x + d * k).ravel(), (k + d * y).ravel()])
     cols = np.concatenate([(y + d * k).ravel(), (k + d * x).ravel()])
     order = np.lexsort((cols, rows))
-    return [(basis.nu_indices[r], basis.nu_indices[c]) for r, c in zip(rows[order], cols[order])]
+    return [((r % d, r // d), (c % d, c // d))
+            for r, c in zip(rows[order].tolist(), cols[order].tolist())]
 
 
-def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float,
-                    tol: float = DEGENERACY_TOL) -> np.ndarray:
+def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -> np.ndarray:
     """r[k, i] = 1/(eps_i - eps_k + i eta), the resolvent of one dyad index.
 
     r is zero on k = i and, at eta = 0, on every degenerate pair; h1_f
@@ -212,7 +185,7 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float,
     d = eps.shape[0]
     gap = eps[None, :] - eps[:, None]
     if eta == 0.0:
-        blocked = np.abs(gap) <= tol * max(1.0, float(np.max(np.abs(basis.e0))))
+        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(basis.e0))))
         norm2 = 2 * d * float(np.linalg.norm(h1_f)) ** 2 - 2 * abs(np.trace(h1_f)) ** 2
         scale = max(1.0, abs(lam) * math.sqrt(max(norm2, 0.0)))
         resonant = blocked & (np.abs(lam * h1_f) > DEFAULT_TOL * scale)
@@ -224,7 +197,7 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float,
     return np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, gap + 1j * eta))
 
 
-def _dyad_resolvent(basis: PhiBasis, eta: float, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def _dyad_resolvent(basis: PhiBasis, eta: float) -> np.ndarray:
     """1/(E0_nu - E0_mu + i eta) as a [b, a, j, i] tensor, mu = (a, b), nu = (i, j).
 
     Zero on mu = nu and, at eta = 0, on every degenerate pair of dyads; real
@@ -234,7 +207,7 @@ def _dyad_resolvent(basis: PhiBasis, eta: float, tol: float = DEGENERACY_TOL) ->
     e0 = basis.e0.real.reshape(d, d)  # e0[b, a] = eps_a - eps_b
     gap = e0[None, None, :, :] - e0[:, :, None, None]
     if eta == 0.0:
-        blocked = np.abs(gap) <= tol * max(1.0, float(np.max(np.abs(basis.e0))))
+        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(basis.e0))))
         inv = gap
     else:
         blocked = np.eye(d * d, dtype=bool).reshape(gap.shape)
@@ -339,11 +312,9 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
                          energies=energies, series=(c_cols, d_rows))
 
 
-def decompose_model(ops, order="exact", eta: float = 0.0,
-                    lam: float | None = None) -> Decomposition:
-    """decompose() taking a ModelOperators, defaulting lam to ModelSpec.lam."""
-    scale = ops.spec.lam if lam is None else lam
-    return decompose(ops.h0, ops.h1, lam=scale, order=order, eta=eta)
+def decompose_model(ops, order="exact", eta: float = 0.0) -> Decomposition:
+    """decompose() of a ModelOperators at its own scale ModelSpec.lam."""
+    return decompose(ops.h0, ops.h1, lam=ops.spec.lam, order=order, eta=eta)
 
 
 def _exact_eigen_data(decomp: Decomposition, check: str):

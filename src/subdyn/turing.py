@@ -1,17 +1,19 @@
 """Generalized quantum Turing machine over biorthonormal pseudospin bases.
 
-A machine is one head spin plus n tape spins, each factor carrying its own
-invertible basis matrix S_j whose columns are the right kets and whose
-inverse rows are the exact duals. States evolve as psi -> U psi while duals
-co-evolve as psi~ -> psi~ U^{-1}, so the pairing <psi~|psi> is preserved by
-every invertible step, unitary or not. Expectation values use the pairing
-without conjugation; they can leave the real axis under non-unitary steps
-while the head stays exactly on the Bloch sphere.
+A machine is one head spin (factor 0) plus n tape spins (factors 1..n), each
+factor carrying its own invertible basis matrix S_j whose columns are the
+right kets and whose inverse rows are the exact duals. States evolve as
+psi -> U psi while duals co-evolve as psi~ -> psi~ U^{-1}, so the pairing
+<psi~|psi> is preserved by every invertible step, unitary or not.
+Expectation values use the pairing without conjugation; they can leave the
+real axis under non-unitary steps while the head stays exactly on the Bloch
+sphere.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -19,6 +21,10 @@ import numpy as np
 from .linalg import as_complex_matrix, tensor
 
 PAIRING_TOL = 1e-12
+# Relative tolerance of decompose_entangled's branch checks: a branch with a
+# vanishing pairing must have no amplitude, and populated branches must carry
+# parallel head kets.
+BRANCH_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,29 +32,21 @@ class TuringMachine:
     """Head + tape pseudospins with per-factor biorthonormal bases.
 
     factors[j] is the 2x2 invertible basis matrix of spin j (columns are the
-    right kets |0(j)>, |1(j)>); head_index locates the head factor;
-    evolution optionally stores a default step operator.
+    right kets |0(j)>, |1(j)>); factor 0 is the head, factors 1..n the tape.
+    Product states order the head bit first.
     """
 
     factors: tuple[np.ndarray, ...]
-    head_index: int = 0
-    evolution: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError("machine needs at least the head factor")
-        if not 0 <= self.head_index < len(self.factors):
-            raise ValueError("head_index outside the factor list")
         for j, s in enumerate(self.factors):
             mat = as_complex_matrix(s, f"factor {j}")
             if mat.shape != (2, 2):
                 raise ValueError("every factor is a 2-state pseudospin (2x2 basis)")
             if abs(np.linalg.det(mat)) < 1e-12:
                 raise ValueError(f"factor {j} basis is singular; duals undefined")
-        if self.evolution is not None:
-            u = as_complex_matrix(self.evolution, "evolution")
-            if u.shape != (self.dim, self.dim):
-                raise ValueError("evolution operator does not match the machine dimension")
 
     @property
     def n_tape(self) -> int:
@@ -120,12 +118,6 @@ class BlochVector:
     def purity(self) -> complex:
         return self.x ** 2 + self.y ** 2 + self.z ** 2
 
-    def as_real(self, tol: float = 1e-10) -> tuple[float, float, float]:
-        worst = max(abs(self.x.imag), abs(self.y.imag), abs(self.z.imag))
-        if worst > tol:
-            raise ValueError(f"Bloch components are complex (max imag {worst:.3e})")
-        return (self.x.real, self.y.real, self.z.real)
-
 
 def pairing(psi_dual: np.ndarray, psi: np.ndarray) -> complex:
     """<psi~|psi> without conjugation: the dual row applied to the ket."""
@@ -139,28 +131,25 @@ def bloch_head(psi, psi_dual, machine: TuringMachine) -> BlochVector:
     norm = pairing(bra, ket)
     if abs(norm) < PAIRING_TOL:
         raise ValueError("state pairing vanishes; Bloch vector undefined")
-    lx, ly, lz = generators(machine, machine.head_index)
+    lx, ly, lz = generators(machine, 0)
     return BlochVector(x=complex(bra @ lx @ ket) / norm,
                        y=complex(bra @ ly @ ket) / norm,
                        z=complex(bra @ lz @ ket) / norm)
 
 
-def step(machine: TuringMachine, psi, psi_dual, operator=None) -> tuple[np.ndarray, np.ndarray]:
+def step(machine: TuringMachine, psi, psi_dual, operator) -> tuple[np.ndarray, np.ndarray]:
     """One evolution step: psi -> U psi with the dual moved by U^{-1}.
 
     The pairing is preserved for every invertible U, which is the isometry
     property in the biorthonormal sense.
     """
-    u = machine.evolution if operator is None else operator
-    if u is None:
-        raise ValueError("no step operator: machine.evolution unset and none supplied")
-    u = as_complex_matrix(u, "step operator")
+    u = as_complex_matrix(operator, "step operator")
     ket = u @ np.asarray(psi, dtype=np.complex128)
     bra = np.linalg.solve(u.T, np.asarray(psi_dual, dtype=np.complex128))
     return ket, bra
 
 
-def isometry_residual(machine: TuringMachine, psi, psi_dual, operator=None) -> float:
+def isometry_residual(machine: TuringMachine, psi, psi_dual, operator) -> float:
     """|<psi~'|psi'> - <psi~|psi>| across one step."""
     before = pairing(psi_dual, psi)
     ket, bra = step(machine, psi, psi_dual, operator)
@@ -173,11 +162,11 @@ def rotation_step(machine: TuringMachine, theta: float) -> np.ndarray:
     Conjugated into the head's own basis frame, so it rotates the (y, z)
     Bloch components for any factor basis.
     """
-    s = np.asarray(machine.factors[machine.head_index], dtype=np.complex128)
-    s_inv = machine.inverses()[machine.head_index]
+    s = np.asarray(machine.factors[0], dtype=np.complex128)
+    s_inv = machine.inverses()[0]
     c, sn = np.cos(theta / 2.0), np.sin(theta / 2.0)
     local = s @ np.array([[c, -1j * sn], [-1j * sn, c]], dtype=np.complex128) @ s_inv
-    return _embed(machine, machine.head_index, local)
+    return _embed(machine, 0, local)
 
 
 def shear_step(machine: TuringMachine, strength: float) -> np.ndarray:
@@ -186,10 +175,10 @@ def shear_step(machine: TuringMachine, strength: float) -> np.ndarray:
     Not an isometry of the Hilbert inner product, but the biorthonormal
     pairing survives because the dual co-evolves with the inverse.
     """
-    s = np.asarray(machine.factors[machine.head_index], dtype=np.complex128)
-    s_inv = machine.inverses()[machine.head_index]
+    s = np.asarray(machine.factors[0], dtype=np.complex128)
+    s_inv = machine.inverses()[0]
     local = s @ np.array([[1.0, strength], [0.0, 1.0]], dtype=np.complex128) @ s_inv
-    return _embed(machine, machine.head_index, local)
+    return _embed(machine, 0, local)
 
 
 def trajectory(machine: TuringMachine, psi, psi_dual, operators) -> list[BlochVector]:
@@ -212,85 +201,61 @@ def bloch_circle_residual(points) -> float:
     return max(abs(p.y ** 2 + p.z ** 2 - 1.0) for p in points)
 
 
-def _tape_bitstrings(machine: TuringMachine) -> list[tuple[int, ...]]:
-    return list(itertools.product((0, 1), repeat=machine.n_tape))
-
-
 def tape_state(machine: TuringMachine, bits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Product tape ket and dual row for one bitstring (head factor excluded)."""
+    """Product tape ket and dual row for one bitstring over factors 1..n."""
     if len(bits) != machine.n_tape:
         raise ValueError("bitstring length must equal the tape size")
-    inverses = machine.inverses()
-    kets, bras = [], []
-    for j in range(len(machine.factors)):
-        if j == machine.head_index:
-            continue
-        b = bits[j if j < machine.head_index else j - 1]
-        kets.append(np.asarray(machine.factors[j], dtype=np.complex128)[:, b])
-        bras.append(inverses[j][b, :])
-    if not kets:
+    if not bits:
         return np.ones(1, dtype=np.complex128), np.ones(1, dtype=np.complex128)
-    ket = kets[0]
-    bra = bras[0]
-    for k, b in zip(kets[1:], bras[1:]):
-        ket = np.kron(ket, k)
-        bra = np.kron(bra, b)
-    return ket, bra
+    kets = [np.asarray(s, dtype=np.complex128)[:, b]
+            for s, b in zip(machine.factors[1:], bits)]
+    bras = [s_inv[b, :] for s_inv, b in zip(machine.inverses()[1:], bits)]
+    return functools.reduce(np.kron, kets), functools.reduce(np.kron, bras)
 
 
-def _head_axes(machine: TuringMachine) -> tuple[np.ndarray, int]:
-    """Reshape helper: state tensor with head axis first, tape flattened."""
-    dims = [2] * len(machine.factors)
-    order = [machine.head_index] + [j for j in range(len(machine.factors))
-                                    if j != machine.head_index]
-    return np.array(dims), order
-
-
-def decompose_entangled(psi0, psi0_dual, machine: TuringMachine,
-                        validate: bool = True, tol: float = 1e-10):
+def decompose_entangled(psi0, psi0_dual, machine: TuringMachine):
     """Split a state into per-tape-branch head pairs and their weights.
 
     Contracting each dual tape product state out of psi0 (and each tape ket
     out of the dual) leaves one head ket/bra pair per tape bitstring; the
     weights a_j b_j are the branch pairings, normalized to sum to 1. The
     recomposition identity sum_j w_j * bloch(branch_j) = bloch(psi0) is
-    algebraic. With validate=True the admissible form is enforced: every
-    populated branch must share one head state (parallel branch kets).
+    algebraic. The admissible form is enforced: every populated branch must
+    share one head state (parallel branch kets), else ValueError.
     """
     ket = np.asarray(psi0, dtype=np.complex128)
     bra = np.asarray(psi0_dual, dtype=np.complex128)
     total = pairing(bra, ket)
     if abs(total) < PAIRING_TOL:
         raise ValueError("state pairing vanishes; decomposition undefined")
-    dims, order = _head_axes(machine)
-    ket_t = np.moveaxis(ket.reshape(dims), order, range(len(order))).reshape(2, -1)
-    bra_t = np.moveaxis(bra.reshape(dims), order, range(len(order))).reshape(2, -1)
+    # the head bit leads the product index: rows are head states, columns tape
+    ket_t = ket.reshape(2, -1)
+    bra_t = bra.reshape(2, -1)
 
-    head_machine = TuringMachine(factors=(machine.factors[machine.head_index],))
+    head_machine = TuringMachine(factors=(machine.factors[0],))
     branches = []
     reference = None
-    for bits in _tape_bitstrings(machine):
+    for bits in itertools.product((0, 1), repeat=machine.n_tape):
         t_ket, t_bra = tape_state(machine, bits)
         h_ket = ket_t @ t_bra
         h_bra = bra_t @ t_ket
         w = complex(h_bra @ h_ket)
         scale = max(float(np.linalg.norm(h_ket) * np.linalg.norm(h_bra)), 0.0)
         if abs(w) < PAIRING_TOL:
-            if scale > tol:
+            if scale > BRANCH_TOL:
                 raise ValueError(
                     f"tape branch {bits} has vanishing pairing but nonzero amplitude; "
                     "branch Bloch vector undefined")
             continue
-        if validate:
-            if reference is None:
-                reference = h_ket
-            else:
-                det = reference[0] * h_ket[1] - reference[1] * h_ket[0]
-                if abs(det) > tol * max(1.0, float(np.linalg.norm(reference)
-                                                   * np.linalg.norm(h_ket))):
-                    raise ValueError(
-                        "state is not of the admissible form: tape branches carry "
-                        "different head states")
+        if reference is None:
+            reference = h_ket
+        else:
+            det = reference[0] * h_ket[1] - reference[1] * h_ket[0]
+            if abs(det) > BRANCH_TOL * max(1.0, float(np.linalg.norm(reference)
+                                                      * np.linalg.norm(h_ket))):
+                raise ValueError(
+                    "state is not of the admissible form: tape branches carry "
+                    "different head states")
         branches.append((w / total, bloch_head(h_ket, h_bra, head_machine)))
     return branches
 

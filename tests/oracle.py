@@ -11,7 +11,8 @@ The dense density-matrix fidelity and the total-space evidence loop built on
 it are the reference for subdyn.classify's rank-factored evidence. They cost O(d^4) memory and up to O(d^6) time, so they are for small d only.
 
 Superoperators use the column-stacking convention of subdyn.linalg.vec:
-vec(A X B) = (B^T kron A) vec(X).
+vec(A X B) = (B^T kron A) vec(X). A dyad nu = (i, j) is a plain tuple of
+free-basis indices; it sits at Liouville index i + d j.
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ from subdyn.linalg import (
 )
 from subdyn.subdynamics import (
     Decomposition,
-    NuIndex,
     PhiBasis,
     ResonanceError,
     liouville_basis,
 )
+
+
+def dyad_index(basis: PhiBasis, nu: tuple[int, int]) -> int:
+    """Liouville index i + d j of the dyad nu = (i, j)."""
+    i, j = nu
+    return i + basis.dim * j
 
 
 def commutator_superop(hamiltonian) -> np.ndarray:
@@ -88,7 +94,7 @@ def liouvillian(decomp: Decomposition) -> np.ndarray:
 
 def omega(decomp: Decomposition) -> np.ndarray:
     """Similarity operator Omega = sum_nu (P_nu + C_nu) = I + C."""
-    return np.eye(decomp.dim2, dtype=np.complex128) + columns(decomp)[0]
+    return np.eye(decomp.basis.dim ** 2, dtype=np.complex128) + columns(decomp)[0]
 
 
 def theta_matrix(decomp: Decomposition) -> np.ndarray:
@@ -102,13 +108,13 @@ def pairing(decomp: Decomposition) -> np.ndarray:
     return 1.0 + np.einsum("ij,ji->i", d, c)
 
 
-def total_projector(decomp: Decomposition, nu: NuIndex) -> np.ndarray:
+def total_projector(decomp: Decomposition, nu: tuple[int, int]) -> np.ndarray:
     """Pi_nu = (P + C)(P + DC)^-1(P + D), a rank-1 phi-frame matrix."""
-    k = decomp.basis.liouville_index(nu)
+    k = dyad_index(decomp.basis, nu)
     c, d = columns(decomp)
     kappa = 1.0 + d[k, :] @ c[:, k]
     if abs(kappa) < DEFAULT_TOL:
-        raise ValueError(f"(P + DC) numerically singular on the P block of nu={nu.as_tuple()}")
+        raise ValueError(f"(P + DC) numerically singular on the P block of nu={nu}")
     right = c[:, k].copy()
     right[k] += 1.0
     left = d[k, :].copy()
@@ -122,11 +128,11 @@ def projector_sum(decomp: Decomposition) -> np.ndarray:
     kappa = 1.0 + np.einsum("ij,ji->i", d, c)
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
-    eye = np.eye(decomp.dim2, dtype=np.complex128)
+    eye = np.eye(decomp.basis.dim ** 2, dtype=np.complex128)
     return ((eye + c) / kappa) @ (eye + d)
 
 
-def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
+def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: tuple[int, int],
                        z: complex | None = None, eta: float = 0.0,
                        self_consistent: bool = False, max_iter: int = 60,
                        tol: float = 1e-13) -> tuple[np.ndarray, complex]:
@@ -137,8 +143,8 @@ def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
     point z = E0_nu + lam V[nu,nu] + lam V[nu,:] c(z), which reproduces the
     exact kinetic eigenvalue. Returns (column, z_used).
     """
-    k = basis.liouville_index(nu)
-    n = basis.dim2
+    k = dyad_index(basis, nu)
+    n = basis.dim ** 2
     mask = np.arange(n) != k
     lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
     rhs = lam * v1[mask, k]
@@ -162,13 +168,13 @@ def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
             z_used = z_next
             cq = solve(z_used)
         else:
-            raise ValueError(f"collision-energy iteration did not converge for nu={nu.as_tuple()}")
+            raise ValueError(f"collision-energy iteration did not converge for nu={nu}")
     out = np.zeros(n, dtype=np.complex128)
     out[mask] = cq
     return out, z_used
 
 
-def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex,
+def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: tuple[int, int],
                         column: np.ndarray, z: complex | None = None,
                         eta: float = 0.0) -> float:
     """Residual of the stationary creation equation for a candidate column.
@@ -176,8 +182,8 @@ def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: NuIndex
     Checks (Q L Q - z - i eta) c + lam Q L1 P = 0 relative to the column and
     source scale.
     """
-    k = basis.liouville_index(nu)
-    n = basis.dim2
+    k = dyad_index(basis, nu)
+    n = basis.dim ** 2
     mask = np.arange(n) != k
     lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
     z_used = complex(basis.e0[k]) if z is None else complex(z)
@@ -233,9 +239,10 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     coupling = np.abs(lam * v1) > DEFAULT_TOL * max(1.0, float(np.linalg.norm(lam * v1)))
     resonant = degenerate & coupling & ~np.eye(e0.shape[0], dtype=bool)
     if eta == 0.0 and resonant.any():
+        d = basis.dim
         rows, cols = np.nonzero(resonant)
-        raise ResonanceError([(basis.nu_indices[r], basis.nu_indices[c])
-                              for r, c in zip(rows, cols)])
+        raise ResonanceError([((r % d, r // d), (c % d, c // d))
+                              for r, c in zip(rows.tolist(), cols.tolist())])
     # delta[mu, nu] = E0_nu - E0_mu + i eta
     delta = e0[None, :] - e0[:, None] + 1j * eta
     blocked = degenerate if eta == 0.0 else np.eye(e0.shape[0], dtype=bool)
@@ -250,17 +257,17 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     return c, d, energies, kappa
 
 
-def sqrtm_psd(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sqrtm_psd(matrix) -> np.ndarray:
     """Hermitian PSD square root via eigh.
 
-    Eigenvalues in [-tol * scale, 0) are clipped to zero; anything more
-    negative raises NotPositiveSemidefiniteError.
+    Eigenvalues in [-DEFAULT_TOL * scale, 0) are clipped to zero; anything
+    more negative raises NotPositiveSemidefiniteError.
     """
     m = as_complex_matrix(matrix)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NonHermitianError("sqrtm_psd expects a Hermitian matrix")
     values, vectors = np.linalg.eigh(m)
-    floor = -tol * norm_scale(m)
+    floor = -DEFAULT_TOL * norm_scale(m)
     if values.min(initial=0.0) < floor:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {values.min():.3e} below PSD tolerance {floor:.3e}")
@@ -268,13 +275,13 @@ def sqrtm_psd(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (vectors * np.sqrt(clipped)) @ vectors.conj().T
 
 
-def fidelity(rho_a, rho_b, tol: float = 1e-9) -> float:
+def fidelity(rho_a, rho_b) -> float:
     """Density-matrix fidelity Tr sqrt(sqrt(a) b sqrt(a))."""
     a = as_complex_matrix(rho_a, "rho_a")
     b = as_complex_matrix(rho_b, "rho_b")
-    root = sqrtm_psd(a, tol)
+    root = sqrtm_psd(a)
     inner = root @ b @ root
-    return float(np.trace(sqrtm_psd(inner, tol)).real)
+    return float(np.trace(sqrtm_psd(inner)).real)
 
 
 def dense_total_space_evidence(decomp: Decomposition, hamiltonian, rho0,

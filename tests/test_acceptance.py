@@ -87,7 +87,7 @@ def test_criterion_02_kinetic_equation_oracle():
     ops = build_model(GEN)
     assert ops.dim <= 16 and GEN.lam <= 0.1
     decomp = decompose_model(ops, order="exact")
-    h_full = ops.hamiltonian(GEN.lam)
+    h_full = ops.hamiltonian()
     rng = np.random.default_rng(2718)
     worst = 0.0
     for _ in range(20):

@@ -1,5 +1,6 @@
 """Four-cell decoherence-free classification on the reference models."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -11,6 +12,7 @@ from oracle import dense_total_space_evidence, fidelity
 from subdyn.classify import (
     CELLS,
     DEFAULT_TIMES,
+    DEFAULT_VERDICT_TOL,
     check_diagonal_condition,
     check_triangular_condition,
     classify,
@@ -79,7 +81,7 @@ def test_general_decay_evidence_separates_verdicts(reports):
 
 
 def test_free_theory_is_decoherence_free_everywhere():
-    rep = classify(build_model(GEN), lam=0.0)
+    rep = classify(build_model(dataclasses.replace(GEN, lam=0.0)))
     assert rep.table_row() == ("DF",) * 4
     assert rep.interaction_row == "diagonal"
 
@@ -106,7 +108,7 @@ def test_interaction_conditions_on_reference_models():
 
 
 def test_spectral_shift_vanishes_without_coupling():
-    d = decompose_model(build_model(GEN), lam=0.0)
+    d = decompose_model(build_model(dataclasses.replace(GEN, lam=0.0)))
     np.testing.assert_allclose(spectral_shift(d), 0.0, atol=1e-14)
 
 
@@ -136,7 +138,7 @@ def test_fidelity_trace_unit_for_hermitian_models():
         decomp = decompose_model(ops)
         trace = fidelity_trace(decomp.energies,
                                project_density(decomp, canonical_initial_state(ops)))
-        assert trace.is_unit(1e-9), spec.kind
+        assert trace.is_unit(), spec.kind
         assert trace.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -157,13 +159,14 @@ def test_fidelity_trace_rejects_zero_state():
         fidelity_trace(d.energies, project_density(d, np.zeros((d.basis.dim, d.basis.dim))))
 
 
-def test_classify_accepts_explicit_state_and_grid():
+def test_total_space_evidence_accepts_explicit_state_and_grid():
     ops = build_model(DIAG)
     rho0 = np.eye(ops.dim) / ops.dim
-    rep = classify(ops, rho0=rho0, times=np.linspace(0.0, 5.0, 11))
+    ev = total_space_evidence(decompose_model(ops), ops.hamiltonian(), rho0,
+                              np.linspace(0.0, 5.0, 11))
     # the maximally mixed state commutes with everything
-    assert rep.verdicts["stationary_total"] == "DF"
-    assert rep.verdicts["evolution_total"] == "DF"
+    assert ev["population_drift"] <= DEFAULT_VERDICT_TOL
+    assert ev["coherence_modulus_drift"] <= DEFAULT_VERDICT_TOL
 
 
 def test_default_grid_reaches_late_times():
@@ -193,7 +196,7 @@ def test_fidelity_vs_free_min_is_the_pure_state_overlap(case):
     ops = build_model(spec)
     rho0 = canonical_initial_state(ops)
     phi = np.linalg.eigh(rho0)[1][:, -1]
-    h = ops.hamiltonian(spec.lam)
+    h = ops.hamiltonian()
     expected = min(abs(np.vdot(scipy.linalg.expm(-1j * t * ops.h0) @ phi,
                                scipy.linalg.expm(-1j * t * h) @ phi)) for t in times)
     got = classify(ops, times=times).evidence["fidelity_vs_free_min"]
@@ -226,7 +229,7 @@ def test_total_space_evidence_matches_dense_reference(spec, rank):
     rng = np.random.default_rng(17)
     rho0 = _random_state(rng, ops.dim, rank)
     assert np.linalg.matrix_rank(rho0) == (ops.dim if rank is None else rank)
-    _assert_matches_dense(decompose_model(ops), ops.hamiltonian(spec.lam), rho0,
+    _assert_matches_dense(decompose_model(ops), ops.hamiltonian(), rho0,
                           np.linspace(0.0, 10.0, 41))
 
 
@@ -254,5 +257,5 @@ def test_total_space_evidence_rejects_invalid_state(spec, state, error):
         rho0[0, 0] = 1.5
         rho0[1, 1] = -0.5
     with pytest.raises(error):
-        total_space_evidence(decompose_model(ops), ops.hamiltonian(spec.lam), rho0,
+        total_space_evidence(decompose_model(ops), ops.hamiltonian(), rho0,
                              DEFAULT_TIMES)

@@ -93,6 +93,21 @@ def test_key_unused_by_kind_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, code", [
+    ("classify", EXIT_CONFIG), ("evolve", EXIT_CONFIG), ("verify", EXIT_CONFIG),
+    ("swap-calibrate", EXIT_OK),
+])
+def test_diagonal_model_without_field_quantum(tmp_path, capsys, scenario, code):
+    doc = tmp_path / "empty_field.json"
+    doc.write_text(json.dumps({"model": {"kind": "diagonal", "fock_cutoff": 0}}))
+    out = tmp_path / "run"
+    assert main([scenario, "--config", str(doc), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert "config error" in err and "fock_cutoff >= 1" in err
+        assert not out.exists()
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["classify", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err

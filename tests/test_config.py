@@ -172,6 +172,18 @@ def test_seed_nonnegative():
     assert load_config({**GOOD, "seed": 0}).seed == 0
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_diagonal_reference_state_needs_a_field_quantum(scenario):
+    # classify, evolve and verify start from the diagonal reference state,
+    # which puts one quantum in the field; the other scenarios never read it
+    doc = {"scenario": scenario, "model": {"kind": "diagonal", "fock_cutoff": 0}}
+    if scenario in ("classify", "evolve", "verify"):
+        with pytest.raises(ConfigError, match="fock_cutoff >= 1"):
+            load_config(doc)
+    else:
+        assert load_config(doc).model.fock_cutoff == 0
+
+
 def diagonal_doc(dim, **extra):
     """GOOD's diagonal model at Hilbert dimension dim (fock_cutoff dim/2 - 1)."""
     return {**GOOD, "model": {**GOOD["model"], "fock_cutoff": dim // 2 - 1}, **extra}

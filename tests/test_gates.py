@@ -59,16 +59,6 @@ def test_homogeneous_calibration_random_families():
         assert cal.delta_t == pytest.approx(-t_sw / (ratio + 1.0), rel=1e-8)
 
 
-def test_branch_shift_preserves_phases_for_equal_energies():
-    e0 = np.array([5.0, 5.0, 5.0])
-    energies = e0 * (10.0 / 9.0)
-    base = calibrate_timing(e0, energies, t_sw=1.0)
-    other = calibrate_timing(e0, energies, t_sw=1.0, branch=1)
-    assert other.delta_t > base.delta_t
-    assert other.residual <= 1e-9
-    assert other.phase_gap <= 1e-9
-
-
 def test_unshifted_energies_need_no_correction():
     e0 = np.array([0.0, 1.0, 2.0])
     cal = calibrate_timing(e0, e0.astype(complex), t_sw=2.0)
@@ -148,10 +138,8 @@ def test_second_order_calibration_approaches_exact():
     h1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h1 = h1 + h1.conj().T
     lam = 1e-3
-    second = calibrate_timing_second_order(h0, h1, lam, t_sw=1.0,
-                                           homogeneity_tol=math.inf)
-    exact = calibrate_timing_exact(h0, h1, lam, t_sw=1.0,
-                                   homogeneity_tol=math.inf)
+    second = calibrate_timing_second_order(h0, h1, lam, t_sw=1.0)
+    exact = calibrate_timing_exact(h0, h1, lam, t_sw=1.0)
     assert second.order == "second"
     assert exact.order == "exact"
     assert second.delta_t == pytest.approx(exact.delta_t, abs=5e-7)
@@ -217,10 +205,6 @@ def test_cnot_rejects_dependent_kets():
 def test_cnot_rejects_bad_shapes_and_pairings():
     with pytest.raises(ValueError, match="four kets"):
         build_cnot_rls(np.eye(3))
-    with pytest.raises(ValueError, match="dual rows"):
-        build_cnot_rls(np.eye(4), left_states=np.eye(3))
-    with pytest.raises(ValueError, match="biorthonormal"):
-        build_cnot_rls(np.eye(4), left_states=2.0 * np.eye(4))
 
 
 def test_verify_closure_rejects_leaky_gate():

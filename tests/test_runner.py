@@ -87,11 +87,11 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
     coeff = project_density(decomp, canonical_initial_state(ops))
     d = decomp.basis.dim
     rows = []
-    for nu in decomp.basis.nu_indices:
-        k = decomp.basis.liouville_index(nu)
-        e0, e = decomp.basis.e0[k], decomp.energies[k]
-        rows.append((nu.row, nu.col, e0.real, e0.imag, e.real, e.imag,
-                     abs(coeff[k])))
+    for j in range(d):
+        for i in range(d):
+            k = i + d * j
+            e0, e = decomp.basis.e0[k], decomp.energies[k]
+            rows.append((i, j, e0.real, e0.imag, e.real, e.imag, abs(coeff[k])))
     drift = 0.0
     trace0 = complex(coeff[:: d + 1].sum())
     for t in config.times():

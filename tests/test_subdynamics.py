@@ -12,6 +12,7 @@ from oracle import (
     columns,
     creation_resolvent,
     dense_perturbative,
+    dyad_index,
     evolve_exact,
     hamiltonian_spectral_projectors,
     interaction,
@@ -26,7 +27,6 @@ from oracle import (
 from subdyn.linalg import norm_scale, random_density, unvec, vec
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
 from subdyn.subdynamics import (
-    NuIndex,
     ResonanceError,
     block_residual,
     completeness_residual,
@@ -73,13 +73,11 @@ def test_liouville_basis_layout():
     h0 = np.diag([0.0, 1.0, 2.5])
     basis = liouville_basis(h0)
     np.testing.assert_allclose(basis.f_values, [0.0, 1.0, 2.5])
-    assert basis.dim == 3 and basis.dim2 == 9
-    for k, nu in enumerate(basis.nu_indices):
-        assert basis.liouville_index(nu) == k
-        assert k == nu.row + 3 * nu.col
-        assert basis.e0[k] == basis.f_values[nu.row] - basis.f_values[nu.col]
-    assert basis.nu_indices[0].is_population
-    assert not basis.nu_indices[1].is_population
+    assert basis.dim == 3 and basis.e0.shape == (9,)
+    # the dyad (i, j) sits at Liouville index i + 3 j
+    for j in range(3):
+        for i in range(3):
+            assert basis.e0[i + 3 * j] == basis.f_values[i] - basis.f_values[j]
 
 
 def test_frame_roundtrip(gen_ops):
@@ -92,8 +90,8 @@ def test_frame_roundtrip(gen_ops):
 
 def test_from_frame_of_unit_vector_is_dyad_outer(gen_ops):
     basis = liouville_basis(gen_ops.h0)
-    unit = np.zeros(basis.dim2)
-    unit[basis.liouville_index(NuIndex(2, 5))] = 1.0
+    unit = np.zeros(basis.dim ** 2)
+    unit[dyad_index(basis, (2, 5))] = 1.0
     m = basis.from_frame(unit)
     expected = np.outer(basis.f_vectors[:, 2], basis.f_vectors[:, 5].conj())
     np.testing.assert_allclose(m, expected)
@@ -105,7 +103,7 @@ def test_first_order_creation_frozen_value(tri_first):
     # the (5,0) creation column is 0.4 / 4.5 on the (1,0) dyad
     basis = tri_first.basis
     np.testing.assert_allclose(np.abs(basis.f_vectors), np.eye(6), atol=1e-12)
-    col = columns(tri_first)[0][:, basis.liouville_index(NuIndex(5, 0))]
+    col = columns(tri_first)[0][:, dyad_index(basis, (5, 0))]
     expected = np.zeros(36, dtype=np.complex128)
     expected[1] = 0.4 / 4.5
     np.testing.assert_allclose(col, expected, atol=1e-14)
@@ -114,7 +112,7 @@ def test_first_order_creation_frozen_value(tri_first):
 def test_first_order_destruction_frozen_value(tri_first):
     # mirror row: the (1,0) destruction row sees the (5,0) dyad with the
     # opposite-sign denominator, and one-sidedness kills everything else
-    row = columns(tri_first)[1][tri_first.basis.liouville_index(NuIndex(1, 0)), :]
+    row = columns(tri_first)[1][dyad_index(tri_first.basis, (1, 0)), :]
     expected = np.zeros(36, dtype=np.complex128)
     expected[5] = -0.4 / 4.5
     np.testing.assert_allclose(row, expected, atol=1e-14)
@@ -125,7 +123,7 @@ def test_first_order_matches_elementwise_loop(gen_ops):
     decomp = decompose_model(gen_ops, order="1")
     basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
     c = columns(decomp)[0]
-    n = basis.dim2
+    n = basis.dim ** 2
     scale = max(1.0, float(np.max(np.abs(basis.e0))))
     for k in [3, 17, 100, 255]:
         expected = np.zeros(n, dtype=np.complex128)
@@ -140,7 +138,7 @@ def test_first_order_matches_elementwise_loop(gen_ops):
 def test_second_order_energies_match_textbook_loop(gen_ops):
     decomp = decompose_model(gen_ops, order="1")
     basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
-    n = basis.dim2
+    n = basis.dim ** 2
     scale = max(1.0, float(np.max(np.abs(basis.e0))))
     expected = np.array(basis.e0, dtype=np.complex128)
     for k in range(n):
@@ -177,7 +175,7 @@ def test_resonance_raises_on_coupled_degeneracy():
     expected = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 0)), ((1, 0), (1, 1)),
                 ((2, 0), (2, 1)), ((0, 1), (0, 0)), ((0, 1), (1, 1)), ((1, 1), (1, 0)),
                 ((1, 1), (0, 1)), ((2, 1), (2, 0)), ((0, 2), (1, 2)), ((1, 2), (0, 2))]
-    assert excinfo.value.pairs == [(NuIndex(*a), NuIndex(*b)) for a, b in expected]
+    assert excinfo.value.pairs == expected
     assert "eta" in str(excinfo.value)
 
 
@@ -188,8 +186,8 @@ def test_eta_regularizes_resonance():
     c = columns(decomp)[0]
     assert np.all(np.isfinite(c))
     # retarded denominator: coupling / (E0 gap + i eta)
-    k = decomp.basis.liouville_index(NuIndex(1, 0))
-    m = decomp.basis.liouville_index(NuIndex(0, 0))
+    k = dyad_index(decomp.basis, (1, 0))
+    m = dyad_index(decomp.basis, (0, 0))
     expected = 0.1 * interaction(decomp)[m, k] / (decomp.basis.e0[k] - decomp.basis.e0[m] + 1e-3j)
     np.testing.assert_allclose(c[m, k], expected, atol=1e-15)
 
@@ -210,14 +208,12 @@ def test_exact_similarity_relation(gen_exact):
 
 def test_exact_projector_completeness(gen_exact):
     np.testing.assert_allclose(projector_sum(gen_exact),
-                               np.eye(gen_exact.dim2), atol=1e-10)
+                               np.eye(gen_exact.basis.dim ** 2), atol=1e-10)
 
 
 def test_exact_population_dyads_are_stationary(gen_exact):
-    for nu in gen_exact.basis.nu_indices:
-        if nu.is_population:
-            k = gen_exact.basis.liouville_index(nu)
-            assert abs(gen_exact.energies[k]) <= 1e-12
+    for i in range(gen_exact.basis.dim):
+        assert abs(gen_exact.energies[dyad_index(gen_exact.basis, (i, i))]) <= 1e-12
 
 
 def test_bundle_invariants(gen_exact):
@@ -228,15 +224,16 @@ def test_bundle_invariants(gen_exact):
     np.testing.assert_array_equal(np.diag(d), 0.0)
     l_full = liouvillian(gen_exact)
     for k in [0, 7, 133, 255]:
-        pi = total_projector(gen_exact, gen_exact.basis.nu_indices[k])
+        d = gen_exact.basis.dim
+        pi = total_projector(gen_exact, (k % d, k // d))
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-10)
         # eigen-relation of the total projector
         np.testing.assert_allclose(l_full @ pi, gen_exact.energies[k] * pi, atol=1e-8)
 
 
 def test_total_projectors_are_mutually_orthogonal(gen_exact):
-    pi_a = total_projector(gen_exact, NuIndex(0, 1))
-    pi_b = total_projector(gen_exact, NuIndex(2, 0))
+    pi_a = total_projector(gen_exact, (0, 1))
+    pi_b = total_projector(gen_exact, (2, 0))
     np.testing.assert_allclose(pi_a @ pi_b, np.zeros_like(pi_a), atol=1e-10)
 
 
@@ -282,7 +279,7 @@ def test_projected_trace_is_population_sum(gen_ops, gen_exact):
 
 def test_project_density_free_theory(gen_ops):
     # lam = 0: the projection is the plain dyad expansion of rho
-    decomp = decompose_model(gen_ops, lam=0.0, order="exact")
+    decomp = decompose(gen_ops.h0, gen_ops.h1, lam=0.0, order="exact")
     rng = np.random.default_rng(6)
     rho = random_density(rng, gen_ops.dim)
     coeff = project_density(decomp, rho)
@@ -290,7 +287,7 @@ def test_project_density_free_theory(gen_ops):
     np.testing.assert_allclose(decomp.basis.from_frame(coeff), rho, atol=1e-12)
     pure = np.outer(decomp.basis.f_vectors[:, 0], decomp.basis.f_vectors[:, 0].conj())
     coeff = project_density(decomp, pure)
-    expected = np.zeros(decomp.dim2)
+    expected = np.zeros(decomp.basis.dim ** 2)
     expected[0] = 1.0
     np.testing.assert_allclose(coeff, expected, atol=1e-12)
 
@@ -300,10 +297,11 @@ def test_project_density_matches_spectral_projector_oracle(gen_ops, gen_exact):
     rho = random_density(rng, gen_ops.dim)
     x = unvec(gen_exact.basis.to_frame(rho), gen_ops.dim)
     projs = hamiltonian_spectral_projectors(gen_exact)
-    coeff = np.zeros(gen_exact.dim2, dtype=np.complex128)
-    for nu in gen_exact.basis.nu_indices:
-        k = gen_exact.basis.liouville_index(nu)
-        coeff[k] = (projs[nu.row] @ x @ projs[nu.col])[nu.row, nu.col]
+    d = gen_exact.basis.dim
+    coeff = np.zeros(d ** 2, dtype=np.complex128)
+    for j in range(d):
+        for i in range(d):
+            coeff[dyad_index(gen_exact.basis, (i, j))] = (projs[i] @ x @ projs[j])[i, j]
     got = project_density(gen_exact, rho)
     np.testing.assert_allclose(got, coeff, atol=1e-6)
 
@@ -322,32 +320,32 @@ def test_evolve_exact_matches_sandwich():
 def test_creation_resolvent_solves_stationary_equation(gen_ops):
     decomp = decompose_model(gen_ops, order="1")
     basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
-    nu = NuIndex(1, 0)
+    nu = (1, 0)
     col, z = creation_resolvent(basis, v1, lam, nu)
-    assert z == basis.e0[basis.liouville_index(nu)]
+    assert z == basis.e0[dyad_index(basis, nu)]
     assert stationary_residual(basis, v1, lam, nu, col, z=z) <= 1e-10
     # the plain series column only solves it to O(lam)
-    c1 = columns(decomp)[0][:, basis.liouville_index(nu)]
+    c1 = columns(decomp)[0][:, dyad_index(basis, nu)]
     assert stationary_residual(basis, v1, lam, nu, c1) > 1e-4
 
 
 def test_self_consistent_resolvent_finds_exact_eigenvalue(gen_ops, gen_exact):
     decomp = decompose_model(gen_ops, order="1")
     basis, v1, lam = decomp.basis, interaction(decomp), decomp.lam
-    nu = NuIndex(1, 0)
-    k = basis.liouville_index(nu)
+    nu = (1, 0)
+    k = dyad_index(basis, nu)
     _, z = creation_resolvent(basis, v1, lam, nu, self_consistent=True)
     assert abs(z - gen_exact.energies[k]) <= 1e-10
 
 
 def test_resolvent_beats_series_at_small_lambda(gen_ops):
-    nu = NuIndex(1, 0)
+    nu = (1, 0)
     gaps = []
     for lam in (1e-2, 5e-3):
-        decomp = decompose_model(gen_ops, order="1", lam=lam)
+        decomp = decompose(gen_ops.h0, gen_ops.h1, lam=lam, order="1")
         basis, v1 = decomp.basis, interaction(decomp)
         col, _ = creation_resolvent(basis, v1, lam, nu)
-        c1 = columns(decomp)[0][:, basis.liouville_index(nu)]
+        c1 = columns(decomp)[0][:, dyad_index(basis, nu)]
         gaps.append(np.linalg.norm(col - c1))
     # the gap is the second Born term, O(lam^2): halving lam quarters it
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
@@ -429,8 +427,9 @@ def test_total_projector_matches_eig_spectral_projector(gen_exact):
     # per-dyad eigvectors of L are not well defined; the Hamiltonian-level
     # sandwich A_i X A_j is, and fixes the same projector
     projs = hamiltonian_spectral_projectors(gen_exact)
-    for nu in (NuIndex(1, 0), NuIndex(0, 0), NuIndex(2, 5)):
-        oracle = np.kron(projs[nu.col].T, projs[nu.row])
+    for nu in ((1, 0), (0, 0), (2, 5)):
+        i, j = nu
+        oracle = np.kron(projs[j].T, projs[i])
         np.testing.assert_allclose(total_projector(gen_exact, nu), oracle,
                                    atol=1e-7)
 
@@ -442,14 +441,14 @@ def test_group_spectral_projector_of_l_matches_engine_sum(gen_exact):
     from subdyn.linalg import eig
 
     system = eig(liouvillian(gen_exact))
-    nu = NuIndex(1, 0)
-    target = gen_exact.energies[gen_exact.basis.liouville_index(nu)]
-    members = [m for m in gen_exact.basis.nu_indices
-               if abs(gen_exact.energies[gen_exact.basis.liouville_index(m)]
+    d = gen_exact.basis.dim
+    target = gen_exact.energies[dyad_index(gen_exact.basis, (1, 0))]
+    members = [(i, j) for j in range(d) for i in range(d)
+               if abs(gen_exact.energies[dyad_index(gen_exact.basis, (i, j))]
                       - target) < 1e-8]
     assert len(members) >= 2
     engine = sum(total_projector(gen_exact, m) for m in members)
-    cols = [c for c in range(gen_exact.dim2)
+    cols = [c for c in range(d ** 2)
             if abs(system.values[c] - target) < 1e-8]
     assert len(cols) == len(members)
     w = system.right_vectors[:, cols]
@@ -461,7 +460,8 @@ def test_group_spectral_projector_of_l_matches_engine_sum(gen_exact):
 def test_decompose_model_uses_spec_lam(gen_ops):
     d = decompose_model(gen_ops)
     assert d.lam == GEN_SPEC.lam
-    assert decompose_model(gen_ops, lam=0.01).lam == 0.01
+    other = build_model(dataclasses.replace(GEN_SPEC, lam=0.01))
+    assert decompose_model(other).lam == 0.01
 
 
 @settings(max_examples=15, deadline=None)
@@ -528,7 +528,7 @@ def test_kappa_is_computed_once_per_decomposition(gen_exact):
 def test_factored_projection_matches_dense(oracle_case):
     ops, decomp = oracle_case
     rho = random_density(np.random.default_rng(11), ops.dim)
-    left = np.eye(decomp.dim2) + columns(decomp)[1]
+    left = np.eye(decomp.basis.dim ** 2) + columns(decomp)[1]
     dense = (left @ decomp.basis.to_frame(rho)) / pairing(decomp)
     np.testing.assert_allclose(project_density(decomp, rho), dense, rtol=0, atol=1e-12)
 
@@ -545,8 +545,8 @@ def test_factored_similarity_residual_matches_dense(oracle_case):
 def test_factored_completeness_matches_dense(oracle_case):
     _, decomp = oracle_case
     c, d = columns(decomp)
-    right = (np.eye(decomp.dim2) + c) / pairing(decomp)
-    dense = float(np.linalg.norm(right @ (np.eye(decomp.dim2) + d) - np.eye(decomp.dim2)))
+    right = (np.eye(decomp.basis.dim ** 2) + c) / pairing(decomp)
+    dense = float(np.linalg.norm(right @ (np.eye(decomp.basis.dim ** 2) + d) - np.eye(decomp.basis.dim ** 2)))
     assert abs(completeness_residual(decomp) - dense) <= 1e-12
 
 
@@ -562,7 +562,7 @@ def test_factored_kinetic_consistency_matches_liouville_route(oracle_case):
     rng = np.random.default_rng(12)
     rho0 = random_density(rng, ops.dim)
     t = 2.3
-    left = np.eye(decomp.dim2) + columns(decomp)[1]
+    left = np.eye(decomp.basis.dim ** 2) + columns(decomp)[1]
     kappa = pairing(decomp)
     exact = (left @ decomp.basis.to_frame(evolve_exact(h, rho0, t))) / kappa
     kinetic = np.exp(-1j * decomp.energies * t) * (left @ decomp.basis.to_frame(rho0)) / kappa

@@ -33,10 +33,8 @@ def random_factor(rng):
             return s
 
 
-def random_machine(rng, n_tape, head_index=0):
-    return TuringMachine(factors=tuple(random_factor(rng)
-                                       for _ in range(n_tape + 1)),
-                         head_index=head_index)
+def random_machine(rng, n_tape):
+    return TuringMachine(factors=tuple(random_factor(rng) for _ in range(n_tape + 1)))
 
 
 def test_biorthonormality_orthonormal_and_skewed():
@@ -50,14 +48,10 @@ def test_biorthonormality_orthonormal_and_skewed():
 def test_machine_validation():
     with pytest.raises(ValueError, match="at least the head"):
         TuringMachine(factors=())
-    with pytest.raises(ValueError, match="head_index"):
-        TuringMachine(factors=(np.eye(2),), head_index=1)
     with pytest.raises(ValueError, match="2x2"):
         TuringMachine(factors=(np.eye(3),))
     with pytest.raises(ValueError, match="singular"):
         TuringMachine(factors=(np.array([[1.0, 1.0], [1.0, 1.0]]),))
-    with pytest.raises(ValueError, match="dimension"):
-        TuringMachine(factors=(np.eye(2), np.eye(2)), evolution=np.eye(3))
 
 
 def test_generators_orthonormal_factor_signs():
@@ -100,16 +94,6 @@ def test_step_preserves_pairing_for_any_invertible_operator():
         assert isometry_residual(m, psi, dual, op) <= 1e-10
 
 
-def test_step_uses_stored_evolution_and_rejects_none():
-    m = TuringMachine(factors=(np.eye(2),), evolution=SX)
-    ket, bra = step(m, [1.0, 0.0], [1.0, 0.0])
-    np.testing.assert_allclose(ket, [0.0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(bra, [0.0, 1.0], atol=1e-14)
-    bare = TuringMachine(factors=(np.eye(2),))
-    with pytest.raises(ValueError, match="no step operator"):
-        step(bare, [1.0, 0.0], [1.0, 0.0])
-
-
 def test_x_rotation_traces_the_yz_circle():
     # closed form from |0>: after k steps of angle theta the head sits at
     # (x, y, z) = (0, sin k theta, -cos k theta)
@@ -131,17 +115,6 @@ def test_x_rotation_traces_the_yz_circle():
         assert p.z == pytest.approx(-np.cos(k * theta), abs=1e-10)
 
 
-def test_rotation_circle_with_interior_head():
-    m = TuringMachine(factors=(np.eye(2),) * 3, head_index=1)
-    t_ket, t_bra = tape_state(m, (0, 1))
-    psi_head = np.array([1.0, 0.0], dtype=complex)
-    psi = np.kron(np.kron(np.eye(2)[:, 0], psi_head), np.eye(2)[:, 1])
-    dual = psi.conj()
-    points = trajectory(m, psi, dual, [rotation_step(m, 0.9)] * 3)
-    assert bloch_circle_residual(points) <= 1e-12
-    assert points[1].z == pytest.approx(-np.cos(0.9), abs=1e-12)
-
-
 def test_shear_moves_bloch_off_the_real_axis():
     # frozen hand computation from |1>: shear strength a gives
     # (x, y, z) = (a, -i a, 1) with the squares still summing to 1
@@ -154,9 +127,6 @@ def test_shear_moves_bloch_off_the_real_axis():
     assert p.y == pytest.approx(-0.5j, abs=1e-12)
     assert p.z == pytest.approx(1.0, abs=1e-12)
     assert p.purity() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="complex"):
-        p.as_real()
-    np.testing.assert_allclose(p.as_real(tol=1.0), (0.5, 0.0, 1.0), atol=1e-12)
 
 
 def test_purity_pinned_along_nonunitary_trajectories():
@@ -177,7 +147,7 @@ def test_bloch_head_rejects_null_pairing():
 
 def test_tape_states_biorthonormal():
     rng = np.random.default_rng(4)
-    m = random_machine(rng, n_tape=2, head_index=1)
+    m = random_machine(rng, n_tape=2)
     bitstrings = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for bits in bitstrings:
         ket, _ = tape_state(m, bits)
@@ -218,20 +188,11 @@ def test_recomposition_identity_random_states(n_tape):
     # algebraic identity: tape completeness makes the weighted branch sum
     # reproduce the full head Bloch vector for any paired state
     rng = np.random.default_rng(100 + n_tape)
-    head_index = n_tape // 2
-    m = random_machine(rng, n_tape, head_index=head_index)
-    head = np.asarray(m.factors[head_index], dtype=complex)[:, 0]
+    m = random_machine(rng, n_tape)
+    head = np.asarray(m.factors[0], dtype=complex)[:, 0]
     tape_amp = rng.standard_normal(2 ** n_tape) + 1j * rng.standard_normal(2 ** n_tape)
-    # assemble the shared head state at its slot with an entangled tape around it
-    dims_before = 2 ** head_index
-    dims_after = 2 ** (n_tape - head_index)
-    psi = np.zeros(2 ** (n_tape + 1), dtype=complex)
-    tape_tensor = tape_amp.reshape(dims_before, dims_after)
-    for b in range(dims_before):
-        for a in range(dims_after):
-            piece = np.kron(np.kron(np.eye(dims_before)[:, b], head),
-                            np.eye(dims_after)[:, a])
-            psi += tape_tensor[b, a] * piece
+    # the shared head state at factor 0 over an entangled tape
+    psi = np.kron(head, tape_amp)
     dual = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
     branches = decompose_entangled(psi, dual, m)
     total = sum(w for w, _ in branches)
@@ -249,11 +210,6 @@ def test_decomposition_rejects_divergent_head_branches():
            + np.kron(np.eye(2)[:, 1], np.eye(2)[:, 1])) / np.sqrt(2.0)
     with pytest.raises(ValueError, match="admissible"):
         decompose_entangled(psi, psi.conj(), m)
-    # without validation the algebraic identity still holds
-    branches = decompose_entangled(psi, psi.conj(), m, validate=False)
-    got = recompose_bloch(branches)
-    want = bloch_head(psi, psi.conj(), m)
-    assert abs(got.z - want.z) <= 1e-12
 
 
 def test_decomposition_rejects_null_branch_pairing():
