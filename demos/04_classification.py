@@ -7,6 +7,7 @@ error only, D decoheres.
 """
 
 from subdyn.classify import CELLS, classify
+from subdyn.config import ScenarioConfig
 from subdyn.models import ModelSpec, build_model
 
 SPECS = [
@@ -23,7 +24,9 @@ def main() -> None:
     header = f"{'model':<12} {'row':<11} " + " ".join(f"{c:<17}" for c in CELLS)
     print(header)
     print("-" * len(header))
-    reports = [classify(build_model(spec)) for spec in SPECS]
+    # the grid `subdyn classify` runs on when its config sets no t_grid
+    times = ScenarioConfig(scenario="classify", model=SPECS[0]).times()
+    reports = [classify(build_model(spec), times) for spec in SPECS]
     for rep in reports:
         cells = " ".join(f"{rep.verdicts[c]:<17}" for c in CELLS)
         print(f"{rep.kind:<12} {rep.interaction_row:<11} {cells}")

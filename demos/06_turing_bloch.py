@@ -52,8 +52,8 @@ def main() -> None:
 
     shear = shear_step(machine, 0.6)
     print(f"\nshear step (non-unitary): pairing drift "
-          f"{isometry_residual(machine, psi, dual, shear):.3e}")
-    ket_s, bra_s = step(machine, psi, dual, shear)
+          f"{isometry_residual(psi, dual, shear):.3e}")
+    ket_s, bra_s = step(psi, dual, shear)
     p = bloch_head(ket_s, bra_s, machine)
     print(f"  Bloch after shear: x = {p.x:.4f}, y = {p.y:.4f}, z = {p.z:.4f}")
     print(f"  x^2 + y^2 + z^2 = {p.purity():.6f} (still on the sphere)")

@@ -24,7 +24,6 @@ PHASE_ERROR = "PE"
 DECOHERES = "D"
 CELLS = ("stationary_total", "evolution_total", "stationary_proj", "evolution_proj")
 
-DEFAULT_TIMES = np.linspace(0.0, 20.0, 81)
 DEFAULT_VERDICT_TOL = 1e-8
 # Largest |F(t) - 1| a kinetic fidelity trace may show and still count as unit.
 FIDELITY_UNIT_TOL = 1e-9
@@ -91,10 +90,9 @@ def check_triangular_condition(decomp: Decomposition) -> float:
     return float(np.max(np.abs(spectral_shift(decomp))))
 
 
-def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray,
-                   times=None) -> FidelityTrace:
+def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> FidelityTrace:
     """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu."""
-    ts = DEFAULT_TIMES if times is None else np.asarray(times, dtype=np.float64)
+    ts = np.asarray(times, dtype=np.float64)
     mags = np.abs(coefficients)
     total = mags.sum()
     if total <= 0.0:
@@ -211,13 +209,13 @@ def _verdict_projected(shift: float, decay: float) -> str:
     return DF
 
 
-def classify(ops: ModelOperators, order="exact", eta: float = 0.0, times=None) -> DFReport:
-    """Run the four-cell decoherence-free classification for one model.
+def classify(ops: ModelOperators, times, order="exact", eta: float = 0.0) -> DFReport:
+    """Run the four-cell decoherence-free classification for one model on a time grid.
 
     The state is the model's canonical initial state and the scale its own
     ModelSpec.lam; total_space_evidence takes any other state.
     """
-    ts = DEFAULT_TIMES if times is None else np.asarray(times, dtype=np.float64)
+    ts = np.asarray(times, dtype=np.float64)
     state = canonical_initial_state(ops)
     decomp = decompose_model(ops, order=order, eta=eta)
     h_full = ops.hamiltonian()

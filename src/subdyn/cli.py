@@ -1,7 +1,8 @@
 """Command line front end: one subcommand per scenario.
 
 Exit codes: 0 success, 2 configuration rejected, 3 numerical failure
-(resonance, defective matrix, or a verify run with failing checks).
+(resonance, defective matrix, a floating-point overflow or invalid
+operation, or a verify run with failing checks).
 """
 
 from __future__ import annotations
@@ -94,9 +95,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        report = run(config, write=True)
+        # an overflowing or undefined float operation is a numerical failure,
+        # not a warning beside a report of infs and nans
+        with np.errstate(over="raise", invalid="raise"):
+            report = run(config, write=True)
     except (ResonanceError, DefectiveMatrixError, NotPositiveSemidefiniteError,
-            np.linalg.LinAlgError, ValueError) as exc:
+            np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
         print(f"subdyn: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

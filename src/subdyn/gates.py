@@ -188,7 +188,6 @@ class RLSGate:
     left_states: np.ndarray
     matrix: np.ndarray
     permutation: tuple[int, ...]
-    labels: tuple[str, ...] = GATE_LABELS
 
     def pairing_matrix(self) -> np.ndarray:
         """left @ matrix @ right: a 0/1 permutation matrix for a closed gate."""

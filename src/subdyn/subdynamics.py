@@ -14,13 +14,15 @@ only picks up the phase e^{-i E_nu t}.
 All quantities here are expressed in the frame of the free eigenbasis
 (the "phi frame"), where L0 is diagonal; states convert via rho_f = F^dag
 rho F. Three construction orders are supported: "exact" (from the full
-eigendecomposition of H), and the stationary-resolvent perturbation series
-truncated at first ("1") or second ("2") order in lam. Each order keeps one
-representation and computes what it reports from it: d x d eigen data at
-the exact order, d x d first-order factors at order 1, the dense series at
-order 2. The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, the
-exact-order columns) are reference oracles for small-d checks and live with
-the tests, in tests/oracle.py.
+eigendecomposition of H), and the stationary-resolvent perturbation
+expansion truncated at first ("1") or second ("2") order in lam. Each order
+keeps one representation of d x d arrays and computes what it reports from
+it: eigen data at the exact order, the first-order factors at orders 1 and
+2. Order 2's pairings and projections read its d^2 x d^2 creation columns
+and destruction rows, which are never stored: they are streamed over blocks
+of the dyad index j, O(d^3) memory and O(d^4) time. The dense d^2 x d^2
+Liouville routes (L, Omega, Pi_nu, every order's columns) are reference
+oracles for small-d checks and live with the tests, in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -116,9 +118,11 @@ class Decomposition:
     k = i and, at eta = 0, on degenerate pairs: its creation columns are the
     superoperator [A, .] and its destruction rows [A', .] (the Rayleigh-
     Schroedinger eigenvector corrections), and everything it reports is a
-    d x d expression in A and A'. Order 2 stores its dense d^2 x d^2
-    creation columns and destruction rows as series = (c, d); it is the one
-    order that holds Liouville-sized arrays. The pairings kappa, which every
+    d x d expression in A and A'. Order 2 stores the same first_order
+    factors: its columns grow those of order 1 by one power of the dyad
+    resolvent, its energies are a d x d expression in h1_f, A and r, and
+    kappa and project_density stream the columns and rows over blocks of
+    the dyad index j without storing them. The pairings kappa, which every
     projection divides by, are computed from the stored factors on first
     use and kept with the instance.
     """
@@ -133,7 +137,6 @@ class Decomposition:
     psi_tilde: np.ndarray | None = None
     z: np.ndarray | None = None
     first_order: tuple[np.ndarray, np.ndarray] | None = None
-    series: tuple[np.ndarray, np.ndarray] | None = None
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
@@ -141,12 +144,12 @@ class Decomposition:
 
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
         Order 1: kappa_nu = 1 + (A' A)_ii + (A A')_jj.
+        Order 2: streamed over blocks of j, see _second_order_kappa.
         The cached array is read-only, as every caller shares it;
         dataclasses.replace builds a new instance with a fresh kappa.
         """
-        if self.series is not None:
-            c, d = self.series
-            kappa = 1.0 + np.einsum("ij,ji->i", d, c)
+        if self.order == "2":
+            kappa = vec(_second_order_kappa(self))
         elif self.first_order is not None:
             a, a_dual = self.first_order
             kappa = vec(1.0 + np.einsum("ia,ai->i", a_dual, a)[:, None]
@@ -156,6 +159,17 @@ class Decomposition:
             kappa = vec(1.0 / np.outer(a, a))
         kappa.flags.writeable = False
         return kappa
+
+    @functools.cached_property
+    def _planes(self):
+        """Order 2: the _plane_entries of the creation columns and of the destruction rows.
+
+        The rows d_nu are the columns grown from (h1_f^T, A'^T). Computed on
+        first use; kappa and every projection read them.
+        """
+        h, (a, a_dual) = self.h1_f, self.first_order
+        r = _free_resolvent(self.basis, h, self.lam, self.eta)
+        return _plane_entries(h, a, r, self.lam), _plane_entries(h.T, a_dual.T, r, self.lam)
 
 
 def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[tuple, tuple]]:
@@ -197,48 +211,143 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -
     return np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, gap + 1j * eta))
 
 
-def _dyad_resolvent(basis: PhiBasis, eta: float) -> np.ndarray:
-    """1/(E0_nu - E0_mu + i eta) as a [b, a, j, i] tensor, mu = (a, b), nu = (i, j).
+# Dyad-resolvent entries one block of the order-2 stream holds: every j at
+# d = 8, two blocks at d = 16 and one j per block from d = 32.
+_BLOCK_ENTRIES = 2 ** 15
 
-    Zero on mu = nu and, at eta = 0, on every degenerate pair of dyads; real
-    at eta = 0.
+
+def _dyad_resolvent_blocks(basis: PhiBasis, eta: float):
+    """Yield (js, R): the dyad resolvent over blocks js of the dyad index j.
+
+    R[j, b, a, i] = 1/(E0_nu - E0_mu + i eta) for mu = (a, b) and nu = (i, j),
+    j in js, with the dense dyad resolvent's mask: zero on mu = nu and, at
+    eta = 0, on every degenerate pair of dyads; real at eta = 0. On the planes
+    b = j and a = i the dyad resolvent is the one-index resolvent, r[a, i] and
+    r[j, b], and the order-2 routes add those entries from d x d data, so R
+    is zero there. A block spans about _BLOCK_ENTRIES entries; all blocks
+    share one buffer, which the next block overwrites.
     """
     d = basis.dim
-    e0 = basis.e0.real.reshape(d, d)  # e0[b, a] = eps_a - eps_b
-    gap = e0[None, None, :, :] - e0[:, :, None, None]
+    e0 = np.ascontiguousarray(basis.e0.real.reshape(d, d))  # e0[b, a] = eps_a - eps_b
+    step = max(1, _BLOCK_ENTRIES // d ** 3)
+    shape = (min(step, d), d, d, d)
     if eta == 0.0:
-        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(basis.e0))))
-        inv = gap
+        threshold = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(e0))))
+        buffer = np.empty(shape)
+        blocked, above = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     else:
-        blocked = np.eye(d * d, dtype=bool).reshape(gap.shape)
-        inv = gap + 1j * eta
-    inv[blocked] = 1.0
-    np.divide(1.0, inv, out=inv)
-    inv[blocked] = 0.0
-    return inv
+        buffer = np.empty(shape, dtype=np.complex128)
+    for start in range(0, d, step):
+        js = slice(start, min(start + step, d))
+        n = js.stop - start
+        res = buffer[:n]
+        # E0_nu - E0_mu = (eps_i - eps_a) - (eps_j - eps_b), over whole rows of e0
+        np.subtract(e0, e0[:, js].T[:, :, None, None], out=res.real)
+        if eta == 0.0:
+            # |gap| <= threshold becomes inf, so its reciprocal is zero
+            np.less_equal(res, threshold, out=blocked[:n])
+            np.greater_equal(res, -threshold, out=above[:n])
+            np.putmask(res, np.logical_and(blocked[:n], above[:n], out=blocked[:n]), np.inf)
+        else:
+            res.imag = eta
+        np.reciprocal(res, out=res)
+        res.reshape(n * d, d * d)[start :: d + 1] = 0.0  # b = j
+        res.reshape(n, d, d * d)[:, :, :: d + 1] = 0.0  # a = i
+        yield js, res
 
 
-def _second_order_columns(h: np.ndarray, g: np.ndarray, lam: float,
-                          resolvent: np.ndarray) -> np.ndarray:
-    """Order-2 creation columns grown from the first-order superoperator [g, .].
+def _plane_entries(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
+    """(alpha, beta, gamma): order-2 entries on the planes b = j and a = i.
 
-    Column nu = (i, j) is [g, E] + lam * resolvent_nu * [h, [g, E]] with
-    E = e_i e_j^T, returned as a d^2 x d^2 matrix. Entry mu = (a, b) of the
-    double commutator is delta_bj (h g)[a, i] + delta_ai (g h)[j, b]
-    - h[a, i] g[j, b] - g[a, i] h[j, b]; the tensor axes are [b, a, j, i].
-    Rows with g = A' are the transposed columns of (h^T, A'^T).
+    The order-2 column nu = (i, j) grown from the first-order superoperator
+    [g, .] is [g, E] + lam R_nu [h, [g, E]] with E = e_i e_j^T and R the dyad
+    resolvent. It reads alpha[a, i] + h[j, j] beta[a, i] at
+    mu = (a, j) and gamma[j, b] + h[i, i] beta[j, b] at mu = (i, b): the
+    first-order entries g[a, i] and -g[j, b] plus the delta terms of the
+    double commutator, weighted by R = r[a, i] and r[j, b] on these planes.
     """
-    d = h.shape[0]
-    k = np.arange(d)
-    s = -lam * g
-    out = np.multiply(h.T[:, None, :, None], s[None, :, None, :], order="C")
-    out += s.T[:, None, :, None] * h[None, :, None, :]
-    out[k, :, k, :] -= h @ s
-    out[:, k, :, k] -= (s @ h).T
-    out *= resolvent
-    out[k, :, k, :] += g
-    out[:, k, :, k] -= g.T
-    return out.reshape(d * d, d * d)
+    weight = lam * r
+    return g + weight * (h @ g), -weight * g, -g + weight * (g @ h)
+
+
+def _second_order_energies(h: np.ndarray, a: np.ndarray, r: np.ndarray, lam: float,
+                           level: np.ndarray) -> np.ndarray:
+    """E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu from d x d data.
+
+    (L1 c_nu)_nu = sum_a h[i, a] c_nu(a, j) - sum_b c_nu(i, b) h[b, j] reads
+    c_nu only on the planes b = j and a = i.
+    """
+    alpha, beta, gamma = _plane_entries(h, a, r, lam)
+    hd = np.diag(h)
+    left = np.einsum("ia,ai->i", h, alpha)[:, None] \
+        + np.einsum("ia,ai->i", h, beta)[:, None] * hd[None, :]
+    right = np.einsum("jb,bj->j", gamma, h)[None, :] \
+        + hd[:, None] * np.einsum("jb,bj->j", beta, h)[None, :]
+    return vec(np.subtract.outer(level, level) + lam * (left - right))
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for complex x; a real y stays real, one real product on stacked parts."""
+    if np.iscomplexobj(y):
+        return x @ y
+    m = x.shape[-2]
+    out = np.concatenate([x.real, x.imag], axis=-2) @ y
+    return out[..., :m, :] + 1j * out[..., m:, :]
+
+
+def _second_order_kappa(decomp: Decomposition) -> np.ndarray:
+    """kappa_nu = 1 + d_nu . c_nu at order 2 as a d x d array, streamed over blocks of j.
+
+    Off the planes b = j and a = i, column nu reads
+    -lam R (h[j, b] A[a, i] + A[j, b] h[a, i]) and row nu the same in
+    (h^T, A'^T), so that part of d_nu . c_nu is lam^2 sum_mu R^2 times four
+    products of a d-vector over b and a d x d factor over (a, i): one GEMM
+    per block. The plane entries add d x d expressions, polynomials of
+    degree 2 in h[j, j] and h[i, i].
+    """
+    h, (g, g_dual) = decomp.h1_f, decomp.first_order
+    lam, d = decomp.lam, decomp.basis.dim
+    (alpha, beta, gamma), (alpha_r, beta_r, gamma_r) = decomp._planes
+    powers = np.stack([np.ones(d), np.diag(h)])
+    # plane b = j: sum_a (alpha'[a, i] + h_jj beta'[a, i]) (alpha[a, i] + h_jj beta[a, i])
+    on_j = np.einsum("pai,qai->pqi", np.stack([alpha_r, beta_r]), np.stack([alpha, beta]))
+    # plane a = i: sum_b (gamma'[j, b] + h_ii beta'[j, b]) (gamma[j, b] + h_ii beta[j, b])
+    on_i = np.einsum("pjb,qjb->pqj", np.stack([gamma_r, beta_r]), np.stack([gamma, beta]))
+    kappa = 1.0 + np.einsum("pqi,pj,qj->ij", on_j, powers, powers) \
+        + np.einsum("pqj,pi,qi->ij", on_i, powers, powers)
+    # products[2p + q] = (h, A)[p] * (h^T, A'^T)[q]; the terms pair t with 3 - t
+    products = (np.stack([h, g])[:, None] * np.stack([h.T, g_dual.T])[None]).reshape(4, d, d)
+    left, right = products.transpose(1, 0, 2), lam * lam * products[::-1]
+    for js, res in _dyad_resolvent_blocks(decomp.basis, decomp.eta):
+        v = _matmul(left[js], np.square(res, out=res).reshape(-1, d, d * d))
+        kappa[:, js] += np.einsum("jtai,tai->ij", v.reshape(-1, 4, d, d), right)
+    return kappa
+
+
+def _second_order_rows(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
+    """sum_mu d_nu(mu) x[a, b] at order 2 for a stack x of d x d matrices.
+
+    The rows are streamed over blocks of j. Off the planes, d_nu(mu) = -lam R (h'[j, b] g'[a, i] + g'[j, b] h'[a, i])
+    with h' = h^T and g' = A'^T: per block a batched matvec of R against
+    h'[j, b] x[a, b] and g'[j, b] x[a, b] for every matrix of the stack. The
+    plane entries add d x d products.
+    """
+    h, (_, g_dual) = decomp.h1_f, decomp.first_order
+    hr, gr = h.T, g_dual.T
+    _, (alpha_r, beta_r, gamma_r) = decomp._planes
+    hd = np.diag(h)
+    out = alpha_r.T @ x + x @ gamma_r.T + hd[None, :] * (beta_r.T @ x) \
+        + hd[:, None] * (x @ beta_r.T)
+    k, d = x.shape[0], h.shape[0]
+    pairs = np.stack([hr, gr], axis=1)[:, None, None, :, :]
+    factors = -decomp.lam * np.stack([gr, hr])
+    x_t = x.transpose(1, 0, 2)[None, :, :, None, :]
+    for js, res in _dyad_resolvent_blocks(decomp.basis, decomp.eta):
+        # y[j, a, (k, t), b] = pairs[j, t, b] x[k, a, b], contracted with R over b
+        y = (pairs[js] * x_t).reshape(-1, d, 2 * k, d)
+        t = _matmul(y, res.transpose(0, 2, 1, 3)).reshape(-1, d, k, 2, d)
+        out[:, :, js] += np.einsum("jakti,tai->kij", t, factors)
+    return out
 
 
 def _phi_hamiltonian(basis: PhiBasis, lam: float, h1_f: np.ndarray) -> np.ndarray:
@@ -296,20 +405,11 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
         # E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu = z_i - w_j
         z = level + lam * np.einsum("ia,ai->i", h1_f, a)
         w = level - lam * np.einsum("jb,bj->j", a, h1_f)
-        return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                             energies=vec(np.subtract.outer(z, w)), first_order=(a, a_dual))
-    d = basis.dim
-    resolvent = _dyad_resolvent(basis, eta)
-    c_cols = _second_order_columns(h1_f, a, lam, resolvent)
-    d_rows = _second_order_columns(h1_f.T, a_dual.T, lam, resolvent).T
-    # (L1 c_nu)_nu reads the entries of c_nu on the dyads (a, j) and (i, b)
-    cols = c_cols.reshape(d, d, d, d)
-    k = np.arange(d)
-    shift = (np.einsum("ia,jai->ij", h1_f, cols[k, :, k, :])
-             - np.einsum("bj,ibj->ij", h1_f, cols[:, k, :, k]))
-    energies = vec(np.subtract.outer(level, level) + lam * shift)
+        energies = vec(np.subtract.outer(z, w))
+    else:
+        energies = _second_order_energies(h1_f, a, r, lam, level)
     return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                         energies=energies, series=(c_cols, d_rows))
+                         energies=energies, first_order=(a, a_dual))
 
 
 def decompose_model(ops, order="exact", eta: float = 0.0) -> Decomposition:
@@ -390,29 +490,35 @@ def block_residual(decomp: Decomposition) -> float:
     return float(np.max(np.abs(anchors / anchors - 1.0)))
 
 
+def _project_frame(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
+    """Kinetic coefficients of a stack x of free-frame states, as d x d matrices.
+
+    Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
+    Order 1: c_nu = (x + [A', x])_ij / kappa_nu.
+    Order 2: c_nu = (x + sum_mu d_nu(mu) x_mu)_ij / kappa_nu, the rows d_nu
+    streamed over blocks of j.
+    """
+    kappa = decomp.kappa
+    if np.min(np.abs(kappa)) < DEFAULT_TOL:
+        raise ValueError("(P + DC) numerically singular on at least one P block")
+    if decomp.order == "2":
+        return (x + _second_order_rows(decomp, x)) / unvec(kappa, decomp.basis.dim)
+    if decomp.first_order is not None:
+        a_dual = decomp.first_order[1]
+        return (x + a_dual @ x - x @ a_dual) / unvec(kappa, decomp.basis.dim)
+    psi, psi_tilde = decomp.psi, decomp.psi_tilde
+    return (psi_tilde @ x @ psi) * np.outer(np.diag(psi), np.diag(psi_tilde))
+
+
 def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
     """Kinetic coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
 
     Returned as a Liouville-index vector; each coefficient evolves alone,
-    c_nu(t) = e^{-i E_nu t} c_nu(0).
-
-    Exact order: c_nu = (psi~ rho_f psi)_ij psi_ii psi~_jj.
-    Order 1: c_nu = (rho_f + [A', rho_f])_ij / kappa_nu.
-    Order 2: c_nu = (rho_f + d @ rho_f)_nu / kappa_nu with d the series rows.
+    c_nu(t) = e^{-i E_nu t} c_nu(0). _project_frame gives the formula of
+    each order.
     """
-    rho_f = decomp.basis.to_frame(rho)
-    kappa = decomp.kappa
-    if np.min(np.abs(kappa)) < DEFAULT_TOL:
-        raise ValueError("(P + DC) numerically singular on at least one P block")
-    if decomp.series is not None:
-        return (rho_f + decomp.series[1] @ rho_f) / kappa
-    if decomp.first_order is not None:
-        a_dual = decomp.first_order[1]
-        x = unvec(rho_f, decomp.basis.dim)
-        return vec(x + a_dual @ x - x @ a_dual) / kappa
-    psi, psi_tilde = decomp.psi, decomp.psi_tilde
-    core = psi_tilde @ unvec(rho_f, decomp.basis.dim) @ psi
-    return vec(core * np.outer(np.diag(psi), np.diag(psi_tilde)))
+    x = unvec(decomp.basis.to_frame(rho), decomp.basis.dim)
+    return vec(_project_frame(decomp, x[None])[0])
 
 
 def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
@@ -435,7 +541,10 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")
-    lhs = project_density(decomp, _hilbert_flow(h, rho, t))
-    rhs = np.exp(-1j * decomp.energies * t) * project_density(decomp, rho)
-    gap = lhs - rhs
-    return float(np.linalg.norm(decomp.basis.from_frame(gap), ord=2))
+    f = decomp.basis.f_vectors
+    # both states in one projection, which streams order 2's rows once
+    states = f.conj().T @ np.stack([_hilbert_flow(h, rho, t), rho]) @ f
+    lhs, rhs = _project_frame(decomp, states)
+    phases = np.exp(-1j * unvec(decomp.energies, decomp.basis.dim) * t)
+    gap = lhs - phases * rhs
+    return float(np.linalg.norm(f @ gap @ f.conj().T, ord=2))

@@ -137,7 +137,7 @@ def bloch_head(psi, psi_dual, machine: TuringMachine) -> BlochVector:
                        z=complex(bra @ lz @ ket) / norm)
 
 
-def step(machine: TuringMachine, psi, psi_dual, operator) -> tuple[np.ndarray, np.ndarray]:
+def step(psi, psi_dual, operator) -> tuple[np.ndarray, np.ndarray]:
     """One evolution step: psi -> U psi with the dual moved by U^{-1}.
 
     The pairing is preserved for every invertible U, which is the isometry
@@ -149,10 +149,10 @@ def step(machine: TuringMachine, psi, psi_dual, operator) -> tuple[np.ndarray, n
     return ket, bra
 
 
-def isometry_residual(machine: TuringMachine, psi, psi_dual, operator) -> float:
+def isometry_residual(psi, psi_dual, operator) -> float:
     """|<psi~'|psi'> - <psi~|psi>| across one step."""
     before = pairing(psi_dual, psi)
-    ket, bra = step(machine, psi, psi_dual, operator)
+    ket, bra = step(psi, psi_dual, operator)
     return abs(pairing(bra, ket) - before)
 
 
@@ -187,7 +187,7 @@ def trajectory(machine: TuringMachine, psi, psi_dual, operators) -> list[BlochVe
     bra = np.asarray(psi_dual, dtype=np.complex128)
     points = [bloch_head(ket, bra, machine)]
     for op in operators:
-        ket, bra = step(machine, ket, bra, op)
+        ket, bra = step(ket, bra, op)
         points.append(bloch_head(ket, bra, machine))
     return points
 

@@ -1,10 +1,10 @@
 """Dense d^2 x d^2 Liouville routes: the reference the factored engine is checked against.
 
-subdyn.subdynamics keeps one representation per construction order (d x d
-eigen data at the exact order, d x d first-order factors at order 1, the
-dense series at order 2). The routes here build the superoperators the
-theory writes down -- L = diag(E0) + lam [h1_f, .], the creation columns
-c_nu, the destruction rows d_nu, Omega = I + C and the total projectors
+subdyn.subdynamics keeps one representation per construction order: d x d
+eigen data at the exact order and the d x d first-order factors at orders 1
+and 2. The routes here build the superoperators the theory writes down --
+L = diag(E0) + lam [h1_f, .], the creation columns c_nu, the destruction
+rows d_nu, Omega = I + C and the total projectors
 Pi_nu = (P + C)(P + DC)^-1(P + D) -- as dense matrices from a Decomposition,
 so every test can compare a factored expression with its textbook form.
 The dense density-matrix fidelity and the total-space evidence loop built on
@@ -64,6 +64,50 @@ def interaction(decomp: Decomposition) -> np.ndarray:
     return commutator_superop(decomp.h1_f)
 
 
+def dyad_resolvent(basis: PhiBasis, eta: float) -> np.ndarray:
+    """1/(E0_nu - E0_mu + i eta) as a [b, a, j, i] tensor, mu = (a, b), nu = (i, j).
+
+    Zero on mu = nu and, at eta = 0, on every degenerate pair of dyads; real
+    at eta = 0.
+    """
+    d = basis.dim
+    e0 = basis.e0.real.reshape(d, d)  # e0[b, a] = eps_a - eps_b
+    gap = e0[None, None, :, :] - e0[:, :, None, None]
+    if eta == 0.0:
+        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(basis.e0))))
+        inv = gap
+    else:
+        blocked = np.eye(d * d, dtype=bool).reshape(gap.shape)
+        inv = gap + 1j * eta
+    inv[blocked] = 1.0
+    np.divide(1.0, inv, out=inv)
+    inv[blocked] = 0.0
+    return inv
+
+
+def second_order_columns(h: np.ndarray, g: np.ndarray, lam: float,
+                         resolvent: np.ndarray) -> np.ndarray:
+    """Order-2 creation columns grown from the first-order superoperator [g, .].
+
+    Column nu = (i, j) is [g, E] + lam * resolvent_nu * [h, [g, E]] with
+    E = e_i e_j^T, returned as a d^2 x d^2 matrix. Entry mu = (a, b) of the
+    double commutator is delta_bj (h g)[a, i] + delta_ai (g h)[j, b]
+    - h[a, i] g[j, b] - g[a, i] h[j, b]; the tensor axes are [b, a, j, i].
+    Rows with g = A' are the transposed columns of (h^T, A'^T).
+    """
+    d = h.shape[0]
+    k = np.arange(d)
+    s = -lam * g
+    out = np.multiply(h.T[:, None, :, None], s[None, :, None, :], order="C")
+    out += s.T[:, None, :, None] * h[None, :, None, :]
+    out[k, :, k, :] -= h @ s
+    out[:, k, :, k] -= (s @ h).T
+    out *= resolvent
+    out[k, :, k, :] += g
+    out[:, k, :, k] -= g.T
+    return out.reshape(d * d, d * d)
+
+
 def columns(decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """Dense creation columns and destruction rows (c, d) at any order.
 
@@ -71,10 +115,15 @@ def columns(decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T.
     Order 1: the superoperators [A, .] and [A', .], so column nu of c is
     vec([A, e_i e_j^T]) and d_nu . vec(X) = [A', X]_ij.
-    Order 2: the stored series.
+    Order 2: the order-1 columns and rows grown by one dyad-resolvent power,
+    built by broadcasting from h1_f, A and A' in O(d^4) time and memory.
     """
-    if decomp.series is not None:
-        return decomp.series
+    if decomp.order == "2":
+        a, a_dual = decomp.first_order
+        h, lam = decomp.h1_f, decomp.lam
+        resolvent = dyad_resolvent(decomp.basis, decomp.eta)
+        return (second_order_columns(h, a, lam, resolvent),
+                second_order_columns(h.T, a_dual.T, lam, resolvent).T)
     if decomp.first_order is not None:
         a, a_dual = decomp.first_order
         return commutator_superop(a), commutator_superop(a_dual)

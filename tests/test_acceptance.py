@@ -69,7 +69,7 @@ def test_criterion_01_classification_table():
     ok = True
     details = []
     for spec in (DIAG, TRI, GEN):
-        report = classify(build_model(spec))
+        report = classify(build_model(spec), np.linspace(0.0, 20.0, 81))
         want = EXPECTED_TABLE[spec.kind]
         row_ok = report.table_row() == want
         backed = all(_verdict_backed(report.verdicts[c], report.evidence, c,
@@ -240,7 +240,7 @@ def test_criterion_09_turing_machine():
         psi = np.kron(head[:, 0], t_ket)
         dual = np.kron(m.inverses()[0][0, :], t_bra)
         for op in (rotation_step(m, 0.7), shear_step(m, 0.5)):
-            worst_iso = max(worst_iso, isometry_residual(m, psi, dual, op))
+            worst_iso = max(worst_iso, isometry_residual(psi, dual, op))
         points = trajectory(m, psi, dual, [rotation_step(m, 0.9)] * 4)
         worst_circle = max(worst_circle, bloch_circle_residual(points))
 

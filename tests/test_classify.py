@@ -11,7 +11,6 @@ import scipy.linalg
 from oracle import dense_total_space_evidence, fidelity
 from subdyn.classify import (
     CELLS,
-    DEFAULT_TIMES,
     DEFAULT_VERDICT_TOL,
     check_diagonal_condition,
     check_triangular_condition,
@@ -35,11 +34,13 @@ GEN48 = ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
                   lam=0.05, bath=((0.9, 0.6), (0.97, 0.6)), fock_cutoff=2,
                   bath_cutoff=1)
 GENERAL_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json"
+# 81 points on [0, 20]: late enough for the general model's slow drifts
+TIMES = np.linspace(0.0, 20.0, 81)
 
 
 @pytest.fixture(scope="module")
 def reports():
-    return {spec.kind: classify(build_model(spec)) for spec in (DIAG, TRI, GEN)}
+    return {spec.kind: classify(build_model(spec), TIMES) for spec in (DIAG, TRI, GEN)}
 
 
 def test_reference_rows(reports):
@@ -81,7 +82,7 @@ def test_general_decay_evidence_separates_verdicts(reports):
 
 
 def test_free_theory_is_decoherence_free_everywhere():
-    rep = classify(build_model(dataclasses.replace(GEN, lam=0.0)))
+    rep = classify(build_model(dataclasses.replace(GEN, lam=0.0)), TIMES)
     assert rep.table_row() == ("DF",) * 4
     assert rep.interaction_row == "diagonal"
 
@@ -90,7 +91,7 @@ def test_commuting_interaction_only_dephases():
     # H1 is diagonal in the free eigenbasis, so the exact state differs from
     # the free one by phases alone: populations and moduli are pinned while
     # the state fidelity against free evolution genuinely dips
-    rep = classify(build_model(DIAG))
+    rep = classify(build_model(DIAG), TIMES)
     assert rep.evidence["population_drift"] <= 1e-12
     assert rep.evidence["coherence_modulus_drift"] <= 1e-12
     assert rep.evidence["fidelity_vs_free_min"] < 0.9
@@ -137,7 +138,7 @@ def test_fidelity_trace_unit_for_hermitian_models():
         ops = build_model(spec)
         decomp = decompose_model(ops)
         trace = fidelity_trace(decomp.energies,
-                               project_density(decomp, canonical_initial_state(ops)))
+                               project_density(decomp, canonical_initial_state(ops)), TIMES)
         assert trace.is_unit(), spec.kind
         assert trace.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
@@ -156,7 +157,8 @@ def test_fidelity_trace_decays_with_retarded_regulator():
 def test_fidelity_trace_rejects_zero_state():
     d = decompose_model(build_model(DIAG))
     with pytest.raises(ValueError, match="weight"):
-        fidelity_trace(d.energies, project_density(d, np.zeros((d.basis.dim, d.basis.dim))))
+        fidelity_trace(d.energies, project_density(d, np.zeros((d.basis.dim, d.basis.dim))),
+                       TIMES)
 
 
 def test_total_space_evidence_accepts_explicit_state_and_grid():
@@ -167,11 +169,6 @@ def test_total_space_evidence_accepts_explicit_state_and_grid():
     # the maximally mixed state commutes with everything
     assert ev["population_drift"] <= DEFAULT_VERDICT_TOL
     assert ev["coherence_modulus_drift"] <= DEFAULT_VERDICT_TOL
-
-
-def test_default_grid_reaches_late_times():
-    assert DEFAULT_TIMES[0] == 0.0
-    assert DEFAULT_TIMES[-1] == pytest.approx(20.0)
 
 
 def test_report_records_run_parameters(reports):
@@ -192,14 +189,14 @@ def test_fidelity_vs_free_min_is_the_pure_state_overlap(case):
     # the canonical state is pure, so the fidelity against free evolution is
     # |<e^{-i H0 t} phi | e^{-i H t} phi>|, here from two expm per point
     spec, times = _shipped_general() if case == "configs/general.json" \
-        else (GEN48, DEFAULT_TIMES)
+        else (GEN48, np.linspace(0.0, 20.0, 81))
     ops = build_model(spec)
     rho0 = canonical_initial_state(ops)
     phi = np.linalg.eigh(rho0)[1][:, -1]
     h = ops.hamiltonian()
     expected = min(abs(np.vdot(scipy.linalg.expm(-1j * t * ops.h0) @ phi,
                                scipy.linalg.expm(-1j * t * h) @ phi)) for t in times)
-    got = classify(ops, times=times).evidence["fidelity_vs_free_min"]
+    got = classify(ops, times).evidence["fidelity_vs_free_min"]
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -258,4 +255,4 @@ def test_total_space_evidence_rejects_invalid_state(spec, state, error):
         rho0[1, 1] = -0.5
     with pytest.raises(error):
         total_space_evidence(decompose_model(ops), ops.hamiltonian(), rho0,
-                             DEFAULT_TIMES)
+                             TIMES)

@@ -122,12 +122,12 @@ def _diagonal_doc(tmp_path, fock_cutoff):
 
 
 def test_dimension_cap_reported_as_config_error(tmp_path, capsys, monkeypatch):
-    # order 2 at d = 512 is estimated at about 4 TiB; refused before any model is built
+    # order 2 at d = 4096 is estimated at about 1 TiB; refused before any model is built
     def build_model(spec):
         raise AssertionError("model built for a refused run")
 
     monkeypatch.setattr("subdyn.runner.build_model", build_model)
-    doc = _diagonal_doc(tmp_path, 255)
+    doc = _diagonal_doc(tmp_path, 2047)
     assert main(["classify", "--config", str(doc), "--order", "2"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "order 2" in err
@@ -152,6 +152,21 @@ def test_resonant_perturbation_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["classify", "--config", str(doc), "--order", "1",
                  "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / REPORT_NAME).exists()
+
+
+@pytest.mark.parametrize("order", ["exact", "2"])
+@pytest.mark.parametrize("scenario", ["classify", "evolve", "swap-calibrate", "verify"])
+def test_overflowing_lam_is_numerical_failure(tmp_path, capsys, scenario, order):
+    # lam = 1e300 overflows the interaction scale; every scenario that reads
+    # lam refuses the run instead of writing a report of infs and nans
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"model": {"kind": "diagonal", "omega0": 1.0, "omega": 1.3,
+                                         "g": 0.5, "lam": 1e300, "fock_cutoff": 2}}))
+    out = tmp_path / "run"
+    code = main([scenario, "--config", str(doc), "--order", order, "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / REPORT_NAME).exists()

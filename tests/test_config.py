@@ -190,9 +190,10 @@ def diagonal_doc(dim, **extra):
 
 
 def test_dimension_cap_and_override():
-    # order 2 at d = 512 needs 16 * 4 * 512^4 bytes, about 4 TiB: refused everywhere
+    # order 2 at d = 4096 streams resolvent blocks of 16 * 4096^3 bytes, about
+    # 1 TiB: refused everywhere
     with pytest.raises(ConfigError, match=r"order 2.*estimated .* MiB.*budget of .* MiB"):
-        load_config(diagonal_doc(512, order="2"))
+        load_config(diagonal_doc(4096, order="2"))
     # the run the old fixed cap of d = 64 refused needs a few MiB
     assert load_config(diagonal_doc(82)).model.dim == 82
     # there is no override: the old key is a typo like any other
@@ -218,7 +219,10 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     base = est(load_config(diagonal_doc(d)))
     assert base == 16 * (101 + 32) * d**2
     assert est(load_config(diagonal_doc(d, order="1"))) == base
-    assert est(load_config(diagonal_doc(d, order="2"))) == base + 64 * d**4
+    # order 2 streams one resolvent block of max(d^3, 2^16) entries
+    assert est(load_config(diagonal_doc(d, order="2"))) == base + 16 * 2**16
+    assert est(load_config(diagonal_doc(64, order="2"))) \
+        == 16 * ((101 + 32) * 64**2 + 64**3)
     assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == 16 * 1033 * d**2
     # verify runs the exact order; swap-calibrate reads no time grid
     assert est(load_config(diagonal_doc(d, scenario="verify", order="2"))) == base
@@ -241,7 +245,7 @@ def turing_doc(tape_spins):
 
 MEMORY_CASES = {f"{dim}-{order}": diagonal_doc(dim, order=order)
                 for dim, order in [(16, "exact"), (16, "1"), (16, "2"), (32, "exact"),
-                                   (32, "1"), (32, "2"), (82, "exact")]}
+                                   (32, "1"), (32, "2"), (48, "2"), (64, "2"), (82, "exact")]}
 # turing-demo's head and tape span D = 2^(tape_spins + 1) = 128 and 512 states
 MEMORY_CASES.update({f"turing-tape{n}": turing_doc(n) for n in (6, 8)})
 
@@ -252,9 +256,19 @@ def test_memory_estimate_bounds_traced_peak(case):
     estimate = config_module._check_memory(cfg)
     peak = _traced_peak(cfg)
     assert peak <= estimate
-    if case in ("32-2", "82-exact", "turing-tape6", "turing-tape8"):
+    if case in ("64-2", "82-exact", "turing-tape6", "turing-tape8"):
         # tight enough not to refuse runs that fit
         assert estimate <= 2 * peak
+
+
+def test_order_two_at_d128_fits_a_7_gb_machine(monkeypatch):
+    # the streamed order 2 needs about 65 MiB at d = 128, where the dense
+    # columns and rows took 16 * 4 * 128^4 bytes, about 17 GiB
+    pages = {"SC_PHYS_PAGES": 7 * 2**30 // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
+    cfg = load_config(diagonal_doc(128, order="2"))
+    assert cfg.model.dim == 128 and cfg.order == "2"
+    assert config_module._check_memory(cfg) < 2**27
 
 
 def test_turing_tape_is_priced():

@@ -7,6 +7,7 @@ import pytest
 
 from subdyn.gates import (
     CNOT_PERMUTATION,
+    GATE_LABELS,
     RLSGate,
     build_cnot_rls,
     calibrate_timing,
@@ -152,7 +153,7 @@ def test_cnot_computational_basis_truth_table():
     want[0, 0] = want[1, 1] = want[2, 3] = want[3, 2] = 1.0
     np.testing.assert_allclose(m, want, atol=1e-14)
     assert gate.permutation == CNOT_PERMUTATION
-    assert gate.labels == ("00", "01", "10", "11")
+    assert GATE_LABELS == ("00", "01", "10", "11")
 
 
 def test_cnot_eight_pairing_relations_nonorthogonal_family():

@@ -591,7 +591,7 @@ def _traced_peak_mb(fn) -> float:
 
 
 def _general_ops(fock_cutoff):
-    """General model with two bath modes: d = 32 at fock_cutoff 1, 48 at 2."""
+    """General model with two bath modes: d = 32 at fock_cutoff 1, 48 at 2, 64 at 3."""
     return build_model(ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
                                  lam=0.05, bath=((0.9, 0.6), (0.97, 0.6)),
                                  fock_cutoff=fock_cutoff, bath_cutoff=1))
@@ -602,7 +602,7 @@ def _decompose_and_classify_peak_mb(ops, order) -> float:
 
     def run():
         decompose_model(ops, order=order)
-        classify(ops, order=order)
+        classify(ops, np.linspace(0.0, 20.0, 81), order=order)
 
     return _traced_peak_mb(run)
 
@@ -632,13 +632,44 @@ def test_second_order_swap_calibration_stays_small_at_d48():
     assert peak < 40
 
 
-def test_second_order_decompose_holds_five_dense_arrays_at_d32():
-    # one dense d^2 x d^2 complex array at d = 32 is 16 MB; the build holds
-    # its creation columns, destruction rows, the dyad resolvent and one
-    # temporary at its peak
+def test_second_order_decompose_holds_no_dense_array_at_d32():
+    # one dense d^2 x d^2 complex array at d = 32 is 16 MB; order 2 keeps
+    # d x d factors and streams its columns and rows over blocks of j
     ops = _general_ops(1)
     assert ops.dim == 32
-    assert _traced_peak_mb(lambda: decompose_model(ops, order="2")) < 80
+    assert _traced_peak_mb(lambda: decompose_model(ops, order="2")) < 16
+
+
+def test_second_order_classify_stays_under_100_mb_at_d64():
+    # the dense columns and rows at d = 64 took 4 x 268 MB; a streamed
+    # resolvent block is one j wide, d^3 entries
+    ops = _general_ops(3)
+    assert ops.dim == 64
+    assert _decompose_and_classify_peak_mb(ops, "2") < 100
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_second_order_stream_matches_broadcast_oracle_at_d32(eta):
+    # at d = 32 the stream takes one j per block, 32 blocks
+    ops = _general_ops(1)
+    assert ops.dim == 32
+    decomp = decompose_model(ops, order="2", eta=eta)
+    c, d = columns(decomp)
+    rng = np.random.default_rng(14)
+    states = [canonical_initial_state(ops), random_density(rng, ops.dim)]
+    pairs = {
+        "energies": (decomp.energies,
+                     decomp.basis.e0 + decomp.lam * np.diag(interaction(decomp))
+                     + decomp.lam * np.einsum("ij,ji->i", interaction(decomp), c)),
+        "pairing": (decomp.kappa, 1.0 + np.einsum("ij,ji->i", d, c)),
+    }
+    for k, rho in enumerate(states):
+        rho_f = decomp.basis.to_frame(rho)
+        pairs[f"project_density {k}"] = (project_density(decomp, rho),
+                                         (rho_f + d @ rho_f) / pairs["pairing"][1])
+    for name, (got, want) in pairs.items():
+        gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert np.max(gap) <= 1e-12, (name, np.max(gap))
 
 
 def assert_matches_dense(decomp, oracle, rho, scaled=False):
