@@ -91,8 +91,15 @@ def check_triangular_condition(decomp: Decomposition) -> float:
 
 
 def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> FidelityTrace:
-    """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu."""
+    """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu.
+
+    Raises ValueError when max|E| max|t| eps >= 1, where e^{-i E t} keeps no
+    correct digit.
+    """
     ts = np.asarray(times, dtype=np.float64)
+    scale = float(np.max(np.abs(energies), initial=0.0)) * float(np.max(np.abs(ts), initial=0.0))
+    if scale * np.finfo(np.float64).eps >= 1.0:
+        raise ValueError(f"kinetic phases keep no correct digit: max|E| max|t| = {scale:.3e}")
     mags = np.abs(coefficients)
     total = mags.sum()
     if total <= 0.0:

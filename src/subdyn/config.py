@@ -228,27 +228,28 @@ def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
     The estimate is 16 ((steps + 32) d^2 + max(d^3, 2^16) + 12 D^2) bytes,
-    the cubic term only for order 2 and the D^2 term only for turing-demo,
-    whose head and tape spins span D = 2^(tape_spins + 1) states. The d^2
-    term covers fidelity_trace's steps x d^2 exponent table and the d x d
-    eigen data; classify's total-space evidence holds only d x d matrices and
-    the state's d x r factor per time step. The cubic term covers order 2's
-    stream over blocks of the dyad index j: one resolvent block of
-    max(d^3, 2^15) entries at 10 bytes (eta = 0) or 16 bytes (eta > 0) each.
-    tracemalloc peaks of runner.run are 16 (steps + 12..18) d^2 bytes at
-    orders exact and 1, for every model kind from d = 16 up (below that a
-    fixed ~0.1 MB dominates); order 2 adds the block, up to 16 (9.8..13.3)
-    d^3 bytes at d = 16, while from d = 32 to 64 its peak stays that of the
-    d^2 term. The constants were measured when classify still held a
-    (steps, d, d) stack of density matrices (16 (steps + 27..31) d^2), so
-    the estimate errs on the high side. turing-demo builds dense D x D step
-    operators and product bases; its peaks are 16 (9.0..9.5) D^2 bytes from
-    D = 128 to 512.
+    the cubic term only for order 2 at eta > 0 and the D^2 term only for
+    turing-demo, whose head and tape spins span D = 2^(tape_spins + 1)
+    states. The d^2 term covers fidelity_trace's steps x d^2 exponent table
+    and the d x d eigen data and first-order factors; classify's total-space
+    evidence holds only d x d matrices and the state's d x r factor per time
+    step. The cubic term covers order 2's stream of the dyad-resolvent
+    remainder over blocks of the dyad index j, which only eta > 0 runs: one
+    complex block of max(d^3, 2^15) entries. tracemalloc peaks of runner.run
+    are 16 (steps + 12..22) d^2 bytes at orders exact and 1 and at order 2
+    with eta = 0, for every model kind from d = 16 up (below that a fixed
+    ~0.1 MB dominates); order 2 at eta > 0 adds the block, up to
+    16 (130..139) d^2 bytes at d = 16, while from d = 32 to 64 its peak
+    stays that of the d^2 term. The constants were measured when classify
+    still held a (steps, d, d) stack of density matrices
+    (16 (steps + 27..31) d^2), so the estimate errs on the high side.
+    turing-demo builds dense D x D step operators and product bases; its
+    peaks are 16 (9.0..9.5) D^2 bytes from D = 128 to 512.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
-    cubic = max(d**3, 2**16) if ordered and config.order == "2" else 0
+    cubic = max(d**3, 2**16) if ordered and config.order == "2" and config.eta > 0 else 0
     tape = 2 ** (config.tape_spins + 1) if config.scenario == "turing-demo" else 0
     estimate = 16 * ((steps + 32) * d**2 + cubic + 12 * tape**2)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2

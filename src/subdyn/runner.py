@@ -88,7 +88,7 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
     # array may differ in the last bit
     trace_drift = float(np.max(np.hypot(gaps.real, gaps.imag), initial=0.0))
     mid_t = float(times[len(times) // 2])
-    consistency = kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, mid_t)
+    consistency = kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, coeff, mid_t)
 
     fidelity_rows = [(float(t), float(v)) for t, v in zip(trace.times, trace.values)]
     # row k = i + d j lists the dyad nu = (i, j)
@@ -253,8 +253,9 @@ def _run_verify(config: ScenarioConfig, ops: ModelOperators):
         for _ in range(3):
             rho0 = random_density(rng, ops.dim)
             t = float(rng.uniform(0.1, 5.0))
+            coeff = project_density(decomp, rho0)
             consistency = max(consistency,
-                              kinetic_consistency_residual(decomp, h_full, rho0, t))
+                              kinetic_consistency_residual(decomp, h_full, rho0, coeff, t))
         checks.append(("kinetic_consistency", consistency, 1e-6))
 
         real_spectrum = float(np.max(np.abs(decomp.energies.imag))) <= 1e-10

@@ -18,9 +18,12 @@ eigendecomposition of H), and the stationary-resolvent perturbation
 expansion truncated at first ("1") or second ("2") order in lam. Each order
 keeps one representation of d x d arrays and computes what it reports from
 it: eigen data at the exact order, the first-order factors at orders 1 and
-2. Order 2's pairings and projections read its d^2 x d^2 creation columns
-and destruction rows, which are never stored: they are streamed over blocks
-of the dyad index j, O(d^3) memory and O(d^4) time. The dense d^2 x d^2
+2. Order 2's d^2 x d^2 creation columns and destruction rows are never
+stored: off the planes b = j and a = i, column nu = (i, j) is -A E_ij A
+times W = 1 + i eta R (R the dyad resolvent), and the rows are the same in
+A'. At eta = 0, W = 1 and order 2 takes O(d^3) time and O(d^2) memory; at
+eta > 0 the remainder W - 1 is streamed over blocks of the dyad index j,
+O(d^3) memory and O(d^4) time. The dense d^2 x d^2
 Liouville routes (L, Omega, Pi_nu, every order's columns) are reference
 oracles for small-d checks and live with the tests, in tests/oracle.py.
 """
@@ -121,8 +124,9 @@ class Decomposition:
     d x d expression in A and A'. Order 2 stores the same first_order
     factors: its columns grow those of order 1 by one power of the dyad
     resolvent, its energies are a d x d expression in h1_f, A and r, and
-    kappa and project_density stream the columns and rows over blocks of
-    the dyad index j without storing them. The pairings kappa, which every
+    kappa and project_density are d x d expressions at eta = 0 and stream
+    a remainder over blocks of the dyad index j at eta > 0. The pairings
+    kappa, which every
     projection divides by, are computed from the stored factors on first
     use and kept with the instance.
     """
@@ -144,7 +148,7 @@ class Decomposition:
 
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
         Order 1: kappa_nu = 1 + (A' A)_ii + (A A')_jj.
-        Order 2: streamed over blocks of j, see _second_order_kappa.
+        Order 2: see _second_order_kappa.
         The cached array is read-only, as every caller shares it;
         dataclasses.replace builds a new instance with a fresh kappa.
         """
@@ -217,42 +221,25 @@ _BLOCK_ENTRIES = 2 ** 15
 
 
 def _dyad_resolvent_blocks(basis: PhiBasis, eta: float):
-    """Yield (js, R): the dyad resolvent over blocks js of the dyad index j.
+    """Yield (js, R): the dyad resolvent over blocks js of the dyad index j, eta > 0.
 
     R[j, b, a, i] = 1/(E0_nu - E0_mu + i eta) for mu = (a, b) and nu = (i, j),
-    j in js, with the dense dyad resolvent's mask: zero on mu = nu and, at
-    eta = 0, on every degenerate pair of dyads; real at eta = 0. On the planes
-    b = j and a = i the dyad resolvent is the one-index resolvent, r[a, i] and
-    r[j, b], and the order-2 routes add those entries from d x d data, so R
-    is zero there. A block spans about _BLOCK_ENTRIES entries; all blocks
-    share one buffer, which the next block overwrites.
+    j in js, unmasked: its weights A[a, i] A[j, b] vanish on the planes b = j
+    and a = i. A block spans about _BLOCK_ENTRIES entries; all blocks share
+    one buffer, which the next block overwrites.
     """
     d = basis.dim
-    e0 = np.ascontiguousarray(basis.e0.real.reshape(d, d))  # e0[b, a] = eps_a - eps_b
+    e0 = basis.e0.reshape(d, d)  # e0[b, a] = eps_a - eps_b, complex with zero imag
+    shifted = e0 + 1j * eta
     step = max(1, _BLOCK_ENTRIES // d ** 3)
-    shape = (min(step, d), d, d, d)
-    if eta == 0.0:
-        threshold = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(e0))))
-        buffer = np.empty(shape)
-        blocked, above = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    else:
-        buffer = np.empty(shape, dtype=np.complex128)
+    buffer = np.empty((min(step, d), d, d, d), dtype=np.complex128)
     for start in range(0, d, step):
         js = slice(start, min(start + step, d))
-        n = js.stop - start
-        res = buffer[:n]
-        # E0_nu - E0_mu = (eps_i - eps_a) - (eps_j - eps_b), over whole rows of e0
-        np.subtract(e0, e0[:, js].T[:, :, None, None], out=res.real)
-        if eta == 0.0:
-            # |gap| <= threshold becomes inf, so its reciprocal is zero
-            np.less_equal(res, threshold, out=blocked[:n])
-            np.greater_equal(res, -threshold, out=above[:n])
-            np.putmask(res, np.logical_and(blocked[:n], above[:n], out=blocked[:n]), np.inf)
-        else:
-            res.imag = eta
+        res = buffer[: js.stop - start]
+        # E0_nu - E0_mu + i eta = (eps_i - eps_a) - (eps_j - eps_b) + i eta;
+        # both operands complex, as a real one is cast at every broadcast step
+        np.subtract(shifted, e0[:, js].T[:, :, None, None], out=res)
         np.reciprocal(res, out=res)
-        res.reshape(n * d, d * d)[start :: d + 1] = 0.0  # b = j
-        res.reshape(n, d, d * d)[:, :, :: d + 1] = 0.0  # a = i
         yield js, res
 
 
@@ -286,27 +273,22 @@ def _second_order_energies(h: np.ndarray, a: np.ndarray, r: np.ndarray, lam: flo
     return vec(np.subtract.outer(level, level) + lam * (left - right))
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for complex x; a real y stays real, one real product on stacked parts."""
-    if np.iscomplexobj(y):
-        return x @ y
-    m = x.shape[-2]
-    out = np.concatenate([x.real, x.imag], axis=-2) @ y
-    return out[..., :m, :] + 1j * out[..., m:, :]
-
-
 def _second_order_kappa(decomp: Decomposition) -> np.ndarray:
-    """kappa_nu = 1 + d_nu . c_nu at order 2 as a d x d array, streamed over blocks of j.
+    """kappa_nu = 1 + d_nu . c_nu at order 2 as a d x d array.
 
     Off the planes b = j and a = i, column nu reads
-    -lam R (h[j, b] A[a, i] + A[j, b] h[a, i]) and row nu the same in
-    (h^T, A'^T), so that part of d_nu . c_nu is lam^2 sum_mu R^2 times four
-    products of a d-vector over b and a d x d factor over (a, i): one GEMM
-    per block. The plane entries add d x d expressions, polynomials of
-    degree 2 in h[j, j] and h[i, i].
+    -lam R (h[a, i] A[j, b] + A[a, i] h[j, b]) = -A[a, i] A[j, b] W, as
+    (1/r[a, i] + 1/r[j, b]) R = W = 1 + i eta R, and row nu -A'[i, a] A'[b, j] W.
+    On a degenerate dyad pair that is W = 1 at eta = 0 (the removable
+    singularity's value) but W = 2 at any eta > 0. Summed over mu, the
+    products are sum_ab P[a, i] Q[j, b] W^2 with P = A'^T * A and
+    Q = A * A'^T: the d x d term (A' A)_ii (A A')_jj plus, at eta > 0,
+    W^2 - 1 = 2 i eta R - eta^2 R^2 streamed over blocks of j. A has a zero
+    diagonal, so no mask is needed. The plane entries add d x d
+    expressions, polynomials of degree 2 in h[j, j] and h[i, i].
     """
     h, (g, g_dual) = decomp.h1_f, decomp.first_order
-    lam, d = decomp.lam, decomp.basis.dim
+    eta, d = decomp.eta, decomp.basis.dim
     (alpha, beta, gamma), (alpha_r, beta_r, gamma_r) = decomp._planes
     powers = np.stack([np.ones(d), np.diag(h)])
     # plane b = j: sum_a (alpha'[a, i] + h_jj beta'[a, i]) (alpha[a, i] + h_jj beta[a, i])
@@ -315,38 +297,41 @@ def _second_order_kappa(decomp: Decomposition) -> np.ndarray:
     on_i = np.einsum("pjb,qjb->pqj", np.stack([gamma_r, beta_r]), np.stack([gamma, beta]))
     kappa = 1.0 + np.einsum("pqi,pj,qj->ij", on_j, powers, powers) \
         + np.einsum("pqj,pi,qi->ij", on_i, powers, powers)
-    # products[2p + q] = (h, A)[p] * (h^T, A'^T)[q]; the terms pair t with 3 - t
-    products = (np.stack([h, g])[:, None] * np.stack([h.T, g_dual.T])[None]).reshape(4, d, d)
-    left, right = products.transpose(1, 0, 2), lam * lam * products[::-1]
-    for js, res in _dyad_resolvent_blocks(decomp.basis, decomp.eta):
-        v = _matmul(left[js], np.square(res, out=res).reshape(-1, d, d * d))
-        kappa[:, js] += np.einsum("jtai,tai->ij", v.reshape(-1, 4, d, d), right)
+    p, q = g_dual.T * g, g * g_dual.T
+    kappa += np.outer(p.sum(axis=0), q.sum(axis=1))
+    if eta == 0.0:
+        return kappa
+    for js, res in _dyad_resolvent_blocks(decomp.basis, eta):
+        flat = res.reshape(-1, d, d * d)
+        v = (2j * eta) * (q[js, None, :] @ flat)
+        v -= eta * eta * (q[js, None, :] @ np.square(flat, out=flat))
+        kappa[:, js] += np.einsum("jai,ai->ij", v.reshape(-1, d, d), p)
     return kappa
 
 
 def _second_order_rows(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
     """sum_mu d_nu(mu) x[a, b] at order 2 for a stack x of d x d matrices.
 
-    The rows are streamed over blocks of j. Off the planes, d_nu(mu) = -lam R (h'[j, b] g'[a, i] + g'[j, b] h'[a, i])
-    with h' = h^T and g' = A'^T: per block a batched matvec of R against
-    h'[j, b] x[a, b] and g'[j, b] x[a, b] for every matrix of the stack. The
-    plane entries add d x d products.
+    Off the planes, d_nu(mu) = -A'[i, a] A'[b, j] W (see _second_order_kappa),
+    which sums to -(A' x A')_ij at W = 1. At eta > 0 the remainder
+    W - 1 = i eta R is streamed over blocks of j: per block a batched matvec
+    of R against A'[b, j] x[a, b] for every matrix of the stack. The plane
+    entries add d x d products.
     """
     h, (_, g_dual) = decomp.h1_f, decomp.first_order
-    hr, gr = h.T, g_dual.T
     _, (alpha_r, beta_r, gamma_r) = decomp._planes
     hd = np.diag(h)
     out = alpha_r.T @ x + x @ gamma_r.T + hd[None, :] * (beta_r.T @ x) \
-        + hd[:, None] * (x @ beta_r.T)
-    k, d = x.shape[0], h.shape[0]
-    pairs = np.stack([hr, gr], axis=1)[:, None, None, :, :]
-    factors = -decomp.lam * np.stack([gr, hr])
-    x_t = x.transpose(1, 0, 2)[None, :, :, None, :]
+        + hd[:, None] * (x @ beta_r.T) - g_dual @ x @ g_dual
+    if decomp.eta == 0.0:
+        return out
+    factor = -1j * decomp.eta * g_dual
+    x_t = x.transpose(1, 0, 2)[None]
     for js, res in _dyad_resolvent_blocks(decomp.basis, decomp.eta):
-        # y[j, a, (k, t), b] = pairs[j, t, b] x[k, a, b], contracted with R over b
-        y = (pairs[js] * x_t).reshape(-1, d, 2 * k, d)
-        t = _matmul(y, res.transpose(0, 2, 1, 3)).reshape(-1, d, k, 2, d)
-        out[:, :, js] += np.einsum("jakti,tai->kij", t, factors)
+        # y[j, a, k, b] = A'[b, j] x[k, a, b], contracted with R over b
+        y = g_dual[:, js].T[:, None, None, :] * x_t
+        t = y @ res.transpose(0, 2, 1, 3)
+        out[:, :, js] += np.einsum("jaki,ia->kij", t, factor)
     return out
 
 
@@ -495,8 +480,8 @@ def _project_frame(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
 
     Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
     Order 1: c_nu = (x + [A', x])_ij / kappa_nu.
-    Order 2: c_nu = (x + sum_mu d_nu(mu) x_mu)_ij / kappa_nu, the rows d_nu
-    streamed over blocks of j.
+    Order 2: c_nu = (x + sum_mu d_nu(mu) x_mu)_ij / kappa_nu, see
+    _second_order_rows.
     """
     kappa = decomp.kappa
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
@@ -531,20 +516,21 @@ def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
 
 
 def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
-                                 t: float) -> float:
+                                 coeff0: np.ndarray, t: float) -> float:
     """Operator-norm gap between projected exact evolution and kinetic phases.
 
     Compares P_nu Pi_nu e^{-iLt} rho0 (exact route, the Hilbert-space flow
     e^{-iHt} rho0 e^{+iHt} through d x d exponentials, independent of the
     eigendecomposition behind the projection) against
     e^{-i Theta t} P_nu Pi_nu rho0 (kinetic route), reconstructed over all nu.
+    coeff0 = project_density(decomp, rho0) are rho0's kinetic coefficients,
+    taken from the caller so that a run which reports them projects rho0 once.
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")
     f = decomp.basis.f_vectors
-    # both states in one projection, which streams order 2's rows once
-    states = f.conj().T @ np.stack([_hilbert_flow(h, rho, t), rho]) @ f
-    lhs, rhs = _project_frame(decomp, states)
-    phases = np.exp(-1j * unvec(decomp.energies, decomp.basis.dim) * t)
-    gap = lhs - phases * rhs
+    d = decomp.basis.dim
+    lhs = _project_frame(decomp, (f.conj().T @ _hilbert_flow(h, rho, t) @ f)[None])[0]
+    phases = np.exp(-1j * unvec(decomp.energies, d) * t)
+    gap = lhs - phases * unvec(coeff0, d)
     return float(np.linalg.norm(f @ gap @ f.conj().T, ord=2))

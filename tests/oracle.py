@@ -67,8 +67,8 @@ def interaction(decomp: Decomposition) -> np.ndarray:
 def dyad_resolvent(basis: PhiBasis, eta: float) -> np.ndarray:
     """1/(E0_nu - E0_mu + i eta) as a [b, a, j, i] tensor, mu = (a, b), nu = (i, j).
 
-    Zero on mu = nu and, at eta = 0, on every degenerate pair of dyads; real
-    at eta = 0.
+    Zero on mu = nu and, at eta = 0, on every degenerate pair of dyads (where
+    second_order_columns sets its own value); real at eta = 0.
     """
     d = basis.dim
     e0 = basis.e0.real.reshape(d, d)  # e0[b, a] = eps_a - eps_b
@@ -93,6 +93,10 @@ def second_order_columns(h: np.ndarray, g: np.ndarray, lam: float,
     E = e_i e_j^T, returned as a d^2 x d^2 matrix. Entry mu = (a, b) of the
     double commutator is delta_bj (h g)[a, i] + delta_ai (g h)[j, b]
     - h[a, i] g[j, b] - g[a, i] h[j, b]; the tensor axes are [b, a, j, i].
+    Where the resolvent is masked off the planes b = j and a = i (degenerate
+    dyad pairs at eta = 0), the two paths through (a, j) and (i, b) have a
+    removable singularity, and the entry is its value: the product of nu's
+    first-order amplitudes there, g[a, i] and -g[j, b].
     Rows with g = A' are the transposed columns of (h^T, A'^T).
     """
     d = h.shape[0]
@@ -103,6 +107,9 @@ def second_order_columns(h: np.ndarray, g: np.ndarray, lam: float,
     out[k, :, k, :] -= h @ s
     out[:, k, :, k] -= (s @ h).T
     out *= resolvent
+    # g has a zero diagonal, so the product vanishes on the planes by itself
+    masked = resolvent == 0
+    out[masked] = -np.einsum("ai,jb->baji", g, g)[masked]
     out[k, :, k, :] += g
     out[:, k, :, k] -= g.T
     return out.reshape(d * d, d * d)
@@ -272,12 +279,27 @@ def hamiltonian_spectral_projectors(decomp: Decomposition) -> list[np.ndarray]:
             for i in range(h.shape[0])]
 
 
+def _path_product(c1: np.ndarray, d: int) -> np.ndarray:
+    """[mu, nu] -> c1[(a, j), nu] c1[(i, b), nu] for mu = (a, b), nu = (i, j).
+
+    The product of nu's first-order amplitudes on the two intermediate dyads
+    between nu and mu; zero on the planes b = j and a = i, where c1 vanishes
+    on nu itself.
+    """
+    t = c1.reshape(d, d, d, d)  # [b, a, j, i]
+    first = np.einsum("jaji->aji", t)
+    second = np.einsum("biji->bji", t)
+    return np.einsum("aji,bji->baji", first, second).reshape(d * d, d * d)
+
+
 def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     """(c, d, energies, kappa) of the dense stationary-resolvent series.
 
     Built from the d^2 x d^2 interaction Liouvillian L1 = [h1_f, .], with an
     O(d^6) L1 @ c product at order 2. Raises ResonanceError, listing every
-    coupled degenerate dyad pair, where the series divides by zero.
+    coupled degenerate dyad pair, where the series divides by zero. On the
+    uncoupled degenerate dyad pairs at eta = 0, order 2 takes the value of
+    the removable singularity of the two paths through the planes.
     """
     basis = liouville_basis(h0)
     f = basis.f_vectors
@@ -299,8 +321,15 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     c = lam * v1 * inv
     d = lam * v1 * inv.T
     if order == "2":
-        c = c + lam * (v1 @ c) * inv
-        d = d + lam * (d @ v1) * inv.T
+        c2 = c + lam * (v1 @ c) * inv
+        d2 = d + lam * (d @ v1) * inv.T
+        if eta == 0.0:
+            # a degenerate dyad pair mu = (a, b) off the planes of nu = (i, j)
+            # takes the value of the removable singularity of its two paths
+            n = basis.dim
+            c2 = np.where(degenerate, _path_product(c, n), c2)
+            d2 = np.where(degenerate, _path_product(d.T, n).T, d2)
+        c, d = c2, d2
     energies = e0 + lam * np.diag(v1) + lam * np.einsum("ij,ji->i", v1, c)
     kappa = 1.0 + np.einsum("ij,ji->i", d, c)
     return c, d, energies, kappa

@@ -122,13 +122,15 @@ def _diagonal_doc(tmp_path, fock_cutoff):
 
 
 def test_dimension_cap_reported_as_config_error(tmp_path, capsys, monkeypatch):
-    # order 2 at d = 4096 is estimated at about 1 TiB; refused before any model is built
+    # order 2 at d = 4096 and eta > 0 is estimated at about 1 TiB; refused
+    # before any model is built
     def build_model(spec):
         raise AssertionError("model built for a refused run")
 
     monkeypatch.setattr("subdyn.runner.build_model", build_model)
     doc = _diagonal_doc(tmp_path, 2047)
-    assert main(["classify", "--config", str(doc), "--order", "2"]) == EXIT_CONFIG
+    assert main(["classify", "--config", str(doc), "--order", "2",
+                 "--eta", "0.05"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "order 2" in err
     assert "estimated" in err and "budget" in err
@@ -157,7 +159,7 @@ def test_resonant_perturbation_exit_code(tmp_path, capsys):
     assert not (out / REPORT_NAME).exists()
 
 
-@pytest.mark.parametrize("order", ["exact", "2"])
+@pytest.mark.parametrize("order", ["exact", "1", "2"])
 @pytest.mark.parametrize("scenario", ["classify", "evolve", "swap-calibrate", "verify"])
 def test_overflowing_lam_is_numerical_failure(tmp_path, capsys, scenario, order):
     # lam = 1e300 overflows the interaction scale; every scenario that reads

@@ -190,10 +190,10 @@ def diagonal_doc(dim, **extra):
 
 
 def test_dimension_cap_and_override():
-    # order 2 at d = 4096 streams resolvent blocks of 16 * 4096^3 bytes, about
-    # 1 TiB: refused everywhere
+    # order 2 at d = 4096 and eta > 0 streams resolvent blocks of
+    # 16 * 4096^3 bytes, about 1 TiB: refused everywhere
     with pytest.raises(ConfigError, match=r"order 2.*estimated .* MiB.*budget of .* MiB"):
-        load_config(diagonal_doc(4096, order="2"))
+        load_config(diagonal_doc(4096, order="2", eta=0.05))
     # the run the old fixed cap of d = 64 refused needs a few MiB
     assert load_config(diagonal_doc(82)).model.dim == 82
     # there is no override: the old key is a typo like any other
@@ -219,9 +219,11 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     base = est(load_config(diagonal_doc(d)))
     assert base == 16 * (101 + 32) * d**2
     assert est(load_config(diagonal_doc(d, order="1"))) == base
-    # order 2 streams one resolvent block of max(d^3, 2^16) entries
-    assert est(load_config(diagonal_doc(d, order="2"))) == base + 16 * 2**16
-    assert est(load_config(diagonal_doc(64, order="2"))) \
+    # order 2 holds d x d arrays at eta = 0 and streams one resolvent block of
+    # max(d^3, 2^16) entries at eta > 0
+    assert est(load_config(diagonal_doc(d, order="2"))) == base
+    assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) == base + 16 * 2**16
+    assert est(load_config(diagonal_doc(64, order="2", eta=0.05))) \
         == 16 * ((101 + 32) * 64**2 + 64**3)
     assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == 16 * 1033 * d**2
     # verify runs the exact order; swap-calibrate reads no time grid

@@ -1,11 +1,12 @@
 """Projected-subspace engine against brute-force commutator evolution."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -24,6 +25,7 @@ from oracle import (
     theta_matrix,
     total_projector,
 )
+from subdyn.config import load_config
 from subdyn.linalg import norm_scale, random_density, unvec, vec
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
 from subdyn.subdynamics import (
@@ -243,7 +245,8 @@ def test_exact_kinetic_consistency(gen_ops, gen_exact):
     for _ in range(5):
         rho0 = random_density(rng, gen_ops.dim)
         t = float(rng.uniform(0.1, 8.0))
-        assert kinetic_consistency_residual(gen_exact, h, rho0, t) <= 1e-8
+        coeff = project_density(gen_exact, rho0)
+        assert kinetic_consistency_residual(gen_exact, h, rho0, coeff, t) <= 1e-8
 
 
 def test_projected_evolution_reconstructs_projected_exact_state(gen_ops, gen_exact):
@@ -262,10 +265,9 @@ def test_projected_evolution_reconstructs_projected_exact_state(gen_ops, gen_exa
 def test_perturbative_orders_improve_consistency(gen_ops):
     h = gen_ops.hamiltonian()
     rho0 = canonical_initial_state(gen_ops)
-    res1 = kinetic_consistency_residual(decompose_model(gen_ops, order="1"),
-                                        h, rho0, 1.5)
-    res2 = kinetic_consistency_residual(decompose_model(gen_ops, order="2"),
-                                        h, rho0, 1.5)
+    first, second = (decompose_model(gen_ops, order=order) for order in ("1", "2"))
+    res1 = kinetic_consistency_residual(first, h, rho0, project_density(first, rho0), 1.5)
+    res2 = kinetic_consistency_residual(second, h, rho0, project_density(second, rho0), 1.5)
     assert res2 < res1 < 0.1
 
 
@@ -378,6 +380,24 @@ def test_lambda_halving_ratios():
         assert 6.0 <= a / b <= 10.0
 
 
+def test_second_order_projection_converges_at_order_two_on_general_config():
+    # the general model's free spectrum has degenerate dyad pairs off the
+    # planes of every nu; order 2 must keep their finite terms, or its
+    # projection gap to exact shrinks only by 4 per halving, as at order 1
+    config = load_config(pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json")
+    for state in ("canonical", "random"):
+        gaps = []
+        for lam in (1e-2, 5e-3, 2.5e-3):
+            ops = build_model(dataclasses.replace(config.model, lam=lam))
+            rho = canonical_initial_state(ops) if state == "canonical" \
+                else random_density(np.random.default_rng(21), ops.dim)
+            second, exact = (project_density(decompose_model(ops, order=order), rho)
+                             for order in ("2", "exact"))
+            gaps.append(np.max(np.abs(second - exact)))
+        for a, b in zip(gaps, gaps[1:]):
+            assert a / b >= 6.4, (state, gaps)
+
+
 def test_exact_columns_reject_lost_anchor():
     # a huge one-sided hop concentrates both eigenvectors on the first
     # dyad, so one branch keeps only ~1/K of weight on its own anchor
@@ -477,7 +497,8 @@ def test_exact_decomposition_properties_random(seed, dim):
                                atol=1e-8)
     rho = random_density(rng, dim)
     t = float(rng.uniform(0.0, 4.0))
-    res = kinetic_consistency_residual(decomp, h0 + 0.05 * h1, rho, t)
+    res = kinetic_consistency_residual(decomp, h0 + 0.05 * h1, rho,
+                                       project_density(decomp, rho), t)
     assert res <= 1e-8
 
 
@@ -567,7 +588,8 @@ def test_factored_kinetic_consistency_matches_liouville_route(oracle_case):
     exact = (left @ decomp.basis.to_frame(evolve_exact(h, rho0, t))) / kappa
     kinetic = np.exp(-1j * decomp.energies * t) * (left @ decomp.basis.to_frame(rho0)) / kappa
     dense = float(np.linalg.norm(decomp.basis.from_frame(exact - kinetic), ord=2))
-    assert abs(kinetic_consistency_residual(decomp, h, rho0, t) - dense) <= 1e-12
+    coeff = project_density(decomp, rho0)
+    assert abs(kinetic_consistency_residual(decomp, h, rho0, coeff, t) - dense) <= 1e-12
 
 
 @pytest.mark.parametrize("order", ["1", "2"])
@@ -705,6 +727,9 @@ def test_perturbative_orders_match_dense_oracle(name, order, eta):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5),
        one_sided=st.booleans(), eta=st.sampled_from([0.0, 0.03]),
        order=st.sampled_from(["1", "2"]))
+# near-degenerate free levels at eta > 0, where the order-2 projection sums
+# ill-conditioned entries closest to the bound
+@example(seed=2117, dim=4, one_sided=False, eta=0.03, order="2")
 def test_factored_orders_match_dense_oracle_random(seed, dim, one_sided, eta, order):
     rng = np.random.default_rng(seed)
     levels = np.sort(rng.uniform(0.0, 2.0, dim))
