@@ -17,15 +17,18 @@ rho F. Three construction orders are supported: "exact" (from the full
 eigendecomposition of H), and the stationary-resolvent perturbation
 expansion truncated at first ("1") or second ("2") order in lam. Each order
 keeps one representation of d x d arrays and computes what it reports from
-it: eigen data at the exact order, the first-order factors at orders 1 and
-2. Order 2's d^2 x d^2 creation columns and destruction rows are never
-stored: off the planes b = j and a = i, column nu = (i, j) is -A E_ij A
-times W = 1 + i eta R (R the dyad resolvent), and the rows are the same in
-A'. At eta = 0, W = 1 and order 2 takes O(d^3) time and O(d^2) memory; at
-eta > 0 the remainder W - 1 is streamed over blocks of the dyad index j,
-O(d^3) memory and O(d^4) time. The dense d^2 x d^2
-Liouville routes (L, Omega, Pi_nu, every order's columns) are reference
-oracles for small-d checks and live with the tests, in tests/oracle.py.
+it: eigen data at the exact order; at orders 1 and 2, four plane factors
+(U, V, U~, V~), the Rayleigh-Schroedinger corrections of the right and
+left eigenvectors to that order. Column nu = (i, j) reads them on the
+planes b = j and a = i next to nu, and one formula for the energies, the
+pairings kappa and the projection serves both orders. Order 2 also reaches
+off the planes: there column nu = (i, j) is -A E_ij A times W = 1 + i eta R
+(R the dyad resolvent), and the rows are the same in A'. At eta = 0, W = 1
+and order 2 takes O(d^3) time and O(d^2) memory; at eta > 0 the remainder
+W - 1 is streamed over blocks of the dyad index j, O(d^3) memory and
+O(d^4) time. The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, every
+order's columns) are reference oracles for small-d checks and live with the
+tests, in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -115,20 +118,18 @@ class Decomposition:
     quantities. The exact order stores the matched eigensystem of H: psi
     (right eigenvectors as columns), psi_tilde (left eigenvectors as rows,
     psi_tilde @ psi = I) and z (eigenvalues), and computes everything from
-    these d x d factors. Order 1 stores first_order = (A, A'), the
+    these d x d factors. Orders 1 and 2 store first_order = (A, A'), the
     resolvent-weighted interactions A = lam h1_f * r and A' = lam h1_f * r^T
     (elementwise products) with r[k, i] = 1/(eps_i - eps_k + i eta), zero on
-    k = i and, at eta = 0, on degenerate pairs: its creation columns are the
-    superoperator [A, .] and its destruction rows [A', .] (the Rayleigh-
-    Schroedinger eigenvector corrections), and everything it reports is a
-    d x d expression in A and A'. Order 2 stores the same first_order
-    factors: its columns grow those of order 1 by one power of the dyad
-    resolvent, its energies are a d x d expression in h1_f, A and r, and
-    kappa and project_density are d x d expressions at eta = 0 and stream
-    a remainder over blocks of the dyad index j at eta > 0. The pairings
-    kappa, which every
-    projection divides by, are computed from the stored factors on first
-    use and kept with the instance.
+    k = i and, at eta = 0, on degenerate pairs, and planes = (U, V, U~, V~).
+    The creation column nu = (i, j) reads U[a, i] at mu = (a, j) and
+    V[j, b] at mu = (i, b); the destruction row nu reads U~[i, a] and
+    V~[b, j] at the same places. Order 1 has (U, V, U~, V~) = (A, -A, A', -A'),
+    the superoperators [A, .] and [A', .]. Order 2 adds the second-order
+    Rayleigh-Schroedinger terms (see _rayleigh_schroedinger) and an
+    off-plane part in A and A' (see _off_plane_kappa). The pairings kappa,
+    which every projection divides by, are computed from the stored factors
+    on first use and kept with the instance.
     """
 
     basis: PhiBasis
@@ -141,39 +142,30 @@ class Decomposition:
     psi_tilde: np.ndarray | None = None
     z: np.ndarray | None = None
     first_order: tuple[np.ndarray, np.ndarray] | None = None
+    planes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
         """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
 
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
-        Order 1: kappa_nu = 1 + (A' A)_ii + (A A')_jj.
-        Order 2: see _second_order_kappa.
+        Orders 1 and 2: kappa_nu = 1 + (U~ U)_ii + (V V~)_jj, the sum over
+        the planes; order 2 adds the off-plane sum, see _off_plane_kappa.
         The cached array is read-only, as every caller shares it;
         dataclasses.replace builds a new instance with a fresh kappa.
         """
-        if self.order == "2":
-            kappa = vec(_second_order_kappa(self))
-        elif self.first_order is not None:
-            a, a_dual = self.first_order
-            kappa = vec(1.0 + np.einsum("ia,ai->i", a_dual, a)[:, None]
-                        + np.einsum("jb,bj->j", a, a_dual)[None, :])
-        else:
+        if self.planes is None:
             a = np.diag(self.psi) * np.diag(self.psi_tilde)
             kappa = vec(1.0 / np.outer(a, a))
+        else:
+            u, v, u_dual, v_dual = self.planes
+            kappa = 1.0 + np.einsum("ia,ai->i", u_dual, u)[:, None] \
+                + np.einsum("jb,bj->j", v, v_dual)[None, :]
+            if self.order == "2":
+                kappa += _off_plane_kappa(self)
+            kappa = vec(kappa)
         kappa.flags.writeable = False
         return kappa
-
-    @functools.cached_property
-    def _planes(self):
-        """Order 2: the _plane_entries of the creation columns and of the destruction rows.
-
-        The rows d_nu are the columns grown from (h1_f^T, A'^T). Computed on
-        first use; kappa and every projection read them.
-        """
-        h, (a, a_dual) = self.h1_f, self.first_order
-        r = _free_resolvent(self.basis, h, self.lam, self.eta)
-        return _plane_entries(h, a, r, self.lam), _plane_entries(h.T, a_dual.T, r, self.lam)
 
 
 def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[tuple, tuple]]:
@@ -243,40 +235,26 @@ def _dyad_resolvent_blocks(basis: PhiBasis, eta: float):
         yield js, res
 
 
-def _plane_entries(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
-    """(alpha, beta, gamma): order-2 entries on the planes b = j and a = i.
+def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
+    """(U, V): order-2 plane factors of the column grown from [g, .].
 
-    The order-2 column nu = (i, j) grown from the first-order superoperator
-    [g, .] is [g, E] + lam R_nu [h, [g, E]] with E = e_i e_j^T and R the dyad
-    resolvent. It reads alpha[a, i] + h[j, j] beta[a, i] at
-    mu = (a, j) and gamma[j, b] + h[i, i] beta[j, b] at mu = (i, b): the
-    first-order entries g[a, i] and -g[j, b] plus the delta terms of the
-    double commutator, weighted by R = r[a, i] and r[j, b] on these planes.
+    U = g + lam r * (h g - g diag h) and V = -g + lam r * (g h - diag h g)
+    (elementwise products with r). With g = A these are the second-order
+    Rayleigh-Schroedinger corrections of the right eigenvector psi_i and the
+    left eigenvector psi~_j in intermediate normalization; the diag h terms
+    are the renormalization -lam (L1)_nunu R c1, which cancel the dependence
+    of the plane entries on the far index. On the planes the dyad resolvent
+    is r itself: R = r[a, i] at mu = (a, j) and r[j, b] at mu = (i, b).
     """
     weight = lam * r
-    return g + weight * (h @ g), -weight * g, -g + weight * (g @ h)
-
-
-def _second_order_energies(h: np.ndarray, a: np.ndarray, r: np.ndarray, lam: float,
-                           level: np.ndarray) -> np.ndarray:
-    """E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu from d x d data.
-
-    (L1 c_nu)_nu = sum_a h[i, a] c_nu(a, j) - sum_b c_nu(i, b) h[b, j] reads
-    c_nu only on the planes b = j and a = i.
-    """
-    alpha, beta, gamma = _plane_entries(h, a, r, lam)
     hd = np.diag(h)
-    left = np.einsum("ia,ai->i", h, alpha)[:, None] \
-        + np.einsum("ia,ai->i", h, beta)[:, None] * hd[None, :]
-    right = np.einsum("jb,bj->j", gamma, h)[None, :] \
-        + hd[:, None] * np.einsum("jb,bj->j", beta, h)[None, :]
-    return vec(np.subtract.outer(level, level) + lam * (left - right))
+    return g + weight * (h @ g - g * hd[None, :]), -g + weight * (g @ h - hd[:, None] * g)
 
 
-def _second_order_kappa(decomp: Decomposition) -> np.ndarray:
-    """kappa_nu = 1 + d_nu . c_nu at order 2 as a d x d array.
+def _off_plane_kappa(decomp: Decomposition) -> np.ndarray:
+    """Order 2's sum of d_nu(mu) c_nu(mu) off the planes b = j and a = i, as a d x d array.
 
-    Off the planes b = j and a = i, column nu reads
+    Off the planes, column nu reads
     -lam R (h[a, i] A[j, b] + A[a, i] h[j, b]) = -A[a, i] A[j, b] W, as
     (1/r[a, i] + 1/r[j, b]) R = W = 1 + i eta R, and row nu -A'[i, a] A'[b, j] W.
     On a degenerate dyad pair that is W = 1 at eta = 0 (the removable
@@ -284,21 +262,12 @@ def _second_order_kappa(decomp: Decomposition) -> np.ndarray:
     products are sum_ab P[a, i] Q[j, b] W^2 with P = A'^T * A and
     Q = A * A'^T: the d x d term (A' A)_ii (A A')_jj plus, at eta > 0,
     W^2 - 1 = 2 i eta R - eta^2 R^2 streamed over blocks of j. A has a zero
-    diagonal, so no mask is needed. The plane entries add d x d
-    expressions, polynomials of degree 2 in h[j, j] and h[i, i].
+    diagonal, so no mask is needed.
     """
-    h, (g, g_dual) = decomp.h1_f, decomp.first_order
+    g, g_dual = decomp.first_order
     eta, d = decomp.eta, decomp.basis.dim
-    (alpha, beta, gamma), (alpha_r, beta_r, gamma_r) = decomp._planes
-    powers = np.stack([np.ones(d), np.diag(h)])
-    # plane b = j: sum_a (alpha'[a, i] + h_jj beta'[a, i]) (alpha[a, i] + h_jj beta[a, i])
-    on_j = np.einsum("pai,qai->pqi", np.stack([alpha_r, beta_r]), np.stack([alpha, beta]))
-    # plane a = i: sum_b (gamma'[j, b] + h_ii beta'[j, b]) (gamma[j, b] + h_ii beta[j, b])
-    on_i = np.einsum("pjb,qjb->pqj", np.stack([gamma_r, beta_r]), np.stack([gamma, beta]))
-    kappa = 1.0 + np.einsum("pqi,pj,qj->ij", on_j, powers, powers) \
-        + np.einsum("pqj,pi,qi->ij", on_i, powers, powers)
     p, q = g_dual.T * g, g * g_dual.T
-    kappa += np.outer(p.sum(axis=0), q.sum(axis=1))
+    kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
     if eta == 0.0:
         return kappa
     for js, res in _dyad_resolvent_blocks(decomp.basis, eta):
@@ -309,20 +278,16 @@ def _second_order_kappa(decomp: Decomposition) -> np.ndarray:
     return kappa
 
 
-def _second_order_rows(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
-    """sum_mu d_nu(mu) x[a, b] at order 2 for a stack x of d x d matrices.
+def _off_plane_rows(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
+    """Order 2's sum of d_nu(mu) x[a, b] off the planes, for a stack x of d x d matrices.
 
-    Off the planes, d_nu(mu) = -A'[i, a] A'[b, j] W (see _second_order_kappa),
+    Off the planes, d_nu(mu) = -A'[i, a] A'[b, j] W (see _off_plane_kappa),
     which sums to -(A' x A')_ij at W = 1. At eta > 0 the remainder
     W - 1 = i eta R is streamed over blocks of j: per block a batched matvec
-    of R against A'[b, j] x[a, b] for every matrix of the stack. The plane
-    entries add d x d products.
+    of R against A'[b, j] x[a, b] for every matrix of the stack.
     """
-    h, (_, g_dual) = decomp.h1_f, decomp.first_order
-    _, (alpha_r, beta_r, gamma_r) = decomp._planes
-    hd = np.diag(h)
-    out = alpha_r.T @ x + x @ gamma_r.T + hd[None, :] * (beta_r.T @ x) \
-        + hd[:, None] * (x @ beta_r.T) - g_dual @ x @ g_dual
+    g_dual = decomp.first_order[1]
+    out = -(g_dual @ x @ g_dual)
     if decomp.eta == 0.0:
         return out
     factor = -1j * decomp.eta * g_dual
@@ -385,16 +350,20 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
                              energies=energies, psi=psi, psi_tilde=psi_tilde, z=z)
     r = _free_resolvent(basis, h1_f, lam, eta)
     a, a_dual = lam * h1_f * r, lam * h1_f * r.T
-    level = basis.f_values + lam * np.diag(h1_f)
     if order == "1":
-        # E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu = z_i - w_j
-        z = level + lam * np.einsum("ia,ai->i", h1_f, a)
-        w = level - lam * np.einsum("jb,bj->j", a, h1_f)
-        energies = vec(np.subtract.outer(z, w))
+        planes = (a, -a, a_dual, -a_dual)
     else:
-        energies = _second_order_energies(h1_f, a, r, lam, level)
+        # the rows are the columns grown from (h1_f^T, A'^T), transposed
+        rows = _rayleigh_schroedinger(h1_f.T, a_dual.T, r, lam)
+        planes = (*_rayleigh_schroedinger(h1_f, a, r, lam), rows[0].T, rows[1].T)
+    # E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu = z_i - w_j, as
+    # (L1 c_nu)_nu = sum_a h[i, a] U[a, i] - sum_b V[j, b] h[b, j]
+    level = basis.f_values + lam * np.diag(h1_f)
+    z = level + lam * np.einsum("ia,ai->i", h1_f, planes[0])
+    w = level + lam * np.einsum("jb,bj->j", planes[1], h1_f)
     return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                         energies=energies, first_order=(a, a_dual))
+                         energies=vec(np.subtract.outer(z, w)), first_order=(a, a_dual),
+                         planes=planes)
 
 
 def decompose_model(ops, order="exact", eta: float = 0.0) -> Decomposition:
@@ -479,20 +448,20 @@ def _project_frame(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
     """Kinetic coefficients of a stack x of free-frame states, as d x d matrices.
 
     Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
-    Order 1: c_nu = (x + [A', x])_ij / kappa_nu.
-    Order 2: c_nu = (x + sum_mu d_nu(mu) x_mu)_ij / kappa_nu, see
-    _second_order_rows.
+    Orders 1 and 2: c_nu = (x + U~ x + x V~)_ij / kappa_nu; order 2 adds
+    the off-plane sum, see _off_plane_rows.
     """
     kappa = decomp.kappa
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
+    if decomp.planes is None:
+        psi, psi_tilde = decomp.psi, decomp.psi_tilde
+        return (psi_tilde @ x @ psi) * np.outer(np.diag(psi), np.diag(psi_tilde))
+    _, _, u_dual, v_dual = decomp.planes
+    y = x + u_dual @ x + x @ v_dual
     if decomp.order == "2":
-        return (x + _second_order_rows(decomp, x)) / unvec(kappa, decomp.basis.dim)
-    if decomp.first_order is not None:
-        a_dual = decomp.first_order[1]
-        return (x + a_dual @ x - x @ a_dual) / unvec(kappa, decomp.basis.dim)
-    psi, psi_tilde = decomp.psi, decomp.psi_tilde
-    return (psi_tilde @ x @ psi) * np.outer(np.diag(psi), np.diag(psi_tilde))
+        y += _off_plane_rows(decomp, x)
+    return y / unvec(kappa, decomp.basis.dim)
 
 
 def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:

@@ -89,8 +89,10 @@ def second_order_columns(h: np.ndarray, g: np.ndarray, lam: float,
                          resolvent: np.ndarray) -> np.ndarray:
     """Order-2 creation columns grown from the first-order superoperator [g, .].
 
-    Column nu = (i, j) is [g, E] + lam * resolvent_nu * [h, [g, E]] with
-    E = e_i e_j^T, returned as a d^2 x d^2 matrix. Entry mu = (a, b) of the
+    Column nu = (i, j) is [g, E] + lam * resolvent_nu * ([h, [g, E]]
+    - (h[i, i] - h[j, j]) [g, E]) with E = e_i e_j^T, returned as a
+    d^2 x d^2 matrix: the second term is the Rayleigh-Schroedinger
+    renormalization -lam (L1)_nunu R c1. Entry mu = (a, b) of the
     double commutator is delta_bj (h g)[a, i] + delta_ai (g h)[j, b]
     - h[a, i] g[j, b] - g[a, i] h[j, b]; the tensor axes are [b, a, j, i].
     Where the resolvent is masked off the planes b = j and a = i (degenerate
@@ -106,6 +108,10 @@ def second_order_columns(h: np.ndarray, g: np.ndarray, lam: float,
     out += s.T[:, None, :, None] * h[None, :, None, :]
     out[k, :, k, :] -= h @ s
     out[:, k, :, k] -= (s @ h).T
+    # shift[i, j] = (L1)_nunu; [g, E] is g[a, i] on b = j and -g[j, b] on a = i
+    shift = np.subtract.outer(np.diag(h), np.diag(h))
+    out[k, :, k, :] += shift.T[:, None, :] * s[None, :, :]
+    out[:, k, :, k] -= shift[:, None, :] * s.T[None, :, :]
     out *= resolvent
     # g has a zero diagonal, so the product vanishes on the planes by itself
     masked = resolvent == 0
@@ -296,8 +302,11 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     """(c, d, energies, kappa) of the dense stationary-resolvent series.
 
     Built from the d^2 x d^2 interaction Liouvillian L1 = [h1_f, .], with an
-    O(d^6) L1 @ c product at order 2. Raises ResonanceError, listing every
-    coupled degenerate dyad pair, where the series divides by zero. On the
+    O(d^6) L1 @ c product at order 2: the Rayleigh-Schroedinger column
+    c2 = c + lam (L1 c - c diag L1) R, whose diag L1 term renormalizes
+    each column by its own first-order energy shift. Raises
+    ResonanceError, listing every coupled degenerate dyad pair, where the
+    series divides by zero. On the
     uncoupled degenerate dyad pairs at eta = 0, order 2 takes the value of
     the removable singularity of the two paths through the planes.
     """
@@ -321,8 +330,9 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     c = lam * v1 * inv
     d = lam * v1 * inv.T
     if order == "2":
-        c2 = c + lam * (v1 @ c) * inv
-        d2 = d + lam * (d @ v1) * inv.T
+        shift = np.diag(v1)
+        c2 = c + lam * (v1 @ c - c * shift[None, :]) * inv
+        d2 = d + lam * (d @ v1 - shift[:, None] * d) * inv.T
         if eta == 0.0:
             # a degenerate dyad pair mu = (a, b) off the planes of nu = (i, j)
             # takes the value of the removable singularity of its two paths
