@@ -1,13 +1,15 @@
 """Command line front end: one subcommand per scenario.
 
-Exit codes: 0 success, 2 configuration rejected, 3 numerical failure
-(resonance, defective matrix, a floating-point overflow or invalid
-operation, or a verify run with failing checks).
+Exit codes: 0 success, 2 configuration rejected or output directory not
+creatable, 3 numerical failure (resonance, defective matrix, a
+floating-point overflow or invalid operation, or a verify run with failing
+checks).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 from typing import Sequence
@@ -15,10 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import SCENARIOS, ConfigError, load_config, read_config
-from .linalg import DefectiveMatrixError, NotPositiveSemidefiniteError
 from .report import REPORT_NAME, RunReport
-from .runner import resolve_output_dir, run
-from .subdynamics import ORDERS, ResonanceError
+from .runner import run
+from .subdynamics import ORDERS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,30 +82,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         raw = {"model": dict(DEFAULT_MODEL)} if args.config is None else read_config(args.config)
         raw["scenario"] = args.scenario
-        if args.out is not None:
-            raw["output_dir"] = str(args.out)
-        if args.order is not None:
-            raw["order"] = args.order
-        if args.eta is not None:
-            raw["eta"] = args.eta
-        if args.seed is not None:
-            raw["seed"] = args.seed
+        for key in ("order", "eta", "seed"):
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
         config = load_config(raw)
     except ConfigError as exc:
         print(f"subdyn: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    out_dir = args.out or pathlib.Path(os.environ.get("SUBDYN_OUTPUT_ROOT", "runs")) / args.scenario
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"subdyn: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
     try:
         # an overflowing or undefined float operation is a numerical failure,
-        # not a warning beside a report of infs and nans
+        # not a warning beside a report of infs and nans; the package's
+        # numerical errors and numpy's LinAlgError are ValueErrors
         with np.errstate(over="raise", invalid="raise"):
-            report = run(config, write=True)
-    except (ResonanceError, DefectiveMatrixError, NotPositiveSemidefiniteError,
-            np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+            report = run(config, out_dir)
+    except (ValueError, FloatingPointError) as exc:
         print(f"subdyn: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    out_dir = resolve_output_dir(config)
     print(f"{args.scenario}: {_summary(report)}")
     print(f"report: {out_dir / REPORT_NAME}")
     if args.scenario == "verify" and report.payload["failed"] > 0:

@@ -57,7 +57,6 @@ class ScenarioConfig:
     t_grid: tuple[float, float, int] = (0.0, 10.0, 101)
     eta: float = 0.0
     seed: int = 0
-    output_dir: str | None = None
     t_swap: float = 1.0
     tape_spins: int = 2
     rotation_angle: float = 0.8
@@ -166,9 +165,8 @@ def read_config(path) -> dict:
     return raw
 
 
-def load_config(source) -> ScenarioConfig:
-    """Validate a config document given as a path to a JSON file or as a dict."""
-    raw = dict(source) if isinstance(source, dict) else read_config(source)
+def load_config(raw: dict) -> ScenarioConfig:
+    """Validate a parsed config document; read_config parses a file into one."""
     _reject_unknown(raw.keys(), _TOP_KEYS, "config")
     if "scenario" not in raw:
         raise ConfigError("config needs a 'scenario' key")
@@ -216,8 +214,6 @@ def load_config(source) -> ScenarioConfig:
     for name in ("t_swap", "rotation_angle", "shear_strength"):
         if name in raw:
             fields[name] = _coerce_float(raw[name], name)
-    if "output_dir" in raw and raw["output_dir"] is not None:
-        fields["output_dir"] = str(raw["output_dir"])
 
     config = ScenarioConfig(**fields)
     _check_memory(config)
@@ -265,12 +261,7 @@ def _check_memory(config: ScenarioConfig) -> int:
 
 
 def config_echo(config: ScenarioConfig) -> dict:
-    """Resolved config as a plain dict for the run report.
-
-    output_dir is omitted: it says where the report went, not what was run,
-    and keeping it out lets identical runs produce identical payloads.
-    """
+    """Resolved config as a plain dict for the run report, model nested."""
     echo = dataclasses.asdict(config)
-    echo.pop("output_dir")
     echo["model"] = dataclasses.asdict(config.model)
     return echo

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import pathlib
@@ -76,20 +77,16 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (complex, np.complexfloating)):
+def write_csv(path: pathlib.Path, header, rows: list[tuple]) -> None:
+    """Write a header and rows; csv.writer spells a cell with str(), which for
+    a float or np.float64 is its repr. Complex cells raise ValueError."""
+    cell_types = set(map(type, itertools.chain.from_iterable(rows)))
+    if any(issubclass(t, (complex, np.complexfloating)) for t in cell_types):
         raise ValueError("split complex values into _re/_im columns before writing")
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path: pathlib.Path, header, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_report(report: RunReport, out_dir, wall_time_s: float) -> pathlib.Path:

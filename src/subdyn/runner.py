@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import os
-import pathlib
 import time
 
 import numpy as np
@@ -27,15 +25,8 @@ _CELL_EVIDENCE = {
 }
 
 
-def resolve_output_dir(config: ScenarioConfig) -> pathlib.Path:
-    if config.output_dir is not None:
-        return pathlib.Path(config.output_dir)
-    root = os.environ.get("SUBDYN_OUTPUT_ROOT", "runs")
-    return pathlib.Path(root) / config.scenario
-
-
-def run(config: ScenarioConfig, write: bool = True) -> RunReport:
-    """Execute one scenario; optionally persist report.json + CSV tables."""
+def run(config: ScenarioConfig, out_dir=None) -> RunReport:
+    """Execute one scenario; write report.json + CSV tables into out_dir if given."""
     started = time.perf_counter()
     ops = build_model(config.model)
     handler = _SCENARIOS[config.scenario]
@@ -44,9 +35,8 @@ def run(config: ScenarioConfig, write: bool = True) -> RunReport:
     diagnostics.setdefault("hermitian_h1", ops.hermitian_h1)
     report = RunReport(scenario=config.scenario, config=config_echo(config),
                        payload=payload, diagnostics=diagnostics, tables=tables)
-    if write:
-        write_report(report, resolve_output_dir(config),
-                     wall_time_s=time.perf_counter() - started)
+    if out_dir is not None:
+        write_report(report, out_dir, wall_time_s=time.perf_counter() - started)
     return report
 
 
@@ -137,13 +127,7 @@ def _run_swap_calibrate(config: ScenarioConfig, ops: ModelOperators):
 
 def _run_cnot_demo(config: ScenarioConfig, ops: ModelOperators):
     rng = np.random.default_rng(config.seed)
-    for _ in range(64):
-        right = (np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-                 + 0.3j * rng.standard_normal((4, 4)))
-        if abs(np.linalg.det(right)) > 0.1:
-            break
-    else:
-        raise ValueError("could not draw an invertible right basis")
+    right = _near_identity(rng, 4, 0.3, 0.1)
     gate = gates.build_cnot_rls(right)
     pairing = gate.pairing_matrix()
     perm_target = np.zeros((4, 4))
@@ -169,18 +153,18 @@ def _run_cnot_demo(config: ScenarioConfig, ops: ModelOperators):
     return payload, diagnostics, tables
 
 
-def _random_factor(rng: np.random.Generator) -> np.ndarray:
+def _near_identity(rng: np.random.Generator, n: int, s: float, floor: float) -> np.ndarray:
+    """Draw I + s (X + iY), X and Y standard normal, until |det| > floor."""
     for _ in range(64):
-        s = (np.eye(2) + 0.25 * rng.standard_normal((2, 2))
-             + 0.25j * rng.standard_normal((2, 2)))
-        if abs(np.linalg.det(s)) > 0.2:
-            return s
-    raise ValueError("could not draw an invertible factor basis")
+        m = np.eye(n) + s * rng.standard_normal((n, n)) + s * 1j * rng.standard_normal((n, n))
+        if abs(np.linalg.det(m)) > floor:
+            return m
+    raise ValueError(f"could not draw an invertible {n} x {n} basis")
 
 
 def _run_turing_demo(config: ScenarioConfig, ops: ModelOperators):
     rng = np.random.default_rng(config.seed)
-    factors = tuple(_random_factor(rng) for _ in range(config.tape_spins + 1))
+    factors = tuple(_near_identity(rng, 2, 0.25, 0.2) for _ in range(config.tape_spins + 1))
     machine = turing.TuringMachine(factors=factors)
 
     head = np.asarray(factors[0], dtype=np.complex128)

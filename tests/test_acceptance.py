@@ -280,8 +280,8 @@ def test_criterion_10_deterministic_reports(tmp_path):
                                "model": {"kind": "diagonal", "omega0": 1.0,
                                          "omega": 1.3, "g": 0.5, "lam": 1.0,
                                          "fock_cutoff": 2},
-                               "seed": 42, "output_dir": str(out)})
-            run(cfg, write=True)
+                               "seed": 42})
+            run(cfg, out)
             blobs.append((out / REPORT_NAME).read_bytes())
         same = blobs[0] == blobs[1]
         ok = ok and same

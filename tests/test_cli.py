@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -199,7 +200,7 @@ def test_verify_failures_exit_nonzero(tmp_path, capsys, monkeypatch):
     # failure branch is exercised with a stubbed runner
     from subdyn.report import RunReport
 
-    def fake_run(config, write=True):
+    def fake_run(config, out_dir=None):
         return RunReport(scenario="verify", config={}, diagnostics={},
                          payload={"checks": [], "failed": 1, "passed": 5,
                                   "total": 6}, tables={})
@@ -253,6 +254,32 @@ def test_default_output_under_cwd(tmp_path, capsys, monkeypatch):
     assert main(["swap-calibrate"]) == EXIT_OK
     capsys.readouterr()
     assert (tmp_path / "runs" / "swap-calibrate" / REPORT_NAME).exists()
+
+
+def test_output_directory_precedence(tmp_path, capsys, monkeypatch):
+    # --out, else $SUBDYN_OUTPUT_ROOT/<scenario>, else runs/<scenario>
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SUBDYN_OUTPUT_ROOT", str(tmp_path / "env"))
+    assert main(["classify", "--out", str(tmp_path / "x")]) == EXIT_OK
+    assert f"report: {tmp_path / 'x' / REPORT_NAME}" in capsys.readouterr().out
+    assert main(["classify"]) == EXIT_OK
+    assert f"report: {tmp_path / 'env' / 'classify' / REPORT_NAME}" in capsys.readouterr().out
+    monkeypatch.delenv("SUBDYN_OUTPUT_ROOT")
+    assert main(["classify"]) == EXIT_OK
+    assert f"report: {pathlib.Path('runs') / 'classify' / REPORT_NAME}" \
+        in capsys.readouterr().out
+    for out in (tmp_path / "x", tmp_path / "env" / "classify", tmp_path / "runs" / "classify"):
+        assert (out / REPORT_NAME).exists()
+
+
+def test_uncreatable_out_is_refused(tmp_path, capsys):
+    # a regular file as the parent of --out
+    afile = tmp_path / "afile"
+    afile.touch()
+    assert main(["classify", "--out", str(afile / "sub")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"subdyn: cannot write {afile / 'sub'}: ")
+    assert err.count("\n") == 1
 
 
 def test_turing_demo_summary_line(tmp_path, capsys):

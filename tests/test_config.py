@@ -12,6 +12,7 @@ from subdyn.config import (
     ConfigError,
     config_echo,
     load_config,
+    read_config,
 )
 from subdyn.runner import run
 
@@ -29,7 +30,6 @@ def test_minimal_document_gets_defaults():
     assert cfg.t_grid == (0.0, 10.0, 101)
     assert cfg.eta == 0.0
     assert cfg.seed == 0
-    assert cfg.output_dir is None
     assert cfg.model.kind == "diagonal"
 
 
@@ -235,7 +235,7 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
 def _traced_peak(cfg) -> int:
     tracemalloc.start()
     try:
-        run(cfg, write=False)
+        run(cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -287,35 +287,36 @@ def test_turing_tape_is_priced():
 def test_load_from_path(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(GOOD))
-    assert load_config(path).scenario == "classify"
-    assert load_config(str(path)).model.g == pytest.approx(0.5)
+    assert load_config(read_config(path)).scenario == "classify"
+    assert load_config(read_config(str(path))).model.g == pytest.approx(0.5)
 
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config(missing)
+        load_config(read_config(missing))
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config(binary)
+        load_config(read_config(binary))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(bad)
+        load_config(read_config(bad))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
-        load_config(arr)
+        load_config(read_config(arr))
 
 
-def test_echo_omits_output_dir_and_nests_model():
-    cfg = load_config({**GOOD, "output_dir": "/tmp/somewhere", "seed": 9})
-    echo = config_echo(cfg)
-    assert "output_dir" not in echo
+def test_output_dir_is_an_unknown_key():
+    # where a run writes is the caller's choice, not part of the experiment
+    with pytest.raises(ConfigError, match="unknown config key 'output_dir'"):
+        load_config({**GOOD, "output_dir": "elsewhere"})
+
+
+def test_echo_nests_model():
+    echo = config_echo(load_config({**GOOD, "seed": 9}))
     assert echo["seed"] == 9
     assert echo["model"]["kind"] == "diagonal"
-    # identical runs aimed at different directories produce identical echoes
-    other = config_echo(load_config({**GOOD, "seed": 9}))
-    assert echo == other
 
 
 def test_scenario_list_is_closed():

@@ -1,5 +1,6 @@
 """Report serialization: strict JSON, flat CSV, deterministic bytes."""
 
+import csv
 import json
 import math
 
@@ -74,6 +75,23 @@ def test_write_csv_floats_and_complex(tmp_path):
     assert text == "name,x\nrow,0.1\nother,2\n"
     with pytest.raises(ValueError, match="_re/_im"):
         write_csv(path, ("x",), [(1 + 1j,)])
+
+
+def test_write_csv_float_cells_are_reprs(tmp_path):
+    # csv.writer spells every cell with str(); for float and np.float64 cells
+    # that equals repr(float(v)), so each value round-trips exactly
+    rng = np.random.default_rng(7)
+    specials = [-0.0, 0.0, 5e-324, 1e-5, 1e16, math.inf, -math.inf, math.nan]
+    scaled = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+    values = specials + rng.standard_normal(2000).tolist() + scaled.tolist()
+    rows = [(v, np.float64(v), k, np.int64(k), k % 2 == 0, np.bool_(k % 3 == 0), f"s{k}")
+            for k, v in enumerate(values)]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ("float", "float64", "int", "int64", "bool", "bool_", "str"), rows)
+    with open(path, newline="") as handle:
+        cells = list(csv.reader(handle))[1:]
+    assert cells == [[str(v) for v in row] for row in rows]
+    assert [row[:2] for row in cells] == [[repr(float(v))] * 2 for v in values]
 
 
 def test_write_report_creates_all_files(tmp_path):

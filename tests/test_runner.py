@@ -9,7 +9,7 @@ import pytest
 from subdyn.config import load_config
 from subdyn.models import build_model, canonical_initial_state
 from subdyn.report import REPORT_NAME
-from subdyn.runner import resolve_output_dir, run
+from subdyn.runner import run
 from subdyn.subdynamics import decompose_model, project_density
 
 DIAG_MODEL = {"kind": "diagonal", "omega0": 1.0, "omega": 1.3, "g": 0.5,
@@ -26,22 +26,13 @@ def make_config(scenario, model=None, **extra):
 
 def test_run_without_write_leaves_no_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    report = run(make_config("classify"), write=False)
+    report = run(make_config("classify"))
     assert report.scenario == "classify"
     assert not (tmp_path / "runs").exists()
 
 
-def test_resolve_output_dir_priority(tmp_path, monkeypatch):
-    explicit = make_config("classify", output_dir=str(tmp_path / "x"))
-    assert resolve_output_dir(explicit) == tmp_path / "x"
-    monkeypatch.setenv("SUBDYN_OUTPUT_ROOT", str(tmp_path / "env"))
-    assert resolve_output_dir(make_config("evolve")) == tmp_path / "env" / "evolve"
-    monkeypatch.delenv("SUBDYN_OUTPUT_ROOT")
-    assert resolve_output_dir(make_config("evolve")).parts[-2:] == ("runs", "evolve")
-
-
 def test_classify_payload_links_cells_to_evidence():
-    report = run(make_config("classify", model=GEN_MODEL), write=False)
+    report = run(make_config("classify", model=GEN_MODEL))
     p = report.payload
     assert p["table_row"] == ["D", "D", "DF", "PE"]
     header, rows = report.tables["classification"]
@@ -60,12 +51,12 @@ def test_general_config_at_order_one_records_exact_unit_fidelity():
     config_path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json"
     raw = json.loads(config_path.read_text())
     raw["order"] = "1"
-    report = run(load_config(raw), write=False)
+    report = run(load_config(raw))
     assert report.payload["evidence"]["kinetic_fidelity_deviation"] == 0.0
 
 
 def test_evolve_payload_unit_fidelity_and_consistency():
-    report = run(make_config("evolve", model=GEN_MODEL), write=False)
+    report = run(make_config("evolve", model=GEN_MODEL))
     p = report.payload
     assert p["fidelity_unit"] is True or p["fidelity_max_deviation"] <= 1e-9
     assert p["trace_drift"] <= 1e-10
@@ -81,7 +72,7 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
     # the energies rows and trace drift are array expressions; the per-nu
     # loop over every evolved state is the reference, and must agree exactly
     config = make_config("evolve", model=GEN_MODEL, order=order, eta=eta)
-    report = run(config, write=False)
+    report = run(config)
     ops = build_model(config.model)
     decomp = decompose_model(ops, order=order, eta=eta)
     coeff = project_density(decomp, canonical_initial_state(ops))
@@ -104,7 +95,7 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
 
 
 def test_swap_calibration_payload_orders():
-    report = run(make_config("swap-calibrate", model=GEN_MODEL), write=False)
+    report = run(make_config("swap-calibrate", model=GEN_MODEL))
     p = report.payload
     assert p["second_order"]["order"] == "second"
     assert p["exact"]["order"] == "exact"
@@ -114,7 +105,7 @@ def test_swap_calibration_payload_orders():
 
 
 def test_cnot_demo_payload_closure():
-    report = run(make_config("cnot-demo", seed=5), write=False)
+    report = run(make_config("cnot-demo", seed=5))
     p = report.payload
     assert p["closed"] is True
     assert p["involution_residual"] <= 1e-10
@@ -126,7 +117,7 @@ def test_cnot_demo_payload_closure():
 
 
 def test_turing_demo_payload_residuals():
-    report = run(make_config("turing-demo", seed=11, tape_spins=3), write=False)
+    report = run(make_config("turing-demo", seed=11, tape_spins=3))
     p = report.payload
     assert p["n_tape"] == 3
     assert p["biorthonormality_residual"] <= 1e-12
@@ -141,7 +132,7 @@ def test_turing_demo_payload_residuals():
 
 
 def test_verify_counts_and_block_check():
-    report = run(make_config("verify", model=GEN_MODEL), write=False)
+    report = run(make_config("verify", model=GEN_MODEL))
     p = report.payload
     assert p["failed"] == 0
     assert p["passed"] == p["total"]
@@ -151,8 +142,7 @@ def test_verify_counts_and_block_check():
 
 
 def test_write_persists_all_tables(tmp_path):
-    cfg = make_config("classify", output_dir=str(tmp_path / "out"))
-    run(cfg, write=True)
+    run(make_config("classify"), tmp_path / "out")
     assert (tmp_path / "out" / REPORT_NAME).exists()
     assert (tmp_path / "out" / "classification.csv").exists()
     assert (tmp_path / "out" / "evidence.csv").exists()
@@ -160,6 +150,6 @@ def test_write_persists_all_tables(tmp_path):
 
 
 def test_diagnostics_record_dimension():
-    report = run(make_config("classify"), write=False)
+    report = run(make_config("classify"))
     assert report.diagnostics["hilbert_dim"] == 6
     assert report.diagnostics["hermitian_h1"] is True

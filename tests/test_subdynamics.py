@@ -25,7 +25,7 @@ from oracle import (
     theta_matrix,
     total_projector,
 )
-from subdyn.config import load_config
+from subdyn.config import load_config, read_config
 from subdyn.linalg import norm_scale, random_density, unvec, vec
 from subdyn.models import ModelSpec, build_model, canonical_initial_state
 from subdyn.subdynamics import (
@@ -410,7 +410,8 @@ def test_second_order_projection_converges_at_order_two_on_general_config():
     # the general model's free spectrum has degenerate dyad pairs off the
     # planes of every nu; order 2 must keep their finite terms, or its
     # projection gap to exact shrinks only by 4 per halving, as at order 1
-    config = load_config(pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json")
+    config = load_config(read_config(
+        pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json"))
     for state in ("canonical", "random"):
         gaps = []
         for lam in (1e-2, 5e-3, 2.5e-3):
