@@ -1,7 +1,7 @@
-"""Command line front end: one subcommand per scenario.
+"""Command line front end: subdyn <scenario> [flags].
 
-Exit codes: 0 success, 2 configuration rejected or output directory not
-creatable, 3 numerical failure (resonance, defective matrix, a
+Exit codes: 0 success, 2 configuration rejected or output directory or
+file not writable, 3 numerical failure (resonance, defective matrix, a
 floating-point overflow or invalid operation, or a verify run with failing
 checks).
 """
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import SCENARIOS, ConfigError, load_config, read_config
-from .report import REPORT_NAME, RunReport
+from .report import METADATA_NAME, REPORT_NAME, RunReport
 from .runner import run
 from .subdynamics import ORDERS
 
@@ -40,19 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subdyn",
         description="Projected-subspace dynamics for small open quantum models.")
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
-        p.add_argument("--config", type=pathlib.Path, default=None,
-                       help="JSON scenario config (defaults to a diagonal model)")
-        p.add_argument("--out", type=pathlib.Path, default=None,
-                       help="output directory for report.json and CSV tables")
-        p.add_argument("--order", choices=ORDERS, default=None,
-                       help="override the perturbative order")
-        p.add_argument("--eta", type=float, default=None,
-                       help="override the regularisation parameter")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the RNG seed")
+    parser.add_argument("scenario", choices=SCENARIOS, help="the scenario to run")
+    parser.add_argument("--config", type=pathlib.Path, default=None,
+                        help="JSON scenario config (defaults to a diagonal model)")
+    parser.add_argument("--out", type=pathlib.Path, default=None,
+                        help="output directory for report.json and CSV tables")
+    parser.add_argument("--order", choices=ORDERS, default=None,
+                        help="override the perturbative order")
+    parser.add_argument("--eta", type=float, default=None,
+                        help="override the regularisation parameter")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the RNG seed")
     return parser
 
 
@@ -93,16 +91,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_dir = args.out or pathlib.Path(os.environ.get("SUBDYN_OUTPUT_ROOT", "runs")) / args.scenario
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"subdyn: cannot write {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        # a run that fails leaves no report of an earlier run behind
+        for name in (REPORT_NAME, METADATA_NAME):
+            (out_dir / name).unlink(missing_ok=True)
         # an overflowing or undefined float operation is a numerical failure,
         # not a warning beside a report of infs and nans; the package's
         # numerical errors and numpy's LinAlgError are ValueErrors
         with np.errstate(over="raise", invalid="raise"):
             report = run(config, out_dir)
+    except OSError as exc:
+        print(f"subdyn: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, FloatingPointError) as exc:
         print(f"subdyn: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

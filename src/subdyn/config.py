@@ -46,9 +46,7 @@ class ScenarioConfig:
     """Validated description of one run.
 
     t_grid is (t_start, t_end, steps); eta is the imaginary regulator handed
-    to perturbative orders; t_swap, tape_spins, rotation_angle and
-    shear_strength parameterize the gate and Turing scenarios and are
-    ignored elsewhere.
+    to perturbative orders.
     """
 
     scenario: str
@@ -57,10 +55,6 @@ class ScenarioConfig:
     t_grid: tuple[float, float, int] = (0.0, 10.0, 101)
     eta: float = 0.0
     seed: int = 0
-    t_swap: float = 1.0
-    tape_spins: int = 2
-    rotation_angle: float = 0.8
-    shear_strength: float = 0.4
 
     def times(self):
         import numpy as np
@@ -206,14 +200,11 @@ def load_config(raw: dict) -> ScenarioConfig:
         if eta < 0:
             raise ConfigError("eta must be non-negative")
         fields["eta"] = eta
-    for name in ("seed", "tape_spins"):
-        if name in raw:
-            fields[name] = _coerce_int(raw[name], name)
-            if fields[name] < 0:
-                raise ConfigError(f"{name} must be non-negative")
-    for name in ("t_swap", "rotation_angle", "shear_strength"):
-        if name in raw:
-            fields[name] = _coerce_float(raw[name], name)
+    if "seed" in raw:
+        seed = _coerce_int(raw["seed"], "seed")
+        if seed < 0:
+            raise ConfigError("seed must be non-negative")
+        fields["seed"] = seed
 
     config = ScenarioConfig(**fields)
     _check_memory(config)
@@ -223,36 +214,30 @@ def load_config(raw: dict) -> ScenarioConfig:
 def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
-    The estimate is 16 ((steps + 32) d^2 + max(d^3, 2^16) + 12 D^2) bytes,
-    the cubic term only for order 2 at eta > 0 and the D^2 term only for
-    turing-demo, whose head and tape spins span D = 2^(tape_spins + 1)
-    states. The d^2 term covers fidelity_trace's steps x d^2 exponent table
-    and the d x d eigen data and first-order factors; classify's total-space
-    evidence holds only d x d matrices and the state's d x r factor per time
-    step. The cubic term covers order 2's stream of the dyad-resolvent
-    remainder over blocks of the dyad index j, which only eta > 0 runs: one
-    complex block of max(d^3, 2^15) entries. tracemalloc peaks of runner.run
-    are 16 (steps + 12..22) d^2 bytes at orders exact and 1 and at order 2
-    with eta = 0, for every model kind from d = 16 up (below that a fixed
-    ~0.1 MB dominates); order 2 at eta > 0 adds the block, up to
+    The estimate is 16 ((steps + 32) d^2 + max(d^3, 2^16)) bytes, the cubic
+    term only for order 2 at eta > 0. The d^2 term covers fidelity_trace's
+    steps x d^2 exponent table and the d x d eigen data and first-order
+    factors; classify's total-space evidence holds only d x d matrices and
+    the state's d x r factor per time step. The cubic term covers order 2's
+    stream of the dyad-resolvent remainder over blocks of the dyad index j,
+    which only eta > 0 runs: one complex block of max(d^3, 2^15) entries.
+    tracemalloc peaks of runner.run are 16 (steps + 12..22) d^2 bytes at
+    orders exact and 1 and at order 2 with eta = 0, for every model kind
+    from d = 16 up (below that a fixed ~0.1 MB dominates); order 2 at
+    eta > 0 adds the block, up to
     16 (130..139) d^2 bytes at d = 16, while from d = 32 to 64 its peak
     stays that of the d^2 term. The constants were measured when classify
     still held a (steps, d, d) stack of density matrices
     (16 (steps + 27..31) d^2), so the estimate errs on the high side.
-    turing-demo builds dense D x D step operators and product bases; its
-    peaks are 16 (9.0..9.5) D^2 bytes from D = 128 to 512.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
     cubic = max(d**3, 2**16) if ordered and config.order == "2" and config.eta > 0 else 0
-    tape = 2 ** (config.tape_spins + 1) if config.scenario == "turing-demo" else 0
-    estimate = 16 * ((steps + 32) * d**2 + cubic + 12 * tape**2)
+    estimate = 16 * ((steps + 32) * d**2 + cubic)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if estimate > budget:
         route = f"order {config.order}" if ordered else "d x d routes"
-        if tape:
-            route = f"tape dimension {tape}"
         raise ConfigError(
             f"{config.scenario} at Hilbert dimension {d} ({route}, {steps} time steps) "
             f"needs an estimated {estimate / 2**20:.6g} MiB, over the budget of "

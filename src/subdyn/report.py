@@ -90,16 +90,20 @@ def write_csv(path: pathlib.Path, header, rows: list[tuple]) -> None:
 
 
 def write_report(report: RunReport, out_dir, wall_time_s: float) -> pathlib.Path:
-    """Persist report.json, metadata.json and every CSV table into out_dir."""
+    """Persist every CSV table, metadata.json and report.json into out_dir.
+
+    report.json is written last, so it exists only when every other file of
+    its run was written; the run's CSVs are the ones its "tables" lists.
+    """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report_path = out / REPORT_NAME
-    report_path.write_text(report.to_json())
+    for name, (header, rows) in sorted(report.tables.items()):
+        write_csv(out / f"{name}.csv", header, rows)
     metadata = {
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_time_s": wall_time_s,
     }
     (out / METADATA_NAME).write_text(json.dumps(metadata, sort_keys=True, indent=2) + "\n")
-    for name, (header, rows) in sorted(report.tables.items()):
-        write_csv(out / f"{name}.csv", header, rows)
+    report_path = out / REPORT_NAME
+    report_path.write_text(report.to_json())
     return report_path

@@ -17,6 +17,14 @@ from .report import RunReport, write_report
 from .subdynamics import block_residual, completeness_residual, decompose_model, \
     kinetic_consistency_residual, project_density, similarity_residual
 
+# The fixed gate and Turing experiments: swap-calibrate times a swap of
+# t_sw = T_SWAP; turing-demo runs a head and TAPE_SPINS tape spins through
+# four x rotations by ROTATION_ANGLE radians and one shear of SHEAR_STRENGTH.
+T_SWAP = 1.0
+TAPE_SPINS = 2
+ROTATION_ANGLE = 0.8
+SHEAR_STRENGTH = 0.4
+
 _CELL_EVIDENCE = {
     "stationary_total": "population_drift",
     "evolution_total": "coherence_modulus_drift",
@@ -110,15 +118,14 @@ def _calibration_row(cal: gates.SwapCalibration):
 
 def _run_swap_calibrate(config: ScenarioConfig, ops: ModelOperators):
     lam = config.model.lam
-    second = gates.calibrate_timing_second_order(ops.h0, ops.h1, lam, config.t_swap,
-                                                 eta=config.eta)
-    exact = gates.calibrate_timing_exact(ops.h0, ops.h1, lam, config.t_swap)
+    second = gates.calibrate_timing_second_order(ops.h0, ops.h1, lam, T_SWAP, eta=config.eta)
+    exact = gates.calibrate_timing_exact(ops.h0, ops.h1, lam, T_SWAP)
     payload = {
         "second_order": dataclasses.asdict(second),
         "exact": dataclasses.asdict(exact),
         "delta_t_gap": abs(second.delta_t - exact.delta_t),
     }
-    diagnostics = {"lam": lam, "t_swap": config.t_swap}
+    diagnostics = {"lam": lam}
     tables = {"calibration": (
         ("order", "delta_t", "E0_over_dE", "residual", "homogeneous", "spread", "phase_gap"),
         [_calibration_row(second), _calibration_row(exact)])}
@@ -164,42 +171,34 @@ def _near_identity(rng: np.random.Generator, n: int, s: float, floor: float) -> 
 
 def _run_turing_demo(config: ScenarioConfig, ops: ModelOperators):
     rng = np.random.default_rng(config.seed)
-    factors = tuple(_near_identity(rng, 2, 0.25, 0.2) for _ in range(config.tape_spins + 1))
+    factors = tuple(_near_identity(rng, 2, 0.25, 0.2) for _ in range(TAPE_SPINS + 1))
     machine = turing.TuringMachine(factors=factors)
 
     head = np.asarray(factors[0], dtype=np.complex128)
-    tape_ket, tape_bra = turing.tape_state(machine, (0,) * machine.n_tape)
+    tape_ket, tape_bra = turing.tape_state(machine, (0,) * TAPE_SPINS)
     psi = np.kron(head[:, 0], tape_ket)
     dual = np.kron(machine.inverses()[0][0, :], tape_bra)
 
-    rotations = [turing.rotation_step(machine, config.rotation_angle)] * 4
+    rotations = [turing.rotation_step(machine, ROTATION_ANGLE)] * 4
     points = turing.trajectory(machine, psi, dual, rotations)
     circle = turing.bloch_circle_residual(points)
 
-    shear = turing.shear_step(machine, config.shear_strength)
+    shear = turing.shear_step(machine, SHEAR_STRENGTH)
     iso_residual = turing.isometry_residual(psi, dual, shear)
     ket_s, bra_s = turing.step(psi, dual, shear)
     sheared = turing.bloch_head(ket_s, bra_s, machine)
     purity_gap = abs(sheared.purity() - 1.0)
 
-    if machine.n_tape >= 1:
-        bits_a = (0,) * machine.n_tape
-        bits_b = (1,) * machine.n_tape
-        ta_ket, ta_bra = turing.tape_state(machine, bits_a)
-        tb_ket, tb_bra = turing.tape_state(machine, bits_b)
-        psi_e = 0.6 * np.kron(head[:, 0], ta_ket) + 0.8 * np.kron(head[:, 0], tb_ket)
-        dual_e = 0.6 * np.kron(machine.inverses()[0][0, :], ta_bra) \
-            + 0.8 * np.kron(machine.inverses()[0][0, :], tb_bra)
-        branches = turing.decompose_entangled(psi_e, dual_e, machine)
-        recomposed = turing.recompose_bloch(branches)
-        direct = turing.bloch_head(psi_e, dual_e, machine)
-        recomposition_gap = max(abs(recomposed.x - direct.x),
-                                abs(recomposed.y - direct.y),
-                                abs(recomposed.z - direct.z))
-        weights = [w for w, _ in branches]
-    else:
-        recomposition_gap = 0.0
-        weights = [1.0]
+    # an entangled head-tape state over the all-0 and all-1 tapes
+    tb_ket, tb_bra = turing.tape_state(machine, (1,) * TAPE_SPINS)
+    psi_e = 0.6 * psi + 0.8 * np.kron(head[:, 0], tb_ket)
+    dual_e = 0.6 * dual + 0.8 * np.kron(machine.inverses()[0][0, :], tb_bra)
+    branches = turing.decompose_entangled(psi_e, dual_e, machine)
+    recomposed = turing.recompose_bloch(branches)
+    direct = turing.bloch_head(psi_e, dual_e, machine)
+    recomposition_gap = max(abs(recomposed.x - direct.x),
+                            abs(recomposed.y - direct.y),
+                            abs(recomposed.z - direct.z))
 
     trajectory_rows = [(k, p.x.real, p.x.imag, p.y.real, p.y.imag, p.z.real, p.z.imag)
                        for k, p in enumerate(points)]
@@ -210,10 +209,9 @@ def _run_turing_demo(config: ScenarioConfig, ops: ModelOperators):
         "isometry_residual": iso_residual,
         "shear_purity_gap": purity_gap,
         "recomposition_gap": recomposition_gap,
-        "branch_weights": weights,
+        "branch_weights": [w for w, _ in branches],
     }
-    diagnostics = {"seed": config.seed, "rotation_angle": config.rotation_angle,
-                   "shear_strength": config.shear_strength}
+    diagnostics = {"seed": config.seed}
     tables = {"bloch_trajectory": (
         ("step", "x_re", "x_im", "y_re", "y_im", "z_re", "z_im"), trajectory_rows)}
     return payload, diagnostics, tables

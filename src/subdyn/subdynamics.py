@@ -279,24 +279,23 @@ def _off_plane_kappa(decomp: Decomposition) -> np.ndarray:
 
 
 def _off_plane_rows(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
-    """Order 2's sum of d_nu(mu) x[a, b] off the planes, for a stack x of d x d matrices.
+    """Order 2's sum of d_nu(mu) x[a, b] off the planes, for a d x d matrix x.
 
     Off the planes, d_nu(mu) = -A'[i, a] A'[b, j] W (see _off_plane_kappa),
     which sums to -(A' x A')_ij at W = 1. At eta > 0 the remainder
     W - 1 = i eta R is streamed over blocks of j: per block a batched matvec
-    of R against A'[b, j] x[a, b] for every matrix of the stack.
+    of R against A'[b, j] x[a, b].
     """
     g_dual = decomp.first_order[1]
     out = -(g_dual @ x @ g_dual)
     if decomp.eta == 0.0:
         return out
     factor = -1j * decomp.eta * g_dual
-    x_t = x.transpose(1, 0, 2)[None]
     for js, res in _dyad_resolvent_blocks(decomp.basis, decomp.eta):
-        # y[j, a, k, b] = A'[b, j] x[k, a, b], contracted with R over b
-        y = g_dual[:, js].T[:, None, None, :] * x_t
-        t = y @ res.transpose(0, 2, 1, 3)
-        out[:, :, js] += np.einsum("jaki,ia->kij", t, factor)
+        # y[j, a, 0, b] = A'[b, j] x[a, b], contracted with R over b
+        y = (g_dual[:, js].T[:, None, :] * x)[:, :, None, :]
+        t = (y @ res.transpose(0, 2, 1, 3))[:, :, 0]
+        out[:, js] += np.einsum("jai,ia->ij", t, factor)
     return out
 
 
@@ -445,7 +444,7 @@ def block_residual(decomp: Decomposition) -> float:
 
 
 def _project_frame(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
-    """Kinetic coefficients of a stack x of free-frame states, as d x d matrices.
+    """Kinetic coefficients of a free-frame state x, as a d x d matrix.
 
     Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
     Orders 1 and 2: c_nu = (x + U~ x + x V~)_ij / kappa_nu; order 2 adds
@@ -472,7 +471,7 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
     each order.
     """
     x = unvec(decomp.basis.to_frame(rho), decomp.basis.dim)
-    return vec(_project_frame(decomp, x[None])[0])
+    return vec(_project_frame(decomp, x))
 
 
 def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
@@ -499,7 +498,7 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     rho = as_complex_matrix(rho0, "rho0")
     f = decomp.basis.f_vectors
     d = decomp.basis.dim
-    lhs = _project_frame(decomp, (f.conj().T @ _hilbert_flow(h, rho, t) @ f)[None])[0]
+    lhs = _project_frame(decomp, f.conj().T @ _hilbert_flow(h, rho, t) @ f)
     phases = np.exp(-1j * unvec(decomp.energies, d) * t)
     gap = lhs - phases * unvec(coeff0, d)
     return float(np.linalg.norm(f @ gap @ f.conj().T, ord=2))

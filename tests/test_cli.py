@@ -282,6 +282,30 @@ def test_uncreatable_out_is_refused(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("blocked", [REPORT_NAME, "classification.csv"])
+def test_unwritable_output_file_is_refused(tmp_path, capsys, blocked):
+    # a directory in place of one of the run's files
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    assert main(["classify", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"subdyn: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert not (out / REPORT_NAME).is_file()
+
+
+def test_failed_run_leaves_no_earlier_report(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["classify", "--out", str(out)]) == EXIT_OK
+    assert (out / REPORT_NAME).exists()
+    doc = tmp_path / "res.json"
+    doc.write_text(json.dumps(RESONANT_TRIANGULAR))
+    code = main(["classify", "--config", str(doc), "--order", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert not (out / REPORT_NAME).exists()
+
+
 def test_turing_demo_summary_line(tmp_path, capsys):
     out = tmp_path / "t"
     assert main(["turing-demo", "--out", str(out)]) == EXIT_OK

@@ -117,9 +117,9 @@ def test_cnot_demo_payload_closure():
 
 
 def test_turing_demo_payload_residuals():
-    report = run(make_config("turing-demo", seed=11, tape_spins=3))
+    report = run(make_config("turing-demo", seed=11))
     p = report.payload
-    assert p["n_tape"] == 3
+    assert p["n_tape"] == 2
     assert p["biorthonormality_residual"] <= 1e-12
     assert p["bloch_circle_residual"] <= 1e-10
     assert p["isometry_residual"] <= 1e-10
