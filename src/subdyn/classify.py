@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .linalg import DefectiveMatrixError, as_complex_matrix, eig, psd_factor
 from .models import ModelOperators, canonical_initial_state
-from .subdynamics import Decomposition, decompose_model, project_density
+from .subdynamics import _BLOCK_ENTRIES, Decomposition, decompose_model, project_density
 
 DF = "DF"
 PHASE_ERROR = "PE"
@@ -90,11 +90,25 @@ def check_triangular_condition(decomp: Decomposition) -> float:
     return float(np.max(np.abs(spectral_shift(decomp))))
 
 
+def _time_blocks(steps: int, entries_per_step: int):
+    """Slices of a time grid holding about _BLOCK_ENTRIES entries each.
+
+    A block spans max(1, _BLOCK_ENTRIES // entries_per_step) steps: at
+    d^2 entries a step, the whole 101-step grid up to d = 16, four blocks at
+    d = 32 and one step from d = 182. So a walk over the blocks never holds
+    a steps x d^2 array.
+    """
+    size = max(1, _BLOCK_ENTRIES // entries_per_step)
+    for start in range(0, steps, size):
+        yield slice(start, min(start + size, steps))
+
+
 def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> FidelityTrace:
     """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu.
 
-    Raises ValueError when max|E| max|t| eps >= 1, where e^{-i E t} keeps no
-    correct digit.
+    The exponent table exp(t Im E) is built one block of the time grid at a
+    time (_time_blocks over the d^2 dyads). Raises ValueError when
+    max|E| max|t| eps >= 1, where e^{-i E t} keeps no correct digit.
     """
     ts = np.asarray(times, dtype=np.float64)
     scale = float(np.max(np.abs(energies), initial=0.0)) * float(np.max(np.abs(ts), initial=0.0))
@@ -106,29 +120,38 @@ def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> Fid
         raise ValueError("initial state has no weight on any dyad")
     weights = mags / total
     # sum(weights) is 1 only to rounding, so the deviation from 1 is summed
-    # directly: exactly zero when every E_nu is real
-    deviation = (np.exp(np.outer(ts, energies.imag)) - 1.0) @ weights
+    # directly: exactly zero when every E_nu is real. Each step is its own
+    # pairwise sum, so the blocks do not change a bit of it (a matrix-vector
+    # product would round a step by its place in the block).
+    deviation = np.empty_like(ts)
+    for block in _time_blocks(ts.shape[0], energies.shape[0]):
+        terms = np.exp(np.outer(ts[block], energies.imag))
+        terms -= 1.0
+        terms *= weights
+        deviation[block] = terms.sum(axis=1)
     return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
 
 
 def _state_flow(hamiltonian, u: np.ndarray, f: np.ndarray):
     """Free-frame factors of rho(t) = e^{-iHt} u u^dagger e^{+iHt}.
 
-    Returns (hermitian, flow) where flow(t) gives (ket, bra) with
-    F^dagger rho(t) F = ket @ bra, ket d x r and bra r x d. One eigen-
-    decomposition H = R diag(z) R^-1 serves every t at O(d^2 r) a step:
-    ket = (F^dagger R)(e^{-izt} R^-1 u) and bra = (u^dagger R) e^{+izt} (R^-1 F),
-    which is ket^dagger when H is Hermitian. A defective H, never Hermitian,
-    takes two d x d exponentials per t instead.
+    Returns (hermitian, flow) where flow(ts) gives, for a block of times,
+    stacked (ket, bra) with F^dagger rho(t) F = ket[k] @ bra[k], ket[k] d x r
+    and bra[k] r x d. One eigendecomposition H = R diag(z) R^-1 serves every
+    t at O(d^2 r) a step: ket = (F^dagger R)(e^{-izt} R^-1 u) and
+    bra = (u^dagger R) e^{+izt} (R^-1 F), which is ket^dagger when H is
+    Hermitian. A defective H, never Hermitian, takes two d x d exponentials
+    per t instead.
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     fh = f.conj().T
     try:
         system = eig(h)
     except DefectiveMatrixError:
-        def expm_flow(t):
-            return (fh @ (scipy.linalg.expm(-1j * t * h) @ u),
-                    (u.conj().T @ scipy.linalg.expm(1j * t * h)) @ f)
+        def expm_flow(ts):
+            kets = [fh @ (scipy.linalg.expm(-1j * t * h) @ u) for t in ts]
+            bras = [(u.conj().T @ scipy.linalg.expm(1j * t * h)) @ f for t in ts]
+            return np.stack(kets), np.stack(bras)
         return False, expm_flow
     z = system.values
     ket_left = fh @ system.right_vectors
@@ -136,11 +159,11 @@ def _state_flow(hamiltonian, u: np.ndarray, f: np.ndarray):
     bra_left = u.conj().T @ system.right_vectors
     bra_right = system.left_vectors @ f
 
-    def flow(t):
-        ket = ket_left @ (np.exp(-1j * z * t)[:, None] * ket_right)
+    def flow(ts):
+        ket = ket_left @ (np.exp((-1j * z) * ts[:, None])[:, :, None] * ket_right)
         if system.hermitian:
-            return ket, ket.conj().T
-        return ket, (bra_left * np.exp(1j * z * t)[None, :]) @ bra_right
+            return ket, ket.conj().transpose(0, 2, 1)
+        return ket, (bra_left * np.exp((1j * z) * ts[:, None])[:, None, :]) @ bra_right
 
     return system.hermitian, flow
 
@@ -157,7 +180,9 @@ def total_space_evidence(decomp: Decomposition, hamiltonian, rho0, times) -> dic
     rho0 must be Hermitian PSD and is propagated as its rank-r factor
     rho0 = U U^dagger, so a step costs O(r d^2). The fidelity is the Uhlmann
     fidelity ||U_free(t)^dagger U(t)||_tr, the singular values of an r x r
-    matrix; for a pure state it is |<phi_free(t)|phi(t)>|.
+    matrix; for a pure state it is |<phi_free(t)|phi(t)>|. The time grid is
+    walked in blocks (_time_blocks), each reduced to its drifts and its
+    fidelity minimum before the next.
     """
     basis = decomp.basis
     f = basis.f_vectors
@@ -170,24 +195,25 @@ def total_space_evidence(decomp: Decomposition, hamiltonian, rho0, times) -> dic
     ts = np.asarray(times, dtype=np.float64)
     pop_drift = 0.0
     coh_drift = 0.0
-    overlaps = np.empty((ts.shape[0], u.shape[1], u.shape[1]), dtype=np.complex128)
-    for k, t in enumerate(ts):
-        ket, bra = flow(t)
+    fid_min = 1.0
+    for block in _time_blocks(ts.shape[0], basis.dim ** 2):
+        ket, bra = flow(ts[block])
         sigma = ket @ bra
-        pop_drift = max(pop_drift, float(np.max(np.abs(np.diagonal(sigma) - pop0))))
-        gap = np.abs(sigma) - mod0
-        np.fill_diagonal(gap, 0.0)
-        coh_drift = max(coh_drift, float(np.max(np.abs(gap))))
+        pop_drift = max(pop_drift, float(np.max(np.abs(
+            np.diagonal(sigma, axis1=1, axis2=2) - pop0))))
+        gap = np.abs(sigma)
+        gap -= mod0
+        gap.reshape(gap.shape[0], -1)[:, :: basis.dim + 1] = 0.0
+        coh_drift = max(coh_drift, float(np.max(np.abs(gap, out=gap))))
         if hermitian:
-            overlaps[k] = (g0.conj().T * np.exp(1j * basis.f_values * t)[None, :]) @ ket
-    fid_min = float("nan")
-    if hermitian:
-        fidelities = np.linalg.svd(overlaps, compute_uv=False).sum(axis=-1)
-        fid_min = float(np.min(fidelities, initial=1.0))
+            phases = np.exp((1j * basis.f_values) * ts[block, None])
+            overlaps = (g0.conj().T * phases[:, None, :]) @ ket
+            fidelities = np.linalg.svd(overlaps, compute_uv=False).sum(axis=-1)
+            fid_min = float(np.min(fidelities, initial=fid_min))
     return {
         "population_drift": pop_drift,
         "coherence_modulus_drift": coh_drift,
-        "fidelity_vs_free_min": fid_min,
+        "fidelity_vs_free_min": fid_min if hermitian else float("nan"),
     }
 
 

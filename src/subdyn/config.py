@@ -25,6 +25,9 @@ SCENARIOS = ("classify", "evolve", "swap-calibrate", "cnot-demo", "turing-demo",
 # both on d x d factors).
 _GRID_SCENARIOS = ("classify", "evolve", "verify")
 _ORDERED_SCENARIOS = ("classify", "evolve")
+# Scenarios that read eta: the ordered ones at orders 1 and 2, and
+# swap-calibrate's order-1 calibration.
+_ETA_SCENARIOS = ("classify", "evolve", "swap-calibrate")
 
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelSpec))
 # Model keys read by some kinds only. Set on another kind, such a key would be
@@ -207,34 +210,56 @@ def load_config(raw: dict) -> ScenarioConfig:
         fields["seed"] = seed
 
     config = ScenarioConfig(**fields)
+    _check_read(config)
     _check_memory(config)
     return config
+
+
+def _check_read(config: ScenarioConfig) -> None:
+    """Refuse an order or eta the scenario would echo in its report without reading.
+
+    Only values are refused, not keys: a document may spell out the
+    defaults, order "exact" and eta 0, for every scenario.
+    """
+    if config.order != "exact" and config.scenario not in _ORDERED_SCENARIOS:
+        raise ConfigError(f"{config.scenario} runs the exact order only; "
+                          f"order {config.order!r} is not read")
+    if config.eta != 0.0 and config.scenario not in _ETA_SCENARIOS:
+        raise ConfigError(f"eta is not read by {config.scenario}; got {config.eta}")
+    if config.eta != 0.0 and config.order == "exact" and config.scenario in _ORDERED_SCENARIOS:
+        raise ConfigError(f"eta regularizes the perturbative orders only; "
+                          f"{config.scenario} at the exact order does not read eta = {config.eta}")
 
 
 def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
-    The estimate is 16 ((steps + 32) d^2 + max(d^3, 2^16)) bytes, the cubic
-    term only for order 2 at eta > 0. The d^2 term covers fidelity_trace's
-    steps x d^2 exponent table and the d x d eigen data and first-order
-    factors; classify's total-space evidence holds only d x d matrices and
-    the state's d x r factor per time step. The cubic term covers order 2's
-    stream of the dyad-resolvent remainder over blocks of the dyad index j,
-    which only eta > 0 runs: one complex block of max(d^3, 2^15) entries.
-    tracemalloc peaks of runner.run are 16 (steps + 12..22) d^2 bytes at
-    orders exact and 1 and at order 2 with eta = 0, for every model kind
-    from d = 16 up (below that a fixed ~0.1 MB dominates); order 2 at
-    eta > 0 adds the block, up to
-    16 (130..139) d^2 bytes at d = 16, while from d = 32 to 64 its peak
-    stays that of the d^2 term. The constants were measured when classify
-    still held a (steps, d, d) stack of density matrices
-    (16 (steps + 27..31) d^2), so the estimate errs on the high side.
+    The estimate is 16 (32 d^2 + 3 max(d^2, 2^15) + cubic + steps s) bytes.
+    The 32 d^2 term covers the d x d eigen data, plane factors and flows.
+    The block term covers one block of the time grid: classify's
+    total-space evidence and fidelity_trace walk the grid in blocks of
+    about 2^15 entries at d^2 each (one step from d = 182), so no
+    steps x d^2 array exists. The cubic term, max(d^3, 2^16), covers order
+    2's walk of the dyad-resolvent remainder over blocks of the dyad index
+    j, which only eta > 0 runs. The grid term is s = 1 per step for the
+    times and the fidelity trace, and s = 2 d + 8 for evolve, whose
+    trace_drift holds a steps x d table of population phases twice over
+    and whose fidelity table holds a row of Python floats per step.
+    tracemalloc peaks of runner.run, diagonal kind: 16 (36..40) d^2 bytes
+    at d = 64 and 16 (26..30) d^2 at d = 82 over every order; from d = 182
+    to 1024, where a block is one step, 16 (18..22) d^2 for classify and
+    verify and 16 (29..33) d^2 for evolve, whose energies table holds a
+    row of Python numbers per dyad. At d = 16 a fixed 0.8..1 MB dominates.
+    Order 2 at eta > 0 adds the block, 5.9 MB at d = 64 against 2.6 MB at
+    eta = 0. At d = 64 with 10,001 steps classify peaks at 2.4 MB and
+    evolve at 21.6 MB.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
     cubic = max(d**3, 2**16) if ordered and config.order == "2" and config.eta > 0 else 0
-    estimate = 16 * ((steps + 32) * d**2 + cubic)
+    per_step = 2 * d + 8 if config.scenario == "evolve" else 1
+    estimate = 16 * (32 * d**2 + 3 * max(d**2, 2**15) + cubic + steps * per_step)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if estimate > budget:
         route = f"order {config.order}" if ordered else "d x d routes"

@@ -25,10 +25,12 @@ pairings kappa and the projection serves both orders. Order 2 also reaches
 off the planes: there column nu = (i, j) is -A E_ij A times W = 1 + i eta R
 (R the dyad resolvent), and the rows are the same in A'. At eta = 0, W = 1
 and order 2 takes O(d^3) time and O(d^2) memory; at eta > 0 the remainder
-W - 1 is streamed over blocks of the dyad index j, O(d^3) memory and
-O(d^4) time. The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, every
-order's columns) are reference oracles for small-d checks and live with the
-tests, in tests/oracle.py.
+W - 1 is summed over one walk of the dyad resolvent in blocks of the dyad
+index j, O(d^3) memory and O(d^4) time. The first projection's walk also
+sums the pairings kappa and caches them, so each projection walks once.
+The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, every order's
+columns) are reference oracles for small-d checks and live with the tests,
+in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ class Decomposition:
     V~[b, j] at the same places. Order 1 has (U, V, U~, V~) = (A, -A, A', -A'),
     the superoperators [A, .] and [A', .]. Order 2 adds the second-order
     Rayleigh-Schroedinger terms (see _rayleigh_schroedinger) and an
-    off-plane part in A and A' (see _off_plane_kappa). The pairings kappa,
+    off-plane part in A and A' (see _off_plane_sums). The pairings kappa,
     which every projection divides by, are computed from the stored factors
-    on first use and kept with the instance.
+    on first use, at order 2 by the first projection's own walk, and kept
+    with the instance.
     """
 
     basis: PhiBasis
@@ -150,10 +153,18 @@ class Decomposition:
 
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
         Orders 1 and 2: kappa_nu = 1 + (U~ U)_ii + (V V~)_jj, the sum over
-        the planes; order 2 adds the off-plane sum, see _off_plane_kappa.
-        The cached array is read-only, as every caller shares it;
+        the planes; order 2 adds the off-plane sum, see _off_plane_sums.
+        At eta > 0 that sum walks the dyad resolvent; the first projection
+        sums it in its own walk and caches the result here (see
+        _project_frame), so kappa walks alone only when read before any
+        projection. The cached array is read-only, as every caller shares it;
         dataclasses.replace builds a new instance with a fresh kappa.
         """
+        off_plane = _off_plane_sums(self)[0] if self.order == "2" else None
+        return self._pairings(off_plane)
+
+    def _pairings(self, off_plane: np.ndarray | None) -> np.ndarray:
+        """kappa from the stored factors and, at order 2, its off-plane sum."""
         if self.planes is None:
             a = np.diag(self.psi) * np.diag(self.psi_tilde)
             kappa = vec(1.0 / np.outer(a, a))
@@ -161,8 +172,8 @@ class Decomposition:
             u, v, u_dual, v_dual = self.planes
             kappa = 1.0 + np.einsum("ia,ai->i", u_dual, u)[:, None] \
                 + np.einsum("jb,bj->j", v, v_dual)[None, :]
-            if self.order == "2":
-                kappa += _off_plane_kappa(self)
+            if off_plane is not None:
+                kappa += off_plane
             kappa = vec(kappa)
         kappa.flags.writeable = False
         return kappa
@@ -207,8 +218,9 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -
     return np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, gap + 1j * eta))
 
 
-# Dyad-resolvent entries one block of the order-2 stream holds: every j at
-# d = 8, two blocks at d = 16 and one j per block from d = 32.
+# Entries one block of a walk holds. The order-2 walk of the dyad resolvent
+# takes every j at d = 8, two blocks at d = 16 and one j per block from
+# d = 32; classify's walks of the time grid take steps of d^2 entries each.
 _BLOCK_ENTRIES = 2 ** 15
 
 
@@ -251,8 +263,13 @@ def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: flo
     return g + weight * (h @ g - g * hd[None, :]), -g + weight * (g @ h - hd[:, None] * g)
 
 
-def _off_plane_kappa(decomp: Decomposition) -> np.ndarray:
-    """Order 2's sum of d_nu(mu) c_nu(mu) off the planes b = j and a = i, as a d x d array.
+def _off_plane_sums(decomp: Decomposition, x: np.ndarray | None = None,
+                    pairings: bool = True):
+    """Order 2's sums off the planes b = j and a = i, in one walk of the dyad resolvent.
+
+    Returns (kappa, rows), each d x d or None when not asked for: kappa, when
+    pairings is set, the sum of d_nu(mu) c_nu(mu); rows, for a d x d matrix
+    x, the sum of d_nu(mu) x[a, b].
 
     Off the planes, column nu reads
     -lam R (h[a, i] A[j, b] + A[a, i] h[j, b]) = -A[a, i] A[j, b] W, as
@@ -261,42 +278,36 @@ def _off_plane_kappa(decomp: Decomposition) -> np.ndarray:
     singularity's value) but W = 2 at any eta > 0. Summed over mu, the
     products are sum_ab P[a, i] Q[j, b] W^2 with P = A'^T * A and
     Q = A * A'^T: the d x d term (A' A)_ii (A A')_jj plus, at eta > 0,
-    W^2 - 1 = 2 i eta R - eta^2 R^2 streamed over blocks of j. A has a zero
-    diagonal, so no mask is needed.
+    W^2 - 1 = 2 i eta R - eta^2 R^2. The rows are -(A' x A')_ij at W = 1
+    plus, at eta > 0, the remainder W - 1 = i eta R: per block a batched
+    matvec of R against A'[b, j] x[a, b]. Both remainders are summed over
+    one walk of _dyad_resolvent_blocks. A has a zero diagonal, so no mask is
+    needed.
     """
     g, g_dual = decomp.first_order
     eta, d = decomp.eta, decomp.basis.dim
-    p, q = g_dual.T * g, g * g_dual.T
-    kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
+    kappa = rows = None
+    if pairings:
+        p, q = g_dual.T * g, g * g_dual.T
+        kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
+    if x is not None:
+        rows = -(g_dual @ x @ g_dual)
+        factor = -1j * eta * g_dual
     if eta == 0.0:
-        return kappa
+        return kappa, rows
     for js, res in _dyad_resolvent_blocks(decomp.basis, eta):
-        flat = res.reshape(-1, d, d * d)
-        v = (2j * eta) * (q[js, None, :] @ flat)
-        v -= eta * eta * (q[js, None, :] @ np.square(flat, out=flat))
-        kappa[:, js] += np.einsum("jai,ai->ij", v.reshape(-1, d, d), p)
-    return kappa
-
-
-def _off_plane_rows(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
-    """Order 2's sum of d_nu(mu) x[a, b] off the planes, for a d x d matrix x.
-
-    Off the planes, d_nu(mu) = -A'[i, a] A'[b, j] W (see _off_plane_kappa),
-    which sums to -(A' x A')_ij at W = 1. At eta > 0 the remainder
-    W - 1 = i eta R is streamed over blocks of j: per block a batched matvec
-    of R against A'[b, j] x[a, b].
-    """
-    g_dual = decomp.first_order[1]
-    out = -(g_dual @ x @ g_dual)
-    if decomp.eta == 0.0:
-        return out
-    factor = -1j * decomp.eta * g_dual
-    for js, res in _dyad_resolvent_blocks(decomp.basis, decomp.eta):
-        # y[j, a, 0, b] = A'[b, j] x[a, b], contracted with R over b
-        y = (g_dual[:, js].T[:, None, :] * x)[:, :, None, :]
-        t = (y @ res.transpose(0, 2, 1, 3))[:, :, 0]
-        out[:, js] += np.einsum("jai,ia->ij", t, factor)
-    return out
+        if x is not None:
+            # y[j, a, 0, b] = A'[b, j] x[a, b], contracted with R over b
+            y = (g_dual[:, js].T[:, None, :] * x)[:, :, None, :]
+            t = (y @ res.transpose(0, 2, 1, 3))[:, :, 0]
+            rows[:, js] += np.einsum("jai,ia->ij", t, factor)
+        if pairings:
+            # squares the block in place, so after the rows have read it
+            flat = res.reshape(-1, d, d * d)
+            v = (2j * eta) * (q[js, None, :] @ flat)
+            v -= eta * eta * (q[js, None, :] @ np.square(flat, out=flat))
+            kappa[:, js] += np.einsum("jai,ai->ij", v.reshape(-1, d, d), p)
+    return kappa, rows
 
 
 def _phi_hamiltonian(basis: PhiBasis, lam: float, h1_f: np.ndarray) -> np.ndarray:
@@ -448,8 +459,16 @@ def _project_frame(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
 
     Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
     Orders 1 and 2: c_nu = (x + U~ x + x V~)_ij / kappa_nu; order 2 adds
-    the off-plane sum, see _off_plane_rows.
+    the off-plane sum, see _off_plane_sums, whose walk also computes and
+    caches kappa when no earlier call has.
     """
+    off_rows = None
+    if decomp.order == "2":
+        # functools.cached_property keeps kappa in the instance __dict__
+        cached = "kappa" in vars(decomp)
+        off_kappa, off_rows = _off_plane_sums(decomp, x, pairings=not cached)
+        if not cached:
+            vars(decomp)["kappa"] = decomp._pairings(off_kappa)
     kappa = decomp.kappa
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
@@ -458,8 +477,8 @@ def _project_frame(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
         return (psi_tilde @ x @ psi) * np.outer(np.diag(psi), np.diag(psi_tilde))
     _, _, u_dual, v_dual = decomp.planes
     y = x + u_dual @ x + x @ v_dual
-    if decomp.order == "2":
-        y += _off_plane_rows(decomp, x)
+    if off_rows is not None:
+        y += off_rows
     return y / unvec(kappa, decomp.basis.dim)
 
 

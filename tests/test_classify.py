@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from oracle import dense_total_space_evidence, fidelity
+from subdyn import classify as classify_module
 from subdyn.classify import (
     CELLS,
     DEFAULT_VERDICT_TOL,
@@ -256,3 +257,39 @@ def test_total_space_evidence_rejects_invalid_state(spec, state, error):
     with pytest.raises(error):
         total_space_evidence(decompose_model(ops), ops.hamiltonian(), rho0,
                              TIMES)
+
+
+def _walk_case(case, rank):
+    """(decomposition, H, rho0) for a Hermitian, triangular or defective H."""
+    if case == "defective":
+        # a Jordan block in a 4-level space: no eigenbasis, the expm route
+        h = np.zeros((4, 4))
+        h[0, 1] = 1.0
+        decomp = decompose(np.diag([0.0, 1.0, 2.5, 4.0]), np.zeros((4, 4)))
+    else:
+        ops = build_model(GEN if case == "hermitian" else TRI)
+        h, decomp = ops.hamiltonian(), decompose_model(ops, order=2, eta=0.05)
+    rho0 = _random_state(np.random.default_rng(23), h.shape[0], rank)
+    return decomp, h, rho0
+
+
+@pytest.mark.parametrize("rank", [1, 2, None], ids=["pure", "rank2", "full"])
+@pytest.mark.parametrize("case", ["hermitian", "triangular", "defective"])
+def test_time_grid_blocks_give_identical_results(monkeypatch, case, rank):
+    # one step per block, 4 steps per block (37 is no multiple of 4), and
+    # the whole grid in one block give the same bytes
+    decomp, h, rho0 = _walk_case(case, rank)
+    times = np.linspace(0.0, 7.0, 37)
+    coeff = project_density(decomp, rho0)
+    results = []
+    for entries in (1, 4 * decomp.basis.dim ** 2, 2 ** 40):
+        monkeypatch.setattr(classify_module, "_BLOCK_ENTRIES", entries)
+        results.append((total_space_evidence(decomp, h, rho0, times),
+                        fidelity_trace(decomp.energies, coeff, times).values))
+    (evidence, values), *others = results
+    assert np.isnan(evidence["fidelity_vs_free_min"]) == (case != "hermitian")
+    for other_evidence, other_values in others:
+        assert other_evidence.keys() == evidence.keys()
+        # NaN fidelity on both sides when H is not Hermitian
+        np.testing.assert_array_equal(list(other_evidence.values()), list(evidence.values()))
+        assert other_values.tobytes() == values.tobytes()

@@ -160,8 +160,10 @@ def test_resonant_perturbation_exit_code(tmp_path, capsys):
     assert not (out / REPORT_NAME).exists()
 
 
-@pytest.mark.parametrize("order", ["exact", "1", "2"])
-@pytest.mark.parametrize("scenario", ["classify", "evolve", "swap-calibrate", "verify"])
+@pytest.mark.parametrize("scenario, order", [
+    *((scenario, order) for scenario in ("classify", "evolve") for order in ("1", "2", "exact")),
+    ("swap-calibrate", "exact"), ("verify", "exact")],
+    ids=lambda value: value)
 def test_overflowing_lam_is_numerical_failure(tmp_path, capsys, scenario, order):
     # lam = 1e300 overflows the interaction scale; every scenario that reads
     # lam refuses the run instead of writing a report of infs and nans
@@ -173,6 +175,40 @@ def test_overflowing_lam_is_numerical_failure(tmp_path, capsys, scenario, order)
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / REPORT_NAME).exists()
+
+
+# (scenario, flags) whose order or eta the scenario does not read
+UNREAD_FLAGS = {
+    "verify-order": ("verify", ["--order", "2", "--eta", "0.3"]),
+    "verify-eta": ("verify", ["--eta", "0.3"]),
+    "swap-calibrate-order": ("swap-calibrate", ["--order", "1"]),
+    "cnot-demo-order": ("cnot-demo", ["--order", "2"]),
+    "cnot-demo-eta": ("cnot-demo", ["--eta", "0.05"]),
+    "turing-demo-order": ("turing-demo", ["--order", "1"]),
+    "turing-demo-eta": ("turing-demo", ["--eta", "0.05"]),
+    "classify-exact-eta": ("classify", ["--eta", "0.05"]),
+    "evolve-exact-eta": ("evolve", ["--order", "exact", "--eta", "0.05"]),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_FLAGS))
+def test_unread_flag_is_refused(tmp_path, capsys, case):
+    # a run would echo the value in its report without reading it
+    scenario, flags = UNREAD_FLAGS[case]
+    out = tmp_path / "run"
+    assert main([scenario, *flags, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("subdyn: config error:") and err.count("\n") == 1
+    assert not (out / REPORT_NAME).exists()
+
+
+@pytest.mark.parametrize("scenario, flags", [
+    ("swap-calibrate", ["--eta", "0.05"]), ("classify", ["--order", "1", "--eta", "0.05"]),
+    ("verify", ["--order", "exact", "--eta", "0"])], ids=["swap-calibrate-eta", "classify-1-eta",
+                                                          "verify-defaults"])
+def test_read_flags_and_spelled_out_defaults_are_accepted(tmp_path, capsys, scenario, flags):
+    assert main([scenario, *flags, "--out", str(tmp_path / "run")]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_eta_regulator_unblocks_resonance(tmp_path, capsys):

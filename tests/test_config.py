@@ -86,7 +86,7 @@ def test_eta_must_be_nonnegative():
         load_config({**GOOD, "eta": "abc"})
     with pytest.raises(ConfigError, match="eta must be finite"):
         load_config({**GOOD, "eta": float("nan")})
-    assert load_config({**GOOD, "eta": 0.2}).eta == pytest.approx(0.2)
+    assert load_config({**GOOD, "order": "1", "eta": 0.2}).eta == pytest.approx(0.2)
 
 
 def test_booleans_are_not_integers():
@@ -206,20 +206,26 @@ def test_memory_budget_is_half_of_physical_memory(monkeypatch):
 def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     est = config_module._check_memory
     d = 16
+    # d x d factors, one 2^15-entry block of the time grid and the grid itself
     base = est(load_config(diagonal_doc(d)))
-    assert base == 16 * (101 + 32) * d**2
+    assert base == 16 * (32 * d**2 + 3 * 2**15 + 101)
     assert est(load_config(diagonal_doc(d, order="1"))) == base
-    # order 2 holds d x d arrays at eta = 0 and streams one resolvent block of
+    # order 2 holds d x d arrays at eta = 0 and walks one resolvent block of
     # max(d^3, 2^16) entries at eta > 0
     assert est(load_config(diagonal_doc(d, order="2"))) == base
     assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) == base + 16 * 2**16
     assert est(load_config(diagonal_doc(64, order="2", eta=0.05))) \
-        == 16 * ((101 + 32) * 64**2 + 64**3)
-    assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == 16 * 1033 * d**2
+        == 16 * (32 * 64**2 + 3 * 2**15 + 64**3 + 101)
+    # from d = 182 a block of the time grid is one step of d^2 entries
+    assert est(load_config(diagonal_doc(256))) == 16 * (35 * 256**2 + 101)
+    # classify pays one entry a step; evolve's population phases and
+    # fidelity rows 2 d + 8
+    assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 900
+    assert est(load_config(diagonal_doc(d, scenario="evolve", t_grid=[0.0, 1.0, 1001]))) \
+        == base + 16 * ((2 * d + 8) * 1001 - 101)
     # verify runs the exact order; swap-calibrate reads no time grid
-    assert est(load_config(diagonal_doc(d, scenario="verify", order="2"))) == base
-    assert est(load_config(diagonal_doc(d, scenario="swap-calibrate", order="2"))) \
-        == 16 * 32 * d**2
+    assert est(load_config(diagonal_doc(d, scenario="verify"))) == base
+    assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == base - 16 * 101
 
 
 def _traced_peak(cfg) -> int:
@@ -236,6 +242,11 @@ MEMORY_CASES = {f"{dim}-{order}": diagonal_doc(dim, order=order)
                                    (32, "1"), (32, "2"), (48, "2"), (64, "2"), (82, "exact")]}
 # order 2 at eta > 0 streams the dyad-resolvent remainder: the cubic term
 MEMORY_CASES.update({f"{dim}-2-eta": diagonal_doc(dim, order="2", eta=0.05) for dim in (16, 64)})
+# a long time grid: classify walks it in blocks, evolve holds a steps x d table
+MEMORY_CASES.update({f"64-{scenario}-10001-steps": diagonal_doc(
+    64, scenario=scenario, t_grid=[0.0, 10.0, 10001]) for scenario in ("classify", "evolve")})
+TIGHT_MEMORY_CASES = ("64-2", "64-2-eta", "82-exact", "64-classify-10001-steps",
+                      "64-evolve-10001-steps")
 
 
 @pytest.mark.parametrize("case", list(MEMORY_CASES))
@@ -244,7 +255,7 @@ def test_memory_estimate_bounds_traced_peak(case):
     estimate = config_module._check_memory(cfg)
     peak = _traced_peak(cfg)
     assert peak <= estimate
-    if case in ("64-2", "64-2-eta", "82-exact"):
+    if case in TIGHT_MEMORY_CASES:
         # tight enough not to refuse runs that fit
         assert estimate <= 2 * peak
 
@@ -257,6 +268,16 @@ def test_order_two_at_d128_fits_a_7_gb_machine(monkeypatch):
     cfg = load_config(diagonal_doc(128, order="2"))
     assert cfg.model.dim == 128 and cfg.order == "2"
     assert config_module._check_memory(cfg) < 2**27
+
+
+def test_long_time_grid_at_d128_fits_a_7_gb_machine(monkeypatch):
+    # the time grid is walked in blocks: 100,001 steps add 16 bytes each,
+    # where a steps x d^2 exponent table took 16 * 100,033 * 128^2 bytes, about 26 GB
+    pages = {"SC_PHYS_PAGES": 7 * 2**30 // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
+    cfg = load_config(diagonal_doc(128, t_grid=[0.0, 10.0, 100001]))
+    assert cfg.model.dim == 128 and cfg.t_grid[2] == 100001
+    assert config_module._check_memory(cfg) < 2**24
 
 
 def test_load_from_path(tmp_path):

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from subdyn import subdynamics
 from subdyn.config import load_config
 from subdyn.models import build_model, canonical_initial_state
 from subdyn.report import REPORT_NAME
@@ -92,6 +93,35 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
     assert report.payload["trace_drift"] == drift
     if eta > 0.0:
         assert drift > 0.0
+
+
+@pytest.mark.parametrize("scenario, walks", [("classify", 1), ("evolve", 2)])
+def test_order_two_walks_the_dyad_resolvent_once_per_projection(monkeypatch, scenario, walks):
+    # kappa's off-plane sum rides on the first projection's walk; a later
+    # projection walks for its rows only
+    calls = []
+    blocks = subdynamics._dyad_resolvent_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(subdynamics, "_dyad_resolvent_blocks", counted)
+    report = run(make_config(scenario, model=GEN_MODEL, order="2", eta=0.05))
+    assert report.diagnostics["order"] == "2"
+    assert len(calls) == walks
+
+
+def test_kappa_cached_by_a_projection_is_the_kappa_of_its_own_walk():
+    ops = build_model(load_config({"scenario": "classify", "model": GEN_MODEL}).model)
+    rho0 = canonical_initial_state(ops)
+    shared = decompose_model(ops, order="2", eta=0.05)
+    coeff = project_density(shared, rho0)
+    alone = decompose_model(ops, order="2", eta=0.05)
+    kappa = alone.kappa
+    assert shared.kappa.tobytes() == kappa.tobytes()
+    assert not shared.kappa.flags.writeable
+    assert project_density(alone, rho0).tobytes() == coeff.tobytes()
 
 
 def test_swap_calibration_payload_orders():
