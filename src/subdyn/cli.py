@@ -54,6 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: main parses every call with it, and a parse leaves it unchanged.
+_PARSER = build_parser()
+
+
 def _summary(report: RunReport) -> str:
     p = report.payload
     if report.scenario == "classify":
@@ -76,7 +80,7 @@ def _summary(report: RunReport) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         raw = {"model": dict(DEFAULT_MODEL)} if args.config is None else read_config(args.config)
         raw["scenario"] = args.scenario

@@ -84,12 +84,26 @@ def eigen_sort_order(values: np.ndarray) -> np.ndarray:
 
 
 def tensor(*factors) -> np.ndarray:
-    """Kronecker product of the given matrices, in argument order."""
+    """Kronecker product of the given kets, bras or matrices, in argument order.
+
+    The factors must all be 1-d or all 2-d. Each step of the left fold is
+    the broadcast product numpy.kron forms, out[i, k, j, l] = a[i, j] * b[k, l]
+    before the reshape, so the entries are bit-identical to a left-folded
+    chain of numpy.kron, without its per-call shape handling.
+    """
     if not factors:
         raise ValueError("tensor() needs at least one factor")
     out = np.asarray(factors[0], dtype=np.complex128)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=np.complex128))
+        b = np.asarray(f, dtype=np.complex128)
+        if b.ndim != out.ndim or b.ndim not in (1, 2):
+            raise ValueError("tensor() factors must all be 1-d or all be 2-d, got "
+                             f"{out.ndim}-d and {b.ndim}-d")
+        if b.ndim == 1:
+            out = (out[:, None] * b[None, :]).reshape(-1)
+        else:
+            (m, n), (p, q) = out.shape, b.shape
+            out = (out.reshape(m, 1, n, 1) * b.reshape(1, p, 1, q)).reshape(m * p, n * q)
     return out
 
 

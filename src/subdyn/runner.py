@@ -10,7 +10,7 @@ import numpy as np
 from . import gates, turing
 from .classify import CELLS, classify, fidelity_trace
 from .config import ScenarioConfig, config_echo
-from .linalg import is_hermitian, random_density
+from .linalg import is_hermitian, random_density, tensor
 from .models import ModelOperators, build_model, canonical_initial_state, \
     block_eigensolve, extract_block
 from .report import RunReport, write_report
@@ -176,8 +176,8 @@ def _run_turing_demo(config: ScenarioConfig, ops: ModelOperators):
 
     head = np.asarray(factors[0], dtype=np.complex128)
     tape_ket, tape_bra = turing.tape_state(machine, (0,) * TAPE_SPINS)
-    psi = np.kron(head[:, 0], tape_ket)
-    dual = np.kron(machine.inverses()[0][0, :], tape_bra)
+    psi = tensor(head[:, 0], tape_ket)
+    dual = tensor(machine.inverses()[0][0, :], tape_bra)
 
     rotations = [turing.rotation_step(machine, ROTATION_ANGLE)] * 4
     points = turing.trajectory(machine, psi, dual, rotations)
@@ -191,8 +191,8 @@ def _run_turing_demo(config: ScenarioConfig, ops: ModelOperators):
 
     # an entangled head-tape state over the all-0 and all-1 tapes
     tb_ket, tb_bra = turing.tape_state(machine, (1,) * TAPE_SPINS)
-    psi_e = 0.6 * psi + 0.8 * np.kron(head[:, 0], tb_ket)
-    dual_e = 0.6 * dual + 0.8 * np.kron(machine.inverses()[0][0, :], tb_bra)
+    psi_e = 0.6 * psi + 0.8 * tensor(head[:, 0], tb_ket)
+    dual_e = 0.6 * dual + 0.8 * tensor(machine.inverses()[0][0, :], tb_bra)
     branches = turing.decompose_entangled(psi_e, dual_e, machine)
     recomposed = turing.recompose_bloch(branches)
     direct = turing.bloch_head(psi_e, dual_e, machine)

@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import as_complex_matrix, tensor
+from .linalg import DEFAULT_TOL, as_complex_matrix, tensor
 
 PAIRING_TOL = 1e-12
 # Relative tolerance of decompose_entangled's branch checks: a branch with a
@@ -45,7 +45,9 @@ class TuringMachine:
             mat = as_complex_matrix(s, f"factor {j}")
             if mat.shape != (2, 2):
                 raise ValueError("every factor is a 2-state pseudospin (2x2 basis)")
-            if abs(np.linalg.det(mat)) < 1e-12:
+            # the rule linalg.eig uses for a defective basis; unlike |det|
+            # it does not change when the basis is scaled
+            if np.linalg.cond(mat) > 1.0 / DEFAULT_TOL:
                 raise ValueError(f"factor {j} basis is singular; duals undefined")
 
     @property
@@ -56,9 +58,19 @@ class TuringMachine:
     def dim(self) -> int:
         return 2 ** len(self.factors)
 
+    @functools.cached_property
+    def _inverses(self) -> tuple[np.ndarray, ...]:
+        out = tuple(np.linalg.inv(np.asarray(s, dtype=np.complex128)) for s in self.factors)
+        for s_inv in out:
+            s_inv.flags.writeable = False
+        return out
+
     def inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linalg.inv(np.asarray(s, dtype=np.complex128))
-                     for s in self.factors)
+        """S_j^{-1} per factor, rows the dual bras; computed once per machine.
+
+        The arrays are read-only, as every caller shares them.
+        """
+        return self._inverses
 
     def right_basis(self) -> np.ndarray:
         """Product kets as columns, ordered by bitstring (head bit included)."""
@@ -76,16 +88,28 @@ def biorthonormality_residual(machine: TuringMachine) -> float:
 
 
 def _embed(machine: TuringMachine, j: int, local: np.ndarray) -> np.ndarray:
-    mats = [np.eye(2, dtype=np.complex128) for _ in machine.factors]
-    mats[j] = local
-    return tensor(*mats)
+    """I (x) local (x) I with local at factor j and +0 everywhere else.
+
+    The block is placed, not multiplied by the identities, whose zeros would
+    take the signs of local's entries: so an embedded sum of local
+    transitions equals the sum of the embedded transitions to the bit.
+    """
+    left, right = 2 ** j, 2 ** (machine.n_tape - j)
+    out = np.zeros((left, 2, right, left, 2, right), dtype=np.complex128)
+    # a writable view of the entries where both identity factors are 1
+    np.einsum("aibakb->abik", out)[...] = local
+    return out.reshape(machine.dim, machine.dim)
 
 
 def transition(machine: TuringMachine, j: int, i: int, k: int) -> np.ndarray:
     """P_ik(j) = |i(j)><k~(j)| embedded with identities on the other factors."""
+    return _embed(machine, j, _local_transition(machine, j, i, k))
+
+
+def _local_transition(machine: TuringMachine, j: int, i: int, k: int) -> np.ndarray:
+    """The 2x2 transition |i(j)><k~(j)| on factor j alone."""
     s = np.asarray(machine.factors[j], dtype=np.complex128)
-    s_inv = machine.inverses()[j]
-    return _embed(machine, j, np.outer(s[:, i], s_inv[k, :]))
+    return np.outer(s[:, i], machine.inverses()[j][k, :])
 
 
 def generators(machine: TuringMachine, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,11 +120,12 @@ def generators(machine: TuringMachine, j: int) -> tuple[np.ndarray, np.ndarray, 
     the y and z members carry the opposite of the usual Pauli sign, and
     lam_z |1(j)> = +|1(j)>.
     """
-    p01 = transition(machine, j, 0, 1)
-    p10 = transition(machine, j, 1, 0)
-    p00 = transition(machine, j, 0, 0)
-    p11 = transition(machine, j, 1, 1)
-    return p01 + p10, 1j * p01 - 1j * p10, p11 - p00
+    p01 = _local_transition(machine, j, 0, 1)
+    p10 = _local_transition(machine, j, 1, 0)
+    p00 = _local_transition(machine, j, 0, 0)
+    p11 = _local_transition(machine, j, 1, 1)
+    return (_embed(machine, j, p01 + p10), _embed(machine, j, 1j * p01 - 1j * p10),
+            _embed(machine, j, p11 - p00))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,7 +235,7 @@ def tape_state(machine: TuringMachine, bits: tuple[int, ...]) -> tuple[np.ndarra
     kets = [np.asarray(s, dtype=np.complex128)[:, b]
             for s, b in zip(machine.factors[1:], bits)]
     bras = [s_inv[b, :] for s_inv, b in zip(machine.inverses()[1:], bits)]
-    return functools.reduce(np.kron, kets), functools.reduce(np.kron, bras)
+    return tensor(*kets), tensor(*bras)
 
 
 def decompose_entangled(psi0, psi0_dual, machine: TuringMachine):

@@ -7,7 +7,8 @@ import pathlib
 import pytest
 
 from subdyn.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
-from subdyn.report import REPORT_NAME
+from subdyn.config import SCENARIOS
+from subdyn.report import METADATA_NAME, REPORT_NAME
 
 RESONANT_TRIANGULAR = {
     "model": {"kind": "triangular", "omega0": 0.0, "omega": 0.0, "g": 0.4,
@@ -33,12 +34,27 @@ def test_classify_default_model(tmp_path, capsys):
     assert (out / "classification.csv").exists()
 
 
-def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_reports_are_byte_identical_across_runs(tmp_path, capsys, scenario):
+    # the second run in this process parses with the parser the first used
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["evolve", "--out", str(a), "--seed", "3"]) == EXIT_OK
-    assert main(["evolve", "--out", str(b), "--seed", "3"]) == EXIT_OK
+    assert main([scenario, "--out", str(a), "--seed", "3"]) == EXIT_OK
+    assert main([scenario, "--out", str(b), "--seed", "3"]) == EXIT_OK
     capsys.readouterr()
-    assert (a / REPORT_NAME).read_bytes() == (b / REPORT_NAME).read_bytes()
+    names = sorted(p.name for p in a.iterdir() if p.name != METADATA_NAME)
+    assert REPORT_NAME in names
+    assert names == sorted(p.name for p in b.iterdir() if p.name != METADATA_NAME)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_flags_do_not_leak_into_the_next_call(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["classify", "--order", "1", "--out", str(a)]) == EXIT_OK
+    assert main(["classify", "--out", str(b)]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads((a / REPORT_NAME).read_text())["config"]["order"] == "1"
+    assert json.loads((b / REPORT_NAME).read_text())["config"]["order"] == "exact"
 
 
 def test_seed_changes_sampled_payloads(tmp_path, capsys):

@@ -176,5 +176,29 @@ def test_random_density_is_state():
 
 
 def test_tensor_matches_kron_chain():
-    a, b, c = np.eye(2), np.diag([1.0, 2.0]), np.ones((2, 2))
-    np.testing.assert_allclose(tensor(a, b, c), np.kron(a, np.kron(b, c)))
+    # bit for bit, against the left fold np.kron(np.kron(a, b), c)
+    rng = np.random.default_rng(17)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    signed_zeros = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                             [complex(-0.0, -0.0), complex(-1.5, 0.0)]])
+    cases = [
+        (np.eye(2), np.diag([1.0, 2.0]), np.ones((2, 2))),
+        (cplx(3), cplx(2)),                                  # kets
+        (cplx(2), cplx(3), cplx(2), signed_zeros[1]),        # bras, four factors
+        (cplx(2, 3), cplx(3, 1), cplx(1, 2)),                # rectangular
+        (signed_zeros, cplx(2, 2), signed_zeros),
+        (cplx(2, 2), signed_zeros, np.eye(2), cplx(3, 3)),
+    ]
+    for factors in cases:
+        expected = np.asarray(factors[0], dtype=np.complex128)
+        for f in factors[1:]:
+            expected = np.kron(expected, np.asarray(f, dtype=np.complex128))
+        got = tensor(*factors)
+        assert got.shape == expected.shape
+        assert got.dtype == np.complex128
+        assert got.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="all be 1-d"):
+        tensor(cplx(2), cplx(2, 2))

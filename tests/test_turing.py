@@ -54,6 +54,39 @@ def test_machine_validation():
         TuringMachine(factors=(np.array([[1.0, 1.0], [1.0, 1.0]]),))
 
 
+def test_singularity_is_judged_by_condition_not_scale():
+    # a small multiple of the identity is perfectly conditioned
+    tiny = TuringMachine(factors=(1e-7 * np.eye(2), np.eye(2)))
+    assert biorthonormality_residual(tiny) <= 1e-12
+    # a large basis with condition number ~4e13 has a large determinant
+    near_singular = 1e8 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    assert abs(np.linalg.det(near_singular)) > 1e-12
+    with pytest.raises(ValueError, match="singular"):
+        TuringMachine(factors=(np.eye(2), near_singular))
+
+
+def test_inverses_are_computed_once_and_read_only():
+    m = random_machine(np.random.default_rng(8), n_tape=1)
+    assert m.inverses() is m.inverses()
+    for s, s_inv in zip(m.factors, m.inverses()):
+        np.testing.assert_allclose(s_inv @ s, np.eye(2), atol=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            s_inv[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n_tape", [0, 1, 2])
+def test_generators_match_the_four_transition_construction(n_tape):
+    rng = np.random.default_rng(40 + n_tape)
+    for _ in range(5):
+        m = random_machine(rng, n_tape)
+        for j in range(n_tape + 1):
+            p01, p10 = transition(m, j, 0, 1), transition(m, j, 1, 0)
+            p00, p11 = transition(m, j, 0, 0), transition(m, j, 1, 1)
+            reference = (p01 + p10, 1j * p01 - 1j * p10, p11 - p00)
+            for got, ref in zip(generators(m, j), reference):
+                assert got.tobytes() == ref.tobytes()
+
+
 def test_generators_orthonormal_factor_signs():
     # with orthonormal factors the triple is (sigma_x, -sigma_y, diag(-1, 1))
     m = TuringMachine(factors=(np.eye(2), np.eye(2)))
