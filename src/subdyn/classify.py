@@ -107,8 +107,10 @@ def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> Fid
     """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu.
 
     The exponent table exp(t Im E) is built one block of the time grid at a
-    time (_time_blocks over the d^2 dyads). Raises ValueError when
-    max|E| max|t| eps >= 1, where e^{-i E t} keeps no correct digit.
+    time (_time_blocks over the d^2 dyads). When every E_nu is real each of
+    its terms is exactly 0, so no table is built and every value is 1.0.
+    Raises ValueError when max|E| max|t| eps >= 1, where e^{-i E t} keeps
+    no correct digit.
     """
     ts = np.asarray(times, dtype=np.float64)
     scale = float(np.max(np.abs(energies), initial=0.0)) * float(np.max(np.abs(ts), initial=0.0))
@@ -119,6 +121,8 @@ def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> Fid
     if total <= 0.0:
         raise ValueError("initial state has no weight on any dyad")
     weights = mags / total
+    if not energies.imag.any():
+        return FidelityTrace(times=ts, values=np.ones_like(ts), weights=weights)
     # sum(weights) is 1 only to rounding, so the deviation from 1 is summed
     # directly: exactly zero when every E_nu is real. Each step is its own
     # pairwise sum, so the blocks do not change a bit of it (a matrix-vector

@@ -241,10 +241,13 @@ def _check_memory(config: ScenarioConfig) -> int:
     about 2^15 entries at d^2 each (one step from d = 182), so no
     steps x d^2 array exists. The cubic term, max(d^3, 2^16), covers order
     2's walk of the dyad-resolvent remainder over blocks of the dyad index
-    j, which only eta > 0 runs. The grid term is s = 1 per step for the
-    times and the fidelity trace, and s = 2 d + 8 for evolve, whose
-    trace_drift holds a steps x d table of population phases twice over
-    and whose fidelity table holds a row of Python floats per step.
+    j, which only eta > 0 runs. It is charged to every such run as an
+    upper bound: the walk allocates its block buffer even when no block
+    carries weight (the diagonal and triangular kinds). The grid term is
+    s = 1 per step for the times and the fidelity trace, and s = 2 d + 8
+    for evolve, whose trace_drift holds a steps x d table of population
+    phases twice over and whose fidelity table holds a row of Python floats
+    per step.
     tracemalloc peaks of runner.run, diagonal kind: 16 (36..40) d^2 bytes
     at d = 64 and 16 (26..30) d^2 at d = 82 over every order; from d = 182
     to 1024, where a block is one step, 16 (18..22) d^2 for classify and

@@ -26,8 +26,10 @@ off the planes: there column nu = (i, j) is -A E_ij A times W = 1 + i eta R
 (R the dyad resolvent), and the rows are the same in A'. At eta = 0, W = 1
 and order 2 takes O(d^3) time and O(d^2) memory; at eta > 0 the remainder
 W - 1 is summed over one walk of the dyad resolvent in blocks of the dyad
-index j, O(d^3) memory and O(d^4) time. The first projection's walk also
-sums the pairings kappa and caches them, so each projection walks once.
+index j, O(d^3) memory and O(d^4) time. A walk builds only the blocks that
+hold a j of nonzero weight, none for the diagonal and triangular
+interactions. The first projection's walk also sums the pairings kappa and
+caches them, so each projection walks once.
 The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, every order's
 columns) are reference oracles for small-d checks and live with the tests,
 in tests/oracle.py.
@@ -224,13 +226,15 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -
 _BLOCK_ENTRIES = 2 ** 15
 
 
-def _dyad_resolvent_blocks(basis: PhiBasis, eta: float):
-    """Yield (js, R): the dyad resolvent over blocks js of the dyad index j, eta > 0.
+def _dyad_resolvent_blocks(basis: PhiBasis, eta: float, weighted: np.ndarray):
+    """Yield (js, R): the dyad resolvent over the weighted blocks js of the dyad index j, eta > 0.
 
     R[j, b, a, i] = 1/(E0_nu - E0_mu + i eta) for mu = (a, b) and nu = (i, j),
     j in js, unmasked: its weights A[a, i] A[j, b] vanish on the planes b = j
-    and a = i. A block spans about _BLOCK_ENTRIES entries; all blocks share
-    one buffer, which the next block overwrites.
+    and a = i. A block spans about _BLOCK_ENTRIES entries and is built only
+    when it holds a j with weighted[j] set; a block without one would add
+    only zeros to the sums. The blocks share one buffer, allocated even when
+    no block is built, which the next block overwrites.
     """
     d = basis.dim
     e0 = basis.e0.reshape(d, d)  # e0[b, a] = eps_a - eps_b, complex with zero imag
@@ -239,6 +243,8 @@ def _dyad_resolvent_blocks(basis: PhiBasis, eta: float):
     buffer = np.empty((min(step, d), d, d, d), dtype=np.complex128)
     for start in range(0, d, step):
         js = slice(start, min(start + step, d))
+        if not weighted[js].any():
+            continue
         res = buffer[: js.stop - start]
         # E0_nu - E0_mu + i eta = (eps_i - eps_a) - (eps_j - eps_b) + i eta;
         # both operands complex, as a real one is cast at every broadcast step
@@ -283,6 +289,12 @@ def _off_plane_sums(decomp: Decomposition, x: np.ndarray | None = None,
     matvec of R against A'[b, j] x[a, b]. Both remainders are summed over
     one walk of _dyad_resolvent_blocks. A has a zero diagonal, so no mask is
     needed.
+
+    The walk builds only the blocks that hold a j carrying weight: for
+    kappa, p nonzero and q[j] nonzero; for the rows, some A'[b, j] and
+    column b of x both nonzero. Any other j adds exact zeros. The diagonal
+    interaction has A = 0, and the triangular one has p = 0 and, for its
+    canonical state, row weights zero, so neither builds a block.
     """
     g, g_dual = decomp.first_order
     eta, d = decomp.eta, decomp.basis.dim
@@ -295,7 +307,12 @@ def _off_plane_sums(decomp: Decomposition, x: np.ndarray | None = None,
         factor = -1j * eta * g_dual
     if eta == 0.0:
         return kappa, rows
-    for js, res in _dyad_resolvent_blocks(decomp.basis, eta):
+    weighted = np.zeros(d, dtype=bool)
+    if pairings and p.any():
+        weighted |= q.any(axis=1)
+    if x is not None:
+        weighted |= (g_dual != 0).T @ x.any(axis=0)
+    for js, res in _dyad_resolvent_blocks(decomp.basis, eta, weighted):
         if x is not None:
             # y[j, a, 0, b] = A'[b, j] x[a, b], contracted with R over b
             y = (g_dual[:, js].T[:, None, :] * x)[:, :, None, :]

@@ -120,12 +120,16 @@ def generators(machine: TuringMachine, j: int) -> tuple[np.ndarray, np.ndarray, 
     the y and z members carry the opposite of the usual Pauli sign, and
     lam_z |1(j)> = +|1(j)>.
     """
+    return tuple(_embed(machine, j, member) for member in _local_generators(machine, j))
+
+
+def _local_generators(machine: TuringMachine, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2x2 members of the generators on factor j alone."""
     p01 = _local_transition(machine, j, 0, 1)
     p10 = _local_transition(machine, j, 1, 0)
     p00 = _local_transition(machine, j, 0, 0)
     p11 = _local_transition(machine, j, 1, 1)
-    return (_embed(machine, j, p01 + p10), _embed(machine, j, 1j * p01 - 1j * p10),
-            _embed(machine, j, p11 - p00))
+    return p01 + p10, 1j * p01 - 1j * p10, p11 - p00
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,12 +155,17 @@ def pairing(psi_dual: np.ndarray, psi: np.ndarray) -> complex:
 
 def bloch_head(psi, psi_dual, machine: TuringMachine) -> BlochVector:
     """Head Bloch vector of a paired state, normalized by the pairing."""
+    return _bloch(psi, psi_dual, generators(machine, 0))
+
+
+def _bloch(psi, psi_dual, head: tuple[np.ndarray, np.ndarray, np.ndarray]) -> BlochVector:
+    """bloch_head with the head's generators given, built once by the caller."""
     ket = np.asarray(psi, dtype=np.complex128)
     bra = np.asarray(psi_dual, dtype=np.complex128)
     norm = pairing(bra, ket)
     if abs(norm) < PAIRING_TOL:
         raise ValueError("state pairing vanishes; Bloch vector undefined")
-    lx, ly, lz = generators(machine, 0)
+    lx, ly, lz = head
     return BlochVector(x=complex(bra @ lx @ ket) / norm,
                        y=complex(bra @ ly @ ket) / norm,
                        z=complex(bra @ lz @ ket) / norm)
@@ -210,10 +219,11 @@ def trajectory(machine: TuringMachine, psi, psi_dual, operators) -> list[BlochVe
     """Bloch vectors along a step sequence, the initial point included."""
     ket = np.asarray(psi, dtype=np.complex128)
     bra = np.asarray(psi_dual, dtype=np.complex128)
-    points = [bloch_head(ket, bra, machine)]
+    head = generators(machine, 0)
+    points = [_bloch(ket, bra, head)]
     for op in operators:
         ket, bra = step(ket, bra, op)
-        points.append(bloch_head(ket, bra, machine))
+        points.append(_bloch(ket, bra, head))
     return points
 
 
@@ -257,7 +267,9 @@ def decompose_entangled(psi0, psi0_dual, machine: TuringMachine):
     ket_t = ket.reshape(2, -1)
     bra_t = bra.reshape(2, -1)
 
-    head_machine = TuringMachine(factors=(machine.factors[0],))
+    # a branch's head pair lives on the head factor alone, where the
+    # generators are their 2x2 members
+    head = _local_generators(machine, 0)
     branches = []
     reference = None
     for bits in itertools.product((0, 1), repeat=machine.n_tape):
@@ -281,7 +293,7 @@ def decompose_entangled(psi0, psi0_dual, machine: TuringMachine):
                 raise ValueError(
                     "state is not of the admissible form: tape branches carry "
                     "different head states")
-        branches.append((w / total, bloch_head(h_ket, h_bra, head_machine)))
+        branches.append((w / total, _bloch(h_ket, h_bra, head)))
     return branches
 
 

@@ -145,6 +145,29 @@ def test_fidelity_trace_unit_for_hermitian_models():
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fidelity_trace_of_real_energies_builds_no_table(monkeypatch):
+    # with every Im E_nu zero, each term of the table is exactly 0, so the
+    # trace skips it and still gives the table formula's bytes
+    def no_table(steps, entries_per_step):
+        raise AssertionError("the exponent table was built")
+
+    monkeypatch.setattr(classify_module, "_time_blocks", no_table)
+    rng = np.random.default_rng(17)
+    signed = rng.standard_normal(36) + 1j * np.where(rng.uniform(size=36) < 0.5, -0.0, 0.0)
+    cases = [(signed, rng.standard_normal(36) + 1j * rng.standard_normal(36))]
+    for spec, order in ((DIAG, "exact"), (TRI, "exact"), (GEN, "exact"), (GEN, "1")):
+        ops = build_model(spec)
+        decomp = decompose_model(ops, order=order)
+        cases.append((decomp.energies, project_density(decomp, canonical_initial_state(ops))))
+    for energies, coefficients in cases:
+        assert not energies.imag.any()
+        trace = fidelity_trace(energies, coefficients, TIMES)
+        weights = np.abs(coefficients) / np.abs(coefficients).sum()
+        table = 1.0 + ((np.exp(np.outer(TIMES, energies.imag)) - 1.0) * weights).sum(axis=1)
+        assert trace.values.tobytes() == table.tobytes()
+        assert trace.weights.tobytes() == weights.tobytes()
+
+
 def test_fidelity_trace_decays_with_retarded_regulator():
     ops = build_model(GEN)
     d = decompose_model(ops, order=2, eta=0.3)

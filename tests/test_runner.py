@@ -6,7 +6,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from subdyn import subdynamics
 from subdyn.config import load_config
 from subdyn.models import build_model, canonical_initial_state
 from subdyn.report import REPORT_NAME
@@ -96,20 +95,38 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
 
 
 @pytest.mark.parametrize("scenario, walks", [("classify", 1), ("evolve", 2)])
-def test_order_two_walks_the_dyad_resolvent_once_per_projection(monkeypatch, scenario, walks):
+def test_order_two_walks_the_dyad_resolvent_once_per_projection(built_blocks, scenario, walks):
     # kappa's off-plane sum rides on the first projection's walk; a later
-    # projection walks for its rows only
-    calls = []
-    blocks = subdynamics._dyad_resolvent_blocks
-
-    def counted(*args):
-        calls.append(args)
-        return blocks(*args)
-
-    monkeypatch.setattr(subdynamics, "_dyad_resolvent_blocks", counted)
+    # projection walks for its rows only. Every j of the general kind
+    # carries weight, so each walk builds all d blocks
+    built = built_blocks(16)
     report = run(make_config(scenario, model=GEN_MODEL, order="2", eta=0.05))
+    assert report.diagnostics["hilbert_dim"] == 16
     assert report.diagnostics["order"] == "2"
-    assert len(calls) == walks
+    assert len(built) == walks * 16
+
+
+TRI_FREE_MODEL = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4,
+                  "lam": 1.0, "fock_cutoff": 2, "diagonal_in_free": True}
+TRI_HERMITIAN_MODEL = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4,
+                       "lam": 0.3, "fock_cutoff": 3, "hermitian_variant": True}
+
+
+@pytest.mark.parametrize("scenario", ["classify", "evolve"])
+@pytest.mark.parametrize("model, dim, weighted", [
+    (DIAG_MODEL, 6, []),
+    (TRI_FREE_MODEL, 6, []),
+    (TRI_HERMITIAN_MODEL, 8, [1, 3, 6, 7]),
+], ids=["diagonal", "triangular", "triangular_hermitian"])
+def test_order_two_builds_only_the_weighted_dyad_resolvent_blocks(built_blocks, scenario,
+                                                                  model, dim, weighted):
+    # A = 0 for the diagonal kind; the triangular kind has A'^T * A = 0 and
+    # no row weight on its canonical state or its evolved state, so only
+    # kappa's j with (A * A'^T)[j] != 0 of the Hermitian variant are built
+    built = built_blocks(dim)
+    report = run(make_config(scenario, model=model, order="2", eta=0.05))
+    assert report.diagnostics["hilbert_dim"] == dim
+    assert built == weighted
 
 
 def test_kappa_cached_by_a_projection_is_the_kappa_of_its_own_walk():

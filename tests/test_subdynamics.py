@@ -750,6 +750,28 @@ def test_perturbative_orders_match_dense_oracle(name, order, eta):
     assert_matches_dense(decomp, oracle, rho)
 
 
+def test_partly_weighted_walk_matches_dense_oracle(built_blocks):
+    # one j per block at d = 8: kappa of the Hermitian triangular model
+    # weights 4 of the 8 dyad indices, its canonical state weights no row,
+    # and a full state weights the rows of the same 4 j, those with
+    # A'[:, j] != 0; every block left out must have held only zeros
+    built = built_blocks(8)
+    ops = build_model(ModelSpec(kind="triangular", omega0=1.0, omega=1.3, g=0.4, lam=0.3,
+                                fock_cutoff=3, hermitian_variant=True))
+    assert ops.dim == 8
+    decomp = decompose_model(ops, order="2", eta=0.05)
+    oracle = dense_perturbative(ops.h0, ops.h1, ops.spec.lam, 0.05, "2")
+    canonical = canonical_initial_state(ops)
+    # the first projection sums kappa in its own walk
+    project_density(decomp, canonical)
+    assert built == [1, 3, 6, 7]
+    full = random_density(np.random.default_rng(16), 8)
+    for rho, rows in ((canonical, []), (full, [1, 3, 6, 7])):
+        built.clear()
+        assert_matches_dense(decomp, oracle, rho)
+        assert built == rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5),
        one_sided=st.booleans(), eta=st.sampled_from([0.0, 0.03]),
