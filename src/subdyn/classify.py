@@ -22,7 +22,15 @@ from .subdynamics import _BLOCK_ENTRIES, Decomposition, decompose_model, project
 DF = "DF"
 PHASE_ERROR = "PE"
 DECOHERES = "D"
-CELLS = ("stationary_total", "evolution_total", "stationary_proj", "evolution_proj")
+# The evidence behind each cell: the key of the value its verdict reads and,
+# for a projected cell, the key of the decay that makes it D first.
+CELL_EVIDENCE = {
+    "stationary_total": ("population_drift", None),
+    "evolution_total": ("coherence_modulus_drift", None),
+    "stationary_proj": ("population_dyad_shift", "population_dyad_decay"),
+    "evolution_proj": ("coherence_dyad_shift", "coherence_dyad_decay"),
+}
+CELLS = tuple(CELL_EVIDENCE)
 
 DEFAULT_VERDICT_TOL = 1e-8
 # Largest |F(t) - 1| a kinetic fidelity trace may show and still count as unit.
@@ -270,16 +278,11 @@ def classify(ops: ModelOperators, times, order="exact", eta: float = 0.0) -> DFR
     else:
         row = "general"
 
-    verdicts = {
-        "stationary_total": _verdict_total(total["population_drift"]),
-        "evolution_total": _verdict_total(total["coherence_modulus_drift"]),
-        "stationary_proj": _verdict_projected(projected["population_dyad_shift"],
-                                              projected["population_dyad_decay"]),
-        "evolution_proj": _verdict_projected(projected["coherence_dyad_shift"],
-                                             projected["coherence_dyad_decay"]),
-    }
     evidence = dict(total)
     evidence.update(projected)
+    verdicts = {cell: _verdict_total(evidence[value]) if decay is None
+                else _verdict_projected(evidence[value], evidence[decay])
+                for cell, (value, decay) in CELL_EVIDENCE.items()}
     evidence["diagonal_condition"] = diag_cond
     evidence["triangular_condition"] = tri_cond
     evidence["kinetic_fidelity_deviation"] = trace.max_deviation

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from . import gates, turing
-from .classify import CELLS, classify, fidelity_trace
+from .classify import CELL_EVIDENCE, FIDELITY_UNIT_TOL, classify, fidelity_trace
 from .config import ScenarioConfig, config_echo
 from .linalg import is_hermitian, random_density, tensor
 from .models import ModelOperators, build_model, canonical_initial_state, \
@@ -24,13 +24,6 @@ T_SWAP = 1.0
 TAPE_SPINS = 2
 ROTATION_ANGLE = 0.8
 SHEAR_STRENGTH = 0.4
-
-_CELL_EVIDENCE = {
-    "stationary_total": "population_drift",
-    "evolution_total": "coherence_modulus_drift",
-    "stationary_proj": "population_dyad_shift",
-    "evolution_proj": "coherence_dyad_shift",
-}
 
 
 def run(config: ScenarioConfig, out_dir=None) -> RunReport:
@@ -50,8 +43,8 @@ def run(config: ScenarioConfig, out_dir=None) -> RunReport:
 
 def _run_classify(config: ScenarioConfig, ops: ModelOperators):
     report = classify(ops, config.times(), order=config.order, eta=config.eta)
-    rows = [(cell, report.verdicts[cell], _CELL_EVIDENCE[cell],
-             report.evidence[_CELL_EVIDENCE[cell]]) for cell in CELLS]
+    rows = [(cell, report.verdicts[cell], key, report.evidence[key])
+            for cell, (key, _) in CELL_EVIDENCE.items()]
     evidence_rows = sorted((k, v) for k, v in report.evidence.items())
     payload = {
         "kind": report.kind,
@@ -73,7 +66,8 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
     decomp = decompose_model(ops, order=config.order, eta=config.eta)
     rho0 = canonical_initial_state(ops)
     times = config.times()
-    coeff = project_density(decomp, rho0)
+    mid_t = float(times[len(times) // 2])
+    coeff, consistency = kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, mid_t)
     trace = fidelity_trace(decomp.energies, coeff, times)
 
     # the trace reads only the population coefficients nu = (i, i)
@@ -85,8 +79,6 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
     # np.hypot rounds like the scalar abs of a complex; np.abs on a complex
     # array may differ in the last bit
     trace_drift = float(np.max(np.hypot(gaps.real, gaps.imag), initial=0.0))
-    mid_t = float(times[len(times) // 2])
-    consistency = kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, coeff, mid_t)
 
     fidelity_rows = [(float(t), float(v)) for t, v in zip(trace.times, trace.values)]
     # row k = i + d j lists the dyad nu = (i, j)
@@ -235,16 +227,15 @@ def _run_verify(config: ScenarioConfig, ops: ModelOperators):
         for _ in range(3):
             rho0 = random_density(rng, ops.dim)
             t = float(rng.uniform(0.1, 5.0))
-            coeff = project_density(decomp, rho0)
             consistency = max(consistency,
-                              kinetic_consistency_residual(decomp, h_full, rho0, coeff, t))
+                              kinetic_consistency_residual(decomp, h_full, rho0, t)[1])
         checks.append(("kinetic_consistency", consistency, 1e-6))
 
         real_spectrum = float(np.max(np.abs(decomp.energies.imag))) <= 1e-10
         if real_spectrum and is_hermitian(h_full):
             coeff = project_density(decomp, canonical_initial_state(ops))
             trace = fidelity_trace(decomp.energies, coeff, config.times())
-            checks.append(("fidelity_unit", trace.max_deviation, 1e-9))
+            checks.append(("fidelity_unit", trace.max_deviation, FIDELITY_UNIT_TOL))
 
         if ops.spec.kind == "general" and ops.spec.fock_cutoff >= 1:
             block = extract_block(ops, 0, (0,) * len(ops.spec.bath))

@@ -28,8 +28,8 @@ and order 2 takes O(d^3) time and O(d^2) memory; at eta > 0 the remainder
 W - 1 is summed over one walk of the dyad resolvent in blocks of the dyad
 index j, O(d^3) memory and O(d^4) time. A walk builds only the blocks that
 hold a j of nonzero weight, none for the diagonal and triangular
-interactions. The first projection's walk also sums the pairings kappa and
-caches them, so each projection walks once.
+interactions. Each call walks once, summing the pairings kappa together
+with the rows of every state it projects; nothing is cached.
 The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, every order's
 columns) are reference oracles for small-d checks and live with the tests,
 in tests/oracle.py.
@@ -38,7 +38,6 @@ in tests/oracle.py.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -131,10 +130,9 @@ class Decomposition:
     V~[b, j] at the same places. Order 1 has (U, V, U~, V~) = (A, -A, A', -A'),
     the superoperators [A, .] and [A', .]. Order 2 adds the second-order
     Rayleigh-Schroedinger terms (see _rayleigh_schroedinger) and an
-    off-plane part in A and A' (see _off_plane_sums). The pairings kappa,
-    which every projection divides by, are computed from the stored factors
-    on first use, at order 2 by the first projection's own walk, and kept
-    with the instance.
+    off-plane part in A and A' (see _off_plane_sums). The instance holds
+    only these factors: the pairings kappa, which every projection divides
+    by, are computed from them on each read.
     """
 
     basis: PhiBasis
@@ -149,36 +147,29 @@ class Decomposition:
     first_order: tuple[np.ndarray, np.ndarray] | None = None
     planes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @functools.cached_property
+    @property
     def kappa(self) -> np.ndarray:
         """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
 
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
         Orders 1 and 2: kappa_nu = 1 + (U~ U)_ii + (V V~)_jj, the sum over
-        the planes; order 2 adds the off-plane sum, see _off_plane_sums.
-        At eta > 0 that sum walks the dyad resolvent; the first projection
-        sums it in its own walk and caches the result here (see
-        _project_frame), so kappa walks alone only when read before any
-        projection. The cached array is read-only, as every caller shares it;
-        dataclasses.replace builds a new instance with a fresh kappa.
+        the planes; order 2 adds the off-plane sum, see _off_plane_sums,
+        which at eta > 0 walks the dyad resolvent on every read.
         """
-        off_plane = _off_plane_sums(self)[0] if self.order == "2" else None
+        off_plane = _off_plane_sums(self, [])[0] if self.order == "2" else None
         return self._pairings(off_plane)
 
     def _pairings(self, off_plane: np.ndarray | None) -> np.ndarray:
         """kappa from the stored factors and, at order 2, its off-plane sum."""
         if self.planes is None:
             a = np.diag(self.psi) * np.diag(self.psi_tilde)
-            kappa = vec(1.0 / np.outer(a, a))
-        else:
-            u, v, u_dual, v_dual = self.planes
-            kappa = 1.0 + np.einsum("ia,ai->i", u_dual, u)[:, None] \
-                + np.einsum("jb,bj->j", v, v_dual)[None, :]
-            if off_plane is not None:
-                kappa += off_plane
-            kappa = vec(kappa)
-        kappa.flags.writeable = False
-        return kappa
+            return vec(1.0 / np.outer(a, a))
+        u, v, u_dual, v_dual = self.planes
+        kappa = 1.0 + np.einsum("ia,ai->i", u_dual, u)[:, None] \
+            + np.einsum("jb,bj->j", v, v_dual)[None, :]
+        if off_plane is not None:
+            kappa += off_plane
+        return vec(kappa)
 
 
 def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[tuple, tuple]]:
@@ -269,13 +260,12 @@ def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: flo
     return g + weight * (h @ g - g * hd[None, :]), -g + weight * (g @ h - hd[:, None] * g)
 
 
-def _off_plane_sums(decomp: Decomposition, x: np.ndarray | None = None,
-                    pairings: bool = True):
+def _off_plane_sums(decomp: Decomposition, xs: list[np.ndarray]):
     """Order 2's sums off the planes b = j and a = i, in one walk of the dyad resolvent.
 
-    Returns (kappa, rows), each d x d or None when not asked for: kappa, when
-    pairings is set, the sum of d_nu(mu) c_nu(mu); rows, for a d x d matrix
-    x, the sum of d_nu(mu) x[a, b].
+    Returns (kappa, rows): kappa, the d x d sum of d_nu(mu) c_nu(mu), and
+    rows, one d x d sum of d_nu(mu) x[a, b] for each d x d state x in xs,
+    which may be empty.
 
     Off the planes, column nu reads
     -lam R (h[a, i] A[j, b] + A[a, i] h[j, b]) = -A[a, i] A[j, b] W, as
@@ -286,44 +276,38 @@ def _off_plane_sums(decomp: Decomposition, x: np.ndarray | None = None,
     Q = A * A'^T: the d x d term (A' A)_ii (A A')_jj plus, at eta > 0,
     W^2 - 1 = 2 i eta R - eta^2 R^2. The rows are -(A' x A')_ij at W = 1
     plus, at eta > 0, the remainder W - 1 = i eta R: per block a batched
-    matvec of R against A'[b, j] x[a, b]. Both remainders are summed over
+    matvec of R against A'[b, j] x[a, b]. Every remainder is summed over
     one walk of _dyad_resolvent_blocks. A has a zero diagonal, so no mask is
     needed.
 
     The walk builds only the blocks that hold a j carrying weight: for
-    kappa, p nonzero and q[j] nonzero; for the rows, some A'[b, j] and
+    kappa, p nonzero and q[j] nonzero; for the rows of x, some A'[b, j] and
     column b of x both nonzero. Any other j adds exact zeros. The diagonal
     interaction has A = 0, and the triangular one has p = 0 and, for its
     canonical state, row weights zero, so neither builds a block.
     """
     g, g_dual = decomp.first_order
     eta, d = decomp.eta, decomp.basis.dim
-    kappa = rows = None
-    if pairings:
-        p, q = g_dual.T * g, g * g_dual.T
-        kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
-    if x is not None:
-        rows = -(g_dual @ x @ g_dual)
-        factor = -1j * eta * g_dual
+    p, q = g_dual.T * g, g * g_dual.T
+    kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
+    rows = [-(g_dual @ x @ g_dual) for x in xs]
     if eta == 0.0:
         return kappa, rows
-    weighted = np.zeros(d, dtype=bool)
-    if pairings and p.any():
-        weighted |= q.any(axis=1)
-    if x is not None:
+    weighted = q.any(axis=1) & p.any()
+    for x in xs:
         weighted |= (g_dual != 0).T @ x.any(axis=0)
+    factor = -1j * eta * g_dual
     for js, res in _dyad_resolvent_blocks(decomp.basis, eta, weighted):
-        if x is not None:
+        for x, row in zip(xs, rows):
             # y[j, a, 0, b] = A'[b, j] x[a, b], contracted with R over b
             y = (g_dual[:, js].T[:, None, :] * x)[:, :, None, :]
             t = (y @ res.transpose(0, 2, 1, 3))[:, :, 0]
-            rows[:, js] += np.einsum("jai,ia->ij", t, factor)
-        if pairings:
-            # squares the block in place, so after the rows have read it
-            flat = res.reshape(-1, d, d * d)
-            v = (2j * eta) * (q[js, None, :] @ flat)
-            v -= eta * eta * (q[js, None, :] @ np.square(flat, out=flat))
-            kappa[:, js] += np.einsum("jai,ai->ij", v.reshape(-1, d, d), p)
+            row[:, js] += np.einsum("jai,ia->ij", t, factor)
+        # squares the block in place, so after every state's rows have read it
+        flat = res.reshape(-1, d, d * d)
+        v = (2j * eta) * (q[js, None, :] @ flat)
+        v -= eta * eta * (q[js, None, :] @ np.square(flat, out=flat))
+        kappa[:, js] += np.einsum("jai,ai->ij", v.reshape(-1, d, d), p)
     return kappa, rows
 
 
@@ -471,32 +455,32 @@ def block_residual(decomp: Decomposition) -> float:
     return float(np.max(np.abs(anchors / anchors - 1.0)))
 
 
-def _project_frame(decomp: Decomposition, x: np.ndarray) -> np.ndarray:
-    """Kinetic coefficients of a free-frame state x, as a d x d matrix.
+def _project_frame(decomp: Decomposition, xs: list[np.ndarray]) -> list[np.ndarray]:
+    """Kinetic coefficients of the free-frame states xs, one d x d matrix each.
 
     Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
     Orders 1 and 2: c_nu = (x + U~ x + x V~)_ij / kappa_nu; order 2 adds
-    the off-plane sum, see _off_plane_sums, whose walk also computes and
-    caches kappa when no earlier call has.
+    the off-plane sums, see _off_plane_sums, whose one walk serves kappa
+    and every state of xs.
     """
-    off_rows = None
+    off_rows = []
     if decomp.order == "2":
-        # functools.cached_property keeps kappa in the instance __dict__
-        cached = "kappa" in vars(decomp)
-        off_kappa, off_rows = _off_plane_sums(decomp, x, pairings=not cached)
-        if not cached:
-            vars(decomp)["kappa"] = decomp._pairings(off_kappa)
-    kappa = decomp.kappa
+        off_kappa, off_rows = _off_plane_sums(decomp, xs)
+        kappa = decomp._pairings(off_kappa)
+    else:
+        kappa = decomp.kappa
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
     if decomp.planes is None:
         psi, psi_tilde = decomp.psi, decomp.psi_tilde
-        return (psi_tilde @ x @ psi) * np.outer(np.diag(psi), np.diag(psi_tilde))
+        anchors = np.outer(np.diag(psi), np.diag(psi_tilde))
+        return [(psi_tilde @ x @ psi) * anchors for x in xs]
     _, _, u_dual, v_dual = decomp.planes
-    y = x + u_dual @ x + x @ v_dual
-    if off_rows is not None:
-        y += off_rows
-    return y / unvec(kappa, decomp.basis.dim)
+    ys = [x + u_dual @ x + x @ v_dual for x in xs]
+    for y, rows in zip(ys, off_rows):
+        y += rows
+    kappa = unvec(kappa, decomp.basis.dim)
+    return [y / kappa for y in ys]
 
 
 def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
@@ -507,7 +491,7 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
     each order.
     """
     x = unvec(decomp.basis.to_frame(rho), decomp.basis.dim)
-    return vec(_project_frame(decomp, x))
+    return vec(_project_frame(decomp, [x])[0])
 
 
 def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
@@ -520,21 +504,22 @@ def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
 
 
 def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
-                                 coeff0: np.ndarray, t: float) -> float:
-    """Operator-norm gap between projected exact evolution and kinetic phases.
+                                 t: float) -> tuple[np.ndarray, float]:
+    """(coeff0, residual): rho0's kinetic coefficients, and the operator-norm
+    gap between projected exact evolution and kinetic phases.
 
     Compares P_nu Pi_nu e^{-iLt} rho0 (exact route, the Hilbert-space flow
     e^{-iHt} rho0 e^{+iHt} through d x d exponentials, independent of the
     eigendecomposition behind the projection) against
     e^{-i Theta t} P_nu Pi_nu rho0 (kinetic route), reconstructed over all nu.
-    coeff0 = project_density(decomp, rho0) are rho0's kinetic coefficients,
-    taken from the caller so that a run which reports them projects rho0 once.
+    rho0 and rho(t) are projected in one call, so order 2 walks once;
+    coeff0 equals project_density(decomp, rho0).
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")
-    f = decomp.basis.f_vectors
-    d = decomp.basis.dim
-    lhs = _project_frame(decomp, f.conj().T @ _hilbert_flow(h, rho, t) @ f)
-    phases = np.exp(-1j * unvec(decomp.energies, d) * t)
-    gap = lhs - phases * unvec(coeff0, d)
-    return float(np.linalg.norm(f @ gap @ f.conj().T, ord=2))
+    basis = decomp.basis
+    f, d = basis.f_vectors, basis.dim
+    states = (rho, _hilbert_flow(h, rho, t))
+    c0, lhs = _project_frame(decomp, [unvec(basis.to_frame(x), d) for x in states])
+    gap = lhs - np.exp(-1j * unvec(decomp.energies, d) * t) * c0
+    return vec(c0), float(np.linalg.norm(f @ gap @ f.conj().T, ord=2))

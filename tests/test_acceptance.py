@@ -93,8 +93,7 @@ def test_criterion_02_kinetic_equation_oracle():
     for _ in range(20):
         rho0 = random_density(rng, ops.dim)
         t = float(rng.uniform(0.0, 5.0))
-        coeff = project_density(decomp, rho0)
-        worst = max(worst, kinetic_consistency_residual(decomp, h_full, rho0, coeff, t))
+        worst = max(worst, kinetic_consistency_residual(decomp, h_full, rho0, t)[1])
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 60.0
     _criterion(2, "projected evolution matches exact evolution per dyad", ok,

@@ -10,7 +10,7 @@ from subdyn.config import load_config
 from subdyn.models import build_model, canonical_initial_state
 from subdyn.report import REPORT_NAME
 from subdyn.runner import run
-from subdyn.subdynamics import decompose_model, project_density
+from subdyn.subdynamics import decompose_model, kinetic_consistency_residual, project_density
 
 DIAG_MODEL = {"kind": "diagonal", "omega0": 1.0, "omega": 1.3, "g": 0.5,
               "lam": 1.0, "fock_cutoff": 2}
@@ -94,16 +94,17 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
         assert drift > 0.0
 
 
-@pytest.mark.parametrize("scenario, walks", [("classify", 1), ("evolve", 2)])
-def test_order_two_walks_the_dyad_resolvent_once_per_projection(built_blocks, scenario, walks):
-    # kappa's off-plane sum rides on the first projection's walk; a later
-    # projection walks for its rows only. Every j of the general kind
-    # carries weight, so each walk builds all d blocks
+@pytest.mark.parametrize("scenario", ["classify", "evolve"])
+def test_order_two_walks_the_dyad_resolvent_once_per_projection(built_blocks, scenario):
+    # kappa's off-plane sum and the rows of every state a call projects share
+    # one walk, and a run projects in one call: classify rho0, evolve rho0
+    # with rho(t). Every j of the general kind carries weight, so the walk
+    # builds all d blocks
     built = built_blocks(16)
     report = run(make_config(scenario, model=GEN_MODEL, order="2", eta=0.05))
     assert report.diagnostics["hilbert_dim"] == 16
     assert report.diagnostics["order"] == "2"
-    assert len(built) == walks * 16
+    assert built == list(range(16))
 
 
 TRI_FREE_MODEL = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4,
@@ -129,16 +130,19 @@ def test_order_two_builds_only_the_weighted_dyad_resolvent_blocks(built_blocks, 
     assert built == weighted
 
 
-def test_kappa_cached_by_a_projection_is_the_kappa_of_its_own_walk():
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+@pytest.mark.parametrize("order", ["exact", "1", "2"])
+def test_projections_leave_the_decomposition_as_built(order, eta):
     ops = build_model(load_config({"scenario": "classify", "model": GEN_MODEL}).model)
     rho0 = canonical_initial_state(ops)
-    shared = decompose_model(ops, order="2", eta=0.05)
-    coeff = project_density(shared, rho0)
-    alone = decompose_model(ops, order="2", eta=0.05)
-    kappa = alone.kappa
-    assert shared.kappa.tobytes() == kappa.tobytes()
-    assert not shared.kappa.flags.writeable
-    assert project_density(alone, rho0).tobytes() == coeff.tobytes()
+    decomp = decompose_model(ops, order=order, eta=eta)
+    fields = dict(vars(decomp))
+    coeff = project_density(decomp, rho0)
+    coeff0, _ = kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, 1.5)
+    # the same field objects, and no attribute added
+    assert vars(decomp) == fields
+    # rho0 projected beside rho(t) reads the same bytes as projected alone
+    assert coeff0.tobytes() == coeff.tobytes()
 
 
 def test_swap_calibration_payload_orders():
