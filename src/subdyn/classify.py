@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import DefectiveMatrixError, as_complex_matrix, eig, psd_factor
-from .models import ModelOperators, canonical_initial_state
+from .models import ModelOperators, canonical_initial_ket
 from .subdynamics import _BLOCK_ENTRIES, Decomposition, decompose_model, project_density
 
 DF = "DF"
@@ -180,7 +180,21 @@ def _state_flow(hamiltonian, u: np.ndarray, f: np.ndarray):
     return system.hermitian, flow
 
 
-def total_space_evidence(decomp: Decomposition, hamiltonian, rho0, times) -> dict[str, float]:
+def _state_factor(state, dim: int) -> np.ndarray:
+    """d x r factor U of the state: a ket as its own column, a density
+    matrix through psd_factor (rho0 = U U^dagger)."""
+    arr = np.asarray(state)
+    if arr.ndim != 1:
+        return psd_factor(as_complex_matrix(arr, "rho0"))
+    ket = arr.astype(np.complex128)
+    if ket.shape[0] != dim:
+        raise ValueError(f"ket must have length {dim}, got {ket.shape[0]}")
+    if not np.all(np.isfinite(ket)):
+        raise ValueError("ket contains non-finite entries")
+    return ket[:, None]
+
+
+def total_space_evidence(decomp: Decomposition, hamiltonian, state, times) -> dict[str, float]:
     """Drift of the exact state against free evolution, in the free eigenbasis.
 
     Free evolution leaves populations and coherence moduli in that basis
@@ -189,38 +203,57 @@ def total_space_evidence(decomp: Decomposition, hamiltonian, rho0, times) -> dic
     the full Hamiltonian is Hermitian (it isolates pure phase error: moduli
     constant but fidelity below 1).
 
-    rho0 must be Hermitian PSD and is propagated as its rank-r factor
-    rho0 = U U^dagger, so a step costs O(r d^2). The fidelity is the Uhlmann
-    fidelity ||U_free(t)^dagger U(t)||_tr, the singular values of an r x r
-    matrix; for a pure state it is |<phi_free(t)|phi(t)>|. The time grid is
-    walked in blocks (_time_blocks), each reduced to its drifts and its
-    fidelity minimum before the next.
+    state is a ket (1-d, length d) or a Hermitian PSD density matrix, which
+    is propagated as its rank-r factor rho0 = U U^dagger, so a step costs
+    O(r d^2). A rank-one state (a ket, or a pure density matrix) has
+    sigma_ab(t) = k_a(t) b_b(t), so its coherence moduli are the real
+    products |k_a| |b_b| and its fidelity is |<phi_free(t)|phi(t)>|; a
+    mixed state takes the Uhlmann fidelity ||U_free(t)^dagger U(t)||_tr,
+    the singular values of an r x r matrix. The time grid is walked in
+    blocks (_time_blocks), each reduced to its drifts and its fidelity
+    minimum before the next.
     """
     basis = decomp.basis
     f = basis.f_vectors
-    u = psd_factor(as_complex_matrix(rho0, "rho0"))
+    u = _state_factor(state, basis.dim)
     hermitian, flow = _state_flow(hamiltonian, u, f)
     g0 = f.conj().T @ u
-    sigma0 = g0 @ g0.conj().T
-    pop0 = np.diagonal(sigma0)
-    mod0 = np.abs(sigma0)
+    pure = u.shape[1] == 1
+    if pure:
+        g = g0[:, 0]
+        pop0 = g * g.conj()
+        mod0 = np.outer(np.abs(g), np.abs(g))
+    else:
+        sigma0 = g0 @ g0.conj().T
+        pop0 = np.diagonal(sigma0)
+        mod0 = np.abs(sigma0)
     ts = np.asarray(times, dtype=np.float64)
     pop_drift = 0.0
     coh_drift = 0.0
     fid_min = 1.0
     for block in _time_blocks(ts.shape[0], basis.dim ** 2):
         ket, bra = flow(ts[block])
-        sigma = ket @ bra
-        pop_drift = max(pop_drift, float(np.max(np.abs(
-            np.diagonal(sigma, axis1=1, axis2=2) - pop0))))
-        gap = np.abs(sigma)
+        if pure:
+            k, b = ket[:, :, 0], bra[:, 0, :]
+            pops = k * b
+            k_mod = np.abs(k)
+            b_mod = k_mod if hermitian else np.abs(b)
+            gap = k_mod[:, :, None] * b_mod[:, None, :]
+        else:
+            sigma = ket @ bra
+            pops = np.diagonal(sigma, axis1=1, axis2=2)
+            gap = np.abs(sigma)
+        pop_drift = max(pop_drift, float(np.max(np.abs(pops - pop0))))
         gap -= mod0
         gap.reshape(gap.shape[0], -1)[:, :: basis.dim + 1] = 0.0
         coh_drift = max(coh_drift, float(np.max(np.abs(gap, out=gap))))
         if hermitian:
             phases = np.exp((1j * basis.f_values) * ts[block, None])
             overlaps = (g0.conj().T * phases[:, None, :]) @ ket
-            fidelities = np.linalg.svd(overlaps, compute_uv=False).sum(axis=-1)
+            if pure:
+                fidelities = np.abs(overlaps[:, 0, 0])
+            else:
+                fidelities = np.linalg.svd(overlaps, compute_uv=False).sum(axis=-1)
             fid_min = float(np.min(fidelities, initial=fid_min))
     return {
         "population_drift": pop_drift,
@@ -258,18 +291,21 @@ def classify(ops: ModelOperators, times, order="exact", eta: float = 0.0) -> DFR
     """Run the four-cell decoherence-free classification for one model on a time grid.
 
     The state is the model's canonical initial state and the scale its own
-    ModelSpec.lam; total_space_evidence takes any other state.
+    ModelSpec.lam; total_space_evidence takes any other state. The
+    canonical state is pure, so the total-space evidence propagates its ket
+    and only the projection reads its density matrix.
     """
     ts = np.asarray(times, dtype=np.float64)
-    state = canonical_initial_state(ops)
+    ket = canonical_initial_ket(ops)
+    rho0 = np.outer(ket, ket.conj())
     decomp = decompose_model(ops, order=order, eta=eta)
     h_full = ops.hamiltonian()
 
-    total = total_space_evidence(decomp, h_full, state, ts)
+    total = total_space_evidence(decomp, h_full, ket, ts)
     projected = projected_space_evidence(decomp)
     diag_cond = check_diagonal_condition(decomp)
     tri_cond = check_triangular_condition(decomp)
-    trace = fidelity_trace(decomp.energies, project_density(decomp, state), ts)
+    trace = fidelity_trace(decomp.energies, project_density(decomp, rho0), ts)
 
     if diag_cond <= DEFAULT_VERDICT_TOL:
         row = "diagonal"

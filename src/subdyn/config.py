@@ -234,35 +234,39 @@ def _check_read(config: ScenarioConfig) -> None:
 def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
-    The estimate is 16 (32 d^2 + 3 max(d^2, 2^15) + cubic + steps s) bytes.
-    The 32 d^2 term covers the d x d eigen data, plane factors and flows.
-    The block term covers one block of the time grid: classify's
-    total-space evidence and fidelity_trace walk the grid in blocks of
-    about 2^15 entries at d^2 each (one step from d = 182), so no
-    steps x d^2 array exists. The cubic term, max(d^3, 2^16), covers order
-    2's walk of the dyad-resolvent remainder over blocks of the dyad index
-    j, which only eta > 0 runs. It is charged to every such run as an
-    upper bound: the walk allocates its block buffer even when no block
-    carries weight (the diagonal and triangular kinds). The grid term is
-    s = 1 per step for the times and the fidelity trace, and s = 2 d + 8
-    for evolve, whose trace_drift holds a steps x d table of population
-    phases twice over and whose fidelity table holds a row of Python floats
-    per step.
-    tracemalloc peaks of runner.run, diagonal kind: 16 (36..40) d^2 bytes
-    at d = 64 and 16 (26..30) d^2 at d = 82 over every order; from d = 182
-    to 1024, where a block is one step, 16 (18..22) d^2 for classify and
-    verify and 16 (29..33) d^2 for evolve, whose energies table holds a
-    row of Python numbers per dyad. At d = 16 a fixed 0.8..1 MB dominates.
-    Order 2 at eta > 0 adds the block, 5.9 MB at d = 64 against 2.6 MB at
-    eta = 0. At d = 64 with 10,001 steps classify peaks at 2.4 MB and
-    evolve at 21.6 MB.
+    The estimate is 16 (q d^2 + 2 max(d^2, 2^15) + cubic + steps s) bytes.
+    The q d^2 term covers the d x d eigen data, plane factors and flows,
+    q = 24, and for evolve also its energies table of a row of Python
+    numbers per dyad, q = 32. The block term covers one block of the time
+    grid: classify's total-space evidence and fidelity_trace walk the grid
+    in blocks of about 2^15 entries at d^2 each (one step from d = 182),
+    holding at most 24 bytes an entry (a mixed state's complex sigma and
+    its real moduli), so no steps x d^2 array exists. The cubic term,
+    max(d^3, 2^16), covers order 2's walk of the dyad-resolvent remainder
+    over blocks of the dyad index j, which only eta > 0 runs. It is charged
+    to every such run as an upper bound: the walk allocates its block
+    buffer even when no block carries weight (the diagonal and triangular
+    kinds). The grid term is s = 1 per step for the times and the fidelity
+    trace, and s = 2 d + 8 for evolve, whose trace_drift holds a steps x d
+    table of population phases twice over and whose fidelity table holds a
+    row of Python floats per step.
+    tracemalloc peaks of runner.run, diagonal kind, classify: 0.50 MB at
+    d = 16, 1.05 MB at d = 32 (order 2), 1.9 MB at d = 64 (order 2) and
+    2.1 MB at d = 82 (exact), where the block term dominates; at d = 182
+    and 256, where a block is one step, 16 (15.7..20.3) d^2 for classify
+    and 16 (19.0) d^2 for verify over every order, and 16 (28.8..32.8) d^2
+    for evolve. Order 2 at eta > 0 adds the block, 5.6 MB at d = 64. At
+    d = 64 with 10,001 steps classify peaks at 1.7 MB and evolve at
+    21.5 MB.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
     cubic = max(d**3, 2**16) if ordered and config.order == "2" and config.eta > 0 else 0
-    per_step = 2 * d + 8 if config.scenario == "evolve" else 1
-    estimate = 16 * (32 * d**2 + 3 * max(d**2, 2**15) + cubic + steps * per_step)
+    evolve = config.scenario == "evolve"
+    per_dyad = 32 if evolve else 24
+    per_step = 2 * d + 8 if evolve else 1
+    estimate = 16 * (per_dyad * d**2 + 2 * max(d**2, 2**15) + cubic + steps * per_step)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if estimate > budget:
         route = f"order {config.order}" if ordered else "d x d routes"
@@ -275,6 +279,4 @@ def _check_memory(config: ScenarioConfig) -> int:
 
 def config_echo(config: ScenarioConfig) -> dict:
     """Resolved config as a plain dict for the run report, model nested."""
-    echo = dataclasses.asdict(config)
-    echo["model"] = dataclasses.asdict(config.model)
-    return echo
+    return dataclasses.asdict(config)

@@ -16,7 +16,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import DEFAULT_TOL
 from .subdynamics import decompose
@@ -148,6 +147,9 @@ def calibrate_timing(energies_free, energies_int, t_sw: float,
             ideal = np.exp(-1j * e0 * t_sw)
             actual = np.exp(-1j * energies * (t_sw + dt))
             return float(np.sum(np.abs(ideal - actual) ** 2))
+
+        # imported here: scipy.optimize costs about 0.2 s, and only this branch needs it
+        import scipy.optimize
 
         # xatol stays below scipy's 1e-5 default for optima on the interval's
         # edge, where the Newton polish does not apply

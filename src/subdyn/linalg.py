@@ -148,10 +148,10 @@ def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
     m = as_complex_matrix(matrix)
     if hermitian is None:
         hermitian = is_hermitian(m)
+    elif hermitian and not is_hermitian(m):
+        dev = float(np.linalg.norm(m - m.conj().T)) / norm_scale(m)
+        raise NonHermitianError(f"hermitian path requested but relative deviation is {dev:.3e}")
     if hermitian:
-        if not is_hermitian(m):
-            dev = float(np.linalg.norm(m - m.conj().T)) / norm_scale(m)
-            raise NonHermitianError(f"hermitian path requested but relative deviation is {dev:.3e}")
         values, vectors = np.linalg.eigh(m)
         order = eigen_sort_order(values.astype(np.complex128))
         values = values[order].astype(np.complex128)

@@ -235,8 +235,9 @@ def build_general_model(spec: ModelSpec) -> ModelOperators:
                           basis_labels=labels, hermitian_h1=True)
 
 
-def canonical_initial_state(ops: ModelOperators) -> np.ndarray:
-    """Reference initial state used by the documented classification runs.
+def canonical_initial_ket(ops: ModelOperators) -> np.ndarray:
+    """Normalized ket of the reference initial state used by the documented
+    classification runs.
 
     diagonal: equal atom superposition with one field quantum, so phase drift
     shows up while level populations and coherence moduli stay put.
@@ -258,6 +259,12 @@ def canonical_initial_state(ops: ModelOperators) -> np.ndarray:
     for t in targets:
         psi[labels.index(t)] = 1.0
     psi /= np.linalg.norm(psi)
+    return psi
+
+
+def canonical_initial_state(ops: ModelOperators) -> np.ndarray:
+    """Density matrix |psi><psi| of canonical_initial_ket."""
+    psi = canonical_initial_ket(ops)
     return np.outer(psi, psi.conj())
 
 

@@ -42,7 +42,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .linalg import (
     DEFAULT_TOL,
@@ -322,6 +321,9 @@ def _exact_factors(h: np.ndarray):
     Eigenvectors are matched to the free basis by maximum-overlap assignment,
     so each nu tracks the branch continuously connected to its dyad.
     """
+    # imported here: scipy.optimize costs about 0.2 s, and only the exact order needs it
+    import scipy.optimize
+
     d = h.shape[0]
     system = eig(h)
     overlap = np.abs(system.right_vectors)

@@ -232,8 +232,9 @@ def _random_state(rng, dim, rank):
     return rho / np.trace(rho).real
 
 
-def _assert_matches_dense(decomp, h, rho0, times):
-    got = total_space_evidence(decomp, h, rho0, times)
+def _assert_matches_dense(decomp, h, state, times):
+    got = total_space_evidence(decomp, h, state, times)
+    rho0 = np.outer(state, state.conj()) if state.ndim == 1 else state
     want = dense_total_space_evidence(decomp, h, rho0, times)
     assert set(got) == set(want)
     for key in ("population_drift", "coherence_modulus_drift"):
@@ -243,14 +244,19 @@ def _assert_matches_dense(decomp, h, rho0, times):
                                want["fidelity_vs_free_min"], atol=1e-9)
 
 
-@pytest.mark.parametrize("rank", [1, 2, None], ids=["pure", "rank2", "full"])
+@pytest.mark.parametrize("rank", [1, 2, None, "ket"], ids=["pure", "rank2", "full", "ket"])
 @pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
 def test_total_space_evidence_matches_dense_reference(spec, rank):
     ops = build_model(spec)
     rng = np.random.default_rng(17)
-    rho0 = _random_state(rng, ops.dim, rank)
-    assert np.linalg.matrix_rank(rho0) == (ops.dim if rank is None else rank)
-    _assert_matches_dense(decompose_model(ops), ops.hamiltonian(), rho0,
+    if rank == "ket":
+        # the oracle evolves the ket's density matrix np.outer(psi, psi*)
+        state = rng.standard_normal(ops.dim) + 1j * rng.standard_normal(ops.dim)
+        state /= np.linalg.norm(state)
+    else:
+        state = _random_state(rng, ops.dim, rank)
+        assert np.linalg.matrix_rank(state) == (ops.dim if rank is None else rank)
+    _assert_matches_dense(decompose_model(ops), ops.hamiltonian(), state,
                           np.linspace(0.0, 10.0, 41))
 
 
@@ -267,19 +273,41 @@ def test_total_space_evidence_defective_hamiltonian(rank):
 @pytest.mark.parametrize("state, error", [
     ("non_hermitian", NonHermitianError),
     ("negative", NotPositiveSemidefiniteError),
+    ("short_ket", ValueError),
+    ("non_finite_ket", ValueError),
 ])
 def test_total_space_evidence_rejects_invalid_state(spec, state, error):
     ops = build_model(spec)
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
+    match = None
     if state == "non_hermitian":
         rho0[0, 0] = 1.0
         rho0[0, 1] = 0.5
-    else:
+    elif state == "negative":
         rho0[0, 0] = 1.5
         rho0[1, 1] = -0.5
-    with pytest.raises(error):
+    elif state == "short_ket":
+        rho0 = np.full(ops.dim - 1, (ops.dim - 1) ** -0.5, dtype=complex)
+        match = "ket must have length"
+    else:
+        rho0 = np.zeros(ops.dim, dtype=complex)
+        rho0[0] = complex(1.0, np.nan)
+        match = "ket contains non-finite"
+    with pytest.raises(error, match=match):
         total_space_evidence(decompose_model(ops), ops.hamiltonian(), rho0,
                              TIMES)
+
+
+def test_classify_propagates_the_canonical_ket_unfactored(monkeypatch):
+    # the canonical state is pure: classify hands total_space_evidence its
+    # ket, so no density matrix is factored by an eigh
+    def refuse(matrix):
+        raise AssertionError("classify factored a density matrix")
+
+    monkeypatch.setattr(classify_module, "psd_factor", refuse)
+    for spec in (DIAG, TRI, GEN):
+        for order in ("exact", "1", "2"):
+            classify(build_model(spec), TIMES, order=order)
 
 
 def _walk_case(case, rank):

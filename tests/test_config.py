@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+# the exact order imports scipy.optimize on first use; importing it here keeps
+# that import out of the first traced run of test_memory_estimate_bounds_traced_peak
+import scipy.optimize  # noqa: F401
 
 from subdyn import config as config_module
 from subdyn.config import (
@@ -208,21 +211,21 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     d = 16
     # d x d factors, one 2^15-entry block of the time grid and the grid itself
     base = est(load_config(diagonal_doc(d)))
-    assert base == 16 * (32 * d**2 + 3 * 2**15 + 101)
+    assert base == 16 * (24 * d**2 + 2 * 2**15 + 101)
     assert est(load_config(diagonal_doc(d, order="1"))) == base
     # order 2 holds d x d arrays at eta = 0 and walks one resolvent block of
     # max(d^3, 2^16) entries at eta > 0
     assert est(load_config(diagonal_doc(d, order="2"))) == base
     assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) == base + 16 * 2**16
     assert est(load_config(diagonal_doc(64, order="2", eta=0.05))) \
-        == 16 * (32 * 64**2 + 3 * 2**15 + 64**3 + 101)
+        == 16 * (24 * 64**2 + 2 * 2**15 + 64**3 + 101)
     # from d = 182 a block of the time grid is one step of d^2 entries
-    assert est(load_config(diagonal_doc(256))) == 16 * (35 * 256**2 + 101)
+    assert est(load_config(diagonal_doc(256))) == 16 * (26 * 256**2 + 101)
     # classify pays one entry a step; evolve's population phases and
-    # fidelity rows 2 d + 8
+    # fidelity rows 2 d + 8, and its energies table 8 d^2 more
     assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 900
     assert est(load_config(diagonal_doc(d, scenario="evolve", t_grid=[0.0, 1.0, 1001]))) \
-        == base + 16 * ((2 * d + 8) * 1001 - 101)
+        == base + 16 * (8 * d**2 + (2 * d + 8) * 1001 - 101)
     # verify runs the exact order; swap-calibrate reads no time grid
     assert est(load_config(diagonal_doc(d, scenario="verify"))) == base
     assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == base - 16 * 101

@@ -9,6 +9,7 @@ from subdyn.models import (
     ModelSpec,
     block_eigensolve,
     build_model,
+    canonical_initial_ket,
     canonical_initial_state,
     extract_block,
     one_sided_norms,
@@ -143,6 +144,15 @@ def test_canonical_initial_states():
         np.testing.assert_allclose(np.trace(rho), 1.0)
         support = [i for i in range(ops.dim) if abs(rho[i, i]) > 1e-12]
         assert [ops.basis_labels[i] for i in support] == targets
+
+
+@pytest.mark.parametrize("spec", [DIAG_SPEC, TRI_SPEC, GEN_SPEC], ids=lambda s: s.kind)
+def test_canonical_state_is_the_outer_product_of_its_ket(spec):
+    ops = build_model(spec)
+    k = canonical_initial_ket(ops)
+    assert k.shape == (ops.dim,)
+    assert np.linalg.norm(k) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_array_equal(canonical_initial_state(ops), np.outer(k, k.conj()))
 
 
 def test_canonical_state_needs_excitation_room():
