@@ -15,9 +15,10 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .linalg import DefectiveMatrixError, as_complex_matrix, eig, psd_factor
+from .linalg import DefectiveMatrixError, as_complex_matrix, eig, is_hermitian, psd_factor
 from .models import ModelOperators, canonical_initial_ket
-from .subdynamics import _BLOCK_ENTRIES, Decomposition, decompose_model, project_density
+from .subdynamics import (_BLOCK_ENTRIES, Decomposition, _exact_eigen_data, _phi_hamiltonian,
+                          decompose_model, project_density)
 
 DF = "DF"
 PHASE_ERROR = "PE"
@@ -144,40 +145,47 @@ def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> Fid
     return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
 
 
-def _state_flow(hamiltonian, u: np.ndarray, f: np.ndarray):
-    """Free-frame factors of rho(t) = e^{-iHt} u u^dagger e^{+iHt}.
+def _state_flow(decomp: Decomposition, hamiltonian, u: np.ndarray, g: np.ndarray):
+    """Free-frame factors of rho(t) = e^{-iHt} u u^dagger e^{+iHt}, g = F^dagger u.
 
     Returns (hermitian, flow) where flow(ts) gives, for a block of times,
     stacked (ket, bra) with F^dagger rho(t) F = ket[k] @ bra[k], ket[k] d x r
     and bra[k] r x d. One eigendecomposition H = R diag(z) R^-1 serves every
     t at O(d^2 r) a step: ket = (F^dagger R)(e^{-izt} R^-1 u) and
     bra = (u^dagger R) e^{+izt} (R^-1 F), which is ket^dagger when H is
-    Hermitian. A defective H, never Hermitian, takes two d x d exponentials
-    per t instead.
+    Hermitian. hamiltonian None stands for the H that decomp was built
+    from: an exact-order decomp holds its eigensystem in the free frame,
+    F^dagger R = psi and R^-1 F = psi~, so H is not diagonalized again. A
+    defective H, never Hermitian, takes two d x d exponentials per t instead.
     """
-    h = as_complex_matrix(hamiltonian, "hamiltonian")
-    fh = f.conj().T
-    try:
-        system = eig(h)
-    except DefectiveMatrixError:
-        def expm_flow(ts):
-            kets = [fh @ (scipy.linalg.expm(-1j * t * h) @ u) for t in ts]
-            bras = [(u.conj().T @ scipy.linalg.expm(1j * t * h)) @ f for t in ts]
-            return np.stack(kets), np.stack(bras)
-        return False, expm_flow
-    z = system.values
-    ket_left = fh @ system.right_vectors
-    ket_right = system.left_vectors @ u
-    bra_left = u.conj().T @ system.right_vectors
-    bra_right = system.left_vectors @ f
+    if hamiltonian is None:
+        psi, psi_tilde, z = _exact_eigen_data(decomp, "total_space_evidence without a Hamiltonian")
+        hermitian = is_hermitian(_phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f))
+        ket_left, ket_right, bra_left, bra_right = psi, psi_tilde @ g, g.conj().T @ psi, psi_tilde
+    else:
+        h = as_complex_matrix(hamiltonian, "hamiltonian")
+        f = decomp.basis.f_vectors
+        try:
+            system = eig(h)
+        except DefectiveMatrixError:
+            def expm_flow(ts):
+                kets = [f.conj().T @ (scipy.linalg.expm(-1j * t * h) @ u) for t in ts]
+                bras = [(u.conj().T @ scipy.linalg.expm(1j * t * h)) @ f for t in ts]
+                return np.stack(kets), np.stack(bras)
+            return False, expm_flow
+        z, hermitian = system.values, system.hermitian
+        ket_left = f.conj().T @ system.right_vectors
+        ket_right = system.left_vectors @ u
+        bra_left = u.conj().T @ system.right_vectors
+        bra_right = system.left_vectors @ f
 
     def flow(ts):
         ket = ket_left @ (np.exp((-1j * z) * ts[:, None])[:, :, None] * ket_right)
-        if system.hermitian:
+        if hermitian:
             return ket, ket.conj().transpose(0, 2, 1)
         return ket, (bra_left * np.exp((1j * z) * ts[:, None])[:, None, :]) @ bra_right
 
-    return system.hermitian, flow
+    return hermitian, flow
 
 
 def _state_factor(state, dim: int) -> np.ndarray:
@@ -203,6 +211,10 @@ def total_space_evidence(decomp: Decomposition, hamiltonian, state, times) -> di
     the full Hamiltonian is Hermitian (it isolates pure phase error: moduli
     constant but fidelity below 1).
 
+    hamiltonian is the d x d matrix H, or None for the H that decomp was
+    built from, which an exact-order decomp already holds diagonalized (see
+    _state_flow); orders 1 and 2 hold no eigensystem and need the matrix.
+
     state is a ket (1-d, length d) or a Hermitian PSD density matrix, which
     is propagated as its rank-r factor rho0 = U U^dagger, so a step costs
     O(r d^2). A rank-one state (a ket, or a pure density matrix) has
@@ -214,10 +226,9 @@ def total_space_evidence(decomp: Decomposition, hamiltonian, state, times) -> di
     minimum before the next.
     """
     basis = decomp.basis
-    f = basis.f_vectors
     u = _state_factor(state, basis.dim)
-    hermitian, flow = _state_flow(hamiltonian, u, f)
-    g0 = f.conj().T @ u
+    g0 = basis.f_vectors.conj().T @ u
+    hermitian, flow = _state_flow(decomp, hamiltonian, u, g0)
     pure = u.shape[1] == 1
     if pure:
         g = g0[:, 0]
@@ -292,20 +303,21 @@ def classify(ops: ModelOperators, times, order="exact", eta: float = 0.0) -> DFR
 
     The state is the model's canonical initial state and the scale its own
     ModelSpec.lam; total_space_evidence takes any other state. The
-    canonical state is pure, so the total-space evidence propagates its ket
-    and only the projection reads its density matrix.
+    canonical state is pure, so the total-space evidence and the projection
+    both read its ket, and no d x d state is formed. At the exact order the
+    evidence reads the decomposition's eigensystem of H; orders 1 and 2
+    diagonalize H once for it.
     """
     ts = np.asarray(times, dtype=np.float64)
     ket = canonical_initial_ket(ops)
-    rho0 = np.outer(ket, ket.conj())
     decomp = decompose_model(ops, order=order, eta=eta)
-    h_full = ops.hamiltonian()
+    h_full = None if decomp.order == "exact" else ops.hamiltonian()
 
     total = total_space_evidence(decomp, h_full, ket, ts)
     projected = projected_space_evidence(decomp)
     diag_cond = check_diagonal_condition(decomp)
     tri_cond = check_triangular_condition(decomp)
-    trace = fidelity_trace(decomp.energies, project_density(decomp, rho0), ts)
+    trace = fidelity_trace(decomp.energies, project_density(decomp, ket), ts)
 
     if diag_cond <= DEFAULT_VERDICT_TOL:
         row = "diagonal"

@@ -234,39 +234,50 @@ def _check_read(config: ScenarioConfig) -> None:
 def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
-    The estimate is 16 (q d^2 + 2 max(d^2, 2^15) + cubic + steps s) bytes.
-    The q d^2 term covers the d x d eigen data, plane factors and flows,
-    q = 24, and for evolve also its energies table of a row of Python
-    numbers per dyad, q = 32. The block term covers one block of the time
-    grid: classify's total-space evidence and fidelity_trace walk the grid
-    in blocks of about 2^15 entries at d^2 each (one step from d = 182),
-    holding at most 24 bytes an entry (a mixed state's complex sigma and
-    its real moduli), so no steps x d^2 array exists. The cubic term,
-    max(d^3, 2^16), covers order 2's walk of the dyad-resolvent remainder
-    over blocks of the dyad index j, which only eta > 0 runs. It is charged
-    to every such run as an upper bound: the walk allocates its block
-    buffer even when no block carries weight (the diagonal and triangular
-    kinds). The grid term is s = 1 per step for the times and the fidelity
-    trace, and s = 2 d + 8 for evolve, whose trace_drift holds a steps x d
-    table of population phases twice over and whose fidelity table holds a
-    row of Python floats per step.
-    tracemalloc peaks of runner.run, diagonal kind, classify: 0.50 MB at
-    d = 16, 1.05 MB at d = 32 (order 2), 1.9 MB at d = 64 (order 2) and
-    2.1 MB at d = 82 (exact), where the block term dominates; at d = 182
-    and 256, where a block is one step, 16 (15.7..20.3) d^2 for classify
-    and 16 (19.0) d^2 for verify over every order, and 16 (28.8..32.8) d^2
-    for evolve. Order 2 at eta > 0 adds the block, 5.6 MB at d = 64. At
-    d = 64 with 10,001 steps classify peaks at 1.7 MB and evolve at
-    21.5 MB.
+    The estimate is 16 (q d^2 + max(2 max(d^2, 2^15), gather) + steps s)
+    bytes. The q d^2 term covers the d x d eigen data, plane factors and
+    flows: q = 16 for classify at the exact order, which holds only the
+    eigensystem of H and reads it for its evidence, q = 24 for every other
+    scenario and order, and q = 32 for evolve, whose energies table holds a
+    row of Python numbers per dyad. The block term covers one block of the
+    time grid: classify's total-space evidence and fidelity_trace walk the
+    grid in blocks of about 2^15 entries at d^2 each (one step from
+    d = 182), holding at most 24 bytes an entry (a mixed state's complex
+    sigma and its real moduli), so no steps x d^2 array exists. The gather
+    term counts only for order 2 at eta > 0, whose off-plane sums run
+    between the grid walks: gather = 3 * 2^15 + d^2, a kernel chunk of
+    about 2^15 pairs held three times over (the kernel, its square or the
+    gathered state, and their product), plus the pair lists of the
+    interaction's nonzeros, about 88 bytes a nonzero, bounded by 16 d^2
+    bytes while A' has at most d^2 / 5.5 nonzeros (the shipped kinds have
+    at most 14 a row in the block-sparse free frame). So from d = 314 it
+    adds nothing to the block term. The grid term is s = 1 per step for
+    the times and the fidelity trace, and s = 2 d + 8 for evolve, whose
+    trace_drift holds a steps x d table of population phases twice over
+    and whose fidelity table holds a row of Python floats per step.
+    tracemalloc peaks of runner.run, diagonal kind, classify: 0.45 MB at
+    d = 16, 0.95 MB at d = 32 (order 2), 1.65 MB at d = 64 (order 2, any
+    eta) and 1.43 MB at d = 82 (exact), where the block term dominates; at
+    d = 182 and 256, where a block is one step, 16 (11.3..11.5) d^2 for
+    classify at the exact order, 16 (15.0..20.1) d^2 at orders 1 and 2,
+    16 (19.0..20.0) d^2 for verify and 16 (28.8..32.8) d^2 for evolve. The
+    general kind's gather adds 1.3 MB at d = 64 (2.99 MB at eta = 0.05). At
+    d = 64 with 10,001 steps classify peaks at 1.3 MB and evolve at
+    20.5 MB.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
-    cubic = max(d**3, 2**16) if ordered and config.order == "2" and config.eta > 0 else 0
+    gather = 3 * 2**15 + d**2 if ordered and config.order == "2" and config.eta > 0 else 0
     evolve = config.scenario == "evolve"
-    per_dyad = 32 if evolve else 24
+    if evolve:
+        per_dyad = 32
+    elif config.scenario == "classify" and config.order == "exact":
+        per_dyad = 16
+    else:
+        per_dyad = 24
     per_step = 2 * d + 8 if evolve else 1
-    estimate = 16 * (per_dyad * d**2 + 2 * max(d**2, 2**15) + cubic + steps * per_step)
+    estimate = 16 * (per_dyad * d**2 + max(2 * max(d**2, 2**15), gather) + steps * per_step)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if estimate > budget:
         route = f"order {config.order}" if ordered else "d x d routes"

@@ -6,6 +6,7 @@ the column-stacking convention, vec(A X B) = (B^T kron A) vec(X).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
 import numpy as np
@@ -120,8 +121,103 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+def components(matrix: np.ndarray) -> np.ndarray:
+    """Connected components of the nonzero pattern of a square matrix.
+
+    Returns labels[k], the smallest index of the component holding index
+    k, where indices k and l are linked when M[k, l] or M[l, k] is nonzero.
+    Each pass lowers every label to the label of that label (pointer
+    jumping) and then to the least among its neighbours', so a component of
+    diameter D settles in about log2(D) + 2 passes of O(d^2) each; a
+    diagonal matrix needs none.
+    """
+    d = matrix.shape[0]
+    linked = matrix != 0
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    if np.count_nonzero(linked) == d:
+        return np.arange(d)
+    labels = linked.argmax(axis=1)  # the first pass from labels = arange(d)
+    if not labels.any():  # every index linked to index 0
+        return labels
+    while True:
+        lowered = labels[labels]
+        lowered = np.where(linked, lowered, d).min(axis=1)
+        if lowered.tolist() == labels.tolist():
+            return labels
+        labels = lowered
+
+
+def _check_basis(sigma_max: float, sigma_min: float) -> None:
+    """Refuse a right-eigenvector basis whose condition number exceeds 1 / DEFAULT_TOL.
+
+    Left eigenvectors are the rows of the basis's inverse, biorthonormal by
+    construction, so a singular right basis is what "defective" means here.
+    """
+    cond = sigma_max / sigma_min if sigma_min > 0.0 else np.inf
+    if not np.isfinite(cond) or cond > 1.0 / DEFAULT_TOL:
+        raise DefectiveMatrixError(
+            f"eigenvector basis is numerically defective (condition estimate {cond:.3e})")
+
+
+def _eig_blocks(m: np.ndarray, labels: np.ndarray, hermitian: bool):
+    """(values, right, left) of m from one decomposition per component, unsorted.
+
+    Components of equal size go through one batched LAPACK call; a
+    component of one index is its own eigenpair, with no call. Eigenpair k
+    of a component sits at the component's k-th index, so right and left
+    are block diagonal in m's own pattern. The general path's condition
+    number is that of the assembled basis: the largest singular value over
+    every block over the smallest. left is None on the Hermitian path.
+    """
+    d = m.shape[0]
+    size = np.bincount(labels, minlength=d)[labels]
+    if size.max() == 1:  # diagonal
+        identity = np.eye(d, dtype=np.complex128)
+        return m.diagonal().copy(), identity, None if hermitian else identity
+    # grouped by component size, then component, then index
+    grouped = np.argsort(size * d + labels, kind="stable")
+    size = size[grouped].tolist()
+    values = m.diagonal().copy()
+    right = np.zeros((d, d), dtype=np.complex128)
+    singles = grouped[: bisect.bisect_right(size, 1)]
+    if singles.size:
+        right[singles, singles] = 1.0
+    bases = []  # (rows, cols, right vectors) of every block of the general path
+    start = singles.size
+    while start < d:
+        s = size[start]
+        stop = bisect.bisect_right(size, s, start)
+        idx = grouped[start:stop].reshape(-1, s)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        if hermitian:
+            w, v = np.linalg.eigh(m[rows, cols])
+        else:
+            w, v = np.linalg.eig(m[rows, cols])
+            bases.append((rows, cols, v))
+        values[idx] = w
+        right[rows, cols] = v
+        start = stop
+    if hermitian:
+        return values, right, None
+    sigmas = [np.linalg.svd(v, compute_uv=False) for _, _, v in bases]
+    if singles.size:
+        sigmas.append(np.ones(1))  # a singleton's basis is [1]
+    _check_basis(max(float(s.max()) for s in sigmas), min(float(s.min()) for s in sigmas))
+    left = np.zeros((d, d), dtype=np.complex128)
+    left[singles, singles] = 1.0
+    for rows, cols, v in bases:
+        left[rows, cols] = np.linalg.inv(v)
+    return values, right, left
+
+
 def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
     """Full eigendecomposition with biorthonormal left/right vectors.
+
+    A matrix whose nonzero pattern splits into several connected components
+    (see components) is decomposed block by block and reassembled, so its
+    eigenvectors carry exact zeros outside their own component; a matrix of
+    one component takes one LAPACK call on the whole.
 
     Parameters
     ----------
@@ -136,7 +232,8 @@ def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
     Returns
     -------
     EigenSystem
-        Sorted ascending by (real, imag); left_vectors @ right_vectors = I.
+        Sorted ascending by (real, imag), ties in index order of the
+        components; left_vectors @ right_vectors = I.
 
     Raises
     ------
@@ -151,6 +248,16 @@ def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
     elif hermitian and not is_hermitian(m):
         dev = float(np.linalg.norm(m - m.conj().T)) / norm_scale(m)
         raise NonHermitianError(f"hermitian path requested but relative deviation is {dev:.3e}")
+    labels = components(m)
+    if labels.any():
+        values, right, left = _eig_blocks(m, labels, hermitian)
+        if hermitian:
+            values = values.real.astype(np.complex128)
+        order = eigen_sort_order(values)
+        right = right[:, order]
+        left = right.conj().T if hermitian else left[order, :]
+        return EigenSystem(values=values[order], right_vectors=right, left_vectors=left,
+                           hermitian=hermitian)
     if hermitian:
         values, vectors = np.linalg.eigh(m)
         order = eigen_sort_order(values.astype(np.complex128))
@@ -163,12 +270,8 @@ def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
     order = eigen_sort_order(values)
     values = values[order]
     right = right[:, order]
-    # Left eigenvectors as rows of the inverse: exact biorthonormality by
-    # construction, and a singular right basis is what "defective" means here.
-    cond = np.linalg.cond(right)
-    if not np.isfinite(cond) or cond > 1.0 / DEFAULT_TOL:
-        raise DefectiveMatrixError(
-            f"eigenvector basis is numerically defective (condition estimate {cond:.3e})")
+    sv = np.linalg.svd(right, compute_uv=False)
+    _check_basis(float(sv[0]), float(sv[-1]))
     left = np.linalg.inv(right)
     return EigenSystem(values=values, right_vectors=right, left_vectors=left, hermitian=False)
 

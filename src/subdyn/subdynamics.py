@@ -13,7 +13,10 @@ only picks up the phase e^{-i E_nu t}.
 
 All quantities here are expressed in the frame of the free eigenbasis
 (the "phi frame"), where L0 is diagonal; states convert via rho_f = F^dag
-rho F. Three construction orders are supported: "exact" (from the full
+rho F. linalg.eig builds F block by block from the connected components of
+H0's nonzero pattern, so F, h1_f and everything weighted by h1_f carry
+exact zeros between components that H1 does not couple. Three
+construction orders are supported: "exact" (from the full
 eigendecomposition of H), and the stationary-resolvent perturbation
 expansion truncated at first ("1") or second ("2") order in lam. Each order
 keeps one representation of d x d arrays and computes what it reports from
@@ -25,11 +28,15 @@ pairings kappa and the projection serves both orders. Order 2 also reaches
 off the planes: there column nu = (i, j) is -A E_ij A times W = 1 + i eta R
 (R the dyad resolvent), and the rows are the same in A'. At eta = 0, W = 1
 and order 2 takes O(d^3) time and O(d^2) memory; at eta > 0 the remainder
-W - 1 is summed over one walk of the dyad resolvent in blocks of the dyad
-index j, O(d^3) memory and O(d^4) time. A walk builds only the blocks that
-hold a j of nonzero weight, none for the diagonal and triangular
-interactions. Each call walks once, summing the pairings kappa together
-with the rows of every state it projects; nothing is cached.
+W - 1 is gathered over the nonzero pairs of the interaction, nnz^2 kernel
+entries in chunks of about _BLOCK_ENTRIES, none for the diagonal
+interaction. On the general kind, whose h1_f has 7 to 14 nonzeros a row in
+that block frame, one call for kappa and one density matrix took 3.0, 17,
+93 and 309 ms at d = 32, 64, 128 and 256, where the walk over every dyad
+index j it replaces took 7.0, 114 and 2051 ms up to d = 128 (one BLAS
+thread, 2-vCPU host). Each call sums the pairings kappa together with the
+rows of every state it projects; nothing is cached. A pure state is
+projected as its ket, with no d x d state.
 The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, every order's
 columns) are reference oracles for small-d checks and live with the tests,
 in tests/oracle.py.
@@ -153,7 +160,7 @@ class Decomposition:
         Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
         Orders 1 and 2: kappa_nu = 1 + (U~ U)_ii + (V V~)_jj, the sum over
         the planes; order 2 adds the off-plane sum, see _off_plane_sums,
-        which at eta > 0 walks the dyad resolvent on every read.
+        which at eta > 0 gathers over the interaction's nonzeros on every read.
         """
         off_plane = _off_plane_sums(self, [])[0] if self.order == "2" else None
         return self._pairings(off_plane)
@@ -210,37 +217,70 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -
     return np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, gap + 1j * eta))
 
 
-# Entries one block of a walk holds. The order-2 walk of the dyad resolvent
-# takes every j at d = 8, two blocks at d = 16 and one j per block from
-# d = 32; classify's walks of the time grid take steps of d^2 entries each.
+# Entries one block of a walk holds. Order 2's gather at eta > 0 builds the
+# dyad resolvent over this many (left, right) pairs of the interaction's
+# nonzeros at a time; classify's walks of the time grid take steps of d^2
+# entries each.
 _BLOCK_ENTRIES = 2 ** 15
 
 
-def _dyad_resolvent_blocks(basis: PhiBasis, eta: float, weighted: np.ndarray):
-    """Yield (js, R): the dyad resolvent over the weighted blocks js of the dyad index j, eta > 0.
+def _pair_sums(eps: np.ndarray, eta: float, left: np.ndarray, right: np.ndarray,
+               x: np.ndarray | None = None, squared: bool = False) -> np.ndarray:
+    """S[i, j] = sum_ab left[i, a] right[j, b] k(R) (times x[a, b] if given), eta > 0.
 
-    R[j, b, a, i] = 1/(E0_nu - E0_mu + i eta) for mu = (a, b) and nu = (i, j),
-    j in js, unmasked: its weights A[a, i] A[j, b] vanish on the planes b = j
-    and a = i. A block spans about _BLOCK_ENTRIES entries and is built only
-    when it holds a j with weighted[j] set; a block without one would add
-    only zeros to the sums. The blocks share one buffer, allocated even when
-    no block is built, which the next block overwrites.
+    R = 1/((eps_i - eps_a) - (eps_j - eps_b) + i eta) is the dyad resolvent
+    between nu = (i, j) and mu = (a, b), and k(R) = R, or 2 i eta R - eta^2 R^2
+    when squared. Only the nonzero entries of left and right are gathered,
+    as two lists sorted by i and by j. The kernel is built over chunks of
+    the left list, about _BLOCK_ENTRIES entries each, reduced to j by a
+    segment sum over the right list and to i by one over the chunk's rows.
     """
-    d = basis.dim
-    e0 = basis.e0.reshape(d, d)  # e0[b, a] = eps_a - eps_b, complex with zero imag
-    shifted = e0 + 1j * eta
-    step = max(1, _BLOCK_ENTRIES // d ** 3)
-    buffer = np.empty((min(step, d), d, d, d), dtype=np.complex128)
-    for start in range(0, d, step):
-        js = slice(start, min(start + step, d))
-        if not weighted[js].any():
-            continue
-        res = buffer[: js.stop - start]
-        # E0_nu - E0_mu + i eta = (eps_i - eps_a) - (eps_j - eps_b) + i eta;
-        # both operands complex, as a real one is cast at every broadcast step
-        np.subtract(shifted, e0[:, js].T[:, :, None, None], out=res)
-        np.reciprocal(res, out=res)
-        yield js, res
+    d = eps.shape[0]
+    out = np.zeros((d, d), dtype=np.complex128)
+    li, la = np.nonzero(left)
+    rj, rb = np.nonzero(right)
+    if not li.size or not rj.size:
+        return out
+    lw, rw = left[li, la], right[rj, rb]
+    # complex operands: a real one is cast at every broadcast step
+    lgap = (eps[li] - eps[la]) + 1j * eta
+    rgap = (eps[rj] - eps[rb]).astype(np.complex128)
+    jstart = _run_starts(rj)
+    js = rj[jstart]
+    step = max(1, _BLOCK_ENTRIES // rj.size)
+    for start in range(0, li.size, step):
+        rows = slice(start, start + step)
+        k = np.subtract.outer(lgap[rows], rgap)
+        np.reciprocal(k, out=k)
+        if squared:
+            t = k * (-eta * eta)
+            t += 2j * eta
+            k *= t
+        k *= rw
+        if x is not None:
+            k *= x[la[rows, None], rb]
+        s = np.add.reduceat(k, jstart, axis=1)
+        s *= lw[rows, None]
+        i = li[rows]
+        istart = _run_starts(i)
+        out[i[istart, None], js] += np.add.reduceat(s, istart, axis=0)
+    return out
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in a sorted array."""
+    first = np.empty(keys.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ X @ right for a free-frame state X: a d x d matrix, or a ket g
+    standing for X = g g^dagger, which takes two matrix-vector products."""
+    if x.ndim == 1:
+        return np.outer(left @ x, x.conj() @ right)
+    return left @ x @ right
 
 
 def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
@@ -260,11 +300,11 @@ def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: flo
 
 
 def _off_plane_sums(decomp: Decomposition, xs: list[np.ndarray]):
-    """Order 2's sums off the planes b = j and a = i, in one walk of the dyad resolvent.
+    """Order 2's sums off the planes b = j and a = i, for kappa and every state of xs.
 
     Returns (kappa, rows): kappa, the d x d sum of d_nu(mu) c_nu(mu), and
-    rows, one d x d sum of d_nu(mu) x[a, b] for each d x d state x in xs,
-    which may be empty.
+    rows, one d x d sum of d_nu(mu) x[a, b] for each free-frame state x in
+    xs (a d x d matrix or a ket, see _sandwich), which may be empty.
 
     Off the planes, column nu reads
     -lam R (h[a, i] A[j, b] + A[a, i] h[j, b]) = -A[a, i] A[j, b] W, as
@@ -274,39 +314,28 @@ def _off_plane_sums(decomp: Decomposition, xs: list[np.ndarray]):
     products are sum_ab P[a, i] Q[j, b] W^2 with P = A'^T * A and
     Q = A * A'^T: the d x d term (A' A)_ii (A A')_jj plus, at eta > 0,
     W^2 - 1 = 2 i eta R - eta^2 R^2. The rows are -(A' x A')_ij at W = 1
-    plus, at eta > 0, the remainder W - 1 = i eta R: per block a batched
-    matvec of R against A'[b, j] x[a, b]. Every remainder is summed over
-    one walk of _dyad_resolvent_blocks. A has a zero diagonal, so no mask is
-    needed.
-
-    The walk builds only the blocks that hold a j carrying weight: for
-    kappa, p nonzero and q[j] nonzero; for the rows of x, some A'[b, j] and
-    column b of x both nonzero. Any other j adds exact zeros. The diagonal
-    interaction has A = 0, and the triangular one has p = 0 and, for its
-    canonical state, row weights zero, so neither builds a block.
+    plus, at eta > 0, the remainder W - 1 = i eta R. Each remainder is a
+    _pair_sums gather over the nonzeros of its two weights, so its cost
+    grows with nnz(P) nnz(Q), not d^4: P and Q for kappa, A'[i, a] g_a and
+    A'[b, j] g*_b for a ket g, and A' with the gathered x[a, b] for a d x d
+    state. A has a zero diagonal, so no mask is needed.
     """
     g, g_dual = decomp.first_order
-    eta, d = decomp.eta, decomp.basis.dim
+    eta = decomp.eta
     p, q = g_dual.T * g, g * g_dual.T
     kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
-    rows = [-(g_dual @ x @ g_dual) for x in xs]
+    rows = [-_sandwich(g_dual, x, g_dual) for x in xs]
     if eta == 0.0:
         return kappa, rows
-    weighted = q.any(axis=1) & p.any()
-    for x in xs:
-        weighted |= (g_dual != 0).T @ x.any(axis=0)
-    factor = -1j * eta * g_dual
-    for js, res in _dyad_resolvent_blocks(decomp.basis, eta, weighted):
-        for x, row in zip(xs, rows):
-            # y[j, a, 0, b] = A'[b, j] x[a, b], contracted with R over b
-            y = (g_dual[:, js].T[:, None, :] * x)[:, :, None, :]
-            t = (y @ res.transpose(0, 2, 1, 3))[:, :, 0]
-            row[:, js] += np.einsum("jai,ia->ij", t, factor)
-        # squares the block in place, so after every state's rows have read it
-        flat = res.reshape(-1, d, d * d)
-        v = (2j * eta) * (q[js, None, :] @ flat)
-        v -= eta * eta * (q[js, None, :] @ np.square(flat, out=flat))
-        kappa[:, js] += np.einsum("jai,ai->ij", v.reshape(-1, d, d), p)
+    eps = decomp.basis.f_values
+    kappa += _pair_sums(eps, eta, p.T, q, squared=True)
+    for x, row in zip(xs, rows):
+        if x.ndim == 1:
+            remainder = _pair_sums(eps, eta, g_dual * x, g_dual.T * x.conj())
+        else:
+            # only a with row a of x nonzero and b with column b nonzero can weigh
+            remainder = _pair_sums(eps, eta, g_dual * x.any(axis=1), g_dual.T * x.any(axis=0), x)
+        row += (-1j * eta) * remainder
     return kappa, rows
 
 
@@ -460,9 +489,11 @@ def block_residual(decomp: Decomposition) -> float:
 def _project_frame(decomp: Decomposition, xs: list[np.ndarray]) -> list[np.ndarray]:
     """Kinetic coefficients of the free-frame states xs, one d x d matrix each.
 
+    A state is a d x d matrix x, or a ket g standing for x = g g^dagger
+    (see _sandwich), which needs no d x d state and no d x d product.
     Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
     Orders 1 and 2: c_nu = (x + U~ x + x V~)_ij / kappa_nu; order 2 adds
-    the off-plane sums, see _off_plane_sums, whose one walk serves kappa
+    the off-plane sums, see _off_plane_sums, whose one call serves kappa
     and every state of xs.
     """
     off_rows = []
@@ -476,9 +507,14 @@ def _project_frame(decomp: Decomposition, xs: list[np.ndarray]) -> list[np.ndarr
     if decomp.planes is None:
         psi, psi_tilde = decomp.psi, decomp.psi_tilde
         anchors = np.outer(np.diag(psi), np.diag(psi_tilde))
-        return [(psi_tilde @ x @ psi) * anchors for x in xs]
+        return [_sandwich(psi_tilde, x, psi) * anchors for x in xs]
     _, _, u_dual, v_dual = decomp.planes
-    ys = [x + u_dual @ x + x @ v_dual for x in xs]
+    ys = []
+    for x in xs:
+        if x.ndim == 1:
+            ys.append(np.outer(x + u_dual @ x, x.conj()) + np.outer(x, x.conj() @ v_dual))
+        else:
+            ys.append(x + u_dual @ x + x @ v_dual)
     for y, rows in zip(ys, off_rows):
         y += rows
     kappa = unvec(kappa, decomp.basis.dim)
@@ -488,11 +524,17 @@ def _project_frame(decomp: Decomposition, xs: list[np.ndarray]) -> list[np.ndarr
 def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
     """Kinetic coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
 
-    Returned as a Liouville-index vector; each coefficient evolves alone,
-    c_nu(t) = e^{-i E_nu t} c_nu(0). _project_frame gives the formula of
-    each order.
+    rho is a d x d density matrix, or a ket psi (1-d) standing for the pure
+    state |psi><psi|, which is projected as its free-frame ket F^dagger psi
+    without forming a d x d state. Returned as a Liouville-index vector;
+    each coefficient evolves alone, c_nu(t) = e^{-i E_nu t} c_nu(0).
+    _project_frame gives the formula of each order.
     """
-    x = unvec(decomp.basis.to_frame(rho), decomp.basis.dim)
+    basis = decomp.basis
+    if np.ndim(rho) == 1:
+        x = basis.f_vectors.conj().T @ np.asarray(rho, dtype=np.complex128)
+    else:
+        x = unvec(basis.to_frame(rho), basis.dim)
     return vec(_project_frame(decomp, [x])[0])
 
 
@@ -514,8 +556,8 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     e^{-iHt} rho0 e^{+iHt} through d x d exponentials, independent of the
     eigendecomposition behind the projection) against
     e^{-i Theta t} P_nu Pi_nu rho0 (kinetic route), reconstructed over all nu.
-    rho0 and rho(t) are projected in one call, so order 2 walks once;
-    coeff0 equals project_density(decomp, rho0).
+    rho0 and rho(t) are projected in one call; coeff0 equals
+    project_density(decomp, rho0).
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     rho = as_complex_matrix(rho0, "rho0")

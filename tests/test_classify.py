@@ -22,7 +22,7 @@ from subdyn.classify import (
 )
 from subdyn.config import load_config
 from subdyn.linalg import NonHermitianError, NotPositiveSemidefiniteError, random_density
-from subdyn.models import ModelSpec, build_model, canonical_initial_state
+from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.subdynamics import decompose, decompose_model, project_density
 
 DIAG = ModelSpec(kind="diagonal", omega0=1.0, omega=1.3, g=0.5, lam=1.0,
@@ -308,6 +308,64 @@ def test_classify_propagates_the_canonical_ket_unfactored(monkeypatch):
     for spec in (DIAG, TRI, GEN):
         for order in ("exact", "1", "2"):
             classify(build_model(spec), TIMES, order=order)
+
+
+@pytest.mark.parametrize("order", ["exact", "1", "2"])
+def test_classify_diagonalizes_h_once(monkeypatch, order):
+    # the decomposition diagonalizes H0 and, at the exact order, H in the
+    # free frame; the evidence then reads that eigensystem, so H is
+    # diagonalized once per run at every order
+    from subdyn import subdynamics
+
+    calls = []
+
+    def counted(module):
+        inner = module.eig
+
+        def eig(matrix, hermitian=None):
+            calls.append(module.__name__)
+            return inner(matrix, hermitian)
+        return eig
+
+    for module in (subdynamics, classify_module):
+        monkeypatch.setattr(module, "eig", counted(module))
+    for spec in (DIAG, TRI, GEN):
+        calls.clear()
+        classify(build_model(spec), TIMES, order=order)
+        assert len(calls) == 2
+        assert calls.count("subdyn.classify") == (0 if order == "exact" else 1)
+
+
+@pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
+def test_total_space_evidence_reads_the_exact_eigensystem(spec):
+    # hamiltonian None stands for the decomposition's own H: at the exact
+    # order its eigensystem gives the evidence that a second eig of H gives
+    ops = build_model(spec)
+    decomp = decompose_model(ops)
+    ket = canonical_initial_ket(ops)
+    got = total_space_evidence(decomp, None, ket, TIMES)
+    want = total_space_evidence(decomp, ops.hamiltonian(), ket, TIMES)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+    # orders 1 and 2 hold no eigensystem of H
+    with pytest.raises(ValueError, match="exact order"):
+        total_space_evidence(decompose_model(ops, order="1"), None, ket, TIMES)
+
+
+@pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("1", 0.05), ("2", 0.0),
+                                        ("2", 0.05)])
+@pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
+def test_project_density_reads_a_ket_as_its_pure_state(spec, order, eta):
+    ops = build_model(spec)
+    decomp = decompose_model(ops, order=order, eta=eta)
+    ket = canonical_initial_ket(ops)
+    rng = np.random.default_rng(31)
+    other = rng.standard_normal(ops.dim) + 1j * rng.standard_normal(ops.dim)
+    for psi in (ket, other / np.linalg.norm(other)):
+        np.testing.assert_allclose(project_density(decomp, psi),
+                                   project_density(decomp, np.outer(psi, psi.conj())),
+                                   rtol=0, atol=1e-13)
 
 
 def _walk_case(case, rank):

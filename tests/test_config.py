@@ -183,10 +183,10 @@ def diagonal_doc(dim, **extra):
 
 
 def test_dimension_cap_and_override():
-    # order 2 at d = 4096 and eta > 0 streams resolvent blocks of
-    # 16 * 4096^3 bytes, about 1 TiB: refused everywhere
+    # order 2 at d = 2^16 and eta > 0 holds 16 * 26 d^2 bytes of d x d
+    # arrays, about 1.7 TiB: refused everywhere
     with pytest.raises(ConfigError, match=r"order 2.*estimated .* MiB.*budget of .* MiB"):
-        load_config(diagonal_doc(4096, order="2", eta=0.05))
+        load_config(diagonal_doc(2**16, order="2", eta=0.05))
     # the run the old fixed cap of d = 64 refused needs a few MiB
     assert load_config(diagonal_doc(82)).model.dim == 82
     # there is no override: the old key is a typo like any other
@@ -209,26 +209,41 @@ def test_memory_budget_is_half_of_physical_memory(monkeypatch):
 def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     est = config_module._check_memory
     d = 16
-    # d x d factors, one 2^15-entry block of the time grid and the grid itself
+    # d x d factors, one 2^15-entry block of the time grid and the grid
+    # itself; exact classify holds only the eigensystem of H
     base = est(load_config(diagonal_doc(d)))
-    assert base == 16 * (24 * d**2 + 2 * 2**15 + 101)
-    assert est(load_config(diagonal_doc(d, order="1"))) == base
-    # order 2 holds d x d arrays at eta = 0 and walks one resolvent block of
-    # max(d^3, 2^16) entries at eta > 0
-    assert est(load_config(diagonal_doc(d, order="2"))) == base
-    assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) == base + 16 * 2**16
+    assert base == 16 * (16 * d**2 + 2 * 2**15 + 101)
+    perturbative = base + 16 * 8 * d**2
+    assert est(load_config(diagonal_doc(d, order="1"))) == perturbative
+    # order 2 holds d x d arrays at eta = 0 and at eta > 0 gathers over
+    # chunks of 2^15 pairs, held three times, and pair lists of at most d^2
+    assert est(load_config(diagonal_doc(d, order="2"))) == perturbative
+    assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) \
+        == perturbative + 16 * (2**15 + d**2)
     assert est(load_config(diagonal_doc(64, order="2", eta=0.05))) \
-        == 16 * (24 * 64**2 + 2 * 2**15 + 64**3 + 101)
+        == 16 * (24 * 64**2 + 3 * 2**15 + 64**2 + 101)
     # from d = 182 a block of the time grid is one step of d^2 entries
-    assert est(load_config(diagonal_doc(256))) == 16 * (26 * 256**2 + 101)
+    assert est(load_config(diagonal_doc(256))) == 16 * (18 * 256**2 + 101)
     # classify pays one entry a step; evolve's population phases and
-    # fidelity rows 2 d + 8, and its energies table 8 d^2 more
+    # fidelity rows 2 d + 8, and its energies table 16 d^2 more
     assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 900
     assert est(load_config(diagonal_doc(d, scenario="evolve", t_grid=[0.0, 1.0, 1001]))) \
-        == base + 16 * (8 * d**2 + (2 * d + 8) * 1001 - 101)
+        == base + 16 * (16 * d**2 + (2 * d + 8) * 1001 - 101)
     # verify runs the exact order; swap-calibrate reads no time grid
-    assert est(load_config(diagonal_doc(d, scenario="verify"))) == base
-    assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == base - 16 * 101
+    assert est(load_config(diagonal_doc(d, scenario="verify"))) == perturbative
+    assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == perturbative - 16 * 101
+
+
+def test_order_two_gather_adds_nothing_to_the_estimate_at_d640(monkeypatch):
+    # from d = 314 the gather's chunk and pair lists fit in the time-grid
+    # block term, so eta > 0 costs what eta = 0 does (load_config only: no run)
+    pages = {"SC_PHYS_PAGES": 2**40 // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
+    estimates = {(scenario, eta): config_module._check_memory(
+        load_config(diagonal_doc(640, scenario=scenario, order="2", eta=eta)))
+        for scenario in ("classify", "evolve") for eta in (0.0, 0.05)}
+    for scenario in ("classify", "evolve"):
+        assert estimates[scenario, 0.05] == estimates[scenario, 0.0]
 
 
 def _traced_peak(cfg) -> int:
@@ -243,7 +258,7 @@ def _traced_peak(cfg) -> int:
 MEMORY_CASES = {f"{dim}-{order}": diagonal_doc(dim, order=order)
                 for dim, order in [(16, "exact"), (16, "1"), (16, "2"), (32, "exact"),
                                    (32, "1"), (32, "2"), (48, "2"), (64, "2"), (82, "exact")]}
-# order 2 at eta > 0 streams the dyad-resolvent remainder: the cubic term
+# order 2 at eta > 0 gathers the dyad-resolvent remainder: the gather term
 MEMORY_CASES.update({f"{dim}-2-eta": diagonal_doc(dim, order="2", eta=0.05) for dim in (16, 64)})
 # a long time grid: classify walks it in blocks, evolve holds a steps x d table
 MEMORY_CASES.update({f"64-{scenario}-10001-steps": diagonal_doc(
@@ -264,7 +279,7 @@ def test_memory_estimate_bounds_traced_peak(case):
 
 
 def test_order_two_at_d128_fits_a_7_gb_machine(monkeypatch):
-    # the streamed order 2 needs about 65 MiB at d = 128, where the dense
+    # order 2 needs about 7 MiB at d = 128, where the dense
     # columns and rows took 16 * 4 * 128^4 bytes, about 17 GiB
     pages = {"SC_PHYS_PAGES": 7 * 2**30 // 4096, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)

@@ -1,5 +1,7 @@
 """Vectorization, eigensystems, and propagator primitives."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from subdyn.linalg import (
     DefectiveMatrixError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
+    components,
     eig,
     propagator,
     psd_factor,
@@ -108,6 +111,82 @@ def test_eig_general_left_right():
 def test_eig_defective_raises():
     with pytest.raises(DefectiveMatrixError):
         eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _permuted_block_diagonal(rng, sizes, hermitian):
+    """Random blocks of the given sizes on the diagonal, indices randomly permuted."""
+    d = sum(sizes)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for s in sizes:
+        block = random_complex(rng, (s, s))
+        m[start:start + s, start:start + s] = block + block.conj().T if hermitian else block
+        start += s
+    perm = rng.permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
+def test_components_label_each_index_by_its_least_linked_index():
+    # 0-3 linked through M[3, 0] only, 1-4-2 a chain, 5 alone
+    m = np.zeros((6, 6))
+    m[3, 0] = m[1, 4] = m[4, 2] = 1.0
+    np.testing.assert_array_equal(components(m), [0, 1, 1, 0, 1, 5])
+    np.testing.assert_array_equal(components(np.diag([1.0, 0.0, 2.0])), [0, 1, 2])
+    np.testing.assert_array_equal(components(np.ones((3, 3))), [0, 0, 0])
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_eig_of_permuted_block_diagonal_matrix_matches_one_block(hermitian):
+    # two singletons (no LAPACK call), two blocks of 2 (one batched call)
+    # and one of 3, against one LAPACK call on the whole matrix
+    rng = np.random.default_rng(7)
+    m = _permuted_block_diagonal(rng, (1, 2, 3, 2, 1), hermitian)
+    labels = components(m)
+    assert np.unique(labels).size == 5
+    split = eig(m)
+    assert split.hermitian == hermitian
+    if hermitian:
+        values, right = np.linalg.eigh(m)
+        left = right.conj().T
+    else:
+        values, right = scipy.linalg.eig(m)
+        left = np.linalg.inv(right)
+    order = np.lexsort((values.imag, values.real))
+    np.testing.assert_allclose(split.values, values[order], rtol=0, atol=1e-12)
+    for k, o in enumerate(order):
+        np.testing.assert_allclose(np.outer(split.right_vectors[:, k], split.left_vectors[k]),
+                                   np.outer(right[:, o], left[o]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(split.left_vectors @ split.right_vectors, np.eye(9),
+                               rtol=0, atol=1e-12)
+    # each eigenvector is exactly zero outside its own component
+    for k in range(9):
+        assert np.unique(labels[np.flatnonzero(split.right_vectors[:, k])]).size == 1
+        assert np.unique(labels[np.flatnonzero(split.left_vectors[k])]).size == 1
+
+
+def test_eig_refuses_a_defective_block():
+    m = np.zeros((4, 4))
+    m[0, 1] = 1.0
+    m[2:, 2:] = [[1.0, 2.0], [0.5, 3.0]]
+    with pytest.raises(DefectiveMatrixError):
+        eig(m)
+
+
+def test_eig_refusal_reads_the_assembled_condition_number():
+    # A's eigenvectors are well conditioned but correlated (sigma_max 2.42);
+    # B's are nearly parallel, condition 6.7e8, below the 1e9 refusal alone.
+    # The assembled basis has the singular values of both, so its
+    # condition number is max sigma_max / min sigma_min = 1.1e9
+    a = np.triu(np.ones((8, 8)), 1) + np.diag(np.arange(10.0, 18.0))
+    b = np.array([[0.0, 1.0], [0.0, 3e-9]])
+    sigmas = [np.linalg.svd(np.linalg.eig(x)[1], compute_uv=False) for x in (a, b)]
+    assembled = max(s.max() for s in sigmas) / min(s.min() for s in sigmas)
+    assert all(s.max() / s.min() < 1e9 for s in sigmas) and assembled > 1e9
+    eig(a)
+    eig(b)
+    refusal = re.escape(f"condition estimate {assembled:.3e}")
+    with pytest.raises(DefectiveMatrixError, match=refusal):
+        eig(scipy.linalg.block_diag(a, b))
 
 
 def test_eig_hermitian_forced_rejects():

@@ -6,6 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from oracle import dense_perturbative
+from subdyn.classify import fidelity_trace
 from subdyn.config import load_config
 from subdyn.models import build_model, canonical_initial_state
 from subdyn.report import REPORT_NAME
@@ -94,19 +96,6 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
         assert drift > 0.0
 
 
-@pytest.mark.parametrize("scenario", ["classify", "evolve"])
-def test_order_two_walks_the_dyad_resolvent_once_per_projection(built_blocks, scenario):
-    # kappa's off-plane sum and the rows of every state a call projects share
-    # one walk, and a run projects in one call: classify rho0, evolve rho0
-    # with rho(t). Every j of the general kind carries weight, so the walk
-    # builds all d blocks
-    built = built_blocks(16)
-    report = run(make_config(scenario, model=GEN_MODEL, order="2", eta=0.05))
-    assert report.diagnostics["hilbert_dim"] == 16
-    assert report.diagnostics["order"] == "2"
-    assert built == list(range(16))
-
-
 TRI_FREE_MODEL = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4,
                   "lam": 1.0, "fock_cutoff": 2, "diagonal_in_free": True}
 TRI_HERMITIAN_MODEL = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4,
@@ -114,20 +103,40 @@ TRI_HERMITIAN_MODEL = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0
 
 
 @pytest.mark.parametrize("scenario", ["classify", "evolve"])
-@pytest.mark.parametrize("model, dim, weighted", [
-    (DIAG_MODEL, 6, []),
-    (TRI_FREE_MODEL, 6, []),
-    (TRI_HERMITIAN_MODEL, 8, [1, 3, 6, 7]),
-], ids=["diagonal", "triangular", "triangular_hermitian"])
-def test_order_two_builds_only_the_weighted_dyad_resolvent_blocks(built_blocks, scenario,
-                                                                  model, dim, weighted):
-    # A = 0 for the diagonal kind; the triangular kind has A'^T * A = 0 and
-    # no row weight on its canonical state or its evolved state, so only
-    # kappa's j with (A * A'^T)[j] != 0 of the Hermitian variant are built
-    built = built_blocks(dim)
-    report = run(make_config(scenario, model=model, order="2", eta=0.05))
+@pytest.mark.parametrize("model, dim", [
+    (GEN_MODEL, 16),
+    (DIAG_MODEL, 6),
+    (TRI_FREE_MODEL, 6),
+    (TRI_HERMITIAN_MODEL, 8),
+], ids=["general", "diagonal", "triangular", "triangular_hermitian"])
+def test_order_two_eta_runs_match_dense_oracle(scenario, model, dim):
+    # order 2 at eta > 0 gathers kappa and the canonical state's rows over
+    # the interaction's nonzeros: every pair of the general kind, a quarter
+    # of the dyad indices of the Hermitian triangular kind's kappa and none
+    # of the diagonal and one-sided triangular kinds. The run's energies and
+    # coefficients must be the dense oracle's
+    config = make_config(scenario, model=model, order="2", eta=0.05)
+    report = run(config)
     assert report.diagnostics["hilbert_dim"] == dim
-    assert built == weighted
+    assert report.diagnostics["order"] == "2"
+    ops = build_model(config.model)
+    _, d, energies, kappa = dense_perturbative(ops.h0, ops.h1, ops.spec.lam, 0.05, "2")
+    basis = decompose_model(ops).basis
+    rho_f = basis.to_frame(canonical_initial_state(ops))
+    coeff = (rho_f + d @ rho_f) / kappa
+    if scenario == "evolve":
+        rows = report.tables["energies"][1]
+        np.testing.assert_allclose([complex(r[4], r[5]) for r in rows], energies,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose([r[6] for r in rows], np.abs(coeff), rtol=0, atol=1e-12)
+    else:
+        trace = fidelity_trace(energies, coeff, config.times())
+        evidence = report.payload["evidence"]
+        assert evidence["kinetic_fidelity_deviation"] == pytest.approx(trace.max_deviation,
+                                                                       rel=0, abs=1e-12)
+        pop = np.eye(dim, dtype=bool).ravel(order="F")
+        assert evidence["coherence_dyad_decay"] == pytest.approx(
+            float(np.max(np.abs(energies[~pop].imag))), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.05])

@@ -25,9 +25,10 @@ from oracle import (
     theta_matrix,
     total_projector,
 )
+from subdyn import subdynamics
 from subdyn.config import load_config, read_config
-from subdyn.linalg import norm_scale, random_density, unvec, vec
-from subdyn.models import ModelSpec, build_model, canonical_initial_state
+from subdyn.linalg import components, norm_scale, random_density, unvec, vec
+from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.subdynamics import (
     ResonanceError,
     block_residual,
@@ -697,15 +698,15 @@ def test_second_order_swap_calibration_stays_small_at_d48():
 
 def test_second_order_decompose_holds_no_dense_array_at_d32():
     # one dense d^2 x d^2 complex array at d = 32 is 16 MB; order 2 keeps
-    # d x d factors and streams its columns and rows over blocks of j
+    # d x d factors and gathers its off-plane sums over chunks of pairs
     ops = _general_ops(1)
     assert ops.dim == 32
     assert _traced_peak_mb(lambda: decompose_model(ops, order="2")) < 16
 
 
 def test_second_order_classify_stays_under_100_mb_at_d64():
-    # the dense columns and rows at d = 64 took 4 x 268 MB; a streamed
-    # resolvent block is one j wide, d^3 entries
+    # the dense columns and rows at d = 64 took 4 x 268 MB; a gather chunk
+    # holds about 2^15 kernel entries
     ops = _general_ops(3)
     assert ops.dim == 64
     assert _decompose_and_classify_peak_mb(ops, "2") < 100
@@ -713,7 +714,7 @@ def test_second_order_classify_stays_under_100_mb_at_d64():
 
 @pytest.mark.parametrize("eta", [0.0, 0.05])
 def test_second_order_stream_matches_broadcast_oracle_at_d32(eta):
-    # at d = 32 the stream takes one j per block, 32 blocks
+    # at d = 32 the gather takes kappa's 238 x 238 pairs in two chunks
     ops = _general_ops(1)
     assert ops.dim == 32
     decomp = decompose_model(ops, order="2", eta=eta)
@@ -737,9 +738,11 @@ def test_second_order_stream_matches_broadcast_oracle_at_d32(eta):
 
 def assert_matches_dense(decomp, oracle, rho, scaled=False):
     """Every perturbative quantity within 1e-12 of the oracle's, times
-    max(1, max|oracle value|) when scaled."""
+    max(1, max|oracle value|) when scaled. rho is a density matrix, or a
+    ket the engine projects as it stands and the oracle as |rho><rho|."""
     c, d, energies, kappa = oracle
-    rho_f = decomp.basis.to_frame(rho)
+    dense = np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
+    rho_f = decomp.basis.to_frame(dense)
     pairs = {
         "creation columns": (columns(decomp)[0], c),
         "destruction rows": (columns(decomp)[1], d),
@@ -764,12 +767,11 @@ def test_perturbative_orders_match_dense_oracle(name, order, eta):
     assert_matches_dense(decomp, oracle, rho)
 
 
-def test_partly_weighted_walk_matches_dense_oracle(built_blocks):
-    # one j per block at d = 8: kappa of the Hermitian triangular model
-    # weights 4 of the 8 dyad indices, its canonical state weights no row,
-    # and a full state weights the rows of the same 4 j, those with
-    # A'[:, j] != 0; every block left out must have held only zeros
-    built = built_blocks(8)
+def test_partly_weighted_gather_matches_dense_oracle():
+    # the Hermitian triangular model at d = 8 and eta > 0: kappa's pairs are
+    # 4 of the 8 dyad indices, the canonical ket has no row pair and a full
+    # state gathers x[a, b] over every nonzero of A'; whatever the gather
+    # leaves out must have held only zeros
     ops = build_model(ModelSpec(kind="triangular", omega0=1.0, omega=1.3, g=0.4, lam=0.3,
                                 fock_cutoff=3, hermitian_variant=True))
     assert ops.dim == 8
@@ -777,17 +779,60 @@ def test_partly_weighted_walk_matches_dense_oracle(built_blocks):
     oracle = dense_perturbative(ops.h0, ops.h1, ops.spec.lam, 0.05, "2")
     canonical = canonical_initial_state(ops)
     full = random_density(np.random.default_rng(16), 8)
-    # a kappa read and every projecting call walk once, over kappa's j and
-    # their states' j, the same 4 here; one call builds each block once
-    calls = (lambda: decomp.kappa, lambda: project_density(decomp, canonical),
-             lambda: project_density(decomp, full),
-             lambda: kinetic_consistency_residual(decomp, ops.hamiltonian(), full, 1.5))
-    for call in calls:
-        built.clear()
-        call()
-        assert built == [1, 3, 6, 7]
-    for rho in (canonical, full):
+    for rho in (canonical, canonical_initial_ket(ops), full):
         assert_matches_dense(decomp, oracle, rho)
+    c, d, _, kappa = oracle
+    rho_f = decomp.basis.to_frame(full)
+    coeff0, _ = kinetic_consistency_residual(decomp, ops.hamiltonian(), full, 1.5)
+    np.testing.assert_allclose(coeff0, (rho_f + d @ rho_f) / kappa, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 40, 2**15])
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_gather_over_several_chunks_matches_dense_oracle(monkeypatch, entries, one_sided):
+    # a dense random interaction at d = 5: A' has 20 nonzeros (10 when
+    # one-sided), so a chunk of 1 or 7 entries takes one left entry, 40
+    # entries two (four), which splits an i across two chunks, and 2^15
+    # takes them all at once
+    monkeypatch.setattr(subdynamics, "_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(29)
+    levels = np.array([0.0, 0.35, 0.8, 1.3, 1.9])
+    h1 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h1 = np.triu(h1, 1) if one_sided else h1 + h1.conj().T
+    decomp = decompose(np.diag(levels), h1, lam=0.2, order="2", eta=0.03)
+    assert np.count_nonzero(decomp.first_order[1]) == (10 if one_sided else 20)
+    oracle = dense_perturbative(np.diag(levels), h1, 0.2, 0.03, "2")
+    ket = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    for rho in (random_density(rng, 5), ket / np.linalg.norm(ket)):
+        assert_matches_dense(decomp, oracle, rho)
+
+
+def test_general_free_frame_is_exactly_block_sparse_at_d32():
+    # the free frame is built block by block from H0's components, so
+    # h1_f = F^dagger H1 F is exactly 0 between components that H1 does not
+    # couple; LAPACK's frame of the whole H0 filled all 1024 entries
+    ops = _general_ops(1)
+    assert ops.dim == 32
+    decomp = decompose_model(ops, order="2", eta=0.05)
+    f = decomp.basis.f_vectors
+    labels = components(ops.h0)
+    # each free eigenvector lies in one component of H0
+    owner = np.empty(32, dtype=int)
+    for k in range(32):
+        support = np.unique(labels[np.flatnonzero(f[:, k])])
+        assert support.size == 1
+        owner[k] = support[0]
+    coupled = np.zeros((32, 32), dtype=bool)
+    for x, y in zip(*np.nonzero(ops.h1)):
+        coupled[labels[x], labels[y]] = True
+    outside = ~coupled[owner[:, None], owner[None, :]]
+    assert outside.any()
+    assert not decomp.h1_f[outside].any()
+    assert np.count_nonzero(decomp.h1_f) == 238
+    # so A, A' and the pair weights P = A'^T * A and Q = A * A'^T carry the same zeros
+    a, a_dual = decomp.first_order
+    for m in (a, a_dual, a_dual.T * a, a * a_dual.T):
+        assert not m[outside].any()
 
 
 @settings(max_examples=40, deadline=None)
