@@ -10,7 +10,6 @@ import numpy as np
 
 from subdyn.gates import calibrate_timing, exchange_hamiltonian, \
     exchange_swap_time
-from subdyn.linalg import propagator
 
 
 def show(cal, label):
@@ -39,7 +38,9 @@ def main() -> None:
 
     g = 0.8
     t_sw = exchange_swap_time(g)
-    u = propagator(exchange_hamiltonian(g), t_sw)
+    # e^{-iHt} of the Hermitian exchange Hamiltonian from its eigenpairs
+    values, vectors = np.linalg.eigh(exchange_hamiltonian(g))
+    u = (vectors * np.exp(-1j * values * t_sw)) @ vectors.conj().T
     ket01 = np.zeros(4, dtype=complex)
     ket01[1] = 1.0
     print(f"\nXY exchange sanity check: g = {g}, t_sw = {t_sw:.4f}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import DefectiveMatrixError, as_complex_matrix, eig, is_hermitian, psd_factor
 from .models import ModelOperators, canonical_initial_ket
@@ -168,6 +167,10 @@ def _state_flow(decomp: Decomposition, hamiltonian, u: np.ndarray, g: np.ndarray
         try:
             system = eig(h)
         except DefectiveMatrixError:
+            # imported here: no other classify path calls scipy.linalg, and
+            # importing it costs about 0.33 s and 26 MB
+            import scipy.linalg
+
             def expm_flow(ts):
                 kets = [f.conj().T @ (scipy.linalg.expm(-1j * t * h) @ u) for t in ts]
                 bras = [(u.conj().T @ scipy.linalg.expm(1j * t * h)) @ f for t in ts]

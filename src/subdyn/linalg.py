@@ -10,7 +10,6 @@ import bisect
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 # Relative tolerance used by hermiticity / PSD / consistency checks.
 DEFAULT_TOL = 1e-9
@@ -266,7 +265,7 @@ def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
         return EigenSystem(values=values, right_vectors=vectors,
                            left_vectors=vectors.conj().T, hermitian=True)
 
-    values, right = scipy.linalg.eig(m)
+    values, right = np.linalg.eig(m)
     order = eigen_sort_order(values)
     values = values[order]
     right = right[:, order]
@@ -295,19 +294,6 @@ def psd_factor(matrix) -> np.ndarray:
     cutoff = m.shape[0] * np.finfo(np.float64).eps * np.max(np.abs(values), initial=0.0)
     keep = values > cutoff
     return vectors[:, keep] * np.sqrt(values[keep])
-
-
-def propagator(matrix, t: float) -> np.ndarray:
-    """Dense e^{-i M t}.
-
-    Hermitian M goes through one eigh call; the general case falls back to
-    scipy's scaling-and-squaring expm.
-    """
-    m = as_complex_matrix(matrix)
-    if is_hermitian(m):
-        values, vectors = np.linalg.eigh(m)
-        return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
-    return scipy.linalg.expm(-1j * t * m)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -11,8 +11,8 @@ from . import gates, turing
 from .classify import CELL_EVIDENCE, FIDELITY_UNIT_TOL, classify, fidelity_trace
 from .config import ScenarioConfig, config_echo
 from .linalg import is_hermitian, random_density, tensor
-from .models import ModelOperators, build_model, canonical_initial_state, \
-    block_eigensolve, extract_block
+from .models import ModelOperators, block_eigensolve, build_model, canonical_initial_ket, \
+    extract_block
 from .report import RunReport, write_report
 from .subdynamics import block_residual, completeness_residual, decompose_model, \
     kinetic_consistency_residual, project_density, similarity_residual
@@ -64,10 +64,10 @@ def _run_classify(config: ScenarioConfig, ops: ModelOperators):
 
 def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
     decomp = decompose_model(ops, order=config.order, eta=config.eta)
-    rho0 = canonical_initial_state(ops)
     times = config.times()
     mid_t = float(times[len(times) // 2])
-    coeff, consistency = kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, mid_t)
+    coeff, consistency = kinetic_consistency_residual(decomp, ops.hamiltonian(),
+                                                      canonical_initial_ket(ops), mid_t)
     trace = fidelity_trace(decomp.energies, coeff, times)
 
     # the trace reads only the population coefficients nu = (i, i)
@@ -233,7 +233,7 @@ def _run_verify(config: ScenarioConfig, ops: ModelOperators):
 
         real_spectrum = float(np.max(np.abs(decomp.energies.imag))) <= 1e-10
         if real_spectrum and is_hermitian(h_full):
-            coeff = project_density(decomp, canonical_initial_state(ops))
+            coeff = project_density(decomp, canonical_initial_ket(ops))
             trace = fidelity_trace(decomp.energies, coeff, config.times())
             checks.append(("fidelity_unit", trace.max_deviation, FIDELITY_UNIT_TOL))
 

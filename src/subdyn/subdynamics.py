@@ -48,7 +48,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DEFAULT_TOL,
@@ -350,7 +349,8 @@ def _exact_factors(h: np.ndarray):
     Eigenvectors are matched to the free basis by maximum-overlap assignment,
     so each nu tracks the branch continuously connected to its dyad.
     """
-    # imported here: scipy.optimize costs about 0.2 s, and only the exact order needs it
+    # imported here: importing scipy.optimize costs about 0.56 s and 47 MB
+    # (scipy.linalg and scipy.sparse included), and only the exact order needs it
     import scipy.optimize
 
     d = h.shape[0]
@@ -538,13 +538,24 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
     return vec(_project_frame(decomp, [x])[0])
 
 
-def _hilbert_flow(h: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} rho e^{+iHt} from two d x d exponentials.
+def _hilbert_flow(h: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
+    """The state e^{-iHt} rho e^{+iHt} from d x d exponentials.
 
-    The right factor is the inverse of the left one, which is not its
-    adjoint when H is not Hermitian.
+    state is a d x d rho, or a ket psi standing for rho = |psi><psi|. Under
+    a Hermitian H the ket stays a ket, e^{-iHt} psi, from one exponential;
+    otherwise the right factor is the inverse of the left one, which is not
+    its adjoint, and rho(t) is a d x d matrix.
     """
-    return scipy.linalg.expm(-1j * t * h) @ rho @ scipy.linalg.expm(1j * t * h)
+    # imported here: only this check and a defective H's flow in classify
+    # exponentiate, and importing scipy.linalg costs about 0.33 s and 26 MB
+    import scipy.linalg
+
+    left = scipy.linalg.expm(-1j * t * h)
+    if state.ndim == 1:
+        if is_hermitian(h):
+            return left @ state
+        state = np.outer(state, state.conj())
+    return left @ state @ scipy.linalg.expm(1j * t * h)
 
 
 def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
@@ -556,14 +567,22 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     e^{-iHt} rho0 e^{+iHt} through d x d exponentials, independent of the
     eigendecomposition behind the projection) against
     e^{-i Theta t} P_nu Pi_nu rho0 (kinetic route), reconstructed over all nu.
-    rho0 and rho(t) are projected in one call; coeff0 equals
+    rho0 is a d x d density matrix, or a ket psi standing for |psi><psi|,
+    projected as its free-frame ket, as is rho(t) under a Hermitian H (see
+    _hilbert_flow). rho0 and rho(t) are projected in one call; coeff0 equals
     project_density(decomp, rho0).
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
-    rho = as_complex_matrix(rho0, "rho0")
     basis = decomp.basis
     f, d = basis.f_vectors, basis.dim
-    states = (rho, _hilbert_flow(h, rho, t))
-    c0, lhs = _project_frame(decomp, [unvec(basis.to_frame(x), d) for x in states])
+    if np.ndim(rho0) == 1:
+        state = np.asarray(rho0, dtype=np.complex128)
+        if state.shape != (d,) or not np.all(np.isfinite(state)):
+            raise ValueError(f"rho0 as a ket must be {d} finite entries")
+    else:
+        state = as_complex_matrix(rho0, "rho0")
+    states = (state, _hilbert_flow(h, state, t))
+    c0, lhs = _project_frame(decomp, [f.conj().T @ x if x.ndim == 1
+                                      else unvec(basis.to_frame(x), d) for x in states])
     gap = lhs - np.exp(-1j * unvec(decomp.energies, d) * t) * c0
     return vec(c0), float(np.linalg.norm(f @ gap @ f.conj().T, ord=2))

@@ -29,7 +29,6 @@ from subdyn.linalg import (
     eig,
     is_hermitian,
     norm_scale,
-    propagator,
     unvec,
     vec,
 )
@@ -252,6 +251,19 @@ def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: tuple[i
     res = (lq - (z_used + 1j * eta) * np.eye(n - 1)) @ column[mask] + lam * v1[mask, k]
     scale = max(float(np.linalg.norm(lam * v1[mask, k])), 1e-30)
     return float(np.linalg.norm(res)) / scale
+
+
+def propagator(matrix, t: float) -> np.ndarray:
+    """Dense e^{-i M t}.
+
+    Hermitian M goes through one eigh call; the general case falls back to
+    scipy's scaling-and-squaring expm.
+    """
+    m = as_complex_matrix(matrix)
+    if is_hermitian(m):
+        values, vectors = np.linalg.eigh(m)
+        return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
+    return scipy.linalg.expm(-1j * t * m)
 
 
 def evolve_exact(hamiltonian, rho0, t: float) -> np.ndarray:

@@ -2,14 +2,19 @@
 
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import subdyn
 from subdyn.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from subdyn.config import SCENARIOS
 from subdyn.report import METADATA_NAME, REPORT_NAME
 
+CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 RESONANT_TRIANGULAR = {
     "model": {"kind": "triangular", "omega0": 0.0, "omega": 0.0, "g": 0.4,
               "lam": 1.0, "fock_cutoff": 2},
@@ -364,3 +369,41 @@ def test_turing_demo_summary_line(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "circle residual" in stdout
     assert (out / "bloch_trajectory.csv").exists()
+
+
+# Run in a fresh interpreter: the perturbative orders and the demos reach
+# none of the scipy submodules, and evolve imports scipy.linalg on first use.
+# Prints one JSON line: exit codes, then the submodules loaded before and
+# after the evolve runs.
+LAZY_SCIPY_SCRIPT = """
+import json, sys
+from subdyn.cli import main
+lazy = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+out, configs = sys.argv[1], sys.argv[2:]
+runs = (["classify", "--order", "1"], ["classify", "--order", "2", "--eta", "0.05"],
+        ["cnot-demo"], ["turing-demo"])
+codes = [main([*argv, "--config", cfg, "--out", f"{out}/{k}-{n}"])
+         for k, cfg in enumerate(configs) for n, argv in enumerate(runs)]
+before = [m for m in lazy if m in sys.modules]
+evolve = [main(["evolve", "--config", cfg, "--out", f"{out}/{k}-evolve"])
+          for k, cfg in enumerate(configs)]
+print(json.dumps({"codes": codes, "before": before, "evolve": evolve,
+                  "after": [m for m in lazy if m in sys.modules]}))
+"""
+
+
+def test_perturbative_and_demo_runs_load_no_scipy_submodule(tmp_path):
+    src = str(pathlib.Path(subdyn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(tmp_path),
+                           *map(str, CONFIGS)], env=env, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert len(CONFIGS) == 3
+    assert result["codes"] == [EXIT_OK] * 4 * len(CONFIGS)
+    assert result["before"] == []
+    assert result["evolve"] == [EXIT_OK] * len(CONFIGS)
+    assert "scipy.linalg" in result["after"]
+    for k in range(len(CONFIGS)):
+        assert (tmp_path / f"{k}-evolve" / REPORT_NAME).is_file()

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-# the exact order imports scipy.optimize on first use; importing it here keeps
-# that import out of the first traced run of test_memory_estimate_bounds_traced_peak
+# the exact order imports scipy.optimize, and evolve and verify import
+# scipy.linalg, on first use; importing scipy.optimize here, which imports
+# scipy.linalg too, keeps both out of the first traced run of
+# test_memory_estimate_bounds_traced_peak
 import scipy.optimize  # noqa: F401
 
 from subdyn import config as config_module

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import propagator
 from subdyn.gates import (
     CNOT_PERMUTATION,
     GATE_LABELS,
@@ -17,7 +18,6 @@ from subdyn.gates import (
     exchange_swap_time,
     verify_closure,
 )
-from subdyn.linalg import propagator
 from subdyn.models import ModelSpec, build_model
 from subdyn.subdynamics import decompose
 

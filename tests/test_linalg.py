@@ -1,4 +1,4 @@
-"""Vectorization, eigensystems, and propagator primitives."""
+"""Vectorization and eigensystem primitives, and the oracle's dense helpers."""
 
 import re
 
@@ -8,14 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import commutator_superop, sqrtm_psd
+from oracle import commutator_superop, propagator, sqrtm_psd
 from subdyn.linalg import (
     DefectiveMatrixError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
     components,
     eig,
-    propagator,
     psd_factor,
     random_density,
     tensor,

@@ -9,7 +9,7 @@ import pytest
 from oracle import dense_perturbative
 from subdyn.classify import fidelity_trace
 from subdyn.config import load_config
-from subdyn.models import build_model, canonical_initial_state
+from subdyn.models import build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.report import REPORT_NAME
 from subdyn.runner import run
 from subdyn.subdynamics import decompose_model, kinetic_consistency_residual, project_density
@@ -72,12 +72,13 @@ def test_evolve_payload_unit_fidelity_and_consistency():
 @pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("2", 0.05)])
 def test_evolve_tables_match_the_per_dyad_loop(order, eta):
     # the energies rows and trace drift are array expressions; the per-nu
-    # loop over every evolved state is the reference, and must agree exactly
+    # loop over every evolved state is the reference, and must agree exactly.
+    # evolve projects the canonical state as its ket
     config = make_config("evolve", model=GEN_MODEL, order=order, eta=eta)
     report = run(config)
     ops = build_model(config.model)
     decomp = decompose_model(ops, order=order, eta=eta)
-    coeff = project_density(decomp, canonical_initial_state(ops))
+    coeff = project_density(decomp, canonical_initial_ket(ops))
     d = decomp.basis.dim
     rows = []
     for j in range(d):

@@ -27,7 +27,7 @@ from oracle import (
 )
 from subdyn import subdynamics
 from subdyn.config import load_config, read_config
-from subdyn.linalg import components, norm_scale, random_density, unvec, vec
+from subdyn.linalg import components, is_hermitian, norm_scale, random_density, unvec, vec
 from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.subdynamics import (
     ResonanceError,
@@ -785,6 +785,29 @@ def test_partly_weighted_gather_matches_dense_oracle():
     rho_f = decomp.basis.to_frame(full)
     coeff0, _ = kinetic_consistency_residual(decomp, ops.hamiltonian(), full, 1.5)
     np.testing.assert_allclose(coeff0, (rho_f + d @ rho_f) / kappa, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("2", 0.0), ("2", 0.05)])
+@pytest.mark.parametrize("spec, hermitian", [(GEN_SPEC, True), (TRI_FREE_SPEC, False)],
+                         ids=["general", "triangular"])
+def test_kinetic_check_of_a_ket_matches_its_density_matrix(spec, hermitian, order, eta):
+    # a ket is projected as its free-frame ket, and under a Hermitian H so
+    # is its flow e^{-iHt} psi; a non-Hermitian H flows it as a d x d state
+    ops = build_model(spec)
+    h = ops.hamiltonian()
+    assert is_hermitian(h) == hermitian
+    decomp = decompose_model(ops, order=order, eta=eta)
+    rng = np.random.default_rng(37)
+    drawn = rng.standard_normal(ops.dim) + 1j * rng.standard_normal(ops.dim)
+    for ket in (canonical_initial_ket(ops), drawn / np.linalg.norm(drawn)):
+        coeff_ket, residual_ket = kinetic_consistency_residual(decomp, h, ket, 1.5)
+        coeff_rho, residual_rho = kinetic_consistency_residual(
+            decomp, h, np.outer(ket, ket.conj()), 1.5)
+        np.testing.assert_allclose(coeff_ket, coeff_rho, rtol=0, atol=1e-12)
+        assert abs(residual_ket - residual_rho) <= 1e-12
+        assert coeff_ket.tobytes() == project_density(decomp, ket).tobytes()
+    with pytest.raises(ValueError, match="ket"):
+        kinetic_consistency_residual(decomp, h, np.ones(ops.dim + 1), 1.5)
 
 
 @pytest.mark.parametrize("entries", [1, 7, 40, 2**15])
