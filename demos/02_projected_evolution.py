@@ -8,9 +8,8 @@ between the two routes, sampled over random initial states.
 """
 
 import numpy as np
-import scipy.linalg
 
-from subdyn.linalg import random_density
+from subdyn.linalg import expm, random_density
 from subdyn.models import ModelSpec, build_model
 from subdyn.subdynamics import decompose_model, kinetic_consistency_residual, project_density
 
@@ -39,7 +38,7 @@ def main() -> None:
     coeff = project_density(decomp, rho0)
     t = 2.5
     advanced = np.exp(-1j * decomp.energies * t) * coeff
-    rho_t = scipy.linalg.expm(-1j * t * h) @ rho0 @ scipy.linalg.expm(1j * t * h)
+    rho_t = expm(-1j * t * h) @ rho0 @ expm(1j * t * h)
     exact = project_density(decomp, rho_t)
     # the trace sums the population coefficients nu = (i, i)
     pop = slice(None, None, ops.dim + 1)

@@ -22,18 +22,19 @@ def show(cal, label):
 def main() -> None:
     # the textbook case: every dyad shifted by one ninth of its free energy
     e0 = np.array([0.0, 9.0, 18.0])
-    cal = calibrate_timing(e0, e0 * (10.0 / 9.0), t_sw=1.0)
+    cal = calibrate_timing((e0, [0.0]), (e0 * (10.0 / 9.0), [0.0]), t_sw=1.0)
     show(cal, "homogeneous shift, ratio 9, t_sw = 1")
 
     rng = np.random.default_rng(3)
     e0 = rng.uniform(-4.0, 4.0, 6)
     ratio = 12.5
-    cal = calibrate_timing(e0, e0 * (1.0 + 1.0 / ratio), t_sw=2.0)
+    cal = calibrate_timing((e0, [0.0]), (e0 * (1.0 + 1.0 / ratio), [0.0]), t_sw=2.0)
     show(cal, "\nrandom six-dyad family, ratio 12.5, t_sw = 2")
 
     # one dyad keeps its free energy while another moves: no single delta_t
-    # can cancel both, and the report says so
-    cal = calibrate_timing(np.array([1.0, 2.0]), np.array([1.0, 2.2]), t_sw=1.0)
+    # can cancel both, and the report says so; a flat energy list is the
+    # case of one right level at 0
+    cal = calibrate_timing(([1.0, 2.0], [0.0]), ([1.0, 2.2], [0.0]), t_sw=1.0)
     show(cal, "\nstuck dyad (1.0 unshifted, 2.0 -> 2.2)")
 
     g = 0.8

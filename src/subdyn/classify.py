@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import DefectiveMatrixError, as_complex_matrix, eig, is_hermitian, psd_factor
+from .linalg import DefectiveMatrixError, as_complex_matrix, eig, expm, is_hermitian, psd_factor
 from .models import ModelOperators, canonical_initial_ket
 from .subdynamics import (_BLOCK_ENTRIES, Decomposition, _exact_eigen_data, _phi_hamiltonian,
                           decompose_model, project_density)
@@ -167,13 +167,9 @@ def _state_flow(decomp: Decomposition, hamiltonian, u: np.ndarray, g: np.ndarray
         try:
             system = eig(h)
         except DefectiveMatrixError:
-            # imported here: no other classify path calls scipy.linalg, and
-            # importing it costs about 0.33 s and 26 MB
-            import scipy.linalg
-
             def expm_flow(ts):
-                kets = [f.conj().T @ (scipy.linalg.expm(-1j * t * h) @ u) for t in ts]
-                bras = [(u.conj().T @ scipy.linalg.expm(1j * t * h)) @ f for t in ts]
+                kets = [f.conj().T @ (expm(-1j * t * h) @ u) for t in ts]
+                bras = [(u.conj().T @ expm(1j * t * h)) @ f for t in ts]
                 return np.stack(kets), np.stack(bras)
             return False, expm_flow
         z, hermitian = system.values, system.hermitian

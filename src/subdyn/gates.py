@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, vec
 from .subdynamics import decompose
 
 CNOT_PERMUTATION = (0, 1, 3, 2)
@@ -76,41 +76,83 @@ def _phase_metrics(e0: np.ndarray, energies: np.ndarray, t_sw: float,
     return residual, gap
 
 
-def _newton_polish(e0: np.ndarray, energies: np.ndarray, t_sw: float,
-                   delta_t: float, bound: float) -> float:
+def _newton_polish(free_levels, levels, t_sw: float, delta_t: float, bound: float) -> float:
     """Newton steps on the least-squares cost's stationarity condition.
 
     The cost sum |e^{-i E0 t_sw} - e^{-i E (t_sw + dt)}|^2 has derivative
     2 g(dt) with g = sum E sin(E (t_sw + dt) - E0 t_sw) and curvature
-    sum E^2 cos(.). Bounded Brent stops about sqrt(eps) |dt| short of the
-    minimiser, so the value would follow the last bits of the energies;
-    from there Newton converges to rounding in a few steps. Brent's point is
-    kept when the curvature is not positive or the polished point lies
-    outside the search interval.
+    sum E^2 cos(.). Over the dyads nu = (i, j), with E0 = e_i - f_j and
+    E = z_i - w_j, the sums sum E^k e^{-i(E s - E0 t_sw)} (s = t_sw + dt)
+    factor into the moments P_k = sum_i z_i^k e^{i(e_i t_sw - z_i s)} and
+    Q_k, the same over (f, w): sum E e^{..} = P_1 Q_0* - P_0 Q_1* and
+    sum E^2 e^{..} = P_2 Q_0* - 2 P_1 Q_1* + P_0 Q_2*, O(n + m) a step.
+    From a point near the minimiser Newton converges to rounding in a few
+    steps. The starting point is kept when the curvature is not positive or
+    the polished point lies outside the search interval.
     """
+    (e, f), (z, w) = free_levels, levels
     polished = delta_t
     for _ in range(4):
-        phase = energies * (t_sw + polished) - e0 * t_sw
-        curvature = float(np.sum(energies**2 * np.cos(phase)))
+        s = t_sw + polished
+        left = np.exp(1j * (e * t_sw - z * s))
+        right = np.exp(-1j * (f * t_sw - w * s))
+        p0, p1, p2 = left.sum(), left @ z, left @ z**2
+        q0, q1, q2 = right.sum(), right @ w, right @ w**2
+        curvature = float((p2 * q0 - 2.0 * p1 * q1 + p0 * q2).real)
         if not curvature > 0.0:
             return delta_t
-        polished -= float(np.sum(energies * np.sin(phase))) / curvature
+        polished += float((p1 * q0 - p0 * q1).imag) / curvature
     return polished if abs(polished) <= bound else delta_t
 
 
-def calibrate_timing(energies_free, energies_int, t_sw: float,
+# Points of the least-squares scan over [-bound, bound], one period of the
+# fastest dyad phase, endpoints included: 64 steps a period.
+_SCAN_POINTS = 65
+
+
+def _least_squares_cost(free_levels, levels, t_sw: float, delta_t: np.ndarray) -> np.ndarray:
+    """sum_nu |e^{-i E0 t_sw} - e^{-i E (t_sw + dt)}|^2 at each dt of an array.
+
+    Over the dyads nu = (i, j), E0 = e_i - f_j and E = z_i - w_j, the sum is
+    2 n m - 2 Re(P Q*) with P = sum_i e^{i(e_i t_sw - z_i s)}, s = t_sw + dt,
+    and Q the same over (f, w): O(n + m) a point.
+    """
+    (e, f), (z, w) = free_levels, levels
+    s = (t_sw + np.asarray(delta_t, dtype=np.float64))[..., None]
+    p = np.exp(1j * (e * t_sw - s * z)).sum(axis=-1)
+    q = np.exp(1j * (f * t_sw - s * w)).sum(axis=-1)
+    return 2.0 * e.size * f.size - 2.0 * (p * q.conj()).real
+
+
+def _as_levels(pair, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A pair (left, right) of level arrays; a flat energy list is refused."""
+    arrays = [np.asarray(x, dtype=dtype) for x in pair]
+    if len(arrays) != 2 or any(a.ndim != 1 for a in arrays):
+        raise ValueError("levels must be a pair of 1-d arrays, e.g. (energies, [0.0])")
+    return arrays[0], arrays[1]
+
+
+def calibrate_timing(free_levels, levels, t_sw: float,
                      order: str = "first") -> SwapCalibration:
     """Solve e^{-i E0 t_sw} = e^{-i E (t_sw + delta_t)} for one delta_t.
 
-    With homogeneous shifts dE = E0 / ratio the principal solution is
-    delta_t = -t_sw / (ratio + 1). Inhomogeneous shifts get the
-    least-squares delta_t with the residual reporting how far from
-    cancellation the gate stays.
+    free_levels = (e, f) and levels = (z, w) give the free and shifted
+    energies of the n m dyads nu = (i, j), E0 = e_i - f_j and E = z_i - w_j,
+    in the Liouville order i + n j of Decomposition.energies. A flat list
+    of energies E0, E is the case m = 1: free_levels = (E0, [0]) and
+    levels = (E, [0]). With homogeneous shifts dE = E0 / ratio the
+    principal solution is delta_t = -t_sw / (ratio + 1). Inhomogeneous
+    shifts get the least-squares delta_t with the residual reporting how
+    far from cancellation the gate stays: its cost, O(n + m) a point
+    (_least_squares_cost), is scanned over one period of the fastest phase
+    and the best point polished by Newton steps (_newton_polish).
     """
-    e0 = np.atleast_1d(np.asarray(energies_free, dtype=np.float64))
-    energies = np.atleast_1d(np.asarray(energies_int, dtype=np.complex128))
-    if e0.shape != energies.shape:
-        raise ValueError("free and shifted energy arrays must have the same shape")
+    e, f = _as_levels(free_levels, np.float64)
+    z, w = _as_levels(levels, np.complex128)
+    if e.shape != z.shape or f.shape != w.shape:
+        raise ValueError("free and shifted levels must have the same shapes")
+    e0 = np.subtract.outer(e, f).reshape(-1, order="F")
+    energies = vec(np.subtract.outer(z, w))
     if np.max(np.abs(energies.imag)) > DEFAULT_TOL:
         raise ValueError("timing calibration needs real shifted energies")
     energies = energies.real
@@ -142,23 +184,10 @@ def calibrate_timing(energies_free, energies_int, t_sw: float,
         # no single delta_t cancels all nu: take the least-squares optimum
         emax = float(np.max(np.abs(energies)))
         bound = math.pi / emax if emax > 0 else abs(t_sw)
-
-        ideal = np.exp(-1j * e0 * t_sw)
-
-        def cost(dt: float) -> float:
-            actual = np.exp(-1j * energies * (t_sw + dt))
-            return float(np.sum(np.abs(ideal - actual) ** 2))
-
-        # imported here: importing scipy.optimize costs about 0.56 s and 47 MB
-        # (scipy.linalg and scipy.sparse included), and only this branch needs it
-        import scipy.optimize
-
-        # xatol stays below scipy's 1e-5 default for optima on the interval's
-        # edge, where the Newton polish does not apply
-        result = scipy.optimize.minimize_scalar(
-            cost, bounds=(-bound, bound), method="bounded",
-            options={"xatol": 1e-13, "maxiter": 500})
-        delta_t = _newton_polish(e0, energies, t_sw, float(result.x), bound)
+        real_levels = (z.real, w.real)
+        grid = np.linspace(-bound, bound, _SCAN_POINTS)
+        start = float(grid[np.argmin(_least_squares_cost((e, f), real_levels, t_sw, grid))])
+        delta_t = _newton_polish((e, f), real_levels, t_sw, start, bound)
 
     residual, gap = _phase_metrics(e0, energies, t_sw, delta_t)
     return SwapCalibration(t_sw=t_sw, delta_t=delta_t, E0_over_dE=ratio,
@@ -170,13 +199,15 @@ def calibrate_timing_second_order(h0, h1, lam: float, t_sw: float,
                                   eta: float = 0.0) -> SwapCalibration:
     """Calibration from the second-order kinetic eigenvalues of H0 + lam H1."""
     decomp = decompose(h0, h1, lam=lam, order="1", eta=eta)
-    return calibrate_timing(decomp.basis.e0.real, decomp.energies, t_sw, order="second")
+    free = decomp.basis.f_values
+    return calibrate_timing((free, free), (decomp.z, decomp.w), t_sw, order="second")
 
 
 def calibrate_timing_exact(h0, h1, lam: float, t_sw: float) -> SwapCalibration:
     """Calibration from the exact kinetic eigenvalues (oracle for convergence)."""
     decomp = decompose(h0, h1, lam=lam, order="exact")
-    return calibrate_timing(decomp.basis.e0.real, decomp.energies, t_sw, order="exact")
+    free = decomp.basis.f_values
+    return calibrate_timing((free, free), (decomp.z, decomp.w), t_sw, order="exact")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 
 import numpy as np
 
@@ -159,6 +160,30 @@ def _check_basis(sigma_max: float, sigma_min: float) -> None:
             f"eigenvector basis is numerically defective (condition estimate {cond:.3e})")
 
 
+def _size_groups(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(singles, groups) of the components that labels (see components) names.
+
+    singles lists the indices of the components of one index; groups holds,
+    for each larger component size s, a (k, s) array of the indices of its
+    k components, each row in index order.
+    """
+    d = labels.shape[0]
+    size = np.bincount(labels, minlength=d)[labels]
+    if size.max() == 1:  # diagonal
+        return np.arange(d), []
+    # grouped by component size, then component, then index
+    grouped = np.argsort(size * d + labels, kind="stable")
+    size = size[grouped].tolist()
+    start = bisect.bisect_right(size, 1)
+    singles, groups = grouped[:start], []
+    while start < d:
+        s = size[start]
+        stop = bisect.bisect_right(size, s, start)
+        groups.append(grouped[start:stop].reshape(-1, s))
+        start = stop
+    return singles, groups
+
+
 def _eig_blocks(m: np.ndarray, labels: np.ndarray, hermitian: bool):
     """(values, right, left) of m from one decomposition per component, unsorted.
 
@@ -170,24 +195,16 @@ def _eig_blocks(m: np.ndarray, labels: np.ndarray, hermitian: bool):
     every block over the smallest. left is None on the Hermitian path.
     """
     d = m.shape[0]
-    size = np.bincount(labels, minlength=d)[labels]
-    if size.max() == 1:  # diagonal
+    singles, groups = _size_groups(labels)
+    if not groups:  # diagonal
         identity = np.eye(d, dtype=np.complex128)
         return m.diagonal().copy(), identity, None if hermitian else identity
-    # grouped by component size, then component, then index
-    grouped = np.argsort(size * d + labels, kind="stable")
-    size = size[grouped].tolist()
     values = m.diagonal().copy()
     right = np.zeros((d, d), dtype=np.complex128)
-    singles = grouped[: bisect.bisect_right(size, 1)]
     if singles.size:
         right[singles, singles] = 1.0
     bases = []  # (rows, cols, right vectors) of every block of the general path
-    start = singles.size
-    while start < d:
-        s = size[start]
-        stop = bisect.bisect_right(size, s, start)
-        idx = grouped[start:stop].reshape(-1, s)
+    for idx in groups:
         rows, cols = idx[:, :, None], idx[:, None, :]
         if hermitian:
             w, v = np.linalg.eigh(m[rows, cols])
@@ -196,7 +213,6 @@ def _eig_blocks(m: np.ndarray, labels: np.ndarray, hermitian: bool):
             bases.append((rows, cols, v))
         values[idx] = w
         right[rows, cols] = v
-        start = stop
     if hermitian:
         return values, right, None
     sigmas = [np.linalg.svd(v, compute_uv=False) for _, _, v in bases]
@@ -273,6 +289,160 @@ def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
     _check_basis(float(sv[0]), float(sv[-1]))
     left = np.linalg.inv(right)
     return EigenSystem(values=values, right_vectors=right, left_vectors=left, hermitian=False)
+
+
+# Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: the largest 1-norm at
+# which the [m/m] Pade approximant of e^A meets double precision, for each
+# degree m, and the approximant's coefficients b_0 .. b_m.
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+
+
+def _pade_expm(a: np.ndarray) -> np.ndarray:
+    """e^A of each matrix of a stack, by scaling and squaring (Higham 2005).
+
+    One degree and one number of squarings serve the whole stack, chosen by
+    its largest 1-norm: the lowest degree m whose theta bounds the norm,
+    else degree 13 after scaling the norm below theta_13. The approximant
+    is (V - U)^-1 (V + U), with U = A W the odd part and W, V polynomials in
+    A^2: one product of their coefficient rows with the stacked even powers
+    (I, A^2, A^4, ...) forms both, and at degree 13 the coefficients of
+    A^8 .. A^12 multiply (A^2, A^4, A^6) and then A^6.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max())
+    squarings = 0
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        a = a * 2.0 ** -squarings
+    b = _PADE_COEFFS[m]
+    count = min(m // 2, 3) + 1 + (m == 9)
+    powers = np.empty((count, *a.shape), dtype=np.complex128)
+    powers[0] = np.eye(a.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    for k in range(2, count):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    flat = powers.reshape(count, -1)
+    wv = (np.array([b[1:2 * count:2], b[0:2 * count:2]]) @ flat).reshape(2, *a.shape)
+    if m == 13:
+        high = (np.array([b[9::2], b[8::2]]) @ flat[1:]).reshape(2, *a.shape)
+        wv += powers[3] @ high
+    w, v = wv
+    u = a @ w
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def expm(matrix) -> np.ndarray:
+    """Matrix exponential e^M, block by block over the components of M.
+
+    M's nonzero pattern is split into connected components (see components),
+    as eig splits it, and e^M is block diagonal in that pattern. Components
+    of equal size go through one batched scaling-and-squaring Pade call
+    (_pade_expm); a component of one index is the scalar e^{M_kk}.
+    """
+    m = as_complex_matrix(matrix)
+    singles, groups = _size_groups(components(m))
+    out = np.zeros(m.shape, dtype=np.complex128)
+    out[singles, singles] = np.exp(m[singles, singles])
+    for idx in groups:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        out[rows, cols] = _pade_expm(m[rows, cols])
+    return out
+
+
+def _assignment(cost: list[list[float]]) -> list[int]:
+    """Column assigned to each row of a square cost matrix, minimising the total.
+
+    Shortest augmenting paths with dual potentials (Jonker-Volgenant, in
+    the form of Crouse, IEEE Trans. Aerosp. Electron. Syst. 52 (2016) 1679):
+    each row in turn grows a shortest path in reduced costs to a free column
+    and the matching is flipped along it. Columns are scanned from the last,
+    and among equal path lengths a free column wins, so a tie resolves the
+    same way on every run.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen, cols_seen = [cur], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            index, lowest = -1, math.inf
+            row = cost[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.append(i)
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def max_overlap_matching(overlap: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """perm, with perm[i] the column matched to row i, maximising sum_i overlap[i, perm[i]].
+
+    overlap is nonnegative and, as the eigenvectors of matrix from eig are,
+    zero between the connected components of matrix's pattern (see
+    components), so the matching splits over them. Where the row argmaxes
+    of a component are distinct columns they are its optimum, as no match
+    can beat every row's maximum. A component whose argmaxes collide is
+    solved as an assignment (_assignment) over its rows and the columns
+    whose largest entry lies in it.
+    """
+    perm = overlap.argmax(axis=1)
+    taken = np.bincount(perm, minlength=perm.shape[0])
+    if taken.max() == 1:
+        return perm
+    labels = components(matrix)
+    col_labels = labels[overlap.argmax(axis=0)]
+    for label in np.unique(labels[taken[perm] > 1]).tolist():
+        rows = np.flatnonzero(labels == label)
+        cols = np.flatnonzero(col_labels == label)
+        cost = (-overlap[rows[:, None], cols]).tolist()
+        perm[rows] = cols[_assignment(cost)]
+    return perm
 
 
 def psd_factor(matrix) -> np.ndarray:

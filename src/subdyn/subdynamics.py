@@ -55,7 +55,9 @@ from .linalg import (
     NonHermitianError,
     as_complex_matrix,
     eig,
+    expm,
     is_hermitian,
+    max_overlap_matching,
     unvec,
     vec,
 )
@@ -122,11 +124,13 @@ def liouville_basis(h0) -> PhiBasis:
 class Decomposition:
     """Complete projected-subspace decomposition at one construction order.
 
-    energies holds the kinetic eigenvalues E_nu; all entries are phi-frame
-    quantities. The exact order stores the matched eigensystem of H: psi
-    (right eigenvectors as columns), psi_tilde (left eigenvectors as rows,
-    psi_tilde @ psi = I) and z (eigenvalues), and computes everything from
-    these d x d factors. Orders 1 and 2 store first_order = (A, A'), the
+    Every order stores its levels (z, w), two d-vectors whose differences
+    are the kinetic eigenvalues, E_nu = z_i - w_j at nu = (i, j) (see
+    energies); all entries are phi-frame quantities. The exact order stores
+    the matched eigensystem of H: psi (right eigenvectors as columns),
+    psi_tilde (left eigenvectors as rows, psi_tilde @ psi = I) and z
+    (eigenvalues), with w = z, and computes everything from these d x d
+    factors. Orders 1 and 2 store first_order = (A, A'), the
     resolvent-weighted interactions A = lam h1_f * r and A' = lam h1_f * r^T
     (elementwise products) with r[k, i] = 1/(eps_i - eps_k + i eta), zero on
     k = i and, at eta = 0, on degenerate pairs, and planes = (U, V, U~, V~).
@@ -145,12 +149,17 @@ class Decomposition:
     lam: float
     eta: float
     h1_f: np.ndarray
-    energies: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
     psi: np.ndarray | None = None
     psi_tilde: np.ndarray | None = None
-    z: np.ndarray | None = None
     first_order: tuple[np.ndarray, np.ndarray] | None = None
     planes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def energies(self) -> np.ndarray:
+        """Kinetic eigenvalues E_nu = z_i - w_j, a Liouville-index vector."""
+        return vec(np.subtract.outer(self.z, self.w))
 
     @property
     def kappa(self) -> np.ndarray:
@@ -346,19 +355,16 @@ def _phi_hamiltonian(basis: PhiBasis, lam: float, h1_f: np.ndarray) -> np.ndarra
 def _exact_factors(h: np.ndarray):
     """Matched eigensystem (psi, psi_tilde, z) of the phi-frame Hamiltonian.
 
-    Eigenvectors are matched to the free basis by maximum-overlap assignment,
-    so each nu tracks the branch continuously connected to its dyad.
+    Eigenvectors are matched to the free basis by maximum-overlap assignment
+    (linalg.max_overlap_matching), so each nu tracks the branch continuously
+    connected to its dyad. Where two matchings share the largest total
+    overlap, as when degenerate free levels are coupled symmetrically, the
+    assignment over the colliding component breaks the tie by its fixed scan
+    order, the same on every run; which of the tied branches is physical
+    there is not decided by overlaps.
     """
-    # imported here: importing scipy.optimize costs about 0.56 s and 47 MB
-    # (scipy.linalg and scipy.sparse included), and only the exact order needs it
-    import scipy.optimize
-
-    d = h.shape[0]
     system = eig(h)
-    overlap = np.abs(system.right_vectors)
-    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
-    perm = np.empty(d, dtype=int)
-    perm[rows] = cols
+    perm = max_overlap_matching(np.abs(system.right_vectors), h)
     psi = system.right_vectors[:, perm]
     psi_tilde = system.left_vectors[perm, :]
     z = system.values[perm]
@@ -387,9 +393,8 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
     h1_f = f.conj().T @ as_complex_matrix(h1, "h1") @ f
     if order == "exact":
         psi, psi_tilde, z = _exact_factors(_phi_hamiltonian(basis, lam, h1_f))
-        energies = vec(np.subtract.outer(z, z))
         return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                             energies=energies, psi=psi, psi_tilde=psi_tilde, z=z)
+                             z=z, w=z, psi=psi, psi_tilde=psi_tilde)
     r = _free_resolvent(basis, h1_f, lam, eta)
     a, a_dual = lam * h1_f * r, lam * h1_f * r.T
     if order == "1":
@@ -404,8 +409,7 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
     z = level + lam * np.einsum("ia,ai->i", h1_f, planes[0])
     w = level + lam * np.einsum("jb,bj->j", planes[1], h1_f)
     return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                         energies=vec(np.subtract.outer(z, w)), first_order=(a, a_dual),
-                         planes=planes)
+                         z=z, w=w, first_order=(a, a_dual), planes=planes)
 
 
 def decompose_model(ops, order="exact", eta: float = 0.0) -> Decomposition:
@@ -539,23 +543,22 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
 
 
 def _hilbert_flow(h: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
-    """The state e^{-iHt} rho e^{+iHt} from d x d exponentials.
+    """The state e^{-iHt} rho e^{+iHt} from d x d exponentials (linalg.expm).
 
     state is a d x d rho, or a ket psi standing for rho = |psi><psi|. Under
-    a Hermitian H the ket stays a ket, e^{-iHt} psi, from one exponential;
-    otherwise the right factor is the inverse of the left one, which is not
-    its adjoint, and rho(t) is a d x d matrix.
+    a Hermitian H the right factor is the adjoint of the left one, so a
+    state takes one exponential and a ket stays a ket, e^{-iHt} psi;
+    otherwise the right factor is the inverse of the left one, a second
+    exponential, and rho(t) is a d x d matrix.
     """
-    # imported here: only this check and a defective H's flow in classify
-    # exponentiate, and importing scipy.linalg costs about 0.33 s and 26 MB
-    import scipy.linalg
-
-    left = scipy.linalg.expm(-1j * t * h)
+    left = expm(-1j * t * h)
+    hermitian = is_hermitian(h)
     if state.ndim == 1:
-        if is_hermitian(h):
+        if hermitian:
             return left @ state
         state = np.outer(state, state.conj())
-    return left @ state @ scipy.linalg.expm(1j * t * h)
+    right = left.conj().T if hermitian else expm(1j * t * h)
+    return left @ state @ right
 
 
 def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,

@@ -179,7 +179,7 @@ def test_criterion_07_swap_calibration():
         ratio = rng.uniform(1.5, 60.0)
         energies = e0 * (1.0 + 1.0 / ratio)
         t_sw = float(rng.uniform(0.2, 4.0))
-        cal = calibrate_timing(e0, energies, t_sw=t_sw)
+        cal = calibrate_timing((e0, [0.0]), (energies, [0.0]), t_sw=t_sw)
         worst_res = max(worst_res, cal.residual)
         worst_gap = max(worst_gap, cal.phase_gap)
     ok = worst_res <= 1e-8 and worst_gap <= 1e-10

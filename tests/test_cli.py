@@ -371,39 +371,33 @@ def test_turing_demo_summary_line(tmp_path, capsys):
     assert (out / "bloch_trajectory.csv").exists()
 
 
-# Run in a fresh interpreter: the perturbative orders and the demos reach
-# none of the scipy submodules, and evolve imports scipy.linalg on first use.
-# Prints one JSON line: exit codes, then the submodules loaded before and
-# after the evolve runs.
-LAZY_SCIPY_SCRIPT = """
+# Run in a fresh interpreter: every scenario at every order runs on numpy
+# alone. Prints one JSON line: the exit codes, then every scipy module loaded.
+NO_SCIPY_SCRIPT = """
 import json, sys
 from subdyn.cli import main
-lazy = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
 out, configs = sys.argv[1], sys.argv[2:]
-runs = (["classify", "--order", "1"], ["classify", "--order", "2", "--eta", "0.05"],
-        ["cnot-demo"], ["turing-demo"])
+runs = (["classify"], ["classify", "--order", "1"], ["classify", "--order", "2", "--eta", "0.05"],
+        ["evolve"], ["evolve", "--order", "2"], ["verify"], ["swap-calibrate"], ["cnot-demo"],
+        ["turing-demo"])
 codes = [main([*argv, "--config", cfg, "--out", f"{out}/{k}-{n}"])
          for k, cfg in enumerate(configs) for n, argv in enumerate(runs)]
-before = [m for m in lazy if m in sys.modules]
-evolve = [main(["evolve", "--config", cfg, "--out", f"{out}/{k}-evolve"])
-          for k, cfg in enumerate(configs)]
-print(json.dumps({"codes": codes, "before": before, "evolve": evolve,
-                  "after": [m for m in lazy if m in sys.modules]}))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules
+                                                  if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
-def test_perturbative_and_demo_runs_load_no_scipy_submodule(tmp_path):
+def test_every_scenario_loads_no_scipy_submodule(tmp_path):
     src = str(pathlib.Path(subdyn.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(tmp_path),
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path),
                            *map(str, CONFIGS)], env=env, capture_output=True, text=True,
                           check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert len(CONFIGS) == 3
-    assert result["codes"] == [EXIT_OK] * 4 * len(CONFIGS)
-    assert result["before"] == []
-    assert result["evolve"] == [EXIT_OK] * len(CONFIGS)
-    assert "scipy.linalg" in result["after"]
+    assert result["codes"] == [EXIT_OK] * 9 * len(CONFIGS)
+    assert result["scipy"] == []
     for k in range(len(CONFIGS)):
-        assert (tmp_path / f"{k}-evolve" / REPORT_NAME).is_file()
+        for n in range(9):
+            assert (tmp_path / f"{k}-{n}" / REPORT_NAME).is_file()

@@ -5,11 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-# the exact order imports scipy.optimize, and evolve and verify import
-# scipy.linalg, on first use; importing scipy.optimize here, which imports
-# scipy.linalg too, keeps both out of the first traced run of
-# test_memory_estimate_bounds_traced_peak
-import scipy.optimize  # noqa: F401
 
 from subdyn import config as config_module
 from subdyn.config import (

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from oracle import propagator
+from subdyn import gates
 from subdyn.gates import (
     CNOT_PERMUTATION,
     GATE_LABELS,
@@ -38,7 +40,7 @@ def test_homogeneous_calibration_frozen_value():
     # delta_t = -t_sw / (9 + 1) = -0.1 cancels all phases exactly
     e0 = np.array([0.0, 9.0, 18.0])
     energies = e0 * (10.0 / 9.0)
-    cal = calibrate_timing(e0, energies, t_sw=1.0)
+    cal = calibrate_timing((e0, [0.0]), (energies, [0.0]), t_sw=1.0)
     assert cal.homogeneous
     assert cal.delta_t == pytest.approx(-0.1, abs=1e-12)
     assert cal.E0_over_dE == pytest.approx(9.0, abs=1e-12)
@@ -53,7 +55,7 @@ def test_homogeneous_calibration_random_families():
         ratio = rng.uniform(2.0, 40.0)
         energies = e0 * (1.0 + 1.0 / ratio)
         t_sw = rng.uniform(0.3, 5.0)
-        cal = calibrate_timing(e0, energies, t_sw=t_sw)
+        cal = calibrate_timing((e0, [0.0]), (energies, [0.0]), t_sw=t_sw)
         assert cal.homogeneous
         assert cal.residual <= 1e-8
         assert cal.phase_gap <= 1e-10
@@ -62,7 +64,7 @@ def test_homogeneous_calibration_random_families():
 
 def test_unshifted_energies_need_no_correction():
     e0 = np.array([0.0, 1.0, 2.0])
-    cal = calibrate_timing(e0, e0.astype(complex), t_sw=2.0)
+    cal = calibrate_timing((e0, [0.0]), (e0.astype(complex), [0.0]), t_sw=2.0)
     assert cal.delta_t == 0.0
     assert math.isinf(cal.E0_over_dE)
     assert cal.homogeneous
@@ -74,7 +76,7 @@ def test_stuck_dyad_makes_exact_cancellation_impossible():
     # cancels both, so the solver reports inhomogeneous least squares
     e0 = np.array([1.0, 2.0])
     energies = np.array([1.0, 2.2])
-    cal = calibrate_timing(e0, energies, t_sw=1.0)
+    cal = calibrate_timing((e0, [0.0]), (energies, [0.0]), t_sw=1.0)
     assert not cal.homogeneous
     assert cal.residual > 1e-3
     assert abs(cal.delta_t) <= math.pi / 2.2 + 1e-12
@@ -92,45 +94,110 @@ def _metrics(e0, energies, t_sw, dt):
 def test_inconsistent_ratios_fall_back_to_least_squares():
     e0 = np.array([1.0, 2.0])
     energies = np.array([1.1, 2.5])
-    cal = calibrate_timing(e0, energies, t_sw=1.0)
+    cal = calibrate_timing((e0, [0.0]), (energies, [0.0]), t_sw=1.0)
     assert not cal.homogeneous
     assert cal.spread > 1e-6
 
 
-def _general_config_energies(order):
-    """Free and shifted energies of configs/general.json at the given order."""
+def _general_config_decomposition(order):
+    """Decomposition of configs/general.json at the given order."""
     ops = build_model(ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
                                 lam=0.05, bath=((0.9, 0.6),), fock_cutoff=1, bath_cutoff=1))
-    decomp = decompose(ops.h0, ops.h1, lam=0.05, order=order)
-    return decomp.basis.e0.real, decomp.energies.real
+    return decompose(ops.h0, ops.h1, lam=0.05, order=order)
 
 
 @pytest.mark.parametrize("order", ["exact", "1"])
 def test_least_squares_calibration_is_stationary_to_rounding(order):
-    e0, energies = _general_config_energies(order)
-    cal = calibrate_timing(e0, energies, t_sw=1.0)
+    decomp = _general_config_decomposition(order)
+    free = (decomp.basis.f_values, decomp.basis.f_values)
+    e0, energies = decomp.basis.e0.real, decomp.energies.real
+    cal = calibrate_timing(free, (decomp.z, decomp.w), t_sw=1.0)
     assert not cal.homogeneous
     # the cost's derivative vanishes at the returned point
     g = np.sum(energies * np.sin(energies * (1.0 + cal.delta_t) - e0))
     assert abs(g) <= 1e-12 * np.sum(np.abs(energies))
-    # a one-ulp relative change of the energies barely moves it (Brent alone: ~5e-11)
-    nudged = calibrate_timing(e0, energies * (1.0 + 2.0**-52), t_sw=1.0)
+    # a one-ulp relative change of the levels barely moves it (Brent alone: ~5e-11)
+    nudged = calibrate_timing(free, (decomp.z * (1.0 + 2.0**-52), decomp.w * (1.0 + 2.0**-52)),
+                              t_sw=1.0)
     assert abs(nudged.delta_t - cal.delta_t) <= 1e-14
 
 
 def test_edge_optimum_stays_in_search_interval():
     # the cost falls toward the edge pi / max|E| of the search interval; Newton
-    # from Brent's edge point would run on to the stationary point at 1.139
-    cal = calibrate_timing([1.0, 2.0], [0.5, 3.0], t_sw=3.0)
+    # from the scan's edge point would run on to the stationary point at 1.139
+    cal = calibrate_timing(([1.0, 2.0], [0.0]), ([0.5, 3.0], [0.0]), t_sw=3.0)
     assert not cal.homogeneous
     assert math.pi / 3.0 - 1e-7 <= cal.delta_t <= math.pi / 3.0
 
 
 def test_calibration_input_validation():
     with pytest.raises(ValueError, match="same shape"):
-        calibrate_timing([0.0, 1.0], [0.0, 1.0, 2.0], t_sw=1.0)
+        calibrate_timing(([0.0, 1.0], [0.0]), ([0.0, 1.0, 2.0], [0.0]), t_sw=1.0)
     with pytest.raises(ValueError, match="real"):
-        calibrate_timing([0.0, 1.0], [0.0, 1.0 - 0.1j], t_sw=1.0)
+        calibrate_timing(([0.0, 1.0], [0.0]), ([0.0, 1.0 - 0.1j], [0.0]), t_sw=1.0)
+    # a flat energy list is not read as a pair of one-level sides
+    with pytest.raises(ValueError, match="pair of 1-d arrays"):
+        calibrate_timing([1.0, 2.0], [1.0, 2.2], t_sw=1.0)
+
+
+def _random_levels(rng):
+    """Free levels (e, f) and levels (z, w) shifted off them, of random lengths."""
+    e, f = rng.uniform(-3.0, 3.0, rng.integers(1, 9)), rng.uniform(-3.0, 3.0, rng.integers(1, 9))
+    return (e, f), (e + rng.normal(0.0, 0.05, e.size), f + rng.normal(0.0, 0.05, f.size))
+
+
+def _dense_energies(free_levels, levels):
+    (e, f), (z, w) = free_levels, levels
+    return (np.subtract.outer(e, f).reshape(-1, order="F"),
+            np.subtract.outer(z, w).reshape(-1, order="F"))
+
+
+def test_least_squares_cost_factors_over_the_levels():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        free_levels, levels = _random_levels(rng)
+        e0, energies = _dense_energies(free_levels, levels)
+        t_sw = rng.uniform(0.2, 4.0)
+        dts = rng.uniform(-1.0, 1.0, 7)
+        dense = [np.sum(np.abs(np.exp(-1j * e0 * t_sw) - np.exp(-1j * energies * (t_sw + dt)))**2)
+                 for dt in dts]
+        factored = gates._least_squares_cost(free_levels, levels, t_sw, dts)
+        np.testing.assert_allclose(factored, dense, rtol=1e-12, atol=1e-12 * energies.size)
+
+
+def _brent_timing(e0, energies, t_sw):
+    """Least-squares delta_t by bounded Brent on the dense cost, then dense Newton
+    steps on its stationarity condition, kept inside [-bound, bound]."""
+    bound = math.pi / np.max(np.abs(energies))
+    ideal = np.exp(-1j * e0 * t_sw)
+    result = scipy.optimize.minimize_scalar(
+        lambda dt: np.sum(np.abs(ideal - np.exp(-1j * energies * (t_sw + dt)))**2),
+        bounds=(-bound, bound), method="bounded", options={"xatol": 1e-13, "maxiter": 500})
+    polished = float(result.x)
+    for _ in range(4):
+        phase = energies * (t_sw + polished) - e0 * t_sw
+        curvature = np.sum(energies**2 * np.cos(phase))
+        if not curvature > 0.0:
+            return float(result.x)
+        polished -= np.sum(energies * np.sin(phase)) / curvature
+    return polished if abs(polished) <= bound else float(result.x)
+
+
+def test_scanned_timing_is_never_worse_than_bounded_brent():
+    rng = np.random.default_rng(12)
+    compared = 0
+    for _ in range(200):
+        free_levels, levels = _random_levels(rng)
+        e0, energies = _dense_energies(free_levels, levels)
+        t_sw = rng.uniform(0.2, 4.0)
+        cal = calibrate_timing(free_levels, levels, t_sw=t_sw)
+        if cal.homogeneous:
+            continue
+        compared += 1
+        oracle, _ = _metrics(e0, energies, t_sw, _brent_timing(e0, energies, t_sw))
+        # rounding of the factored sums moves the residual by a few ulp either way
+        assert cal.residual <= oracle + 1e-14
+    assert compared >= 150
 
 
 def test_second_order_calibration_approaches_exact():

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from subdyn.linalg import (
     NotPositiveSemidefiniteError,
     components,
     eig,
+    expm,
+    max_overlap_matching,
     psd_factor,
     random_density,
     tensor,
@@ -201,6 +204,60 @@ def test_propagator_matches_dense_exponential(hermitian):
         m = m + m.conj().T
     expected = scipy.linalg.expm(-1j * 0.7 * m)
     np.testing.assert_allclose(propagator(m, 0.7), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.2, 0.8, 2.0, 5.0, 50.0, 1e3])
+def test_expm_matches_scipy(hermitian, norm):
+    # the 1-norms reach every Pade degree (theta 0.015, 0.25, 0.95, 2.1, 5.4)
+    # and the squaring; -i M is the flow of M, which a non-Hermitian part
+    # of a tenth of M's size keeps within overflow at every norm
+    rng = np.random.default_rng(8)
+    dense = random_complex(rng, (7, 7))
+    for m in (dense + dense.conj().T, _permuted_block_diagonal(rng, (1, 3, 1, 2, 3), True)):
+        if not hermitian:
+            m = m + 0.1 * np.where(m != 0, random_complex(rng, m.shape), 0.0)
+        a = -1j * m * (norm / np.abs(m).sum(axis=0).max())
+        expected = scipy.linalg.expm(a)
+        got = expm(a)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        # exactly block diagonal in the components, singletons included
+        labels = components(a)
+        assert not got[labels[:, None] != labels[None, :]].any()
+
+
+def _assignment_perm(overlap):
+    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
+    perm = np.empty(overlap.shape[0], dtype=int)
+    perm[rows] = cols
+    return perm
+
+
+@pytest.mark.parametrize("case", ["random", "near_identity", "block_diagonal", "tied"])
+def test_max_overlap_matching_matches_linear_sum_assignment(case):
+    rng = np.random.default_rng(9)
+    for trial in range(40):
+        n = int(rng.integers(2, 13))
+        matrix = np.ones((n, n))
+        if case == "random":
+            overlap = rng.random((n, n))
+        elif case == "near_identity":
+            overlap = np.eye(n) + 0.6 * rng.random((n, n))
+        elif case == "block_diagonal":
+            matrix = _permuted_block_diagonal(rng, tuple(rng.integers(1, 4, 4)), trial % 2 == 0)
+            overlap = np.abs(eig(matrix).right_vectors)
+            n = overlap.shape[0]
+        else:
+            # a few distinct values, so most rows and totals tie exactly
+            overlap = rng.integers(1, 4, (n, n)) / 4.0
+        perm = max_overlap_matching(overlap, matrix)
+        expected = _assignment_perm(overlap)
+        assert sorted(perm.tolist()) == list(range(n))
+        total = overlap[np.arange(n), perm].sum()
+        assert abs(total - overlap[np.arange(n), expected].sum()) <= 1e-12 * n
+        if case != "tied":
+            # a continuous draw has one optimum
+            assert perm.tolist() == expected.tolist()
 
 
 def test_propagator_unitary_for_hermitian():
