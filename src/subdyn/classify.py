@@ -14,10 +14,11 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import DefectiveMatrixError, as_complex_matrix, eig, expm, is_hermitian, psd_factor
+from .linalg import (DefectiveMatrixError, as_complex_matrix, as_ket, eig, expm, is_hermitian,
+                     psd_factor)
 from .models import ModelOperators, canonical_initial_ket
-from .subdynamics import (_BLOCK_ENTRIES, Decomposition, _exact_eigen_data, _phi_hamiltonian,
-                          decompose_model, project_density)
+from .subdynamics import (_BLOCK_ENTRIES, Decomposition, _phi_hamiltonian, decompose_model,
+                          project_density)
 
 DF = "DF"
 PHASE_ERROR = "PE"
@@ -144,45 +145,42 @@ def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> Fid
     return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
 
 
-def _state_flow(decomp: Decomposition, hamiltonian, u: np.ndarray, g: np.ndarray):
-    """Free-frame factors of rho(t) = e^{-iHt} u u^dagger e^{+iHt}, g = F^dagger u.
+def _state_flow(decomp: Decomposition, g: np.ndarray):
+    """Free-frame factors of F^dagger rho(t) F = e^{-iH_f t} g g^dagger e^{+iH_f t}.
 
+    H_f = diag(f_values) + lam h1_f is the H that decomp was built from, in
+    the free frame, and g = F^dagger U the free-frame factor of the state.
     Returns (hermitian, flow) where flow(ts) gives, for a block of times,
     stacked (ket, bra) with F^dagger rho(t) F = ket[k] @ bra[k], ket[k] d x r
-    and bra[k] r x d. One eigendecomposition H = R diag(z) R^-1 serves every
-    t at O(d^2 r) a step: ket = (F^dagger R)(e^{-izt} R^-1 u) and
-    bra = (u^dagger R) e^{+izt} (R^-1 F), which is ket^dagger when H is
-    Hermitian. hamiltonian None stands for the H that decomp was built
-    from: an exact-order decomp holds its eigensystem in the free frame,
-    F^dagger R = psi and R^-1 F = psi~, so H is not diagonalized again. A
-    defective H, never Hermitian, takes two d x d exponentials per t instead.
+    and bra[k] r x d. One eigendecomposition H_f = psi diag(z) psi~ serves
+    every t at O(d^2 r) a step: ket = psi (e^{-izt} psi~ g) and
+    bra = (g^dagger psi) e^{+izt} psi~, which is ket^dagger when H_f is
+    Hermitian. An exact-order decomp holds that eigensystem already, so H_f
+    is diagonalized only at orders 1 and 2. A defective H_f, never
+    Hermitian, takes two d x d exponentials per t instead.
     """
-    if hamiltonian is None:
-        psi, psi_tilde, z = _exact_eigen_data(decomp, "total_space_evidence without a Hamiltonian")
-        hermitian = is_hermitian(_phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f))
-        ket_left, ket_right, bra_left, bra_right = psi, psi_tilde @ g, g.conj().T @ psi, psi_tilde
+    h = _phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f)
+    if decomp.order == "exact":
+        psi, psi_tilde, z = decomp.psi, decomp.psi_tilde, decomp.z
+        hermitian = is_hermitian(h)
     else:
-        h = as_complex_matrix(hamiltonian, "hamiltonian")
-        f = decomp.basis.f_vectors
         try:
             system = eig(h)
         except DefectiveMatrixError:
             def expm_flow(ts):
-                kets = [f.conj().T @ (expm(-1j * t * h) @ u) for t in ts]
-                bras = [(u.conj().T @ expm(1j * t * h)) @ f for t in ts]
+                kets = [expm(-1j * t * h) @ g for t in ts]
+                bras = [g.conj().T @ expm(1j * t * h) for t in ts]
                 return np.stack(kets), np.stack(bras)
             return False, expm_flow
-        z, hermitian = system.values, system.hermitian
-        ket_left = f.conj().T @ system.right_vectors
-        ket_right = system.left_vectors @ u
-        bra_left = u.conj().T @ system.right_vectors
-        bra_right = system.left_vectors @ f
+        psi, psi_tilde, z = system.right_vectors, system.left_vectors, system.values
+        hermitian = system.hermitian
+    ket_right, bra_left = psi_tilde @ g, g.conj().T @ psi
 
     def flow(ts):
-        ket = ket_left @ (np.exp((-1j * z) * ts[:, None])[:, :, None] * ket_right)
+        ket = psi @ (np.exp((-1j * z) * ts[:, None])[:, :, None] * ket_right)
         if hermitian:
             return ket, ket.conj().transpose(0, 2, 1)
-        return ket, (bra_left * np.exp((1j * z) * ts[:, None])[:, None, :]) @ bra_right
+        return ket, (bra_left * np.exp((1j * z) * ts[:, None])[:, None, :]) @ psi_tilde
 
     return hermitian, flow
 
@@ -190,29 +188,20 @@ def _state_flow(decomp: Decomposition, hamiltonian, u: np.ndarray, g: np.ndarray
 def _state_factor(state, dim: int) -> np.ndarray:
     """d x r factor U of the state: a ket as its own column, a density
     matrix through psd_factor (rho0 = U U^dagger)."""
-    arr = np.asarray(state)
-    if arr.ndim != 1:
-        return psd_factor(as_complex_matrix(arr, "rho0"))
-    ket = arr.astype(np.complex128)
-    if ket.shape[0] != dim:
-        raise ValueError(f"ket must have length {dim}, got {ket.shape[0]}")
-    if not np.all(np.isfinite(ket)):
-        raise ValueError("ket contains non-finite entries")
-    return ket[:, None]
+    if np.ndim(state) == 1:
+        return as_ket(state, dim)[:, None]
+    return psd_factor(as_complex_matrix(state, "rho0"))
 
 
-def total_space_evidence(decomp: Decomposition, hamiltonian, state, times) -> dict[str, float]:
+def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float]:
     """Drift of the exact state against free evolution, in the free eigenbasis.
 
     Free evolution leaves populations and coherence moduli in that basis
     exactly constant, so the drifts are measured against the initial values.
     The state fidelity against the free-evolved state is also recorded when
     the full Hamiltonian is Hermitian (it isolates pure phase error: moduli
-    constant but fidelity below 1).
-
-    hamiltonian is the d x d matrix H, or None for the H that decomp was
-    built from, which an exact-order decomp already holds diagonalized (see
-    _state_flow); orders 1 and 2 hold no eigensystem and need the matrix.
+    constant but fidelity below 1). The state flows under the H that decomp
+    was built from, in the free frame, at every order (see _state_flow).
 
     state is a ket (1-d, length d) or a Hermitian PSD density matrix, which
     is propagated as its rank-r factor rho0 = U U^dagger, so a step costs
@@ -225,10 +214,9 @@ def total_space_evidence(decomp: Decomposition, hamiltonian, state, times) -> di
     minimum before the next.
     """
     basis = decomp.basis
-    u = _state_factor(state, basis.dim)
-    g0 = basis.f_vectors.conj().T @ u
-    hermitian, flow = _state_flow(decomp, hamiltonian, u, g0)
-    pure = u.shape[1] == 1
+    g0 = basis.f_vectors.conj().T @ _state_factor(state, basis.dim)
+    hermitian, flow = _state_flow(decomp, g0)
+    pure = g0.shape[1] == 1
     if pure:
         g = g0[:, 0]
         pop0 = g * g.conj()
@@ -305,14 +293,13 @@ def classify(ops: ModelOperators, times, order="exact", eta: float = 0.0) -> DFR
     canonical state is pure, so the total-space evidence and the projection
     both read its ket, and no d x d state is formed. At the exact order the
     evidence reads the decomposition's eigensystem of H; orders 1 and 2
-    diagonalize H once for it.
+    diagonalize H once for it, in the free frame.
     """
     ts = np.asarray(times, dtype=np.float64)
     ket = canonical_initial_ket(ops)
     decomp = decompose_model(ops, order=order, eta=eta)
-    h_full = None if decomp.order == "exact" else ops.hamiltonian()
 
-    total = total_space_evidence(decomp, h_full, ket, ts)
+    total = total_space_evidence(decomp, ket, ts)
     projected = projected_space_evidence(decomp)
     diag_cond = check_diagonal_condition(decomp)
     tri_cond = check_triangular_condition(decomp)

@@ -237,13 +237,15 @@ def _check_memory(config: ScenarioConfig) -> int:
     The estimate is 16 (q d^2 + max(2 max(d^2, 2^15), gather) + steps s)
     bytes. The q d^2 term covers the d x d eigen data, plane factors and
     flows: q = 16 for classify at the exact order, which holds only the
-    eigensystem of H and reads it for its evidence, q = 24 for every other
-    scenario and order, and q = 32 for evolve, whose energies table holds a
-    row of Python numbers per dyad. The block term covers one block of the
-    time grid: classify's total-space evidence and fidelity_trace walk the
-    grid in blocks of about 2^15 entries at d^2 each (one step from
-    d = 182), holding at most 24 bytes an entry (a mixed state's complex
-    sigma and its real moduli), so no steps x d^2 array exists. The gather
+    eigensystem of H and reads it for its evidence, q = 23 for classify at
+    orders 1 and 2, whose evidence diagonalizes H in the free frame next to
+    the plane factors, q = 24 for verify and swap-calibrate, and q = 32 for
+    evolve, whose energies table holds a row of Python numbers per dyad.
+    The block term covers one block of the time grid: classify's
+    total-space evidence and fidelity_trace walk the grid in blocks of
+    about 2^15 entries at d^2 each (one step from d = 182), holding at
+    most 24 bytes an entry (a mixed state's complex sigma and its real
+    moduli), so no steps x d^2 array exists. The gather
     term counts only for order 2 at eta > 0, whose off-plane sums run
     between the grid walks: gather = 3 * 2^15 + d^2, a kernel chunk of
     about 2^15 pairs held three times over (the kernel, its square or the
@@ -256,12 +258,12 @@ def _check_memory(config: ScenarioConfig) -> int:
     trace_drift holds a steps x d table of population phases twice over
     and whose fidelity table holds a row of Python floats per step.
     tracemalloc peaks of runner.run, diagonal kind, classify: 0.45 MB at
-    d = 16, 0.95 MB at d = 32 (order 2), 1.65 MB at d = 64 (order 2, any
+    d = 16, 0.97 MB at d = 32 (order 2), 1.60 MB at d = 64 (order 2, any
     eta) and 1.43 MB at d = 82 (exact), where the block term dominates; at
     d = 182 and 256, where a block is one step, 16 (11.3..11.5) d^2 for
-    classify at the exact order, 16 (15.0..20.1) d^2 at orders 1 and 2,
+    classify at the exact order, 16 (13.3..19.1) d^2 at orders 1 and 2,
     16 (19.0..20.0) d^2 for verify and 16 (28.8..32.8) d^2 for evolve. The
-    general kind's gather adds 1.3 MB at d = 64 (2.99 MB at eta = 0.05). At
+    general kind's gather adds 1.3 MB at d = 64 (3.05 MB at eta = 0.05). At
     d = 64 with 10,001 steps classify peaks at 1.3 MB and evolve at
     20.5 MB.
     """
@@ -272,8 +274,8 @@ def _check_memory(config: ScenarioConfig) -> int:
     evolve = config.scenario == "evolve"
     if evolve:
         per_dyad = 32
-    elif config.scenario == "classify" and config.order == "exact":
-        per_dyad = 16
+    elif config.scenario == "classify":
+        per_dyad = 16 if config.order == "exact" else 23
     else:
         per_dyad = 24
     per_step = 2 * d + 8 if evolve else 1

@@ -53,6 +53,22 @@ def as_complex_matrix(matrix, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def as_ket(vector, dim: int) -> np.ndarray:
+    """Validate and return a 1-d, finite, complex128 ket of length dim.
+
+    Raises
+    ------
+    ValueError
+        If the input is not 1-d of length dim or has non-finite entries.
+    """
+    ket = np.asarray(vector, dtype=np.complex128)
+    if ket.shape != (dim,):
+        raise ValueError(f"ket must have length {dim}, got shape {ket.shape}")
+    if not np.all(np.isfinite(ket)):
+        raise ValueError("ket contains non-finite entries")
+    return ket
+
+
 def norm_scale(matrix: np.ndarray) -> float:
     """Frobenius norm floored at 1, used to make tolerances relative."""
     return max(float(np.linalg.norm(matrix)), 1.0)
@@ -226,23 +242,16 @@ def _eig_blocks(m: np.ndarray, labels: np.ndarray, hermitian: bool):
     return values, right, left
 
 
-def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
+def eig(matrix) -> EigenSystem:
     """Full eigendecomposition with biorthonormal left/right vectors.
 
-    A matrix whose nonzero pattern splits into several connected components
-    (see components) is decomposed block by block and reassembled, so its
+    The matrix's nonzero pattern is split into its connected components (see
+    components) and each is decomposed on its own (_eig_blocks), so the
     eigenvectors carry exact zeros outside their own component; a matrix of
-    one component takes one LAPACK call on the whole.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square matrix to decompose.
-    hermitian : bool, optional
-        Force the Hermitian (True) or general (False) path. None detects
-        hermiticity with is_hermitian, at the relative tolerance DEFAULT_TOL.
-        The general path flags the eigenvector basis as defective when its
-        condition number exceeds 1 / DEFAULT_TOL.
+    one component is one group of one block. Hermiticity is detected with
+    is_hermitian, at the relative tolerance DEFAULT_TOL; the general path
+    flags the eigenvector basis as defective when its condition number
+    exceeds 1 / DEFAULT_TOL.
 
     Returns
     -------
@@ -252,43 +261,19 @@ def eig(matrix, hermitian: bool | None = None) -> EigenSystem:
 
     Raises
     ------
-    NonHermitianError
-        hermitian=True was requested but the matrix is not Hermitian.
     DefectiveMatrixError
         The right-eigenvector basis is numerically singular.
     """
     m = as_complex_matrix(matrix)
-    if hermitian is None:
-        hermitian = is_hermitian(m)
-    elif hermitian and not is_hermitian(m):
-        dev = float(np.linalg.norm(m - m.conj().T)) / norm_scale(m)
-        raise NonHermitianError(f"hermitian path requested but relative deviation is {dev:.3e}")
-    labels = components(m)
-    if labels.any():
-        values, right, left = _eig_blocks(m, labels, hermitian)
-        if hermitian:
-            values = values.real.astype(np.complex128)
-        order = eigen_sort_order(values)
-        right = right[:, order]
-        left = right.conj().T if hermitian else left[order, :]
-        return EigenSystem(values=values[order], right_vectors=right, left_vectors=left,
-                           hermitian=hermitian)
+    hermitian = is_hermitian(m)
+    values, right, left = _eig_blocks(m, components(m), hermitian)
     if hermitian:
-        values, vectors = np.linalg.eigh(m)
-        order = eigen_sort_order(values.astype(np.complex128))
-        values = values[order].astype(np.complex128)
-        vectors = vectors[:, order]
-        return EigenSystem(values=values, right_vectors=vectors,
-                           left_vectors=vectors.conj().T, hermitian=True)
-
-    values, right = np.linalg.eig(m)
+        values = values.real.astype(np.complex128)
     order = eigen_sort_order(values)
-    values = values[order]
     right = right[:, order]
-    sv = np.linalg.svd(right, compute_uv=False)
-    _check_basis(float(sv[0]), float(sv[-1]))
-    left = np.linalg.inv(right)
-    return EigenSystem(values=values, right_vectors=right, left_vectors=left, hermitian=False)
+    left = right.conj().T if hermitian else left[order, :]
+    return EigenSystem(values=values[order], right_vectors=right, left_vectors=left,
+                       hermitian=hermitian)
 
 
 # Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: the largest 1-norm at

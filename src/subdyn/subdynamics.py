@@ -54,6 +54,7 @@ from .linalg import (
     DEGENERACY_TOL,
     NonHermitianError,
     as_complex_matrix,
+    as_ket,
     eig,
     expm,
     is_hermitian,
@@ -114,7 +115,7 @@ def liouville_basis(h0) -> PhiBasis:
     h = as_complex_matrix(h0, "h0")
     if not is_hermitian(h):
         raise NonHermitianError("free Hamiltonian must be Hermitian")
-    system = eig(h, hermitian=True)
+    system = eig(h)
     eps = system.values.real
     e0 = vec(np.subtract.outer(eps, eps)).astype(np.complex128)
     return PhiBasis(f_values=eps, f_vectors=system.right_vectors, e0=e0)
@@ -536,7 +537,7 @@ def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
     """
     basis = decomp.basis
     if np.ndim(rho) == 1:
-        x = basis.f_vectors.conj().T @ np.asarray(rho, dtype=np.complex128)
+        x = basis.f_vectors.conj().T @ as_ket(rho, basis.dim)
     else:
         x = unvec(basis.to_frame(rho), basis.dim)
     return vec(_project_frame(decomp, [x])[0])
@@ -569,7 +570,11 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     Compares P_nu Pi_nu e^{-iLt} rho0 (exact route, the Hilbert-space flow
     e^{-iHt} rho0 e^{+iHt} through d x d exponentials, independent of the
     eigendecomposition behind the projection) against
-    e^{-i Theta t} P_nu Pi_nu rho0 (kinetic route), reconstructed over all nu.
+    e^{-i Theta t} P_nu Pi_nu rho0 (kinetic route), over all nu. The
+    operator norm is taken in the free frame, where the unitary F leaves
+    it unchanged. hamiltonian is the d x d H in the original basis: its flow
+    checks F and h1_f independently, so the decomposition's own free-frame
+    H is not read here.
     rho0 is a d x d density matrix, or a ket psi standing for |psi><psi|,
     projected as its free-frame ket, as is rho(t) under a Hermitian H (see
     _hilbert_flow). rho0 and rho(t) are projected in one call; coeff0 equals
@@ -578,14 +583,9 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     basis = decomp.basis
     f, d = basis.f_vectors, basis.dim
-    if np.ndim(rho0) == 1:
-        state = np.asarray(rho0, dtype=np.complex128)
-        if state.shape != (d,) or not np.all(np.isfinite(state)):
-            raise ValueError(f"rho0 as a ket must be {d} finite entries")
-    else:
-        state = as_complex_matrix(rho0, "rho0")
+    state = as_ket(rho0, d) if np.ndim(rho0) == 1 else as_complex_matrix(rho0, "rho0")
     states = (state, _hilbert_flow(h, state, t))
     c0, lhs = _project_frame(decomp, [f.conj().T @ x if x.ndim == 1
                                       else unvec(basis.to_frame(x), d) for x in states])
     gap = lhs - np.exp(-1j * unvec(decomp.energies, d) * t) * c0
-    return vec(c0), float(np.linalg.norm(f @ gap @ f.conj().T, ord=2))
+    return vec(c0), float(np.linalg.norm(gap, ord=2))

@@ -26,7 +26,6 @@ from subdyn.linalg import (
     NonHermitianError,
     NotPositiveSemidefiniteError,
     as_complex_matrix,
-    eig,
     is_hermitian,
     norm_scale,
     unvec,
@@ -283,18 +282,19 @@ def hamiltonian_spectral_projectors(decomp: Decomposition) -> list[np.ndarray]:
 
     Eigenvectors are assigned to free levels by dominant component, not by
     the engine's max-overlap matching. The Liouville eigenprojector for the
-    dyad (i, j) then acts as X -> A_i X A_j.
+    dyad (i, j) then acts as X -> A_i X A_j. numpy's eig and inv give the
+    right and left eigenvectors, with none of linalg.eig's block splitting,
+    sorting or hermiticity detection.
     """
     h = np.diag(decomp.basis.f_values).astype(complex) + decomp.lam * decomp.h1_f
-    system = eig(h, hermitian=False)
+    right = np.linalg.eig(h)[1]
+    left = np.linalg.inv(right)
     assign = {}
     for col in range(h.shape[0]):
-        k = int(np.argmax(np.abs(system.right_vectors[:, col])))
+        k = int(np.argmax(np.abs(right[:, col])))
         assert k not in assign, "branch assignment ambiguous at this coupling"
         assign[k] = col
-    return [np.outer(system.right_vectors[:, assign[i]],
-                     system.left_vectors[assign[i], :])
-            for i in range(h.shape[0])]
+    return [np.outer(right[:, assign[i]], left[assign[i], :]) for i in range(h.shape[0])]
 
 
 def _path_product(c1: np.ndarray, d: int) -> np.ndarray:

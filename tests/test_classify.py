@@ -21,7 +21,8 @@ from subdyn.classify import (
     total_space_evidence,
 )
 from subdyn.config import load_config
-from subdyn.linalg import NonHermitianError, NotPositiveSemidefiniteError, random_density
+from subdyn.linalg import (DefectiveMatrixError, NonHermitianError,
+                           NotPositiveSemidefiniteError, eig, random_density)
 from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.subdynamics import decompose, decompose_model, project_density
 
@@ -188,8 +189,7 @@ def test_fidelity_trace_rejects_zero_state():
 def test_total_space_evidence_accepts_explicit_state_and_grid():
     ops = build_model(DIAG)
     rho0 = np.eye(ops.dim) / ops.dim
-    ev = total_space_evidence(decompose_model(ops), ops.hamiltonian(), rho0,
-                              np.linspace(0.0, 5.0, 11))
+    ev = total_space_evidence(decompose_model(ops), rho0, np.linspace(0.0, 5.0, 11))
     # the maximally mixed state commutes with everything
     assert ev["population_drift"] <= DEFAULT_VERDICT_TOL
     assert ev["coherence_modulus_drift"] <= DEFAULT_VERDICT_TOL
@@ -233,7 +233,8 @@ def _random_state(rng, dim, rank):
 
 
 def _assert_matches_dense(decomp, h, state, times):
-    got = total_space_evidence(decomp, h, state, times)
+    # h is the decomposition's own H in the original basis, which the oracle evolves by expm
+    got = total_space_evidence(decomp, state, times)
     rho0 = np.outer(state, state.conj()) if state.ndim == 1 else state
     want = dense_total_space_evidence(decomp, h, rho0, times)
     assert set(got) == set(want)
@@ -260,13 +261,27 @@ def test_total_space_evidence_matches_dense_reference(spec, rank):
                           np.linspace(0.0, 10.0, 41))
 
 
+def _jordan_decomposition(dim):
+    """(order-1 decomposition, H) of H0 = diag(0, 0, 2.5, 4)[:dim] and H1 = E_01.
+
+    Levels 0 and 1 of H0 are degenerate, so eta > 0 regularizes them, and
+    H = H_f is a Jordan block at 0: no eigenbasis.
+    """
+    h0 = np.diag([0.0, 0.0, 2.5, 4.0][:dim])
+    h1 = np.zeros((dim, dim))
+    h1[0, 1] = 1.0
+    return decompose(h0, h1, lam=1.0, order="1", eta=0.05), h0 + h1
+
+
 @pytest.mark.parametrize("rank", [1, None], ids=["pure", "full"])
 def test_total_space_evidence_defective_hamiltonian(rank):
-    # a Jordan block has no eigenbasis: the factors take the expm route
-    h = np.array([[0.0, 1.0], [0.0, 0.0]])
-    rho0 = np.diag([1.0, 0.0]) if rank == 1 else random_density(np.random.default_rng(4), 2)
-    decomp = decompose(np.diag([0.0, 1.0]), np.zeros((2, 2)))
-    _assert_matches_dense(decomp, h, rho0, np.linspace(0.0, 2.0, 9))
+    # the decomposition's own H is defective: the factors take the expm route
+    rng = np.random.default_rng(4)
+    for dim in (2, 4):
+        decomp, h = _jordan_decomposition(dim)
+        with pytest.raises(DefectiveMatrixError):
+            eig(h)
+        _assert_matches_dense(decomp, h, _random_state(rng, dim, rank), np.linspace(0.0, 2.0, 9))
 
 
 @pytest.mark.parametrize("spec", [GEN, TRI], ids=["hermitian_h", "non_hermitian_h"])
@@ -294,8 +309,7 @@ def test_total_space_evidence_rejects_invalid_state(spec, state, error):
         rho0[0] = complex(1.0, np.nan)
         match = "ket contains non-finite"
     with pytest.raises(error, match=match):
-        total_space_evidence(decompose_model(ops), ops.hamiltonian(), rho0,
-                             TIMES)
+        total_space_evidence(decompose_model(ops), rho0, TIMES)
 
 
 def test_classify_propagates_the_canonical_ket_unfactored(monkeypatch):
@@ -322,9 +336,9 @@ def test_classify_diagonalizes_h_once(monkeypatch, order):
     def counted(module):
         inner = module.eig
 
-        def eig(matrix, hermitian=None):
+        def eig(matrix):
             calls.append(module.__name__)
-            return inner(matrix, hermitian)
+            return inner(matrix)
         return eig
 
     for module in (subdynamics, classify_module):
@@ -338,19 +352,16 @@ def test_classify_diagonalizes_h_once(monkeypatch, order):
 
 @pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
 def test_total_space_evidence_reads_the_exact_eigensystem(spec):
-    # hamiltonian None stands for the decomposition's own H: at the exact
-    # order its eigensystem gives the evidence that a second eig of H gives
+    # every order flows the same free-frame H: at the exact order the
+    # decomposition's eigensystem gives the evidence that order 1's fresh
+    # eig of H_f gives
     ops = build_model(spec)
-    decomp = decompose_model(ops)
     ket = canonical_initial_ket(ops)
-    got = total_space_evidence(decomp, None, ket, TIMES)
-    want = total_space_evidence(decomp, ops.hamiltonian(), ket, TIMES)
+    got = total_space_evidence(decompose_model(ops), ket, TIMES)
+    want = total_space_evidence(decompose_model(ops, order="1"), ket, TIMES)
     assert got.keys() == want.keys()
     for key in want:
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
-    # orders 1 and 2 hold no eigensystem of H
-    with pytest.raises(ValueError, match="exact order"):
-        total_space_evidence(decompose_model(ops, order="1"), None, ket, TIMES)
 
 
 @pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("1", 0.05), ("2", 0.0),
@@ -372,9 +383,7 @@ def _walk_case(case, rank):
     """(decomposition, H, rho0) for a Hermitian, triangular or defective H."""
     if case == "defective":
         # a Jordan block in a 4-level space: no eigenbasis, the expm route
-        h = np.zeros((4, 4))
-        h[0, 1] = 1.0
-        decomp = decompose(np.diag([0.0, 1.0, 2.5, 4.0]), np.zeros((4, 4)))
+        decomp, h = _jordan_decomposition(4)
     else:
         ops = build_model(GEN if case == "hermitian" else TRI)
         h, decomp = ops.hamiltonian(), decompose_model(ops, order=2, eta=0.05)
@@ -393,7 +402,7 @@ def test_time_grid_blocks_give_identical_results(monkeypatch, case, rank):
     results = []
     for entries in (1, 4 * decomp.basis.dim ** 2, 2 ** 40):
         monkeypatch.setattr(classify_module, "_BLOCK_ENTRIES", entries)
-        results.append((total_space_evidence(decomp, h, rho0, times),
+        results.append((total_space_evidence(decomp, rho0, times),
                         fidelity_trace(decomp.energies, coeff, times).values))
     (evidence, values), *others = results
     assert np.isnan(evidence["fidelity_vs_free_min"]) == (case != "hermitian")

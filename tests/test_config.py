@@ -180,8 +180,8 @@ def diagonal_doc(dim, **extra):
 
 
 def test_dimension_cap_and_override():
-    # order 2 at d = 2^16 and eta > 0 holds 16 * 26 d^2 bytes of d x d
-    # arrays, about 1.7 TiB: refused everywhere
+    # order 2 at d = 2^16 and eta > 0 holds 16 * 25 d^2 bytes of d x d
+    # arrays, about 1.6 TiB: refused everywhere
     with pytest.raises(ConfigError, match=r"order 2.*estimated .* MiB.*budget of .* MiB"):
         load_config(diagonal_doc(2**16, order="2", eta=0.05))
     # the run the old fixed cap of d = 64 refused needs a few MiB
@@ -207,10 +207,11 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     est = config_module._check_memory
     d = 16
     # d x d factors, one 2^15-entry block of the time grid and the grid
-    # itself; exact classify holds only the eigensystem of H
+    # itself; exact classify holds only the eigensystem of H, and orders 1
+    # and 2 hold the eigensystem of H_f next to their plane factors
     base = est(load_config(diagonal_doc(d)))
     assert base == 16 * (16 * d**2 + 2 * 2**15 + 101)
-    perturbative = base + 16 * 8 * d**2
+    perturbative = base + 16 * 7 * d**2
     assert est(load_config(diagonal_doc(d, order="1"))) == perturbative
     # order 2 holds d x d arrays at eta = 0 and at eta > 0 gathers over
     # chunks of 2^15 pairs, held three times, and pair lists of at most d^2
@@ -218,7 +219,7 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) \
         == perturbative + 16 * (2**15 + d**2)
     assert est(load_config(diagonal_doc(64, order="2", eta=0.05))) \
-        == 16 * (24 * 64**2 + 3 * 2**15 + 64**2 + 101)
+        == 16 * (23 * 64**2 + 3 * 2**15 + 64**2 + 101)
     # from d = 182 a block of the time grid is one step of d^2 entries
     assert est(load_config(diagonal_doc(256))) == 16 * (18 * 256**2 + 101)
     # classify pays one entry a step; evolve's population phases and
@@ -226,9 +227,10 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 900
     assert est(load_config(diagonal_doc(d, scenario="evolve", t_grid=[0.0, 1.0, 1001]))) \
         == base + 16 * (16 * d**2 + (2 * d + 8) * 1001 - 101)
-    # verify runs the exact order; swap-calibrate reads no time grid
-    assert est(load_config(diagonal_doc(d, scenario="verify"))) == perturbative
-    assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == perturbative - 16 * 101
+    # verify runs the exact order and holds 24 d^2; swap-calibrate reads no time grid
+    verify = base + 16 * 8 * d**2
+    assert est(load_config(diagonal_doc(d, scenario="verify"))) == verify
+    assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == verify - 16 * 101
 
 
 def test_order_two_gather_adds_nothing_to_the_estimate_at_d640(monkeypatch):

@@ -191,11 +191,6 @@ def test_eig_refusal_reads_the_assembled_condition_number():
         eig(scipy.linalg.block_diag(a, b))
 
 
-def test_eig_hermitian_forced_rejects():
-    with pytest.raises(NonHermitianError):
-        eig(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
-
-
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_propagator_matches_dense_exponential(hermitian):
     rng = np.random.default_rng(4)

@@ -27,7 +27,8 @@ from oracle import (
 )
 from subdyn import subdynamics
 from subdyn.config import load_config, read_config
-from subdyn.linalg import components, is_hermitian, norm_scale, random_density, unvec, vec
+from subdyn.linalg import (NonHermitianError, components, is_hermitian, norm_scale,
+                           random_density, unvec, vec)
 from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.subdynamics import (
     ResonanceError,
@@ -81,6 +82,31 @@ def test_liouville_basis_layout():
     for j in range(3):
         for i in range(3):
             assert basis.e0[i + 3 * j] == basis.f_values[i] - basis.f_values[j]
+
+
+def test_decompose_rejects_a_non_hermitian_free_hamiltonian():
+    # linalg.eig would take its general path on this H0 without complaint:
+    # liouville_basis checks hermiticity itself
+    h0 = np.array([[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NonHermitianError, match="free Hamiltonian must be Hermitian"):
+        decompose(h0, np.zeros((2, 2)))
+
+
+BAD_KETS = {
+    "short": (lambda d: np.full(d - 1, (d - 1) ** -0.5, dtype=complex), "ket must have length"),
+    "non_finite": (lambda d: np.eye(1, d, dtype=complex)[0] * complex(1.0, np.nan),
+                   "ket contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_KETS))
+def test_projection_and_kinetic_check_reject_a_bad_ket(gen_ops, gen_exact, bad):
+    make, match = BAD_KETS[bad]
+    ket = make(gen_ops.dim)
+    with pytest.raises(ValueError, match=match):
+        project_density(gen_exact, ket)
+    with pytest.raises(ValueError, match=match):
+        kinetic_consistency_residual(gen_exact, gen_ops.hamiltonian(), ket, 1.0)
 
 
 def test_frame_roundtrip(gen_ops):
@@ -426,9 +452,10 @@ def test_second_order_projection_converges_at_order_two_on_general_config():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3, Kato frames: levels 0 and 2 of H0 are degenerate and coupled only "
-    "through level 1, a path the resolvent of the perturbative orders drops, so the "
-    "order-2 energy gap shrinks by 4 per halving and nothing raises"))
+    "the perturbative orders keep H0's own frame inside its degenerate eigenspace, not a "
+    "Kato frame that diagonalizes h1_f r h1_f there: levels 0 and 2 are degenerate and "
+    "coupled only through level 1, a path their resolvent drops, so the order-2 energy "
+    "gap shrinks by 4 per halving and nothing raises"))
 def test_indirectly_coupled_degenerate_levels_meet_the_order_two_energy_rate():
     h0 = np.diag([0.0, 1.0, 0.0])
     h1 = np.zeros((3, 3))
