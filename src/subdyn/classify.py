@@ -14,11 +14,11 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import (DefectiveMatrixError, as_complex_matrix, as_ket, eig, expm, is_hermitian,
-                     psd_factor)
+from .linalg import (DefectiveMatrixError, as_complex_matrix, as_ket, components, eig, expm,
+                     is_hermitian, psd_factor)
 from .models import ModelOperators, canonical_initial_ket
-from .subdynamics import (_BLOCK_ENTRIES, Decomposition, _phi_hamiltonian, decompose_model,
-                          project_density)
+from .subdynamics import (Decomposition, _phi_hamiltonian, decompose_model, project_density,
+                          time_blocks)
 
 DF = "DF"
 PHASE_ERROR = "PE"
@@ -99,25 +99,13 @@ def check_triangular_condition(decomp: Decomposition) -> float:
     return float(np.max(np.abs(spectral_shift(decomp))))
 
 
-def _time_blocks(steps: int, entries_per_step: int):
-    """Slices of a time grid holding about _BLOCK_ENTRIES entries each.
-
-    A block spans max(1, _BLOCK_ENTRIES // entries_per_step) steps: at
-    d^2 entries a step, the whole 101-step grid up to d = 16, four blocks at
-    d = 32 and one step from d = 182. So a walk over the blocks never holds
-    a steps x d^2 array.
-    """
-    size = max(1, _BLOCK_ENTRIES // entries_per_step)
-    for start in range(0, steps, size):
-        yield slice(start, min(start + size, steps))
-
-
 def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> FidelityTrace:
     """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu.
 
-    The exponent table exp(t Im E) is built one block of the time grid at a
-    time (_time_blocks over the d^2 dyads). When every E_nu is real each of
-    its terms is exactly 0, so no table is built and every value is 1.0.
+    The exponent table exp(t Im E) is built over the dyads of nonzero weight
+    only, one block of the time grid at a time (time_blocks), so a zero
+    coefficient costs nothing. When every such E_nu is real each term of
+    the table is exactly 0, so no table is built and every value is 1.0.
     Raises ValueError when max|E| max|t| eps >= 1, where e^{-i E t} keeps
     no correct digit.
     """
@@ -130,40 +118,69 @@ def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> Fid
     if total <= 0.0:
         raise ValueError("initial state has no weight on any dyad")
     weights = mags / total
-    if not energies.imag.any():
+    nonzero = np.flatnonzero(weights)
+    rates, populated = energies.imag[nonzero], weights[nonzero]
+    if not rates.any():
         return FidelityTrace(times=ts, values=np.ones_like(ts), weights=weights)
     # sum(weights) is 1 only to rounding, so the deviation from 1 is summed
     # directly: exactly zero when every E_nu is real. Each step is its own
     # pairwise sum, so the blocks do not change a bit of it (a matrix-vector
     # product would round a step by its place in the block).
     deviation = np.empty_like(ts)
-    for block in _time_blocks(ts.shape[0], energies.shape[0]):
-        terms = np.exp(np.outer(ts[block], energies.imag))
+    for block in time_blocks(ts.shape[0], rates.shape[0] + 1):
+        terms = np.exp(np.outer(ts[block], rates))
         terms -= 1.0
-        terms *= weights
+        terms *= populated
         deviation[block] = terms.sum(axis=1)
     return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
 
 
-def _state_flow(decomp: Decomposition, g: np.ndarray):
+def _touched_levels(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Levels of the components of h (see linalg.components) on which some
+    row of g is nonzero, in ascending order: every level for a state on
+    every component, none for a zero state."""
+    labels = components(h)
+    touched = np.zeros(labels.shape[0], dtype=bool)
+    touched[labels[g.any(axis=1)]] = True
+    return np.flatnonzero(touched[labels])
+
+
+def _principal(m: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """m[levels][:, levels] in m's own memory order: BLAS rounds a product
+    by the layout of its operands, so the block over every level is m
+    itself to the last bit."""
+    if m.flags.f_contiguous:
+        return m.T.take(levels, 0).take(levels, 1).T
+    return m.take(levels, 0).take(levels, 1)
+
+
+def _state_flow(decomp: Decomposition, h: np.ndarray, hermitian: bool, levels: np.ndarray,
+                g: np.ndarray):
     """Free-frame factors of F^dagger rho(t) F = e^{-iH_f t} g g^dagger e^{+iH_f t}.
 
-    H_f = diag(f_values) + lam h1_f is the H that decomp was built from, in
-    the free frame, and g = F^dagger U the free-frame factor of the state.
-    Returns (hermitian, flow) where flow(ts) gives, for a block of times,
-    stacked (ket, bra) with F^dagger rho(t) F = ket[k] @ bra[k], ket[k] d x r
-    and bra[k] r x d. One eigendecomposition H_f = psi diag(z) psi~ serves
-    every t at O(d^2 r) a step: ket = psi (e^{-izt} psi~ g) and
-    bra = (g^dagger psi) e^{+izt} psi~, which is ket^dagger when H_f is
-    Hermitian. An exact-order decomp holds that eigensystem already, so H_f
-    is diagonalized only at orders 1 and 2. A defective H_f, never
-    Hermitian, takes two d x d exponentials per t instead.
+    h is H_f = diag(f_values) + lam h1_f, the H that decomp was built from,
+    in the free frame, and hermitian whether it is Hermitian. g = F^dagger U
+    is the free-frame factor of the state on levels, the components of H_f
+    that it touches (see _touched_levels). H_f and every function of it are
+    block diagonal over the components, so the state never leaves those
+    levels, and the flow reads H_f[levels, levels] only. Returns
+    (hermitian, flow) where flow(ts) gives, for a block of times, stacked
+    (ket, bra) with F^dagger rho(t) F = ket[k] @ bra[k] on the levels,
+    ket[k] n x r and bra[k] r x n. One eigendecomposition
+    H_f = psi diag(z) psi~ serves every t at O(n^2 r) a step:
+    ket = psi (e^{-izt} psi~ g) and bra = (g^dagger psi) e^{+izt} psi~,
+    which is ket^dagger when the block is Hermitian. An exact-order decomp holds that eigensystem already: the
+    eigenpairs of a component sit at its own indices, as the matching never
+    leaves a component, so the levels' rows and columns are the block's own
+    eigensystem. H_f[levels, levels] is diagonalized only at orders 1 and 2;
+    a defective block, never Hermitian, takes two n x n exponentials per t
+    instead.
     """
-    h = _phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f)
     if decomp.order == "exact":
-        psi, psi_tilde, z = decomp.psi, decomp.psi_tilde, decomp.z
-        hermitian = is_hermitian(h)
+        psi, psi_tilde = _principal(decomp.psi, levels), _principal(decomp.psi_tilde, levels)
+        z = decomp.z[levels]
     else:
+        h = _principal(h, levels)
         try:
             system = eig(h)
         except DefectiveMatrixError:
@@ -203,20 +220,28 @@ def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float
     constant but fidelity below 1). The state flows under the H that decomp
     was built from, in the free frame, at every order (see _state_flow).
 
+    Only the n levels of the components of H_f that the state touches are
+    walked (_touched_levels): elsewhere every population, coherence and
+    free-phase overlap is exactly 0 at every t, so every drift there is 0.
     state is a ket (1-d, length d) or a Hermitian PSD density matrix, which
     is propagated as its rank-r factor rho0 = U U^dagger, so a step costs
-    O(r d^2). A rank-one state (a ket, or a pure density matrix) has
+    O(r n^2). A rank-one state (a ket, or a pure density matrix) has
     sigma_ab(t) = k_a(t) b_b(t), so its coherence moduli are the real
     products |k_a| |b_b| and its fidelity is |<phi_free(t)|phi(t)>|; a
     mixed state takes the Uhlmann fidelity ||U_free(t)^dagger U(t)||_tr,
     the singular values of an r x r matrix. The time grid is walked in
-    blocks (_time_blocks), each reduced to its drifts and its fidelity
+    blocks (time_blocks), each reduced to its drifts and its fidelity
     minimum before the next.
     """
     basis = decomp.basis
+    h = _phi_hamiltonian(basis, decomp.lam, decomp.h1_f)
+    hermitian = is_hermitian(h)
     g0 = basis.f_vectors.conj().T @ _state_factor(state, basis.dim)
-    hermitian, flow = _state_flow(decomp, g0)
-    pure = g0.shape[1] == 1
+    levels = _touched_levels(h, g0)
+    g0, f_values = g0[levels], basis.f_values[levels]
+    flow_hermitian, flow = _state_flow(decomp, h, hermitian, levels, g0)
+    n, rank = g0.shape
+    pure = rank == 1
     if pure:
         g = g0[:, 0]
         pop0 = g * g.conj()
@@ -229,24 +254,27 @@ def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float
     pop_drift = 0.0
     coh_drift = 0.0
     fid_min = 1.0
-    for block in _time_blocks(ts.shape[0], basis.dim ** 2):
+    # a step holds the n x n moduli (or sigma) and the n x r flow,
+    # populations, moduli and free phases: n (n + 4 r) entries
+    for block in time_blocks(ts.shape[0], n * (n + 4 * rank)):
         ket, bra = flow(ts[block])
         if pure:
             k, b = ket[:, :, 0], bra[:, 0, :]
             pops = k * b
             k_mod = np.abs(k)
-            b_mod = k_mod if hermitian else np.abs(b)
+            b_mod = k_mod if flow_hermitian else np.abs(b)
             gap = k_mod[:, :, None] * b_mod[:, None, :]
         else:
             sigma = ket @ bra
             pops = np.diagonal(sigma, axis1=1, axis2=2)
             gap = np.abs(sigma)
-        pop_drift = max(pop_drift, float(np.max(np.abs(pops - pop0))))
+        # a zero state walks no level and drifts by nothing
+        pop_drift = max(pop_drift, float(np.max(np.abs(pops - pop0), initial=0.0)))
         gap -= mod0
-        gap.reshape(gap.shape[0], -1)[:, :: basis.dim + 1] = 0.0
-        coh_drift = max(coh_drift, float(np.max(np.abs(gap, out=gap))))
+        gap.reshape(gap.shape[0], -1)[:, :: n + 1] = 0.0
+        coh_drift = max(coh_drift, float(np.max(np.abs(gap, out=gap), initial=0.0)))
         if hermitian:
-            phases = np.exp((1j * basis.f_values) * ts[block, None])
+            phases = np.exp((1j * f_values) * ts[block, None])
             overlaps = (g0.conj().T * phases[:, None, :]) @ ket
             if pure:
                 fidelities = np.abs(overlaps[:, 0, 0])
@@ -291,9 +319,10 @@ def classify(ops: ModelOperators, times, order="exact", eta: float = 0.0) -> DFR
     The state is the model's canonical initial state and the scale its own
     ModelSpec.lam; total_space_evidence takes any other state. The
     canonical state is pure, so the total-space evidence and the projection
-    both read its ket, and no d x d state is formed. At the exact order the
-    evidence reads the decomposition's eigensystem of H; orders 1 and 2
-    diagonalize H once for it, in the free frame.
+    both read its ket, and no d x d state is formed. The evidence walks the
+    levels of the components of H_f that the ket touches: at the exact
+    order it reads the decomposition's eigensystem of H on them; orders 1
+    and 2 diagonalize H once for it, in the free frame, on those levels.
     """
     ts = np.asarray(times, dtype=np.float64)
     ket = canonical_initial_ket(ops)

@@ -235,50 +235,57 @@ def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
     The estimate is 16 (q d^2 + max(2 max(d^2, 2^15), gather) + steps s)
-    bytes. The q d^2 term covers the d x d eigen data, plane factors and
-    flows: q = 16 for classify at the exact order, which holds only the
-    eigensystem of H and reads it for its evidence, q = 23 for classify at
-    orders 1 and 2, whose evidence diagonalizes H in the free frame next to
-    the plane factors, q = 24 for verify and swap-calibrate, and q = 32 for
-    evolve, whose energies table holds a row of Python numbers per dyad.
-    The block term covers one block of the time grid: classify's
-    total-space evidence and fidelity_trace walk the grid in blocks of
-    about 2^15 entries at d^2 each (one step from d = 182), holding at
-    most 24 bytes an entry (a mixed state's complex sigma and its real
-    moduli), so no steps x d^2 array exists. The gather
-    term counts only for order 2 at eta > 0, whose off-plane sums run
-    between the grid walks: gather = 3 * 2^15 + d^2, a kernel chunk of
-    about 2^15 pairs held three times over (the kernel, its square or the
-    gathered state, and their product), plus the pair lists of the
-    interaction's nonzeros, about 88 bytes a nonzero, bounded by 16 d^2
-    bytes while A' has at most d^2 / 5.5 nonzeros (the shipped kinds have
-    at most 14 a row in the block-sparse free frame). So from d = 314 it
-    adds nothing to the block term. The grid term is s = 1 per step for
-    the times and the fidelity trace, and s = 2 d + 8 for evolve, whose
-    trace_drift holds a steps x d table of population phases twice over
-    and whose fidelity table holds a row of Python floats per step.
-    tracemalloc peaks of runner.run, diagonal kind, classify: 0.45 MB at
-    d = 16, 0.97 MB at d = 32 (order 2), 1.60 MB at d = 64 (order 2, any
-    eta) and 1.43 MB at d = 82 (exact), where the block term dominates; at
-    d = 182 and 256, where a block is one step, 16 (11.3..11.5) d^2 for
-    classify at the exact order, 16 (13.3..19.1) d^2 at orders 1 and 2,
-    16 (19.0..20.0) d^2 for verify and 16 (28.8..32.8) d^2 for evolve. The
-    general kind's gather adds 1.3 MB at d = 64 (3.05 MB at eta = 0.05). At
-    d = 64 with 10,001 steps classify peaks at 1.3 MB and evolve at
-    20.5 MB.
+    bytes, fitted to tracemalloc peaks of runner.run: it bounds the
+    Python-visible allocations, not the process RSS, which adds the
+    interpreter, the libraries and LAPACK's workspace. The q d^2 term
+    covers the d x d eigen data and plane factors: q = 16 for classify at
+    the exact order, which holds only the eigensystem of H, q = 18 for
+    classify at orders 1 and 2, which hold the plane factors and
+    diagonalize H only on the levels the canonical ket touches (at most
+    half of them: one parity block on the general kind, two levels on the
+    others), q = 24 for verify and swap-calibrate, and q = 32 for evolve,
+    whose energies table holds a row of Python numbers per dyad. The block
+    term covers one block of a walk over the time grid: classify's
+    total-space evidence and the kinetic traces walk it in blocks of about
+    2^15 entries, counting every entry a step holds (time_blocks), each at
+    most 32 bytes, so no steps x d^2 array exists. A step of the evidence
+    holds n (n + 4 r) entries over the n levels the state touches, so its
+    block is one step only from n = 180, which the canonical ket reaches on
+    the general kind from d = 360 and never on the others. The gather term
+    counts only for order 2 at eta > 0 on an interaction that is not
+    one-sided (ModelSpec.one_sided_interaction), whose off-plane sums run
+    between the grid walks: gather = 4 * 2^15 + d^2, a kernel chunk of
+    about 2^15 pairs held about four times over (the last chunk's kernel
+    and its square while the next one's outer difference takes a chunk and
+    a half), plus the pair lists of the interaction's nonzeros, about 88
+    bytes a nonzero, bounded by 16 d^2 bytes while A' has at most d^2 / 5.5
+    nonzeros (the shipped kinds have at most 14 a row in the block-sparse
+    free frame). So from d = 363 it adds nothing to the block term. The
+    grid term is s = 2 per step for classify (the times and the fidelity
+    trace's deviations and values), s = 1 for verify, and s = 10 for
+    evolve, whose fidelity table holds a row of Python floats per step
+    next to the times, the trace and the trace drift. tracemalloc peaks of
+    runner.run over 101 steps: at d = 64, classify at orders 1 and 2 on the
+    diagonal kind, any eta, 1.00 to 1.26 MB (2.23 MB estimated), and at
+    order 2 on the general kind 1.51 MB and 3.05 MB at eta = 0.05
+    (3.35 MB); at d = 256, on the diagonal, triangular and general kinds
+    alike, 16 (11.3) d^2 for classify at the exact order and
+    16 (13.3..17.3) d^2 at orders 1 and 2, and on the diagonal kind
+    16 (17.7) d^2 for verify and 16 (27.6..31.4) d^2 for evolve. At d = 64
+    with 10,001 steps classify peaks at 1.4 MB and evolve at 3.3 MB.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
-    gather = 3 * 2**15 + d**2 if ordered and config.order == "2" and config.eta > 0 else 0
-    evolve = config.scenario == "evolve"
-    if evolve:
-        per_dyad = 32
+    gathers = (ordered and config.order == "2" and config.eta > 0
+               and not config.model.one_sided_interaction)
+    gather = 4 * 2**15 + d**2 if gathers else 0
+    if config.scenario == "evolve":
+        per_dyad, per_step = 32, 10
     elif config.scenario == "classify":
-        per_dyad = 16 if config.order == "exact" else 23
+        per_dyad, per_step = (16 if config.order == "exact" else 18), 2
     else:
-        per_dyad = 24
-    per_step = 2 * d + 8 if evolve else 1
+        per_dyad, per_step = 24, 1
     estimate = 16 * (per_dyad * d**2 + max(2 * max(d**2, 2**15), gather) + steps * per_step)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if estimate > budget:

@@ -185,7 +185,7 @@ def _size_groups(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """
     d = labels.shape[0]
     size = np.bincount(labels, minlength=d)[labels]
-    if size.max() == 1:  # diagonal
+    if size.max(initial=1) == 1:  # diagonal, or empty
         return np.arange(d), []
     # grouped by component size, then component, then index
     grouped = np.argsort(size * d + labels, kind="stable")
@@ -437,18 +437,23 @@ def psd_factor(matrix) -> np.ndarray:
     d * eps * max|w|, the numerical rank of numpy.linalg.matrix_rank, so a
     pure state gives a d x 1 factor. Eigenvalues in [-DEFAULT_TOL * scale, 0)
     count as zero; anything more negative raises NotPositiveSemidefiniteError.
+    A zero row and column of M is a zero row of U, so the eigh reads only
+    the other rows and columns, and U is exactly zero on those levels.
     """
     m = as_complex_matrix(matrix)
     if not is_hermitian(m):
         raise NonHermitianError("psd_factor expects a Hermitian matrix")
-    values, vectors = np.linalg.eigh(m)
+    live = np.flatnonzero(m.any(axis=0) | m.any(axis=1))
+    values, vectors = np.linalg.eigh(m[np.ix_(live, live)])
     floor = -DEFAULT_TOL * norm_scale(m)
     if values.min(initial=0.0) < floor:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {values.min():.3e} below PSD tolerance {floor:.3e}")
     cutoff = m.shape[0] * np.finfo(np.float64).eps * np.max(np.abs(values), initial=0.0)
     keep = values > cutoff
-    return vectors[:, keep] * np.sqrt(values[keep])
+    factor = np.zeros((m.shape[0], np.count_nonzero(keep)), dtype=np.complex128)
+    factor[live] = vectors[:, keep] * np.sqrt(values[keep])
+    return factor
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

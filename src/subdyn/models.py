@@ -106,6 +106,18 @@ class ModelSpec:
         nb = self.bath_cutoff + 1
         return 4 * nf * nb ** len(self.bath)
 
+    @property
+    def one_sided_interaction(self) -> bool:
+        """Whether order 2's gather at eta > 0 (subdynamics._pair_sums)
+        weighs no pair of the pairings kappa or of the canonical state:
+        true of the diagonal kind, whose interaction has no hop, and of the
+        triangular kind without hermitian_variant, whose hops only lower
+        the ladder, so no hop meets a hop back and none leaves the
+        canonical state over the field vacuum.
+        """
+        return self.kind == "diagonal" or (self.kind == "triangular"
+                                           and not self.hermitian_variant)
+
 
 @dataclasses.dataclass(frozen=True)
 class ModelOperators:

@@ -15,7 +15,7 @@ from .models import ModelOperators, block_eigensolve, build_model, canonical_ini
     extract_block
 from .report import RunReport, write_report
 from .subdynamics import block_residual, completeness_residual, decompose_model, \
-    kinetic_consistency_residual, project_density, similarity_residual
+    kinetic_consistency_residual, project_density, similarity_residual, time_blocks
 
 # The fixed gate and Turing experiments: swap-calibrate times a swap of
 # t_sw = T_SWAP; turing-demo runs a head and TAPE_SPINS tape spins through
@@ -70,15 +70,23 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
                                                       canonical_initial_ket(ops), mid_t)
     trace = fidelity_trace(decomp.energies, coeff, times)
 
-    # the trace reads only the population coefficients nu = (i, i)
+    # the trace reads only the population coefficients nu = (i, i), and of
+    # those only the nonzero ones, one block of the time grid at a time
     d = decomp.basis.dim
-    pop_energies = decomp.energies[:: d + 1]
-    pop_coeff = coeff[:: d + 1]
-    phases = np.exp(-1j * pop_energies * np.asarray(times, dtype=np.float64)[:, None])
-    gaps = (phases * pop_coeff).sum(axis=1) - pop_coeff.sum()
-    # np.hypot rounds like the scalar abs of a complex; np.abs on a complex
-    # array may differ in the last bit
-    trace_drift = float(np.max(np.hypot(gaps.real, gaps.imag), initial=0.0))
+    nonzero = np.flatnonzero(coeff[:: d + 1]) * (d + 1)
+    pop_energies, pop_coeff = decomp.energies[nonzero], coeff[nonzero]
+    ts = trace.times
+    start = pop_coeff.sum()
+    drift = np.empty_like(ts)
+    # a step holds the phases and their exponents, its sum, gap and modulus
+    for block in time_blocks(ts.shape[0], pop_coeff.shape[0] + 2):
+        phases = np.exp(-1j * pop_energies * ts[block, None])
+        phases *= pop_coeff
+        gaps = phases.sum(axis=1) - start
+        # np.hypot rounds like the scalar abs of a complex; np.abs on a
+        # complex array may differ in the last bit
+        drift[block] = np.hypot(gaps.real, gaps.imag)
+    trace_drift = float(np.max(drift, initial=0.0))
 
     fidelity_rows = [(float(t), float(v)) for t, v in zip(trace.times, trace.values)]
     # row k = i + d j lists the dyad nu = (i, j)

@@ -228,9 +228,24 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -
 
 # Entries one block of a walk holds. Order 2's gather at eta > 0 builds the
 # dyad resolvent over this many (left, right) pairs of the interaction's
-# nonzeros at a time; classify's walks of the time grid take steps of d^2
-# entries each.
+# nonzeros at a time; the walks of the time grid take as many steps as hold
+# this many entries (time_blocks).
 _BLOCK_ENTRIES = 2 ** 15
+
+
+def time_blocks(steps: int, entries_per_step: int):
+    """Slices of a time grid holding about _BLOCK_ENTRIES entries each.
+
+    A block spans max(1, _BLOCK_ENTRIES // entries_per_step) steps, where
+    entries_per_step counts every entry one step of the walk holds at once,
+    each at most 32 bytes with its temporaries: the n x n table of a walk
+    over n levels and its n-long side arrays alike. So a walk over the
+    blocks holds at most about 32 _BLOCK_ENTRIES bytes, or one step. A
+    walk over no level, which holds no entry a step, counts one.
+    """
+    size = max(1, _BLOCK_ENTRIES // max(1, entries_per_step))
+    for start in range(0, steps, size):
+        yield slice(start, min(start + size, steps))
 
 
 def _pair_sums(eps: np.ndarray, eta: float, left: np.ndarray, right: np.ndarray,

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from oracle import dense_total_space_evidence, fidelity
 from subdyn import classify as classify_module
+from subdyn import subdynamics
 from subdyn.classify import (
     CELLS,
     DEFAULT_VERDICT_TOL,
@@ -22,7 +23,7 @@ from subdyn.classify import (
 )
 from subdyn.config import load_config
 from subdyn.linalg import (DefectiveMatrixError, NonHermitianError,
-                           NotPositiveSemidefiniteError, eig, random_density)
+                           NotPositiveSemidefiniteError, components, eig, random_density)
 from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.subdynamics import decompose, decompose_model, project_density
 
@@ -152,7 +153,7 @@ def test_fidelity_trace_of_real_energies_builds_no_table(monkeypatch):
     def no_table(steps, entries_per_step):
         raise AssertionError("the exponent table was built")
 
-    monkeypatch.setattr(classify_module, "_time_blocks", no_table)
+    monkeypatch.setattr(classify_module, "time_blocks", no_table)
     rng = np.random.default_rng(17)
     signed = rng.standard_normal(36) + 1j * np.where(rng.uniform(size=36) < 0.5, -0.0, 0.0)
     cases = [(signed, rng.standard_normal(36) + 1j * rng.standard_normal(36))]
@@ -167,6 +168,33 @@ def test_fidelity_trace_of_real_energies_builds_no_table(monkeypatch):
         table = 1.0 + ((np.exp(np.outer(TIMES, energies.imag)) - 1.0) * weights).sum(axis=1)
         assert trace.values.tobytes() == table.tobytes()
         assert trace.weights.tobytes() == weights.tobytes()
+
+
+def _full_table(energies, coefficients, times):
+    """The fidelity trace summed over every dyad, zero weights included."""
+    weights = np.abs(coefficients) / np.abs(coefficients).sum()
+    return 1.0 + ((np.exp(np.outer(times, energies.imag)) - 1.0) * weights).sum(axis=1)
+
+
+def test_fidelity_trace_sums_over_the_nonzero_weights():
+    rng = np.random.default_rng(43)
+    energies = rng.standard_normal(36) + 0.05j * rng.standard_normal(36)
+    coefficients = rng.standard_normal(36) + 1j * rng.standard_normal(36)
+    # no zero weight: the full table's bytes
+    trace = fidelity_trace(energies, coefficients, TIMES)
+    assert trace.values.tobytes() == _full_table(energies, coefficients, TIMES).tobytes()
+    # zero weights leave the sum, which then rounds in another grouping
+    coefficients[::3] = 0.0
+    trace = fidelity_trace(energies, coefficients, TIMES)
+    np.testing.assert_allclose(trace.values, _full_table(energies, coefficients, TIMES),
+                               rtol=0, atol=1e-15)
+    assert trace.weights.shape == (36,)
+    assert np.count_nonzero(trace.weights) == 24
+    # a zero weight on a growing E_nu costs nothing: the full table would
+    # overflow there and read inf * 0 = NaN
+    energies[0] = 1j * 50.0
+    trace = fidelity_trace(energies, coefficients, TIMES)
+    assert np.all(np.isfinite(trace.values))
 
 
 def test_fidelity_trace_decays_with_retarded_regulator():
@@ -284,6 +312,130 @@ def test_total_space_evidence_defective_hamiltonian(rank):
         _assert_matches_dense(decomp, h, _random_state(rng, dim, rank), np.linspace(0.0, 2.0, 9))
 
 
+def _touched(decomp, state):
+    """Levels of the components of H_f that the state's free-frame factor touches."""
+    basis = decomp.basis
+    labels = components(np.diag(basis.f_values) + decomp.lam * decomp.h1_f)
+    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+    populated = np.diagonal(basis.f_vectors.conj().T @ rho @ basis.f_vectors)
+    return np.flatnonzero(np.isin(labels, labels[np.flatnonzero(populated)]))
+
+
+def _framed(spec, order="exact", eta=0.0):
+    """(decomposition, H, component labels) of a model rebuilt in its free
+    frame: H0 = diag(eps), so F = I and a state is its own free-frame factor."""
+    decomp = decompose_model(build_model(spec), order=order, eta=eta)
+    h0 = np.diag(decomp.basis.f_values)
+    h = h0 + decomp.lam * decomp.h1_f
+    return decompose(h0, decomp.h1_f, lam=decomp.lam, order=order, eta=eta), h, components(h)
+
+
+def _on_levels(rng, dim, levels, rank):
+    """A random ket (rank "ket") or rank-r density matrix on the given levels only."""
+    cols = 1 if rank == "ket" else rank
+    a = np.zeros((dim, cols), dtype=complex)
+    a[levels] = rng.standard_normal((len(levels), cols)) + 1j * rng.standard_normal(
+        (len(levels), cols))
+    if rank == "ket":
+        return a[:, 0] / np.linalg.norm(a)
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("2", 0.0), ("2", 0.05)])
+@pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
+def test_canonical_ket_walk_matches_dense_reference(spec, order, eta):
+    # the canonical ket touches a few components of H_f; the walk reads
+    # those levels only, the oracle flows every level
+    ops = build_model(spec)
+    decomp = decompose_model(ops, order=order, eta=eta)
+    ket = canonical_initial_ket(ops)
+    assert 0 < _touched(decomp, ket).size < ops.dim
+    _assert_matches_dense(decomp, ops.hamiltonian(), ket, np.linspace(0.0, 10.0, 41))
+
+
+@pytest.mark.parametrize("order", ["exact", "1", "2"])
+@pytest.mark.parametrize("spec", [TRI, GEN], ids=lambda s: s.kind)
+def test_states_on_some_components_match_dense_reference(spec, order):
+    # a random ket on one component and a rank-2 state on two
+    decomp, h, labels = _framed(spec, order=order, eta=0.05 if order == "2" else 0.0)
+    rng = np.random.default_rng(37)
+    first, second = np.unique(labels)[:2]
+    one = np.flatnonzero(labels == first)
+    two = np.flatnonzero(np.isin(labels, (first, second)))
+    for levels, rank in ((one, "ket"), (two, 2)):
+        state = _on_levels(rng, h.shape[0], levels, rank)
+        np.testing.assert_array_equal(_touched(decomp, state), levels)
+        _assert_matches_dense(decomp, h, state, np.linspace(0.0, 10.0, 41))
+
+
+def test_state_on_the_jordan_block_matches_dense_reference():
+    # H_f = H is a Jordan block on levels 0 and 1 and diagonal on 2 and 3:
+    # a state on the block takes the expm route on those levels alone
+    decomp, h = _jordan_decomposition(4)
+    rng = np.random.default_rng(5)
+    for levels, rank in (([0, 1], "ket"), ([0, 1], 2), ([0, 1, 2], 2)):
+        state = _on_levels(rng, 4, levels, rank)
+        np.testing.assert_array_equal(_touched(decomp, state), levels)
+        _assert_matches_dense(decomp, h, state, np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("order", ["exact", "1"])
+@pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
+def test_walk_steps_hold_the_touched_levels_only(monkeypatch, spec, order):
+    # a step of the walk holds an n x n table and its n-long side arrays
+    # over the n touched levels; a state on every component walks all d
+    entries = []
+    blocks = classify_module.time_blocks
+
+    def recording(steps, entries_per_step):
+        entries.append(entries_per_step)
+        return blocks(steps, entries_per_step)
+
+    monkeypatch.setattr(classify_module, "time_blocks", recording)
+    ops = build_model(spec)
+    decomp = decompose_model(ops, order=order)
+    ket = canonical_initial_ket(ops)
+    n = _touched(decomp, ket).size
+    assert n < ops.dim
+    total_space_evidence(decomp, ket, TIMES)
+    assert entries == [n * (n + 4)]
+    rng = np.random.default_rng(13)
+    entries.clear()
+    total_space_evidence(decomp, _random_state(rng, ops.dim, 2), TIMES)
+    assert entries == [ops.dim * (ops.dim + 8)]
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_principal_block_keeps_the_memory_order(layout):
+    # BLAS rounds by layout: the block over every level is the matrix's
+    # own bytes in its own order, so a state on every component walks
+    # exactly what an unsliced walk would
+    rng = np.random.default_rng(5)
+    m = np.asarray(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), order=layout)
+    whole = classify_module._principal(m, np.arange(6))
+    assert whole.flags.c_contiguous == m.flags.c_contiguous
+    assert whole.flags.f_contiguous == m.flags.f_contiguous
+    assert whole.tobytes(order="A") == m.tobytes(order="A")
+    levels = np.array([1, 4, 5])
+    np.testing.assert_array_equal(classify_module._principal(m, levels), m[np.ix_(levels, levels)])
+
+
+@pytest.mark.parametrize("order", ["exact", "1", "2"])
+@pytest.mark.parametrize("spec", [DIAG, TRI, GEN], ids=lambda s: s.kind)
+def test_zero_state_walks_no_level(spec, order):
+    # a zero density matrix touches no component: nothing drifts, and its
+    # overlap with the free-evolved state is 0, as over every level
+    ops = build_model(spec)
+    decomp = decompose_model(ops, order=order)
+    evidence = total_space_evidence(decomp, np.zeros((ops.dim, ops.dim)), TIMES)
+    assert evidence["population_drift"] == evidence["coherence_modulus_drift"] == 0.0
+    if spec is TRI:
+        assert np.isnan(evidence["fidelity_vs_free_min"])
+    else:
+        assert evidence["fidelity_vs_free_min"] == 0.0
+
+
 @pytest.mark.parametrize("spec", [GEN, TRI], ids=["hermitian_h", "non_hermitian_h"])
 @pytest.mark.parametrize("state, error", [
     ("non_hermitian", NonHermitianError),
@@ -329,8 +481,6 @@ def test_classify_diagonalizes_h_once(monkeypatch, order):
     # the decomposition diagonalizes H0 and, at the exact order, H in the
     # free frame; the evidence then reads that eigensystem, so H is
     # diagonalized once per run at every order
-    from subdyn import subdynamics
-
     calls = []
 
     def counted(module):
@@ -380,10 +530,19 @@ def test_project_density_reads_a_ket_as_its_pure_state(spec, order, eta):
 
 
 def _walk_case(case, rank):
-    """(decomposition, H, rho0) for a Hermitian, triangular or defective H."""
+    """(decomposition, H, rho0) for a Hermitian, triangular or defective H,
+    or a state on one component of a Hermitian H."""
     if case == "defective":
         # a Jordan block in a 4-level space: no eigenbasis, the expm route
         decomp, h = _jordan_decomposition(4)
+    elif case == "one_component":
+        # the walk reads the component's levels only
+        decomp, h, labels = _framed(GEN, order="2", eta=0.05)
+        levels = np.flatnonzero(labels == labels[0])
+        rho0 = np.zeros(h.shape, dtype=complex)
+        rho0[np.ix_(levels, levels)] = _random_state(np.random.default_rng(23), levels.size, rank)
+        assert _touched(decomp, rho0).size == levels.size < h.shape[0]
+        return decomp, h, rho0
     else:
         ops = build_model(GEN if case == "hermitian" else TRI)
         h, decomp = ops.hamiltonian(), decompose_model(ops, order=2, eta=0.05)
@@ -392,20 +551,21 @@ def _walk_case(case, rank):
 
 
 @pytest.mark.parametrize("rank", [1, 2, None], ids=["pure", "rank2", "full"])
-@pytest.mark.parametrize("case", ["hermitian", "triangular", "defective"])
+@pytest.mark.parametrize("case", ["hermitian", "triangular", "defective", "one_component"])
 def test_time_grid_blocks_give_identical_results(monkeypatch, case, rank):
-    # one step per block, 4 steps per block (37 is no multiple of 4), and
-    # the whole grid in one block give the same bytes
+    # one step per block, 4 steps per block of the evidence walk (37 is no
+    # multiple of 4), and the whole grid in one block give the same bytes
     decomp, h, rho0 = _walk_case(case, rank)
     times = np.linspace(0.0, 7.0, 37)
     coeff = project_density(decomp, rho0)
+    n, r = _touched(decomp, rho0).size, np.linalg.matrix_rank(rho0)
     results = []
-    for entries in (1, 4 * decomp.basis.dim ** 2, 2 ** 40):
-        monkeypatch.setattr(classify_module, "_BLOCK_ENTRIES", entries)
+    for entries in (1, 4 * n * (n + 4 * r), 2 ** 40):
+        monkeypatch.setattr(subdynamics, "_BLOCK_ENTRIES", entries)
         results.append((total_space_evidence(decomp, rho0, times),
                         fidelity_trace(decomp.energies, coeff, times).values))
     (evidence, values), *others = results
-    assert np.isnan(evidence["fidelity_vs_free_min"]) == (case != "hermitian")
+    assert np.isnan(evidence["fidelity_vs_free_min"]) == (case in ("triangular", "defective"))
     for other_evidence, other_values in others:
         assert other_evidence.keys() == evidence.keys()
         # NaN fidelity on both sides when H is not Hermitian

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subdyn import config as config_module
+from subdyn import subdynamics
 from subdyn.config import (
     SCENARIOS,
     ConfigError,
@@ -207,41 +208,86 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     est = config_module._check_memory
     d = 16
     # d x d factors, one 2^15-entry block of the time grid and the grid
-    # itself; exact classify holds only the eigensystem of H, and orders 1
-    # and 2 hold the eigensystem of H_f next to their plane factors
+    # itself, two entries a step; exact classify holds only the eigensystem
+    # of H, and orders 1 and 2 their plane factors next to the eigensystem
+    # of H_f on the levels the canonical ket touches
     base = est(load_config(diagonal_doc(d)))
-    assert base == 16 * (16 * d**2 + 2 * 2**15 + 101)
-    perturbative = base + 16 * 7 * d**2
+    assert base == 16 * (16 * d**2 + 2 * 2**15 + 2 * 101)
+    perturbative = base + 16 * 2 * d**2
     assert est(load_config(diagonal_doc(d, order="1"))) == perturbative
     # order 2 holds d x d arrays at eta = 0 and at eta > 0 gathers over
-    # chunks of 2^15 pairs, held three times, and pair lists of at most d^2
+    # chunks of 2^15 pairs, held four times, and pair lists of at most d^2;
+    # the diagonal interaction gathers nothing
     assert est(load_config(diagonal_doc(d, order="2"))) == perturbative
-    assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) \
-        == perturbative + 16 * (2**15 + d**2)
-    assert est(load_config(diagonal_doc(64, order="2", eta=0.05))) \
-        == 16 * (23 * 64**2 + 3 * 2**15 + 64**2 + 101)
-    # from d = 182 a block of the time grid is one step of d^2 entries
-    assert est(load_config(diagonal_doc(256))) == 16 * (18 * 256**2 + 101)
-    # classify pays one entry a step; evolve's population phases and
-    # fidelity rows 2 d + 8, and its energies table 16 d^2 more
-    assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 900
+    assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) == perturbative
+    general = {**GOOD, "order": "2", "eta": 0.05, "model": {
+        "kind": "general", "omega_atoms": [1.0, 1.0], "omega": 1.0, "g": 0.5, "lam": 0.05,
+        "bath": [[0.9, 0.6]], "fock_cutoff": 1, "bath_cutoff": 1}}
+    assert est(load_config(general)) == perturbative + 16 * (2 * 2**15 + d**2)
+    hermitian = {**diagonal_doc(64, order="2", eta=0.05),
+                 "model": {**GOOD["model"], "kind": "triangular", "fock_cutoff": 31}}
+    assert est(load_config(hermitian)) == 16 * (18 * 64**2 + 2 * 2**15 + 2 * 101)
+    hermitian["model"]["hermitian_variant"] = True
+    assert est(load_config(hermitian)) == 16 * (18 * 64**2 + 4 * 2**15 + 64**2 + 2 * 101)
+    # from d = 182 the block term is 2 d^2, a block of a walk over all d
+    # levels; the canonical ket's walk over the |S| <= d / 2 levels it
+    # touches holds less
+    assert est(load_config(diagonal_doc(256))) == 16 * (18 * 256**2 + 2 * 101)
+    # classify pays two entries a step; evolve's fidelity rows, times and
+    # traces 10, and its energies table 16 d^2 more
+    assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 2 * 900
     assert est(load_config(diagonal_doc(d, scenario="evolve", t_grid=[0.0, 1.0, 1001]))) \
-        == base + 16 * (16 * d**2 + (2 * d + 8) * 1001 - 101)
-    # verify runs the exact order and holds 24 d^2; swap-calibrate reads no time grid
-    verify = base + 16 * 8 * d**2
+        == base + 16 * (16 * d**2 + 10 * 1001 - 2 * 101)
+    # verify runs the exact order, holds 24 d^2 and one entry a step;
+    # swap-calibrate reads no time grid
+    verify = base + 16 * (8 * d**2 - 101)
     assert est(load_config(diagonal_doc(d, scenario="verify"))) == verify
     assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == verify - 16 * 101
 
 
+@pytest.mark.parametrize("scenario", ["classify", "evolve"])
+@pytest.mark.parametrize("model", [
+    {"kind": "diagonal", "omega0": 1.0, "omega": 1.3, "g": 0.5, "fock_cutoff": 3},
+    {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4, "fock_cutoff": 3},
+    {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4, "fock_cutoff": 3,
+     "diagonal_in_free": True},
+    {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4, "lam": 0.3, "fock_cutoff": 3,
+     "hermitian_variant": True},
+    {"kind": "general", "omega_atoms": [1.0, 1.0], "omega": 1.0, "g": 0.5, "lam": 0.05,
+     "bath": [[0.9, 0.6]], "fock_cutoff": 1, "bath_cutoff": 1},
+], ids=["diagonal", "triangular", "triangular_free", "triangular_hermitian", "general"])
+def test_one_sided_interaction_gathers_no_pair(monkeypatch, scenario, model):
+    # _check_memory counts the gather term only where the model is not
+    # one-sided: a one-sided model's gather must weigh no pair at all
+    pairs = []
+    gather = subdynamics._pair_sums
+
+    def counted(eps, eta, left, right, *args, **kwargs):
+        pairs.append(np.count_nonzero(left) * np.count_nonzero(right))
+        return gather(eps, eta, left, right, *args, **kwargs)
+
+    monkeypatch.setattr(subdynamics, "_pair_sums", counted)
+    cfg = load_config({"scenario": scenario, "order": "2", "eta": 0.05,
+                       "t_grid": [0.0, 1.0, 11], "model": model})
+    run(cfg)
+    assert pairs
+    assert (sum(pairs) == 0) == cfg.model.one_sided_interaction
+
+
 def test_order_two_gather_adds_nothing_to_the_estimate_at_d640(monkeypatch):
-    # from d = 314 the gather's chunk and pair lists fit in the time-grid
-    # block term, so eta > 0 costs what eta = 0 does (load_config only: no run)
+    # from d = 363 the gather's chunks and pair lists fit in the time-grid
+    # block term, so eta > 0 costs what eta = 0 does on the general kind,
+    # which gathers (load_config only: no run)
     pages = {"SC_PHYS_PAGES": 2**40 // 4096, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
-    estimates = {(scenario, eta): config_module._check_memory(
-        load_config(diagonal_doc(640, scenario=scenario, order="2", eta=eta)))
-        for scenario in ("classify", "evolve") for eta in (0.0, 0.05)}
+    general = {"kind": "general", "omega_atoms": [1.0, 1.0], "omega": 1.0, "g": 0.5,
+               "lam": 0.05, "bath": [[0.9, 0.6]], "fock_cutoff": 79, "bath_cutoff": 1}
+    estimates = {}
     for scenario in ("classify", "evolve"):
+        for eta in (0.0, 0.05):
+            cfg = load_config({"scenario": scenario, "order": "2", "eta": eta, "model": general})
+            assert cfg.model.dim == 640
+            estimates[scenario, eta] = config_module._check_memory(cfg)
         assert estimates[scenario, 0.05] == estimates[scenario, 0.0]
 
 
@@ -259,9 +305,16 @@ MEMORY_CASES = {f"{dim}-{order}": diagonal_doc(dim, order=order)
                                    (32, "1"), (32, "2"), (48, "2"), (64, "2"), (82, "exact")]}
 # order 2 at eta > 0 gathers the dyad-resolvent remainder: the gather term
 MEMORY_CASES.update({f"{dim}-2-eta": diagonal_doc(dim, order="2", eta=0.05) for dim in (16, 64)})
-# a long time grid: classify walks it in blocks, evolve holds a steps x d table
+# a long time grid: classify and evolve walk it in blocks
 MEMORY_CASES.update({f"64-{scenario}-10001-steps": diagonal_doc(
     64, scenario=scenario, t_grid=[0.0, 10.0, 10001]) for scenario in ("classify", "evolve")})
+# the general kind gathers kappa's pairs at eta > 0: in two chunks at
+# d = 32 and in seven at d = 48
+MEMORY_CASES.update({f"general-{4 * (fock + 1) * 4}-2-eta": {
+    **GOOD, "order": "2", "eta": 0.05, "model": {
+        "kind": "general", "omega_atoms": [1.0, 1.0], "omega": 1.0, "g": 0.5, "lam": 0.05,
+        "bath": [[0.9, 0.6], [0.97, 0.6]], "fock_cutoff": fock, "bath_cutoff": 1}}
+    for fock in (1, 2)})
 TIGHT_MEMORY_CASES = ("64-2", "64-2-eta", "82-exact", "64-classify-10001-steps",
                       "64-evolve-10001-steps")
 

@@ -99,6 +99,13 @@ def test_eig_hermitian_path():
     assert np.all(np.diff(system.values.real) >= -1e-12)
 
 
+def test_eig_of_an_empty_matrix_is_empty():
+    # a walk over no level diagonalizes a 0 x 0 block
+    system = eig(np.zeros((0, 0)))
+    assert system.values.shape == (0,)
+    assert system.right_vectors.shape == system.left_vectors.shape == (0, 0)
+
+
 def test_eig_general_left_right():
     rng = np.random.default_rng(3)
     m = random_complex(rng, (6, 6))
@@ -288,6 +295,20 @@ def test_psd_factor_has_the_numerical_rank(rank):
     u = psd_factor(rho)
     assert u.shape == (5, np.linalg.matrix_rank(rho)) == (5, rank)
     np.testing.assert_allclose(u @ u.conj().T, rho, atol=1e-12)
+
+
+def test_psd_factor_is_exactly_zero_off_the_state_levels():
+    # an eigh of the whole matrix leaves rounding (about 5e-17) on the zero
+    # rows of some such states; the factor is zero there to the bit
+    rng = np.random.default_rng(37)
+    for levels in ([0, 1, 5], [2, 3, 7, 9]):
+        a = np.zeros((12, 2), dtype=complex)
+        a[levels] = random_complex(rng, (len(levels), 2))
+        rho = a @ a.conj().T
+        u = psd_factor(rho)
+        assert u.shape == (12, 2)
+        assert np.flatnonzero(np.abs(u).sum(axis=1)).tolist() == levels
+        np.testing.assert_allclose(u @ u.conj().T, rho, atol=1e-12)
 
 
 def test_psd_factor_rejects_negative_and_non_hermitian():

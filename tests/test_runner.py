@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracle import dense_perturbative
+from subdyn import subdynamics
 from subdyn.classify import fidelity_trace
 from subdyn.config import load_config
 from subdyn.models import build_model, canonical_initial_ket, canonical_initial_state
@@ -95,6 +96,17 @@ def test_evolve_tables_match_the_per_dyad_loop(order, eta):
     assert report.payload["trace_drift"] == drift
     if eta > 0.0:
         assert drift > 0.0
+
+
+def test_evolve_trace_drift_is_walked_in_blocks(monkeypatch):
+    # one step per block and the whole grid in one block give the same bytes
+    config = make_config("evolve", model=GEN_MODEL, order="2", eta=0.05)
+    payloads = []
+    for entries in (1, 2**40):
+        monkeypatch.setattr(subdynamics, "_BLOCK_ENTRIES", entries)
+        payloads.append(run(config).payload)
+    assert payloads[0]["trace_drift"] == payloads[1]["trace_drift"] > 0.0
+    assert payloads[0]["fidelity_max_deviation"] == payloads[1]["fidelity_max_deviation"] > 0.0
 
 
 TRI_FREE_MODEL = {"kind": "triangular", "omega0": 1.0, "omega": 1.3, "g": 0.4,
