@@ -9,12 +9,19 @@ between the two routes, sampled over random initial states.
 
 import numpy as np
 
-from subdyn.linalg import expm, random_density
+from subdyn.linalg import expm
 from subdyn.models import ModelSpec, build_model
 from subdyn.subdynamics import decompose_model, kinetic_consistency_residual, project_density
 
 SPEC = ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
                  lam=0.05, bath=((0.9, 0.6),), fock_cutoff=1, bath_cutoff=1)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random full-rank density matrix (Hermitian, positive, unit trace)."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 def main() -> None:

@@ -14,11 +14,10 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import (DefectiveMatrixError, as_complex_matrix, as_ket, components, eig, expm,
-                     is_hermitian, psd_factor)
+from .linalg import DefectiveMatrixError, components, eig, is_hermitian
 from .models import ModelOperators, canonical_initial_ket
-from .subdynamics import (Decomposition, _phi_hamiltonian, decompose_model, project_density,
-                          time_blocks)
+from .subdynamics import (Decomposition, _hilbert_flow, _phi_hamiltonian, decompose_model,
+                          project_density, state_factor, time_blocks)
 
 DF = "DF"
 PHASE_ERROR = "PE"
@@ -169,12 +168,13 @@ def _state_flow(decomp: Decomposition, h: np.ndarray, hermitian: bool, levels: n
     ket[k] n x r and bra[k] r x n. One eigendecomposition
     H_f = psi diag(z) psi~ serves every t at O(n^2 r) a step:
     ket = psi (e^{-izt} psi~ g) and bra = (g^dagger psi) e^{+izt} psi~,
-    which is ket^dagger when the block is Hermitian. An exact-order decomp holds that eigensystem already: the
-    eigenpairs of a component sit at its own indices, as the matching never
-    leaves a component, so the levels' rows and columns are the block's own
-    eigensystem. H_f[levels, levels] is diagonalized only at orders 1 and 2;
-    a defective block, never Hermitian, takes two n x n exponentials per t
-    instead.
+    which is ket^dagger when the block is Hermitian. An exact-order decomp
+    holds that eigensystem already: the eigenpairs of a component sit at
+    its own indices, as the matching never leaves a component, so the
+    levels' rows and columns are the block's own eigensystem.
+    H_f[levels, levels] is diagonalized only at orders 1 and 2; a defective
+    block, never Hermitian, flows by subdynamics._hilbert_flow instead, two
+    n x n exponentials per t.
     """
     if decomp.order == "exact":
         psi, psi_tilde = _principal(decomp.psi, levels), _principal(decomp.psi_tilde, levels)
@@ -185,8 +185,7 @@ def _state_flow(decomp: Decomposition, h: np.ndarray, hermitian: bool, levels: n
             system = eig(h)
         except DefectiveMatrixError:
             def expm_flow(ts):
-                kets = [expm(-1j * t * h) @ g for t in ts]
-                bras = [g.conj().T @ expm(1j * t * h) for t in ts]
+                kets, bras = zip(*(_hilbert_flow(h, g, t) for t in ts))
                 return np.stack(kets), np.stack(bras)
             return False, expm_flow
         psi, psi_tilde, z = system.right_vectors, system.left_vectors, system.values
@@ -200,14 +199,6 @@ def _state_flow(decomp: Decomposition, h: np.ndarray, hermitian: bool, levels: n
         return ket, (bra_left * np.exp((1j * z) * ts[:, None])[:, None, :]) @ psi_tilde
 
     return hermitian, flow
-
-
-def _state_factor(state, dim: int) -> np.ndarray:
-    """d x r factor U of the state: a ket as its own column, a density
-    matrix through psd_factor (rho0 = U U^dagger)."""
-    if np.ndim(state) == 1:
-        return as_ket(state, dim)[:, None]
-    return psd_factor(as_complex_matrix(state, "rho0"))
 
 
 def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float]:
@@ -224,8 +215,9 @@ def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float
     walked (_touched_levels): elsewhere every population, coherence and
     free-phase overlap is exactly 0 at every t, so every drift there is 0.
     state is a ket (1-d, length d) or a Hermitian PSD density matrix, which
-    is propagated as its rank-r factor rho0 = U U^dagger, so a step costs
-    O(r n^2). A rank-one state (a ket, or a pure density matrix) has
+    is propagated as its rank-r factor rho0 = U U^dagger (see
+    subdynamics.state_factor, which refuses any other d x d input), so a
+    step costs O(r n^2). A rank-one state (a ket, or a pure density matrix) has
     sigma_ab(t) = k_a(t) b_b(t), so its coherence moduli are the real
     products |k_a| |b_b| and its fidelity is |<phi_free(t)|phi(t)>|; a
     mixed state takes the Uhlmann fidelity ||U_free(t)^dagger U(t)||_tr,
@@ -236,7 +228,7 @@ def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float
     basis = decomp.basis
     h = _phi_hamiltonian(basis, decomp.lam, decomp.h1_f)
     hermitian = is_hermitian(h)
-    g0 = basis.f_vectors.conj().T @ _state_factor(state, basis.dim)
+    g0 = basis.f_vectors.conj().T @ state_factor(state, basis.dim)
     levels = _touched_levels(h, g0)
     g0, f_values = g0[levels], basis.f_values[levels]
     flow_hermitian, flow = _state_flow(decomp, h, hermitian, levels, g0)

@@ -238,13 +238,14 @@ def _check_memory(config: ScenarioConfig) -> int:
     bytes, fitted to tracemalloc peaks of runner.run: it bounds the
     Python-visible allocations, not the process RSS, which adds the
     interpreter, the libraries and LAPACK's workspace. The q d^2 term
-    covers the d x d eigen data and plane factors: q = 16 for classify at
+    covers the d x d eigen data and plane factors: q = 14 for classify at
     the exact order, which holds only the eigensystem of H, q = 18 for
     classify at orders 1 and 2, which hold the plane factors and
     diagonalize H only on the levels the canonical ket touches (at most
     half of them: one parity block on the general kind, two levels on the
-    others), q = 24 for verify and swap-calibrate, and q = 32 for evolve,
-    whose energies table holds a row of Python numbers per dyad. The block
+    others), q = 20 for verify, whose kinetic check flows three kets, and
+    for swap-calibrate, and q = 32 for evolve, whose energies table holds a
+    row of Python numbers per dyad. The block
     term covers one block of a walk over the time grid: classify's
     total-space evidence and the kinetic traces walk it in blocks of about
     2^15 entries, counting every entry a step holds (time_blocks), each at
@@ -254,38 +255,40 @@ def _check_memory(config: ScenarioConfig) -> int:
     the general kind from d = 360 and never on the others. The gather term
     counts only for order 2 at eta > 0 on an interaction that is not
     one-sided (ModelSpec.one_sided_interaction), whose off-plane sums run
-    between the grid walks: gather = 4 * 2^15 + d^2, a kernel chunk of
-    about 2^15 pairs held about four times over (the last chunk's kernel
-    and its square while the next one's outer difference takes a chunk and
-    a half), plus the pair lists of the interaction's nonzeros, about 88
-    bytes a nonzero, bounded by 16 d^2 bytes while A' has at most d^2 / 5.5
-    nonzeros (the shipped kinds have at most 14 a row in the block-sparse
-    free frame). So from d = 363 it adds nothing to the block term. The
-    grid term is s = 2 per step for classify (the times and the fidelity
-    trace's deviations and values), s = 1 for verify, and s = 10 for
-    evolve, whose fidelity table holds a row of Python floats per step
-    next to the times, the trace and the trace drift. tracemalloc peaks of
+    between the grid walks: gather = 3 * 2^15 + d^2, a kernel chunk of
+    about 2^15 pairs and its square in two buffers that every chunk reuses,
+    numpy's broadcast buffers of about half a chunk, and the pair lists of
+    the interaction's nonzeros, about 88 bytes a nonzero, bounded by
+    16 d^2 bytes while A' has at most d^2 / 5.5 nonzeros (the shipped kinds
+    have at most 14 a row in the block-sparse free frame). So from d = 314
+    it adds nothing to the block term. The grid term is s = 2 per step for
+    classify (the times and the fidelity trace's deviations and values),
+    s = 1 for verify, and s = 10 for evolve, whose fidelity table holds a
+    row of Python floats per step next to the times, the trace and the
+    trace drift. tracemalloc peaks of
     runner.run over 101 steps: at d = 64, classify at orders 1 and 2 on the
-    diagonal kind, any eta, 1.00 to 1.26 MB (2.23 MB estimated), and at
-    order 2 on the general kind 1.51 MB and 3.05 MB at eta = 0.05
-    (3.35 MB); at d = 256, on the diagonal, triangular and general kinds
-    alike, 16 (11.3) d^2 for classify at the exact order and
-    16 (13.3..17.3) d^2 at orders 1 and 2, and on the diagonal kind
-    16 (17.7) d^2 for verify and 16 (27.6..31.4) d^2 for evolve. At d = 64
-    with 10,001 steps classify peaks at 1.4 MB and evolve at 3.3 MB.
+    diagonal kind, any eta, 0.93 to 1.26 MB (2.23 MB estimated), and at
+    order 2 on the general kind 1.50 MB and 2.54 MB at eta = 0.05
+    (2.82 MB); at d = 82, exact classify 1.31 MB (2.56 MB); at d = 256, on
+    the diagonal, triangular and general kinds alike, 16 (11.0) d^2 for
+    classify at the exact order and 16 (13.2..17.2) d^2 at orders 1 and 2,
+    16 (12.2) d^2 for verify on the diagonal kind and 16 (16.5) d^2 on the
+    general one, 16 (14.6) d^2 for swap-calibrate, and 16 (27.4..31.4) d^2
+    for evolve. At d = 64 with 10,001 steps classify peaks at 1.4 MB and
+    evolve at 3.3 MB.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
     ordered = config.scenario in _ORDERED_SCENARIOS
     gathers = (ordered and config.order == "2" and config.eta > 0
                and not config.model.one_sided_interaction)
-    gather = 4 * 2**15 + d**2 if gathers else 0
+    gather = 3 * 2**15 + d**2 if gathers else 0
     if config.scenario == "evolve":
         per_dyad, per_step = 32, 10
     elif config.scenario == "classify":
-        per_dyad, per_step = (16 if config.order == "exact" else 18), 2
+        per_dyad, per_step = (14 if config.order == "exact" else 18), 2
     else:
-        per_dyad, per_step = 24, 1
+        per_dyad, per_step = 20, 1
     estimate = 16 * (per_dyad * d**2 + max(2 * max(d**2, 2**15), gather) + steps * per_step)
     budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if estimate > budget:

@@ -455,10 +455,3 @@ def psd_factor(matrix) -> np.ndarray:
     factor[live] = vectors[:, keep] * np.sqrt(values[keep])
     return factor
 
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random full-rank density matrix (Hermitian, positive, unit trace)."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-

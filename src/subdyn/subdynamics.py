@@ -30,13 +30,18 @@ off the planes: there column nu = (i, j) is -A E_ij A times W = 1 + i eta R
 and order 2 takes O(d^3) time and O(d^2) memory; at eta > 0 the remainder
 W - 1 is gathered over the nonzero pairs of the interaction, nnz^2 kernel
 entries in chunks of about _BLOCK_ENTRIES, none for the diagonal
-interaction. On the general kind, whose h1_f has 7 to 14 nonzeros a row in
-that block frame, one call for kappa and one density matrix took 3.0, 17,
-93 and 309 ms at d = 32, 64, 128 and 256, where the walk over every dyad
-index j it replaces took 7.0, 114 and 2051 ms up to d = 128 (one BLAS
-thread, 2-vCPU host). Each call sums the pairings kappa together with the
-rows of every state it projects; nothing is cached. A pure state is
-projected as its ket, with no d x d state.
+interaction. Each call sums the pairings kappa together with the rows of
+every state it projects; nothing is cached.
+
+A state has one form here: a factor pair (K, B), K d x r and B r x d,
+standing for the free-frame state rho_f = K B. A ket g is (g, g^dagger)
+with r = 1, and a Hermitian PSD density matrix is (U, U^dagger) for its
+rank-r factor (state_factor, the one place that tells a ket from a
+matrix). The projection P_nu Pi_nu rho and the flow e^{-iHt} rho e^{+iHt}
+act on one factor at a time, so no state is ever a d x d matrix: a
+projection costs O(d^2 r) beyond the d x d coefficients it returns, and
+order 2 at eta > 0 takes one gather per column of K.
+
 The dense d^2 x d^2 Liouville routes (L, Omega, Pi_nu, every order's
 columns) are reference oracles for small-d checks and live with the tests,
 in tests/oracle.py.
@@ -59,6 +64,7 @@ from .linalg import (
     expm,
     is_hermitian,
     max_overlap_matching,
+    psd_factor,
     unvec,
     vec,
 )
@@ -249,15 +255,16 @@ def time_blocks(steps: int, entries_per_step: int):
 
 
 def _pair_sums(eps: np.ndarray, eta: float, left: np.ndarray, right: np.ndarray,
-               x: np.ndarray | None = None, squared: bool = False) -> np.ndarray:
-    """S[i, j] = sum_ab left[i, a] right[j, b] k(R) (times x[a, b] if given), eta > 0.
+               squared: bool = False) -> np.ndarray:
+    """S[i, j] = sum_ab left[i, a] right[j, b] k(R), eta > 0.
 
     R = 1/((eps_i - eps_a) - (eps_j - eps_b) + i eta) is the dyad resolvent
     between nu = (i, j) and mu = (a, b), and k(R) = R, or 2 i eta R - eta^2 R^2
     when squared. Only the nonzero entries of left and right are gathered,
     as two lists sorted by i and by j. The kernel is built over chunks of
-    the left list, about _BLOCK_ENTRIES entries each, reduced to j by a
-    segment sum over the right list and to i by one over the chunk's rows.
+    the left list, about _BLOCK_ENTRIES entries each, in one buffer (two
+    when squared) that every chunk reuses, reduced to j by a segment sum
+    over the right list and to i by one over the chunk's rows.
     """
     d = eps.shape[0]
     out = np.zeros((d, d), dtype=np.complex128)
@@ -272,17 +279,18 @@ def _pair_sums(eps: np.ndarray, eta: float, left: np.ndarray, right: np.ndarray,
     jstart = _run_starts(rj)
     js = rj[jstart]
     step = max(1, _BLOCK_ENTRIES // rj.size)
+    kernel = np.empty((min(step, li.size), rj.size), dtype=np.complex128)
+    square = np.empty_like(kernel) if squared else None
     for start in range(0, li.size, step):
         rows = slice(start, start + step)
-        k = np.subtract.outer(lgap[rows], rgap)
+        k = kernel[:min(step, li.size - start)]
+        np.subtract(lgap[rows, None], rgap, out=k)
         np.reciprocal(k, out=k)
         if squared:
-            t = k * (-eta * eta)
+            t = np.multiply(k, -eta * eta, out=square[:k.shape[0]])
             t += 2j * eta
             k *= t
         k *= rw
-        if x is not None:
-            k *= x[la[rows, None], rb]
         s = np.add.reduceat(k, jstart, axis=1)
         s *= lw[rows, None]
         i = li[rows]
@@ -297,14 +305,6 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return np.flatnonzero(first)
-
-
-def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ X @ right for a free-frame state X: a d x d matrix, or a ket g
-    standing for X = g g^dagger, which takes two matrix-vector products."""
-    if x.ndim == 1:
-        return np.outer(left @ x, x.conj() @ right)
-    return left @ x @ right
 
 
 def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: float):
@@ -323,12 +323,12 @@ def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: flo
     return g + weight * (h @ g - g * hd[None, :]), -g + weight * (g @ h - hd[:, None] * g)
 
 
-def _off_plane_sums(decomp: Decomposition, xs: list[np.ndarray]):
-    """Order 2's sums off the planes b = j and a = i, for kappa and every state of xs.
+def _off_plane_sums(decomp: Decomposition, states: list[tuple[np.ndarray, np.ndarray]]):
+    """Order 2's sums off the planes b = j and a = i, for kappa and every state of states.
 
     Returns (kappa, rows): kappa, the d x d sum of d_nu(mu) c_nu(mu), and
-    rows, one d x d sum of d_nu(mu) x[a, b] for each free-frame state x in
-    xs (a d x d matrix or a ket, see _sandwich), which may be empty.
+    rows, one d x d sum of d_nu(mu) x[a, b] for each free-frame state
+    x = K B given as its factor pair (K, B) in states, which may be empty.
 
     Off the planes, column nu reads
     -lam R (h[a, i] A[j, b] + A[a, i] h[j, b]) = -A[a, i] A[j, b] W, as
@@ -337,29 +337,25 @@ def _off_plane_sums(decomp: Decomposition, xs: list[np.ndarray]):
     singularity's value) but W = 2 at any eta > 0. Summed over mu, the
     products are sum_ab P[a, i] Q[j, b] W^2 with P = A'^T * A and
     Q = A * A'^T: the d x d term (A' A)_ii (A A')_jj plus, at eta > 0,
-    W^2 - 1 = 2 i eta R - eta^2 R^2. The rows are -(A' x A')_ij at W = 1
+    W^2 - 1 = 2 i eta R - eta^2 R^2. The rows are -(A' K)(B A')_ij at W = 1
     plus, at eta > 0, the remainder W - 1 = i eta R. Each remainder is a
     _pair_sums gather over the nonzeros of its two weights, so its cost
-    grows with nnz(P) nnz(Q), not d^4: P and Q for kappa, A'[i, a] g_a and
-    A'[b, j] g*_b for a ket g, and A' with the gathered x[a, b] for a d x d
-    state. A has a zero diagonal, so no mask is needed.
+    grows with nnz(P) nnz(Q), not d^4: P and Q for kappa, and for a state
+    one gather per column c of K, over A'[i, a] K[a, c] and A'[b, j] B[c, b].
+    A has a zero diagonal, so no mask is needed.
     """
     g, g_dual = decomp.first_order
     eta = decomp.eta
     p, q = g_dual.T * g, g * g_dual.T
     kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
-    rows = [-_sandwich(g_dual, x, g_dual) for x in xs]
+    rows = [-((g_dual @ k) @ (b @ g_dual)) for k, b in states]
     if eta == 0.0:
         return kappa, rows
     eps = decomp.basis.f_values
     kappa += _pair_sums(eps, eta, p.T, q, squared=True)
-    for x, row in zip(xs, rows):
-        if x.ndim == 1:
-            remainder = _pair_sums(eps, eta, g_dual * x, g_dual.T * x.conj())
-        else:
-            # only a with row a of x nonzero and b with column b nonzero can weigh
-            remainder = _pair_sums(eps, eta, g_dual * x.any(axis=1), g_dual.T * x.any(axis=0), x)
-        row += (-1j * eta) * remainder
+    for (k, b), row in zip(states, rows):
+        for c in range(k.shape[1]):
+            row += (-1j * eta) * _pair_sums(eps, eta, g_dual * k[:, c], g_dual.T * b[c])
     return kappa, rows
 
 
@@ -506,19 +502,20 @@ def block_residual(decomp: Decomposition) -> float:
     return float(np.max(np.abs(anchors / anchors - 1.0)))
 
 
-def _project_frame(decomp: Decomposition, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """Kinetic coefficients of the free-frame states xs, one d x d matrix each.
+def _project_frame(decomp: Decomposition,
+                   states: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Kinetic coefficients of the free-frame states x = K B, one d x d matrix each.
 
-    A state is a d x d matrix x, or a ket g standing for x = g g^dagger
-    (see _sandwich), which needs no d x d state and no d x d product.
-    Exact order: c_nu = (psi~ x psi)_ij psi_ii psi~_jj.
-    Orders 1 and 2: c_nu = (x + U~ x + x V~)_ij / kappa_nu; order 2 adds
-    the off-plane sums, see _off_plane_sums, whose one call serves kappa
-    and every state of xs.
+    states lists factor pairs (K, B), K d x r and B r x d, so every product
+    is O(d^2 r) and no d x d state is formed.
+    Exact order: c_nu = ((psi~ K)(B psi))_ij psi_ii psi~_jj.
+    Orders 1 and 2: c_nu = ((K + U~ K) B + K (B V~))_ij / kappa_nu; order 2
+    adds the off-plane sums, see _off_plane_sums, whose one call serves
+    kappa and every state.
     """
     off_rows = []
     if decomp.order == "2":
-        off_kappa, off_rows = _off_plane_sums(decomp, xs)
+        off_kappa, off_rows = _off_plane_sums(decomp, states)
         kappa = decomp._pairings(off_kappa)
     else:
         kappa = decomp.kappa
@@ -527,54 +524,64 @@ def _project_frame(decomp: Decomposition, xs: list[np.ndarray]) -> list[np.ndarr
     if decomp.planes is None:
         psi, psi_tilde = decomp.psi, decomp.psi_tilde
         anchors = np.outer(np.diag(psi), np.diag(psi_tilde))
-        return [_sandwich(psi_tilde, x, psi) * anchors for x in xs]
+        return [((psi_tilde @ k) @ (b @ psi)) * anchors for k, b in states]
     _, _, u_dual, v_dual = decomp.planes
-    ys = []
-    for x in xs:
-        if x.ndim == 1:
-            ys.append(np.outer(x + u_dual @ x, x.conj()) + np.outer(x, x.conj() @ v_dual))
-        else:
-            ys.append(x + u_dual @ x + x @ v_dual)
+    ys = [(k + u_dual @ k) @ b + k @ (b @ v_dual) for k, b in states]
     for y, rows in zip(ys, off_rows):
         y += rows
     kappa = unvec(kappa, decomp.basis.dim)
     return [y / kappa for y in ys]
 
 
+def state_factor(state, dim: int) -> np.ndarray:
+    """d x r factor U of a state, rho = U U^dagger.
+
+    A ket (1-d, length dim) is its own column. A density matrix goes
+    through linalg.psd_factor, which refuses one that is not Hermitian
+    (NonHermitianError) or not PSD (NotPositiveSemidefiniteError) and keeps
+    one column per eigenvalue above its numerical rank cutoff. This is the
+    one place where a ket and a density matrix part ways.
+    """
+    if np.ndim(state) == 1:
+        return as_ket(state, dim)[:, None]
+    rho = as_complex_matrix(state, "rho0")
+    if rho.shape != (dim, dim):
+        raise ValueError(f"rho0 must be {dim} x {dim}, got shape {rho.shape}")
+    return psd_factor(rho)
+
+
+def _free_pair(basis: PhiBasis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Free-frame factor pair (K, K^dagger), K = F^dagger U, of rho = U U^dagger."""
+    k = basis.f_vectors.conj().T @ u
+    return k, k.conj().T
+
+
 def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
     """Kinetic coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
 
-    rho is a d x d density matrix, or a ket psi (1-d) standing for the pure
-    state |psi><psi|, which is projected as its free-frame ket F^dagger psi
-    without forming a d x d state. Returned as a Liouville-index vector;
-    each coefficient evolves alone, c_nu(t) = e^{-i E_nu t} c_nu(0).
-    _project_frame gives the formula of each order.
+    rho is a ket psi (1-d) standing for the pure state |psi><psi|, or a
+    Hermitian PSD density matrix; either is projected as its free-frame
+    factor pair (see state_factor), without forming a d x d state.
+    Returned as a Liouville-index vector; each coefficient evolves alone,
+    c_nu(t) = e^{-i E_nu t} c_nu(0). _project_frame gives the formula of
+    each order.
     """
     basis = decomp.basis
-    if np.ndim(rho) == 1:
-        x = basis.f_vectors.conj().T @ as_ket(rho, basis.dim)
-    else:
-        x = unvec(basis.to_frame(rho), basis.dim)
-    return vec(_project_frame(decomp, [x])[0])
+    return vec(_project_frame(decomp, [_free_pair(basis, state_factor(rho, basis.dim))])[0])
 
 
-def _hilbert_flow(h: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
-    """The state e^{-iHt} rho e^{+iHt} from d x d exponentials (linalg.expm).
+def _hilbert_flow(h: np.ndarray, u: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor pair (K, B) of e^{-iHt} U U^dagger e^{+iHt} = K B (linalg.expm).
 
-    state is a d x d rho, or a ket psi standing for rho = |psi><psi|. Under
-    a Hermitian H the right factor is the adjoint of the left one, so a
-    state takes one exponential and a ket stays a ket, e^{-iHt} psi;
-    otherwise the right factor is the inverse of the left one, a second
-    exponential, and rho(t) is a d x d matrix.
+    K = e^{-iHt} U. Under a Hermitian H the right factor is the adjoint of
+    the left one, so B = K^dagger and one exponential serves; otherwise
+    B = U^dagger e^{+iHt}, a second exponential. Either way the state keeps
+    the rank of U.
     """
-    left = expm(-1j * t * h)
-    hermitian = is_hermitian(h)
-    if state.ndim == 1:
-        if hermitian:
-            return left @ state
-        state = np.outer(state, state.conj())
-    right = left.conj().T if hermitian else expm(1j * t * h)
-    return left @ state @ right
+    k = expm(-1j * t * h) @ u
+    if is_hermitian(h):
+        return k, k.conj().T
+    return k, u.conj().T @ expm(1j * t * h)
 
 
 def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
@@ -590,17 +597,16 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     it unchanged. hamiltonian is the d x d H in the original basis: its flow
     checks F and h1_f independently, so the decomposition's own free-frame
     H is not read here.
-    rho0 is a d x d density matrix, or a ket psi standing for |psi><psi|,
-    projected as its free-frame ket, as is rho(t) under a Hermitian H (see
-    _hilbert_flow). rho0 and rho(t) are projected in one call; coeff0 equals
-    project_density(decomp, rho0).
+    rho0 is a ket psi standing for |psi><psi|, or a Hermitian PSD density
+    matrix; it flows and is projected as its factor pair (see state_factor
+    and _hilbert_flow). rho0 and rho(t) are projected in one call; coeff0
+    equals project_density(decomp, rho0).
     """
     h = as_complex_matrix(hamiltonian, "hamiltonian")
     basis = decomp.basis
     f, d = basis.f_vectors, basis.dim
-    state = as_ket(rho0, d) if np.ndim(rho0) == 1 else as_complex_matrix(rho0, "rho0")
-    states = (state, _hilbert_flow(h, state, t))
-    c0, lhs = _project_frame(decomp, [f.conj().T @ x if x.ndim == 1
-                                      else unvec(basis.to_frame(x), d) for x in states])
+    u = state_factor(rho0, d)
+    k, b = _hilbert_flow(h, u, t)
+    c0, lhs = _project_frame(decomp, [_free_pair(basis, u), (f.conj().T @ k, b @ f)])
     gap = lhs - np.exp(-1j * unvec(decomp.energies, d) * t) * c0
     return vec(c0), float(np.linalg.norm(gap, ord=2))

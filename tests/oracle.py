@@ -357,6 +357,13 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     return c, d, energies, kappa
 
 
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random full-rank density matrix (Hermitian, positive, unit trace)."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 def sqrtm_psd(matrix) -> np.ndarray:
     """Hermitian PSD square root via eigh.
 

@@ -9,11 +9,10 @@ import time
 
 import numpy as np
 
-from oracle import columns
+from oracle import columns, random_density
 from subdyn.classify import classify, fidelity_trace
 from subdyn.config import load_config
 from subdyn.gates import build_cnot_rls, calibrate_timing, verify_closure
-from subdyn.linalg import random_density
 from subdyn.models import ModelSpec, block_eigensolve, build_model, \
     canonical_initial_state
 from subdyn.report import REPORT_NAME

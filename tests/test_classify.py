@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracle import dense_total_space_evidence, fidelity
+from oracle import dense_total_space_evidence, fidelity, random_density
 from subdyn import classify as classify_module
 from subdyn import subdynamics
 from subdyn.classify import (
@@ -23,9 +23,10 @@ from subdyn.classify import (
 )
 from subdyn.config import load_config
 from subdyn.linalg import (DefectiveMatrixError, NonHermitianError,
-                           NotPositiveSemidefiniteError, components, eig, random_density)
+                           NotPositiveSemidefiniteError, components, eig)
 from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
-from subdyn.subdynamics import decompose, decompose_model, project_density
+from subdyn.subdynamics import (decompose, decompose_model, kinetic_consistency_residual,
+                                project_density)
 
 DIAG = ModelSpec(kind="diagonal", omega0=1.0, omega=1.3, g=0.5, lam=1.0,
                  fock_cutoff=2)
@@ -442,8 +443,12 @@ def test_zero_state_walks_no_level(spec, order):
     ("negative", NotPositiveSemidefiniteError),
     ("short_ket", ValueError),
     ("non_finite_ket", ValueError),
+    ("non_finite_matrix", ValueError),
+    ("wrong_size_matrix", ValueError),
 ])
 def test_total_space_evidence_rejects_invalid_state(spec, state, error):
+    # subdynamics.state_factor is the one boundary every state crosses, so
+    # the projection and the kinetic check refuse what the evidence refuses
     ops = build_model(spec)
     rho0 = np.zeros((ops.dim, ops.dim), dtype=complex)
     match = None
@@ -456,21 +461,34 @@ def test_total_space_evidence_rejects_invalid_state(spec, state, error):
     elif state == "short_ket":
         rho0 = np.full(ops.dim - 1, (ops.dim - 1) ** -0.5, dtype=complex)
         match = "ket must have length"
-    else:
+    elif state == "non_finite_ket":
         rho0 = np.zeros(ops.dim, dtype=complex)
         rho0[0] = complex(1.0, np.nan)
         match = "ket contains non-finite"
-    with pytest.raises(error, match=match):
-        total_space_evidence(decompose_model(ops), rho0, TIMES)
+    elif state == "non_finite_matrix":
+        rho0[0, 0] = np.inf
+        match = "rho0 contains non-finite"
+    else:
+        rho0 = np.eye(ops.dim + 1) / (ops.dim + 1)
+        match = "rho0 must be"
+    for order in ("exact", "1", "2"):
+        decomp = decompose_model(ops, order=order)
+        with pytest.raises(error, match=match):
+            total_space_evidence(decomp, rho0, TIMES)
+        with pytest.raises(error, match=match):
+            project_density(decomp, rho0)
+        with pytest.raises(error, match=match):
+            kinetic_consistency_residual(decomp, ops.hamiltonian(), rho0, 1.0)
 
 
 def test_classify_propagates_the_canonical_ket_unfactored(monkeypatch):
-    # the canonical state is pure: classify hands total_space_evidence its
-    # ket, so no density matrix is factored by an eigh
+    # the canonical state is pure: classify hands total_space_evidence and
+    # project_density its ket, so no density matrix is factored by an eigh
+    # at subdynamics.state_factor, the one boundary both cross
     def refuse(matrix):
         raise AssertionError("classify factored a density matrix")
 
-    monkeypatch.setattr(classify_module, "psd_factor", refuse)
+    monkeypatch.setattr(subdynamics, "psd_factor", refuse)
     for spec in (DIAG, TRI, GEN):
         for order in ("exact", "1", "2"):
             classify(build_model(spec), TIMES, order=order)

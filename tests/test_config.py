@@ -212,35 +212,36 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     # of H, and orders 1 and 2 their plane factors next to the eigensystem
     # of H_f on the levels the canonical ket touches
     base = est(load_config(diagonal_doc(d)))
-    assert base == 16 * (16 * d**2 + 2 * 2**15 + 2 * 101)
-    perturbative = base + 16 * 2 * d**2
+    assert base == 16 * (14 * d**2 + 2 * 2**15 + 2 * 101)
+    perturbative = base + 16 * 4 * d**2
     assert est(load_config(diagonal_doc(d, order="1"))) == perturbative
     # order 2 holds d x d arrays at eta = 0 and at eta > 0 gathers over
-    # chunks of 2^15 pairs, held four times, and pair lists of at most d^2;
+    # chunks of 2^15 pairs, a kernel and its square in reused buffers next
+    # to numpy's broadcast buffers, and pair lists of at most d^2;
     # the diagonal interaction gathers nothing
     assert est(load_config(diagonal_doc(d, order="2"))) == perturbative
     assert est(load_config(diagonal_doc(d, order="2", eta=0.05))) == perturbative
     general = {**GOOD, "order": "2", "eta": 0.05, "model": {
         "kind": "general", "omega_atoms": [1.0, 1.0], "omega": 1.0, "g": 0.5, "lam": 0.05,
         "bath": [[0.9, 0.6]], "fock_cutoff": 1, "bath_cutoff": 1}}
-    assert est(load_config(general)) == perturbative + 16 * (2 * 2**15 + d**2)
+    assert est(load_config(general)) == perturbative + 16 * (2**15 + d**2)
     hermitian = {**diagonal_doc(64, order="2", eta=0.05),
                  "model": {**GOOD["model"], "kind": "triangular", "fock_cutoff": 31}}
     assert est(load_config(hermitian)) == 16 * (18 * 64**2 + 2 * 2**15 + 2 * 101)
     hermitian["model"]["hermitian_variant"] = True
-    assert est(load_config(hermitian)) == 16 * (18 * 64**2 + 4 * 2**15 + 64**2 + 2 * 101)
+    assert est(load_config(hermitian)) == 16 * (18 * 64**2 + 3 * 2**15 + 64**2 + 2 * 101)
     # from d = 182 the block term is 2 d^2, a block of a walk over all d
     # levels; the canonical ket's walk over the |S| <= d / 2 levels it
     # touches holds less
-    assert est(load_config(diagonal_doc(256))) == 16 * (18 * 256**2 + 2 * 101)
+    assert est(load_config(diagonal_doc(256))) == 16 * (16 * 256**2 + 2 * 101)
     # classify pays two entries a step; evolve's fidelity rows, times and
-    # traces 10, and its energies table 16 d^2 more
+    # traces 10, and its energies table 18 d^2 more
     assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 2 * 900
     assert est(load_config(diagonal_doc(d, scenario="evolve", t_grid=[0.0, 1.0, 1001]))) \
-        == base + 16 * (16 * d**2 + 10 * 1001 - 2 * 101)
-    # verify runs the exact order, holds 24 d^2 and one entry a step;
+        == base + 16 * (18 * d**2 + 10 * 1001 - 2 * 101)
+    # verify runs the exact order, holds 20 d^2 and one entry a step;
     # swap-calibrate reads no time grid
-    verify = base + 16 * (8 * d**2 - 101)
+    verify = base + 16 * (6 * d**2 - 101)
     assert est(load_config(diagonal_doc(d, scenario="verify"))) == verify
     assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == verify - 16 * 101
 
@@ -275,7 +276,7 @@ def test_one_sided_interaction_gathers_no_pair(monkeypatch, scenario, model):
 
 
 def test_order_two_gather_adds_nothing_to_the_estimate_at_d640(monkeypatch):
-    # from d = 363 the gather's chunks and pair lists fit in the time-grid
+    # from d = 314 the gather's chunks and pair lists fit in the time-grid
     # block term, so eta > 0 costs what eta = 0 does on the general kind,
     # which gathers (load_config only: no run)
     pages = {"SC_PHYS_PAGES": 2**40 // 4096, "SC_PAGE_SIZE": 4096}

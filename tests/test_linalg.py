@@ -9,7 +9,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import commutator_superop, propagator, sqrtm_psd
+from oracle import commutator_superop, propagator, random_density, sqrtm_psd
 from subdyn.linalg import (
     DefectiveMatrixError,
     NonHermitianError,
@@ -19,7 +19,6 @@ from subdyn.linalg import (
     expm,
     max_overlap_matching,
     psd_factor,
-    random_density,
     tensor,
     unvec,
     vec,

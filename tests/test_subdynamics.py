@@ -21,14 +21,15 @@ from oracle import (
     omega,
     pairing,
     projector_sum,
+    random_density,
     stationary_residual,
     theta_matrix,
     total_projector,
 )
 from subdyn import subdynamics
 from subdyn.config import load_config, read_config
-from subdyn.linalg import (NonHermitianError, components, is_hermitian, norm_scale,
-                           random_density, unvec, vec)
+from subdyn.linalg import (DEGENERACY_TOL, NonHermitianError, components, is_hermitian,
+                           norm_scale, unvec, vec)
 from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
 from subdyn.subdynamics import (
     ResonanceError,
@@ -818,8 +819,9 @@ def test_partly_weighted_gather_matches_dense_oracle():
 @pytest.mark.parametrize("spec, hermitian", [(GEN_SPEC, True), (TRI_FREE_SPEC, False)],
                          ids=["general", "triangular"])
 def test_kinetic_check_of_a_ket_matches_its_density_matrix(spec, hermitian, order, eta):
-    # a ket is projected as its free-frame ket, and under a Hermitian H so
-    # is its flow e^{-iHt} psi; a non-Hermitian H flows it as a d x d state
+    # a ket and its density matrix are the same rank-one factor pair, up to
+    # the phase of psd_factor's eigenvector, and so is their flow under a
+    # Hermitian H and a non-Hermitian one alike
     ops = build_model(spec)
     h = ops.hamiltonian()
     assert is_hermitian(h) == hermitian
@@ -835,6 +837,142 @@ def test_kinetic_check_of_a_ket_matches_its_density_matrix(spec, hermitian, orde
         assert coeff_ket.tobytes() == project_density(decomp, ket).tobytes()
     with pytest.raises(ValueError, match="ket"):
         kinetic_consistency_residual(decomp, h, np.ones(ops.dim + 1), 1.5)
+
+
+@pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("2", 0.0), ("2", 0.05)])
+def test_non_hermitian_flow_stays_rank_one(monkeypatch, order, eta):
+    # the one-sided triangular H is not Hermitian: a ket still flows as one
+    # column K = e^{-iHt} psi and one row B = psi^dagger e^{+iHt}
+    ops = build_model(TRI_FREE_SPEC)
+    h = ops.hamiltonian()
+    assert not is_hermitian(h)
+    decomp = decompose_model(ops, order=order, eta=eta)
+    shapes = []
+    project = subdynamics._project_frame
+
+    def recorded(decomp, states):
+        shapes.extend((k.shape, b.shape) for k, b in states)
+        return project(decomp, states)
+
+    monkeypatch.setattr(subdynamics, "_project_frame", recorded)
+    kinetic_consistency_residual(decomp, h, canonical_initial_ket(ops), 1.5)
+    assert shapes == [((ops.dim, 1), (1, ops.dim))] * 2
+
+
+def test_rank_two_density_at_order_two_matches_dense_oracle(monkeypatch):
+    # order 2 at eta > 0 gathers each of the factor's r columns in turn:
+    # kappa takes one gather and a rank-2 state two more
+    ops = build_model(GEN_SPEC)
+    decomp = decompose_model(ops, order="2", eta=0.05)
+    oracle = dense_perturbative(ops.h0, ops.h1, ops.spec.lam, 0.05, "2")
+    rho = _rank_two_density(np.random.default_rng(41), ops.dim)
+    assert np.linalg.matrix_rank(rho) == 2
+    gathers = []
+    gather = subdynamics._pair_sums
+
+    def counted(*args, **kwargs):
+        gathers.append(args)
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(subdynamics, "_pair_sums", counted)
+    assert_matches_dense(decomp, oracle, rho)
+    gathers.clear()
+    project_density(decomp, rho)
+    assert len(gathers) == 3
+
+
+def _rank_two_density(rng, dim):
+    u = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+    rho = u @ u.conj().T
+    return rho / np.trace(rho).real
+
+
+# eta halving from 1e-3: the remainder of order 2 at eta > 0 is linear in eta
+ETA_HALVINGS = (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
+
+
+def assert_halves_to_the_eta_limit(decomp, rho, routes):
+    """routes(eta) -> (kappa, c) of order 2 approach, as eta halves, the
+    limit from above kappa(0) + 3 S and (y(0) - R) / (kappa(0) + 3 S),
+    with y = c kappa, read at eta = 0 from routes(0).
+
+    A resonant off-plane dyad pair mu = (a, b) of nu = (i, j), a != i and
+    b != j with eps_i - eps_a = eps_j - eps_b within DEGENERACY_TOL, has
+    W = 1 + i eta R = 1 at eta = 0 but W = 2 at every eta > 0. kappa sums
+    W^2 and the rows -W, so the limit exceeds eta = 0 by 3 S in kappa and
+    by -R in y, with S[i, j] = sum P[a, i] Q[j, b] (P = A'^T * A,
+    Q = A * A'^T) and R[i, j] = sum A'[i, a] rho_f[a, b] A'[b, j] over
+    those pairs, summed here over all d^4 pairs. decomp is order 2 at
+    eta = 0 and rho a density matrix.
+    """
+    eps, d = decomp.basis.f_values, decomp.basis.dim
+    a, a_dual = decomp.first_order
+    i, j, k, m = np.ix_(*[np.arange(d)] * 4)
+    tol = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(decomp.basis.e0))))
+    resonant = (np.abs((eps[i] - eps[k]) - (eps[j] - eps[m])) <= tol) & (k != i) & (m != j)
+    rho_f = unvec(decomp.basis.to_frame(rho), d)
+    s = np.einsum("ijab,ai,jb->ij", resonant, a_dual.T * a, a * a_dual.T)
+    r = np.einsum("ijab,ia,ab,bj->ij", resonant, a_dual, rho_f, a_dual)
+    kappa0, c0 = routes(0.0)
+    kappa_limit = kappa0 + 3 * vec(s)
+    c_limit = (c0 * kappa0 - vec(r)) / kappa_limit
+    # the limit is a jump away from eta = 0, not eta = 0's value
+    assert np.max(np.abs(kappa_limit - kappa0)) > 1e-2
+    assert np.max(np.abs(c_limit - c0)) > 1e-3
+    gaps = []
+    for eta in ETA_HALVINGS:
+        kappa, c = routes(eta)
+        gaps.append((np.max(np.abs(kappa - kappa_limit)), np.max(np.abs(c - c_limit))))
+    for before, after in zip(gaps, gaps[1:]):
+        for x, y in zip(before, after):
+            assert 1.95 <= x / y <= 2.05, gaps
+
+
+@pytest.mark.parametrize("state", ["canonical_ket", "rank_two"])
+def test_order_two_halves_to_its_eta_limit_on_general_config(state):
+    # configs/general.json has resonant off-plane dyad pairs: eta -> 0+ is
+    # a limit of its own, not the eta = 0 value
+    config = load_config(read_config(
+        pathlib.Path(__file__).resolve().parents[1] / "configs" / "general.json"))
+    ops = build_model(config.model)
+    rho = canonical_initial_ket(ops) if state == "canonical_ket" \
+        else _rank_two_density(np.random.default_rng(43), ops.dim)
+
+    def routes(eta):
+        decomp = decompose_model(ops, order="2", eta=eta)
+        return decomp.kappa, project_density(decomp, rho)
+
+    dense = np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
+    assert_halves_to_the_eta_limit(decompose_model(ops, order="2"), dense, routes)
+
+
+@pytest.mark.parametrize("state", ["ket", "rank_two"])
+@pytest.mark.parametrize("route", ["factored", "dense"])
+def test_dense_oracle_halves_to_the_same_eta_limit(route, state):
+    # evenly spaced free levels at d = 5 make resonant off-plane dyad pairs
+    # (eps_1 - eps_0 = eps_2 - eps_1, ...) with no degenerate level, so no
+    # one-index resonance; the dense d^2 x d^2 columns and rows reach the
+    # limit that the factored sums name
+    rng = np.random.default_rng(53)
+    h0 = np.diag([0.0, 1.0, 2.0, 3.0, 4.5])
+    h1 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h1 = h1 + h1.conj().T
+    if state == "ket":
+        ket = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        rho = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    else:
+        rho = _rank_two_density(rng, 5)
+    basis = liouville_basis(h0)
+
+    def routes(eta):
+        if route == "factored":
+            decomp = decompose(h0, h1, lam=0.1, order="2", eta=eta)
+            return decomp.kappa, project_density(decomp, rho)
+        _, rows, _, kappa = dense_perturbative(h0, h1, 0.1, eta, "2")
+        rho_f = basis.to_frame(rho)
+        return kappa, (rho_f + rows @ rho_f) / kappa
+
+    assert_halves_to_the_eta_limit(decompose(h0, h1, lam=0.1, order="2"), rho, routes)
 
 
 @pytest.mark.parametrize("entries", [1, 7, 40, 2**15])
