@@ -169,15 +169,19 @@ def _state_flow(decomp: Decomposition, h: np.ndarray, hermitian: bool, levels: n
     H_f = psi diag(z) psi~ serves every t at O(n^2 r) a step:
     ket = psi (e^{-izt} psi~ g) and bra = (g^dagger psi) e^{+izt} psi~,
     which is ket^dagger when the block is Hermitian. An exact-order decomp
-    holds that eigensystem already: the eigenpairs of a component sit at
-    its own indices, as the matching never leaves a component, so the
-    levels' rows and columns are the block's own eigensystem.
+    holds that eigensystem already, anchored: R = I + U and L = I + U~ from
+    its planes, with psi = R and psi~ = diag(1/(L R)_ii) L. The eigenpairs
+    of a component sit at its own indices, as the matching never leaves a
+    component, so the levels' rows and columns are the block's own
+    eigensystem.
     H_f[levels, levels] is diagonalized only at orders 1 and 2; a defective
     block, never Hermitian, flows by subdynamics._hilbert_flow instead, two
     n x n exponentials per t.
     """
     if decomp.order == "exact":
-        psi, psi_tilde = _principal(decomp.psi, levels), _principal(decomp.psi_tilde, levels)
+        eye = np.eye(levels.shape[0])
+        psi, left = (eye + _principal(m, levels) for m in decomp.planes[::2])
+        psi_tilde = left / np.einsum("ia,ai->i", left, psi)[:, None]
         z = decomp.z[levels]
     else:
         h = _principal(h, levels)

@@ -238,14 +238,16 @@ def _check_memory(config: ScenarioConfig) -> int:
     bytes, fitted to tracemalloc peaks of runner.run: it bounds the
     Python-visible allocations, not the process RSS, which adds the
     interpreter, the libraries and LAPACK's workspace. The q d^2 term
-    covers the d x d eigen data and plane factors: q = 14 for classify at
-    the exact order, which holds only the eigensystem of H, q = 18 for
-    classify at orders 1 and 2, which hold the plane factors and
-    diagonalize H only on the levels the canonical ket touches (at most
-    half of them: one parity block on the general kind, two levels on the
-    others), q = 20 for verify, whose kinetic check flows three kets, and
-    for swap-calibrate, and q = 32 for evolve, whose energies table holds a
-    row of Python numbers per dyad. The block
+    covers the decomposition's d x d factors: q = 14 for classify at the
+    exact order, whose four plane factors are two arrays, the anchored
+    eigenvectors of H less the identity, which serve off the planes too,
+    q = 18 for classify at orders 1 and 2, which hold four plane factors
+    (and order 2 four off-plane ones) and diagonalize H only on the levels
+    the canonical ket touches (at most half of them: one parity block on
+    the general kind, two levels on the others), q = 20 for verify, whose
+    kinetic check flows three kets, and for swap-calibrate, and q = 32 for
+    evolve, whose energies table holds a row of Python numbers per dyad,
+    built once the decomposition is freed. The block
     term covers one block of a walk over the time grid: classify's
     total-space evidence and the kinetic traces walk it in blocks of about
     2^15 entries, counting every entry a step holds (time_blocks), each at
@@ -267,15 +269,15 @@ def _check_memory(config: ScenarioConfig) -> int:
     row of Python floats per step next to the times, the trace and the
     trace drift. tracemalloc peaks of
     runner.run over 101 steps: at d = 64, classify at orders 1 and 2 on the
-    diagonal kind, any eta, 0.93 to 1.26 MB (2.23 MB estimated), and at
-    order 2 on the general kind 1.50 MB and 2.54 MB at eta = 0.05
+    diagonal kind, any eta, 0.87 to 1.33 MB (2.23 MB estimated), and at
+    order 2 on the general kind 1.64 MB and 2.55 MB at eta = 0.05
     (2.82 MB); at d = 82, exact classify 1.31 MB (2.56 MB); at d = 256, on
-    the diagonal, triangular and general kinds alike, 16 (11.0) d^2 for
-    classify at the exact order and 16 (13.2..17.2) d^2 at orders 1 and 2,
-    16 (12.2) d^2 for verify on the diagonal kind and 16 (16.5) d^2 on the
-    general one, 16 (14.6) d^2 for swap-calibrate, and 16 (27.4..31.4) d^2
-    for evolve. At d = 64 with 10,001 steps classify peaks at 1.4 MB and
-    evolve at 3.3 MB.
+    the diagonal, triangular and general kinds alike, 16 (11.2) d^2 for
+    classify at the exact order and 16 (13.0..17.2) d^2 at orders 1 and 2,
+    16 (14.0..14.7) d^2 for verify on the diagonal and triangular kinds and
+    16 (16.5) d^2 on the general one, 16 (14.6) d^2 for swap-calibrate, and
+    16 (23.4..23.6) d^2 for evolve at every order. At d = 64 with 10,001
+    steps classify peaks at 1.4 MB and evolve at 2.8 MB.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0

@@ -95,11 +95,6 @@ class EigenSystem:
     hermitian: bool
 
 
-def eigen_sort_order(values: np.ndarray) -> np.ndarray:
-    """Index order sorting eigenvalues ascending by (real, imag)."""
-    return np.lexsort((values.imag, values.real))
-
-
 def tensor(*factors) -> np.ndarray:
     """Kronecker product of the given kets, bras or matrices, in argument order.
 
@@ -269,7 +264,7 @@ def eig(matrix) -> EigenSystem:
     values, right, left = _eig_blocks(m, components(m), hermitian)
     if hermitian:
         values = values.real.astype(np.complex128)
-    order = eigen_sort_order(values)
+    order = np.lexsort((values.imag, values.real))
     right = right[:, order]
     left = right.conj().T if hermitian else left[order, :]
     return EigenSystem(values=values[order], right_vectors=right, left_vectors=left,

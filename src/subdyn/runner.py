@@ -89,9 +89,13 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
     trace_drift = float(np.max(drift, initial=0.0))
 
     fidelity_rows = [(float(t), float(v)) for t, v in zip(trace.times, trace.values)]
+    e0, e = decomp.basis.e0, decomp.energies
+    diagnostics = {"order": decomp.order, "lam": decomp.lam, "eta": decomp.eta}
+    # the per-dyad table reads only e0, e and coeff: its rows of Python
+    # numbers are built after the d x d factors are freed
+    del decomp
     # row k = i + d j lists the dyad nu = (i, j)
     k = np.arange(d * d)
-    e0, e = decomp.basis.e0, decomp.energies
     energy_rows = list(zip((k % d).tolist(), (k // d).tolist(), e0.real.tolist(),
                            e0.imag.tolist(), e.real.tolist(), e.imag.tolist(),
                            np.hypot(coeff.real, coeff.imag).tolist()))
@@ -102,7 +106,6 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
         "kinetic_consistency_residual": consistency,
         "consistency_t": mid_t,
     }
-    diagnostics = {"order": decomp.order, "lam": decomp.lam, "eta": decomp.eta}
     tables = {
         "fidelity": (("t", "fidelity"), fidelity_rows),
         "energies": (("nu_i", "nu_j", "e0_re", "e0_im", "e_re", "e_im", "weight"),

@@ -18,20 +18,34 @@ H0's nonzero pattern, so F, h1_f and everything weighted by h1_f carry
 exact zeros between components that H1 does not couple. Three
 construction orders are supported: "exact" (from the full
 eigendecomposition of H), and the stationary-resolvent perturbation
-expansion truncated at first ("1") or second ("2") order in lam. Each order
-keeps one representation of d x d arrays and computes what it reports from
-it: eigen data at the exact order; at orders 1 and 2, four plane factors
-(U, V, U~, V~), the Rayleigh-Schroedinger corrections of the right and
-left eigenvectors to that order. Column nu = (i, j) reads them on the
-planes b = j and a = i next to nu, and one formula for the energies, the
-pairings kappa and the projection serves both orders. Order 2 also reaches
-off the planes: there column nu = (i, j) is -A E_ij A times W = 1 + i eta R
-(R the dyad resolvent), and the rows are the same in A'. At eta = 0, W = 1
-and order 2 takes O(d^3) time and O(d^2) memory; at eta > 0 the remainder
-W - 1 is gathered over the nonzero pairs of the interaction, nnz^2 kernel
-entries in chunks of about _BLOCK_ENTRIES, none for the diagonal
-interaction. Each call sums the pairings kappa together with the rows of
-every state it projects; nothing is cached.
+expansion truncated at first ("1") or second ("2") order in lam.
+
+Every order stores one form: four plane factors (U, V, U~, V~) and, where
+the order reaches off the planes, four off-plane factors
+(Uo, Vo, U~o, V~o), all d x d. The creation column nu = (i, j) reads
+U[a, i] on the plane b = j, V[j, b] on the plane a = i and Uo[a, i] Vo[j, b]
+off both; the destruction row nu reads U~[i, a], V~[b, j] and
+U~o[i, a] V~o[b, j] at the same places. So one formula gives the pairings
+and the projection of a state x = K B at every order:
+
+    kappa_nu = 1 + (U~ U)_ii + (V V~)_jj + (U~o Uo)_ii (Vo V~o)_jj,
+    c_nu = ((K + U~ K) B + K (B V~) + (U~o K)(B V~o))_ij / kappa_nu.
+
+At the exact order the planes are the right and left eigenvectors of H
+anchored to 1 on their own levels, less the identity: R - I and L - I with
+R = psi diag(1/psi_ii) and L = diag(1/psi~_ii) psi~. The off-plane factors
+are the planes themselves, so kappa_nu = (L R)_ii (L R)_jj and
+c_nu = (L x R)_ij / kappa_nu. Order 1 has the planes (A, -A, A', -A') of
+the resolvent-weighted interactions A and A' and nothing off them. Order 2
+has the second-order Rayleigh-Schroedinger planes and the off-plane
+factors (A, -A, A', -A'): off the planes its column nu reads
+-A[a, i] A[j, b] W, with W = 1 + i eta R (R the dyad resolvent), and its
+row the same in A'. At eta = 0, W = 1 and every order takes O(d^3) time
+and O(d^2) memory; at eta > 0 order 2 adds the remainder W - 1, gathered
+over the nonzero pairs of the interaction, nnz^2 kernel entries in chunks
+of about _BLOCK_ENTRIES, none for the diagonal interaction. Each call sums
+the pairings kappa together with the rows of every state it projects;
+nothing is cached.
 
 A state has one form here: a factor pair (K, B), K d x r and B r x d,
 standing for the free-frame state rho_f = K B. A ket g is (g, g^dagger)
@@ -133,22 +147,22 @@ class Decomposition:
 
     Every order stores its levels (z, w), two d-vectors whose differences
     are the kinetic eigenvalues, E_nu = z_i - w_j at nu = (i, j) (see
-    energies); all entries are phi-frame quantities. The exact order stores
-    the matched eigensystem of H: psi (right eigenvectors as columns),
-    psi_tilde (left eigenvectors as rows, psi_tilde @ psi = I) and z
-    (eigenvalues), with w = z, and computes everything from these d x d
-    factors. Orders 1 and 2 store first_order = (A, A'), the
-    resolvent-weighted interactions A = lam h1_f * r and A' = lam h1_f * r^T
-    (elementwise products) with r[k, i] = 1/(eps_i - eps_k + i eta), zero on
-    k = i and, at eta = 0, on degenerate pairs, and planes = (U, V, U~, V~).
-    The creation column nu = (i, j) reads U[a, i] at mu = (a, j) and
-    V[j, b] at mu = (i, b); the destruction row nu reads U~[i, a] and
-    V~[b, j] at the same places. Order 1 has (U, V, U~, V~) = (A, -A, A', -A'),
-    the superoperators [A, .] and [A', .]. Order 2 adds the second-order
-    Rayleigh-Schroedinger terms (see _rayleigh_schroedinger) and an
-    off-plane part in A and A' (see _off_plane_sums). The instance holds
-    only these factors: the pairings kappa, which every projection divides
-    by, are computed from them on each read.
+    energies), and its dyads in one form: planes = (U, V, U~, V~), whose
+    diagonals are exact zeros, and off_plane = (Uo, Vo, U~o, V~o) or None
+    (see the module docstring for where each is read); all entries are
+    phi-frame quantities. The exact order has z = w, the eigenvalues of H,
+    and planes (R - I, L - I, L - I, R - I) for the anchored right and left
+    eigenvectors R and L, with off_plane the planes themselves. Orders 1 and
+    2 build from the resolvent-weighted interactions A = lam h1_f * r and
+    A' = lam h1_f * r^T (elementwise products), with r[k, i] =
+    1/(eps_i - eps_k + i eta), zero on k = i and, at eta = 0, on degenerate
+    pairs. Order 1 has planes (A, -A, A', -A'), the superoperators [A, .]
+    and [A', .], and no off_plane. Order 2 has the second-order
+    Rayleigh-Schroedinger planes (see _rayleigh_schroedinger) and off_plane
+    (A, -A, A', -A'), and at eta > 0 a gathered remainder (see
+    _gathered_sums). The instance holds only these factors: the pairings
+    kappa, which every projection divides by, are computed from them on
+    each read.
     """
 
     basis: PhiBasis
@@ -158,10 +172,8 @@ class Decomposition:
     h1_f: np.ndarray
     z: np.ndarray
     w: np.ndarray
-    psi: np.ndarray | None = None
-    psi_tilde: np.ndarray | None = None
-    first_order: tuple[np.ndarray, np.ndarray] | None = None
-    planes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+    planes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    off_plane: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def energies(self) -> np.ndarray:
@@ -172,24 +184,23 @@ class Decomposition:
     def kappa(self) -> np.ndarray:
         """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
 
-        Exact order: kappa_nu = 1/(a_i a_j) with a_i = psi_ii psi~_ii.
-        Orders 1 and 2: kappa_nu = 1 + (U~ U)_ii + (V V~)_jj, the sum over
-        the planes; order 2 adds the off-plane sum, see _off_plane_sums,
-        which at eta > 0 gathers over the interaction's nonzeros on every read.
+        kappa_nu = 1 + (U~ U)_ii + (V V~)_jj + (U~o Uo)_ii (Vo V~o)_jj; order 2
+        at eta > 0 adds its remainder, gathered over the interaction's
+        nonzeros on every read (see _gathered_sums).
         """
-        off_plane = _off_plane_sums(self, [])[0] if self.order == "2" else None
-        return self._pairings(off_plane)
+        return self._pairings(_gathered_sums(self, [])[0])
 
-    def _pairings(self, off_plane: np.ndarray | None) -> np.ndarray:
-        """kappa from the stored factors and, at order 2, its off-plane sum."""
-        if self.planes is None:
-            a = np.diag(self.psi) * np.diag(self.psi_tilde)
-            return vec(1.0 / np.outer(a, a))
+    def _pairings(self, remainder: np.ndarray | None) -> np.ndarray:
+        """kappa from the stored factors plus a gathered remainder, if any."""
         u, v, u_dual, v_dual = self.planes
         kappa = 1.0 + np.einsum("ia,ai->i", u_dual, u)[:, None] \
             + np.einsum("jb,bj->j", v, v_dual)[None, :]
-        if off_plane is not None:
-            kappa += off_plane
+        if self.off_plane is not None:
+            uo, vo, uo_dual, vo_dual = self.off_plane
+            off = np.outer((uo_dual.T * uo).sum(axis=0), (vo * vo_dual.T).sum(axis=1))
+            if remainder is not None:
+                off += remainder
+            kappa += off
         return vec(kappa)
 
 
@@ -323,39 +334,41 @@ def _rayleigh_schroedinger(h: np.ndarray, g: np.ndarray, r: np.ndarray, lam: flo
     return g + weight * (h @ g - g * hd[None, :]), -g + weight * (g @ h - hd[:, None] * g)
 
 
-def _off_plane_sums(decomp: Decomposition, states: list[tuple[np.ndarray, np.ndarray]]):
-    """Order 2's sums off the planes b = j and a = i, for kappa and every state of states.
+def _gathered_sums(decomp: Decomposition, states: list[tuple[np.ndarray, np.ndarray]]):
+    """Order 2's remainder off the planes at eta > 0, for kappa and every state of states.
 
-    Returns (kappa, rows): kappa, the d x d sum of d_nu(mu) c_nu(mu), and
-    rows, one d x d sum of d_nu(mu) x[a, b] for each free-frame state
-    x = K B given as its factor pair (K, B) in states, which may be empty.
+    Returns (kappa, rows): kappa, the d x d remainder of sum_mu d_nu(mu)
+    c_nu(mu), and rows, one d x d remainder of sum_mu d_nu(mu) x[a, b] for
+    each free-frame state x = K B given as its factor pair (K, B) in
+    states, which may be empty. Every other order, and order 2 at eta = 0,
+    has none: (None, [None, ...]).
 
     Off the planes, column nu reads
     -lam R (h[a, i] A[j, b] + A[a, i] h[j, b]) = -A[a, i] A[j, b] W, as
     (1/r[a, i] + 1/r[j, b]) R = W = 1 + i eta R, and row nu -A'[i, a] A'[b, j] W.
     On a degenerate dyad pair that is W = 1 at eta = 0 (the removable
-    singularity's value) but W = 2 at any eta > 0. Summed over mu, the
-    products are sum_ab P[a, i] Q[j, b] W^2 with P = A'^T * A and
-    Q = A * A'^T: the d x d term (A' A)_ii (A A')_jj plus, at eta > 0,
-    W^2 - 1 = 2 i eta R - eta^2 R^2. The rows are -(A' K)(B A')_ij at W = 1
-    plus, at eta > 0, the remainder W - 1 = i eta R. Each remainder is a
-    _pair_sums gather over the nonzeros of its two weights, so its cost
-    grows with nnz(P) nnz(Q), not d^4: P and Q for kappa, and for a state
-    one gather per column c of K, over A'[i, a] K[a, c] and A'[b, j] B[c, b].
-    A has a zero diagonal, so no mask is needed.
+    singularity's value) but W = 2 at any eta > 0. The off-plane factors
+    (A, -A, A', -A') carry the part at W = 1. Summed over mu, the products
+    are sum_ab P[a, i] Q[j, b] W^2 with P = A'^T * A and Q = A * A'^T, whose
+    remainder is W^2 - 1 = 2 i eta R - eta^2 R^2, and the rows' remainder is
+    W - 1 = i eta R. Each remainder is a _pair_sums gather over the nonzeros
+    of its two weights, so its cost grows with nnz(P) nnz(Q), not d^4: P and
+    Q for kappa, and for a state one gather per column c of K, over
+    A'[i, a] K[a, c] and A'[b, j] B[c, b]. A has a zero diagonal, so no mask
+    is needed.
     """
-    g, g_dual = decomp.first_order
     eta = decomp.eta
-    p, q = g_dual.T * g, g * g_dual.T
-    kappa = np.outer(p.sum(axis=0), q.sum(axis=1))
-    rows = [-((g_dual @ k) @ (b @ g_dual)) for k, b in states]
-    if eta == 0.0:
-        return kappa, rows
+    if decomp.order != "2" or eta == 0.0:
+        return None, [None] * len(states)
+    g, _, g_dual, _ = decomp.off_plane
     eps = decomp.basis.f_values
-    kappa += _pair_sums(eps, eta, p.T, q, squared=True)
-    for (k, b), row in zip(states, rows):
-        for c in range(k.shape[1]):
-            row += (-1j * eta) * _pair_sums(eps, eta, g_dual * k[:, c], g_dual.T * b[c])
+    kappa = _pair_sums(eps, eta, (g_dual.T * g).T, g * g_dual.T, squared=True)
+    rows = []
+    for k, b in states:
+        row = sum(_pair_sums(eps, eta, g_dual * k[:, c], g_dual.T * b[c])
+                  for c in range(k.shape[1]))
+        row *= -1j * eta
+        rows.append(row)
     return kappa, rows
 
 
@@ -405,23 +418,30 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
     h1_f = f.conj().T @ as_complex_matrix(h1, "h1") @ f
     if order == "exact":
         psi, psi_tilde, z = _exact_factors(_phi_hamiltonian(basis, lam, h1_f))
-        return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                             z=z, w=z, psi=psi, psi_tilde=psi_tilde)
-    r = _free_resolvent(basis, h1_f, lam, eta)
-    a, a_dual = lam * h1_f * r, lam * h1_f * r.T
-    if order == "1":
-        planes = (a, -a, a_dual, -a_dual)
+        # R - I and L - I for R = psi diag(1/psi_ii) and L = diag(1/psi~_ii) psi~
+        u, u_dual = psi / np.diag(psi)[None, :], psi_tilde / np.diag(psi_tilde)[:, None]
+        np.fill_diagonal(u, 0.0)
+        np.fill_diagonal(u_dual, 0.0)
+        planes = off_plane = (u, u_dual, u_dual, u)
+        w = z
     else:
-        # the rows are the columns grown from (h1_f^T, A'^T), transposed
-        rows = _rayleigh_schroedinger(h1_f.T, a_dual.T, r, lam)
-        planes = (*_rayleigh_schroedinger(h1_f, a, r, lam), rows[0].T, rows[1].T)
-    # E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu = z_i - w_j, as
-    # (L1 c_nu)_nu = sum_a h[i, a] U[a, i] - sum_b V[j, b] h[b, j]
-    level = basis.f_values + lam * np.diag(h1_f)
-    z = level + lam * np.einsum("ia,ai->i", h1_f, planes[0])
-    w = level + lam * np.einsum("jb,bj->j", planes[1], h1_f)
+        r = _free_resolvent(basis, h1_f, lam, eta)
+        a, a_dual = lam * h1_f * r, lam * h1_f * r.T
+        # order 1's planes are order 2's off-plane factors
+        planes = off_plane = (a, -a, a_dual, -a_dual)
+        if order == "1":
+            off_plane = None
+        else:
+            # the rows are the columns grown from (h1_f^T, A'^T), transposed
+            rows = _rayleigh_schroedinger(h1_f.T, a_dual.T, r, lam)
+            planes = (*_rayleigh_schroedinger(h1_f, a, r, lam), rows[0].T, rows[1].T)
+        # E_nu = E0_nu + lam L1[nu, nu] + lam (L1 c_nu)_nu = z_i - w_j, as
+        # (L1 c_nu)_nu = sum_a h[i, a] U[a, i] - sum_b V[j, b] h[b, j]
+        level = basis.f_values + lam * np.diag(h1_f)
+        z = level + lam * np.einsum("ia,ai->i", h1_f, planes[0])
+        w = level + lam * np.einsum("jb,bj->j", planes[1], h1_f)
     return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
-                         z=z, w=w, first_order=(a, a_dual), planes=planes)
+                         z=z, w=w, planes=planes, off_plane=off_plane)
 
 
 def decompose_model(ops, order="exact", eta: float = 0.0) -> Decomposition:
@@ -429,42 +449,35 @@ def decompose_model(ops, order="exact", eta: float = 0.0) -> Decomposition:
     return decompose(ops.h0, ops.h1, lam=ops.spec.lam, order=order, eta=eta)
 
 
-def _exact_eigen_data(decomp: Decomposition, check: str):
-    """(psi, psi_tilde, z) of an exact-order decomposition.
+def _anchored_eigenvectors(decomp: Decomposition, check: str):
+    """(R, L, z) of an exact-order decomposition: R = I + U and L = I + U~.
 
-    The verify residuals are d x d expressions in this eigen data; a
-    perturbative order has none, so asking them of one raises ValueError.
+    The verify residuals are d x d expressions in these eigenvectors, which
+    a perturbative order does not have, so asking them of one raises
+    ValueError.
     """
     if decomp.order != "exact":
         raise ValueError(f"{check} reads the exact order's eigen data; "
                          f"got a decomposition at order {decomp.order}")
-    return decomp.psi, decomp.psi_tilde, decomp.z
+    eye = np.eye(decomp.basis.dim)
+    return eye + decomp.planes[0], eye + decomp.planes[2], decomp.z
 
 
 def similarity_residual(decomp: Decomposition) -> float:
     """|| L Omega - Omega Theta || / || L || of an exact-order decomposition.
 
     From d x d data: column nu of L Omega - Omega Theta is
-    vec(R_i psi~_j - psi_i S_j)/(psi_ii psi~_jj) with the eigen-residuals
-    R = H psi - psi Z and S = psi~ H - Z psi~, and
-    ||L||_F = sqrt(2d) ||H - (tr H/d) I||_F.
+    vec(S_i L_j - R_i T_j) with the eigen-residuals S = H R - R Z and
+    T = L H - Z L, and ||L||_F = sqrt(2d) ||H - (tr H/d) I||_F.
     """
-    psi, psi_tilde, z = _exact_eigen_data(decomp, "similarity_residual")
+    right, left, z = _anchored_eigenvectors(decomp, "similarity_residual")
     h = _phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f)
-    r = h @ psi - psi * z[None, :]
-    s = psi_tilde @ h - z[:, None] * psi_tilde
-    # Summed over nu with weights u_i v_j = 1/|psi_ii psi~_jj|^2:
-    # ||R_i psi~_j - psi_i S_j||^2 = |R_i|^2 |psi~_j|^2 + |psi_i|^2 |S_j|^2
-    #                                - 2 Re[(R_i^H psi_i)(psi~_j^* . S_j)]
-    u = 1.0 / np.abs(np.diag(psi)) ** 2
-    v = 1.0 / np.abs(np.diag(psi_tilde)) ** 2
-
-    def dots(weights, a, b, axis):
-        return weights @ np.sum(a.conj() * b, axis=axis)
-
-    total = (dots(u, r, r, 0) * dots(v, psi_tilde, psi_tilde, 1)
-             + dots(u, psi, psi, 0) * dots(v, s, s, 1)
-             - 2.0 * dots(u, r, psi, 0) * dots(v, psi_tilde, s, 1)).real
+    s = h @ right - right * z[None, :]
+    t = left @ h - z[:, None] * left
+    # Summed over nu, ||S_i L_j - R_i T_j||^2 = |S_i|^2 |L_j|^2 + |R_i|^2 |T_j|^2
+    #                                         - 2 Re[(S_i^H R_i)(L_j^H T_j)]
+    total = (np.vdot(s, s) * np.vdot(left, left) + np.vdot(right, right) * np.vdot(t, t)
+             - 2.0 * np.vdot(s, right) * np.vdot(left, t)).real
     d = h.shape[0]
     centred = h - (np.trace(h) / d) * np.eye(d)
     l_norm = math.sqrt(2 * d) * float(np.linalg.norm(centred))
@@ -474,13 +487,14 @@ def similarity_residual(decomp: Decomposition) -> float:
 def completeness_residual(decomp: Decomposition) -> float:
     """|| sum_nu Pi_nu - I ||_F of an exact-order decomposition.
 
-    sum_nu Pi_nu = kron(M^T, M) with M = psi psi~. Its distance from the
-    identity is expanded in E = M - I, so no O(d^2) terms cancel:
+    sum_nu Pi_nu = kron(M^T, M) with M = R diag(1/(L R)_ii) L. Its distance
+    from the identity is expanded in E = M - I, so no O(d^2) terms cancel:
     ||kron(E^T, I) + kron(I, E) + kron(E^T, E)||^2
       = 2d|E|^2 + |E|^4 + 2|tr E|^2 + 4|E|^2 Re tr E.
     """
-    psi, psi_tilde, _ = _exact_eigen_data(decomp, "completeness_residual")
-    err = psi @ psi_tilde - np.eye(decomp.basis.dim)
+    right, left, _ = _anchored_eigenvectors(decomp, "completeness_residual")
+    pairs = np.einsum("ia,ai->i", left, right)
+    err = (right / pairs[None, :]) @ left - np.eye(decomp.basis.dim)
     e2 = float(np.linalg.norm(err)) ** 2
     tr = complex(np.trace(err))
     total = 2 * decomp.basis.dim * e2 + e2 ** 2 + 2 * abs(tr) ** 2 + 4 * e2 * tr.real
@@ -492,14 +506,13 @@ def block_residual(decomp: Decomposition) -> float:
 
     With P_nu = e_k e_k^T, Q_nu = I - P_nu, C_nu = c_k e_k^T and
     D_nu = e_k d_k^T, P + Q = I and PQ = 0 hold identically, while
-    C - QCP = c_kk P and D - PDQ = d_kk P. At the exact order c_kk and d_kk
-    are the weights of the normalized eigen-dyads on their own dyads minus 1,
-    (psi_ii psi~_jj)/(psi_ii psi~_jj) - 1 and its transpose over every nu:
-    zero to rounding while each anchor psi_ii psi~_jj is finite and nonzero.
+    C - QCP = c_kk P and D - PDQ = d_kk P. c_kk = R_ii L_jj - 1 is the weight
+    of the anchored eigen-dyad on its own dyad less 1, and d_kk = L_ii R_jj - 1
+    its transpose over every nu: zero while every anchor R_ii = 1 + U_ii and
+    L_jj = 1 + U~_jj is 1, as decompose stores them.
     """
-    psi, psi_tilde, _ = _exact_eigen_data(decomp, "block_residual")
-    anchors = np.outer(np.diag(psi), np.diag(psi_tilde))
-    return float(np.max(np.abs(anchors / anchors - 1.0)))
+    right, left, _ = _anchored_eigenvectors(decomp, "block_residual")
+    return float(np.max(np.abs(np.outer(np.diag(right), np.diag(left)) - 1.0)))
 
 
 def _project_frame(decomp: Decomposition,
@@ -507,30 +520,28 @@ def _project_frame(decomp: Decomposition,
     """Kinetic coefficients of the free-frame states x = K B, one d x d matrix each.
 
     states lists factor pairs (K, B), K d x r and B r x d, so every product
-    is O(d^2 r) and no d x d state is formed.
-    Exact order: c_nu = ((psi~ K)(B psi))_ij psi_ii psi~_jj.
-    Orders 1 and 2: c_nu = ((K + U~ K) B + K (B V~))_ij / kappa_nu; order 2
-    adds the off-plane sums, see _off_plane_sums, whose one call serves
-    kappa and every state.
+    is O(d^2 r) and no d x d state is formed:
+    c_nu = ((K + U~ K) B + K (B V~) + (U~o K)(B V~o))_ij / kappa_nu, plus
+    order 2's remainder at eta > 0, whose one gather serves kappa and every
+    state (see _gathered_sums).
     """
-    off_rows = []
-    if decomp.order == "2":
-        off_kappa, off_rows = _off_plane_sums(decomp, states)
-        kappa = decomp._pairings(off_kappa)
-    else:
-        kappa = decomp.kappa
+    remainder, remainder_rows = _gathered_sums(decomp, states)
+    kappa = unvec(decomp._pairings(remainder), decomp.basis.dim)
+    del remainder  # d x d: freed before the rows are formed
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
-    if decomp.planes is None:
-        psi, psi_tilde = decomp.psi, decomp.psi_tilde
-        anchors = np.outer(np.diag(psi), np.diag(psi_tilde))
-        return [((psi_tilde @ k) @ (b @ psi)) * anchors for k, b in states]
     _, _, u_dual, v_dual = decomp.planes
-    ys = [(k + u_dual @ k) @ b + k @ (b @ v_dual) for k, b in states]
-    for y, rows in zip(ys, off_rows):
-        y += rows
-    kappa = unvec(kappa, decomp.basis.dim)
-    return [y / kappa for y in ys]
+    off_plane = decomp.off_plane
+    ys = []
+    for (k, b), rows in zip(states, remainder_rows):
+        y = (k + u_dual @ k) @ b
+        y += k @ (b @ v_dual)
+        if off_plane is not None:
+            off = (off_plane[2] @ k) @ (b @ off_plane[3])
+            y += off if rows is None else off + rows
+        y /= kappa
+        ys.append(y)
+    return ys
 
 
 def state_factor(state, dim: int) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Dense d^2 x d^2 Liouville routes: the reference the factored engine is checked against.
 
-subdyn.subdynamics keeps one representation per construction order: d x d
-eigen data at the exact order and the d x d first-order factors at orders 1
-and 2. The routes here build the superoperators the theory writes down --
-L = diag(E0) + lam [h1_f, .], the creation columns c_nu, the destruction
-rows d_nu, Omega = I + C and the total projectors
-Pi_nu = (P + C)(P + DC)^-1(P + D) -- as dense matrices from a Decomposition,
-so every test can compare a factored expression with its textbook form.
-The dense density-matrix fidelity and the total-space evidence loop built on
-it are the reference for subdyn.classify's rank-factored evidence. They cost O(d^4) memory and up to O(d^6) time, so they are for small d only.
+subdyn.subdynamics keeps one representation at every construction order:
+d x d plane factors and off-plane factors. The routes here build the
+superoperators the theory writes down -- L = diag(E0) + lam [h1_f, .], the
+creation columns c_nu, the destruction rows d_nu, Omega = I + C and the
+total projectors Pi_nu = (P + C)(P + DC)^-1(P + D) -- as dense matrices
+from a Decomposition, so every test can compare a factored expression with
+its textbook form. The dense density-matrix fidelity and the total-space
+evidence loop built on it are the reference for subdyn.classify's
+rank-factored evidence. They cost O(d^4) memory and up to O(d^6) time, so
+they are for small d only.
 
 Superoperators use the column-stacking convention of subdyn.linalg.vec:
 vec(A X B) = (B^T kron A) vec(X). A dyad nu = (i, j) is a plain tuple of
@@ -35,6 +36,7 @@ from subdyn.subdynamics import (
     Decomposition,
     PhiBasis,
     ResonanceError,
+    _exact_factors,
     liouville_basis,
 )
 
@@ -123,25 +125,32 @@ def columns(decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """Dense creation columns and destruction rows (c, d) at any order.
 
     Exact order: c_nu = vec(psi_i psi~_j)/(psi_ii psi~_jj) - e_nu and
-    d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T.
+    d_nu = vec(psi_j psi~_i)^T/(psi_jj psi~_ii) - e_nu^T, from the matched
+    eigensystem of the phi-frame H (subdynamics._exact_factors), not from
+    the decomposition's anchored planes, so the dense route checks their
+    normalisation independently.
     Order 1: the superoperators [A, .] and [A', .], so column nu of c is
     vec([A, e_i e_j^T]) and d_nu . vec(X) = [A', X]_ij.
     Order 2: the order-1 columns and rows grown by one dyad-resolvent power,
     built by broadcasting from h1_f, A and A' in O(d^4) time and memory.
+    A and A' are read from the planes at order 1 and from the off-plane
+    factors (A, -A, A', -A') at order 2.
     """
     if decomp.order == "2":
-        a, a_dual = decomp.first_order
+        a, _, a_dual, _ = decomp.off_plane
         h, lam = decomp.h1_f, decomp.lam
         resolvent = dyad_resolvent(decomp.basis, decomp.eta)
         return (second_order_columns(h, a, lam, resolvent),
                 second_order_columns(h.T, a_dual.T, lam, resolvent).T)
-    if decomp.first_order is not None:
-        a, a_dual = decomp.first_order
+    if decomp.order == "1":
+        a, _, a_dual, _ = decomp.planes
         return commutator_superop(a), commutator_superop(a_dual)
-    w = np.kron(decomp.psi_tilde.T, decomp.psi)
+    psi, psi_tilde, _ = _exact_factors(
+        np.diag(decomp.basis.f_values) + decomp.lam * decomp.h1_f)
+    w = np.kron(psi_tilde.T, psi)
     c = w / np.diag(w)[None, :]
     np.fill_diagonal(c, 0.0)
-    l = np.kron(decomp.psi.T, decomp.psi_tilde)
+    l = np.kron(psi.T, psi_tilde)
     d = l / np.diag(l)[:, None]
     np.fill_diagonal(d, 0.0)
     return c, d

@@ -268,16 +268,17 @@ def test_verify_failures_exit_nonzero(tmp_path, capsys, monkeypatch):
     assert code == EXIT_NUMERICAL
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("field, entry, value, failing", [
-    # an off-diagonal entry nudged by 1e-6 breaks the eigen-relation and the
-    # completeness of the eigenbasis
-    ("psi", (1, 2), 1e-6, ("similarity_relation", "projector_completeness")),
-    ("psi_tilde", (1, 2), 1e-6, ("similarity_relation", "projector_completeness")),
-    # a zero anchor psi_11 leaves the dyads of level 1 without a P-block weight
-    ("psi", (1, 1), None, ("block_structure",)),
+@pytest.mark.parametrize("plane, entry, value, failing", [
+    # an off-diagonal entry of U = R - I (the anchored right eigenvectors) or
+    # of U~ = L - I (the left ones) nudged by 1e-6 breaks the eigen-relation
+    # and the completeness of the eigenbasis
+    (0, (1, 2), 1e-6, ("similarity_relation", "projector_completeness")),
+    (1, (1, 2), 1e-6, ("similarity_relation", "projector_completeness")),
+    # U_11 = -1 is a zero anchor R_11: the dyads of level 1 lose their
+    # P-block weight
+    (0, (1, 1), -1.0, ("block_structure",)),
 ], ids=["psi", "psi_tilde", "psi_anchor"])
-def test_verify_catches_corrupted_decomposition(tmp_path, capsys, monkeypatch, field,
+def test_verify_catches_corrupted_decomposition(tmp_path, capsys, monkeypatch, plane,
                                                entry, value, failing):
     from subdyn import runner
 
@@ -285,9 +286,13 @@ def test_verify_catches_corrupted_decomposition(tmp_path, capsys, monkeypatch, f
 
     def corrupted(*args, **kwargs):
         decomp = real(*args, **kwargs)
-        bad = getattr(decomp, field).copy()
-        bad[entry] = 0.0 if value is None else bad[entry] + value
-        return dataclasses.replace(decomp, **{field: bad})
+        # the exact order stores (U, U~, U~, U) and reads the same arrays off
+        # the planes, so one corrupted array corrupts every read of it
+        u, u_dual = (m.copy() for m in decomp.planes[:2])
+        bad = (u, u_dual)[plane]
+        bad[entry] += value
+        planes = (u, u_dual, u_dual, u)
+        return dataclasses.replace(decomp, planes=planes, off_plane=planes)
 
     monkeypatch.setattr(runner, "decompose_model", corrupted)
     out = tmp_path / "v"

@@ -602,19 +602,86 @@ def test_factored_pairing_matches_dense(oracle_case):
     np.testing.assert_allclose(decomp.kappa, pairing(decomp), rtol=0, atol=1e-12)
 
 
-def test_kappa_is_computed_once_per_decomposition(gen_exact):
+def test_kappa_is_reread_from_the_stored_factors(gen_exact):
     kappa = gen_exact.kappa
-    # tripling psi's column 1 triples the anchor a_1 = psi_11 psi~_11; the
-    # replaced decomposition reads kappa_nu = 1/(a_i a_j) from its own anchors
-    psi = gen_exact.psi.copy()
-    psi[:, 1] *= 3.0
-    rescaled = dataclasses.replace(gen_exact, psi=psi)
-    a = np.diag(gen_exact.psi) * np.diag(gen_exact.psi_tilde)
-    a[1] *= 3.0
-    np.testing.assert_allclose(rescaled.kappa, vec(1.0 / np.outer(a, a)), rtol=1e-14, atol=0)
-    # nu = (1, 1) carries the anchor twice
+    # tripling column 1 of U = R - I, read by the planes and off the planes
+    # alike, triples s_1 = (U~ U)_11; the replaced decomposition reads
+    # kappa_nu = (1 + s_i)(1 + s_j) from its own factors, nothing cached
+    u, u_dual, _, _ = gen_exact.planes
+    tripled = u.copy()
+    tripled[:, 1] *= 3.0
+    planes = (tripled, u_dual, u_dual, tripled)
+    rescaled = dataclasses.replace(gen_exact, planes=planes, off_plane=planes)
+    s = np.einsum("ia,ai->i", u_dual, u)
+    s[1] *= 3.0
+    np.testing.assert_allclose(rescaled.kappa, vec(np.outer(1 + s, 1 + s)), rtol=1e-14, atol=0)
+    # nu = (1, 1) carries the tripled sum twice; the original is untouched
     k = 1 + gen_exact.basis.dim
-    np.testing.assert_allclose(rescaled.kappa[k], kappa[k] / 9.0, rtol=1e-14, atol=0)
+    assert abs(rescaled.kappa[k] - kappa[k]) > 1e-6
+    np.testing.assert_array_equal(gen_exact.kappa, kappa)
+
+
+def one_form_columns(decomp):
+    """Dense (c, d) read from the stored factors as the one form says.
+
+    Column nu = (i, j) at mu = (a, b) is U[a, i] on b = j, V[j, b] on a = i
+    and Uo[a, i] Vo[j, b] elsewhere; row nu reads U~[i, a], V~[b, j] and
+    U~o[i, a] V~o[b, j]. Axes [b, a, j, i] and [j, i, b, a] before the
+    reshape; the zero diagonals keep each term on its own place.
+    """
+    n = decomp.basis.dim
+    u, v, u_dual, v_dual = decomp.planes
+    eye = np.eye(n)
+    c = np.einsum("ai,bj->baji", u, eye) + np.einsum("ai,jb->baji", eye, v)
+    d = np.einsum("ia,bj->jiba", u_dual, eye) + np.einsum("ia,bj->jiba", eye, v_dual)
+    if decomp.off_plane is not None:
+        uo, vo, uo_dual, vo_dual = decomp.off_plane
+        c += np.einsum("ai,jb->baji", uo, vo)
+        d += np.einsum("ia,bj->jiba", uo_dual, vo_dual)
+    return c.reshape(n * n, n * n), d.reshape(n * n, n * n)
+
+
+@pytest.mark.parametrize("order", ["exact", "1", "2"])
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_every_order_stores_the_one_factor_form(gen_ops, order, eta):
+    decomp = decompose_model(gen_ops, order=order, eta=eta)
+    factors = [*decomp.planes, *(decomp.off_plane or ())]
+    for m in factors:
+        assert m.shape == (gen_ops.dim, gen_ops.dim)
+        assert not np.diag(m).any()
+    if order == "exact":
+        # the planes are the anchored eigenvectors of H_f less the identity,
+        # and the same arrays serve off the planes
+        assert decomp.off_plane is decomp.planes
+        u, u_dual, _, _ = decomp.planes
+        eye = np.eye(gen_ops.dim)
+        right, left = eye + u, eye + u_dual
+        h = np.diag(decomp.basis.f_values) + decomp.lam * decomp.h1_f
+        scale = np.linalg.norm(h) * max(np.linalg.norm(right), np.linalg.norm(left))
+        assert np.linalg.norm(h @ right - right * decomp.z) <= 1e-12 * scale
+        assert np.linalg.norm(left @ h - decomp.z[:, None] * left) <= 1e-12 * scale
+        assert decomp.planes[2] is u_dual and decomp.planes[3] is u
+    elif order == "1":
+        assert decomp.off_plane is None
+    else:
+        r = subdynamics._free_resolvent(decomp.basis, decomp.h1_f, decomp.lam, eta)
+        a, a_dual = decomp.lam * decomp.h1_f * r, decomp.lam * decomp.h1_f * r.T
+        for got, want in zip(decomp.off_plane, (a, -a, a_dual, -a_dual)):
+            np.testing.assert_array_equal(got, want)
+    if eta == 0.0:
+        # the dense oracle's columns and rows, read back from the factors;
+        # at eta > 0 order 2 adds its gathered remainder on top
+        for got, want in zip(one_form_columns(decomp), columns(decomp)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_stored_factors_read_as_the_dense_columns(oracle_case):
+    # the dense columns and rows come from the raw matched eigensystem, so
+    # the anchoring R = psi diag(1/psi_ii), L = diag(1/psi~_ii) psi~ and the
+    # one form's reading of it are checked against an independent route
+    _, decomp = oracle_case
+    for got, want in zip(one_form_columns(decomp), columns(decomp)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_factored_projection_matches_dense(oracle_case):
@@ -906,7 +973,7 @@ def assert_halves_to_the_eta_limit(decomp, rho, routes):
     eta = 0 and rho a density matrix.
     """
     eps, d = decomp.basis.f_values, decomp.basis.dim
-    a, a_dual = decomp.first_order
+    a, _, a_dual, _ = decomp.off_plane
     i, j, k, m = np.ix_(*[np.arange(d)] * 4)
     tol = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(decomp.basis.e0))))
     resonant = (np.abs((eps[i] - eps[k]) - (eps[j] - eps[m])) <= tol) & (k != i) & (m != j)
@@ -988,7 +1055,7 @@ def test_gather_over_several_chunks_matches_dense_oracle(monkeypatch, entries, o
     h1 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h1 = np.triu(h1, 1) if one_sided else h1 + h1.conj().T
     decomp = decompose(np.diag(levels), h1, lam=0.2, order="2", eta=0.03)
-    assert np.count_nonzero(decomp.first_order[1]) == (10 if one_sided else 20)
+    assert np.count_nonzero(decomp.off_plane[2]) == (10 if one_sided else 20)
     oracle = dense_perturbative(np.diag(levels), h1, 0.2, 0.03, "2")
     ket = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     for rho in (random_density(rng, 5), ket / np.linalg.norm(ket)):
@@ -1018,7 +1085,7 @@ def test_general_free_frame_is_exactly_block_sparse_at_d32():
     assert not decomp.h1_f[outside].any()
     assert np.count_nonzero(decomp.h1_f) == 238
     # so A, A' and the pair weights P = A'^T * A and Q = A * A'^T carry the same zeros
-    a, a_dual = decomp.first_order
+    a, _, a_dual, _ = decomp.off_plane
     for m in (a, a_dual, a_dual.T * a, a * a_dual.T):
         assert not m[outside].any()
 
