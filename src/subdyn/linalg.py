@@ -149,8 +149,6 @@ def components(matrix: np.ndarray) -> np.ndarray:
     if np.count_nonzero(linked) == d:
         return np.arange(d)
     labels = linked.argmax(axis=1)  # the first pass from labels = arange(d)
-    if not labels.any():  # every index linked to index 0
-        return labels
     while True:
         lowered = labels[labels]
         lowered = np.where(linked, lowered, d).min(axis=1)
@@ -180,8 +178,6 @@ def _size_groups(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """
     d = labels.shape[0]
     size = np.bincount(labels, minlength=d)[labels]
-    if size.max(initial=1) == 1:  # diagonal, or empty
-        return np.arange(d), []
     # grouped by component size, then component, then index
     grouped = np.argsort(size * d + labels, kind="stable")
     size = size[grouped].tolist()
@@ -207,13 +203,9 @@ def _eig_blocks(m: np.ndarray, labels: np.ndarray, hermitian: bool):
     """
     d = m.shape[0]
     singles, groups = _size_groups(labels)
-    if not groups:  # diagonal
-        identity = np.eye(d, dtype=np.complex128)
-        return m.diagonal().copy(), identity, None if hermitian else identity
     values = m.diagonal().copy()
     right = np.zeros((d, d), dtype=np.complex128)
-    if singles.size:
-        right[singles, singles] = 1.0
+    right[singles, singles] = 1.0
     bases = []  # (rows, cols, right vectors) of every block of the general path
     for idx in groups:
         rows, cols = idx[:, :, None], idx[:, None, :]
@@ -272,55 +264,39 @@ def eig(matrix) -> EigenSystem:
 
 
 # Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179: the largest 1-norm at
-# which the [m/m] Pade approximant of e^A meets double precision, for each
-# degree m, and the approximant's coefficients b_0 .. b_m.
-_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
-               (13, 5.371920351148152e0))
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
+# which the [13/13] Pade approximant of e^A meets double precision, and the
+# approximant's coefficients b_0 .. b_13.
+_PADE_THETA = 5.371920351148152e0
+_PADE_COEFFS = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+                16380.0, 182.0, 1.0)
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:
     """e^A of each matrix of a stack, by scaling and squaring (Higham 2005).
 
-    One degree and one number of squarings serve the whole stack, chosen by
-    its largest 1-norm: the lowest degree m whose theta bounds the norm,
-    else degree 13 after scaling the norm below theta_13. The approximant
-    is (V - U)^-1 (V + U), with U = A W the odd part and W, V polynomials in
+    The [13/13] approximant serves every norm: the whole stack is scaled by
+    2^-s, with s = max(0, ceil(log2(||A||_1 / theta_13))) for its largest
+    1-norm, and the result squared s times. The approximant is
+    (V - U)^-1 (V + U), with U = A W the odd part and W, V polynomials in
     A^2: one product of their coefficient rows with the stacked even powers
-    (I, A^2, A^4, ...) forms both, and at degree 13 the coefficients of
+    (I, A^2, A^4, A^6) forms their low terms, and the coefficients of
     A^8 .. A^12 multiply (A^2, A^4, A^6) and then A^6.
     """
     norm = float(np.abs(a).sum(axis=-2).max())
-    squarings = 0
-    for m, theta in _PADE_THETA:
-        if norm <= theta:
-            break
-    else:
-        squarings = math.ceil(math.log2(norm / theta))
-        a = a * 2.0 ** -squarings
-    b = _PADE_COEFFS[m]
-    count = min(m // 2, 3) + 1 + (m == 9)
-    powers = np.empty((count, *a.shape), dtype=np.complex128)
+    squarings = math.ceil(math.log2(norm / _PADE_THETA)) if norm > _PADE_THETA else 0
+    a = a * 2.0 ** -squarings
+    b = _PADE_COEFFS
+    powers = np.empty((4, *a.shape), dtype=np.complex128)
     powers[0] = np.eye(a.shape[-1])
     np.matmul(a, a, out=powers[1])
-    for k in range(2, count):
+    for k in (2, 3):
         np.matmul(powers[k - 1], powers[1], out=powers[k])
-    flat = powers.reshape(count, -1)
-    wv = (np.array([b[1:2 * count:2], b[0:2 * count:2]]) @ flat).reshape(2, *a.shape)
-    if m == 13:
-        high = (np.array([b[9::2], b[8::2]]) @ flat[1:]).reshape(2, *a.shape)
-        wv += powers[3] @ high
+    flat = powers.reshape(4, -1)
+    wv = (np.array([b[1:8:2], b[0:8:2]]) @ flat).reshape(2, *a.shape)
+    high = (np.array([b[9::2], b[8::2]]) @ flat[1:]).reshape(2, *a.shape)
+    wv += powers[3] @ high
     w, v = wv
     u = a @ w
     r = np.linalg.solve(v - u, v + u)
@@ -334,8 +310,9 @@ def expm(matrix) -> np.ndarray:
 
     M's nonzero pattern is split into connected components (see components),
     as eig splits it, and e^M is block diagonal in that pattern. Components
-    of equal size go through one batched scaling-and-squaring Pade call
-    (_pade_expm); a component of one index is the scalar e^{M_kk}.
+    of equal size go through one batched call of the [13/13] Pade
+    approximant with scaling and squaring (_pade_expm); a component of one
+    index is the scalar e^{M_kk}.
     """
     m = as_complex_matrix(matrix)
     singles, groups = _size_groups(components(m))

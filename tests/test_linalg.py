@@ -210,8 +210,8 @@ def test_propagator_matches_dense_exponential(hermitian):
 @pytest.mark.parametrize("hermitian", [True, False])
 @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.2, 0.8, 2.0, 5.0, 50.0, 1e3])
 def test_expm_matches_scipy(hermitian, norm):
-    # the 1-norms reach every Pade degree (theta 0.015, 0.25, 0.95, 2.1, 5.4)
-    # and the squaring; -i M is the flow of M, which a non-Hermitian part
+    # the 1-norms straddle theta_13 = 5.37: below it the [13/13] Pade
+    # approximant serves unscaled, above it after up to 8 squarings; -i M is the flow of M, which a non-Hermitian part
     # of a tenth of M's size keeps within overflow at every norm
     rng = np.random.default_rng(8)
     dense = random_complex(rng, (7, 7))
