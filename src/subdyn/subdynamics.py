@@ -191,19 +191,13 @@ class Decomposition:
         return self._pairings(_gathered_sums(self, [])[0])
 
     def _pairings(self, remainder: np.ndarray | None) -> np.ndarray:
-        """kappa from the stored factors plus a gathered remainder, if any.
-
-        Where the off-plane factors are the planes (the exact order), their
-        diagonal sums are the planes' and are formed once.
-        """
+        """kappa from the stored factors plus a gathered remainder, if any."""
         u, v, u_dual, v_dual = self.planes
-        left, right = np.einsum("ia,ai->i", u_dual, u), np.einsum("jb,bj->j", v, v_dual)
-        kappa = 1.0 + left[:, None] + right[None, :]
+        kappa = 1.0 + np.einsum("ia,ai->i", u_dual, u)[:, None] \
+            + np.einsum("jb,bj->j", v, v_dual)[None, :]
         if self.off_plane is not None:
-            if self.off_plane is not self.planes:
-                uo, vo, uo_dual, vo_dual = self.off_plane
-                left, right = (uo_dual.T * uo).sum(axis=0), (vo * vo_dual.T).sum(axis=1)
-            off = np.outer(left, right)
+            uo, vo, uo_dual, vo_dual = self.off_plane
+            off = np.outer((uo_dual.T * uo).sum(axis=0), (vo * vo_dual.T).sum(axis=1))
             if remainder is not None:
                 off += remainder
             kappa += off
@@ -529,8 +523,7 @@ def _project_frame(decomp: Decomposition,
     is O(d^2 r) and no d x d state is formed:
     c_nu = ((K + U~ K) B + K (B V~) + (U~o K)(B V~o))_ij / kappa_nu, plus
     order 2's remainder at eta > 0, whose one gather serves kappa and every
-    state (see _gathered_sums). Where the off-plane factors are the planes
-    (the exact order), U~ K and B V~ serve both terms.
+    state (see _gathered_sums).
     """
     remainder, remainder_rows = _gathered_sums(decomp, states)
     kappa = unvec(decomp._pairings(remainder), decomp.basis.dim)
@@ -541,12 +534,10 @@ def _project_frame(decomp: Decomposition,
     off_plane = decomp.off_plane
     ys = []
     for (k, b), rows in zip(states, remainder_rows):
-        uk, bv = u_dual @ k, b @ v_dual
-        y = (k + uk) @ b
-        y += k @ bv
+        y = (k + u_dual @ k) @ b
+        y += k @ (b @ v_dual)
         if off_plane is not None:
-            off = uk @ bv if off_plane is decomp.planes \
-                else (off_plane[2] @ k) @ (b @ off_plane[3])
+            off = (off_plane[2] @ k) @ (b @ off_plane[3])
             y += off if rows is None else off + rows
         y /= kappa
         ys.append(y)

@@ -211,8 +211,9 @@ def test_propagator_matches_dense_exponential(hermitian):
 @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.2, 0.8, 2.0, 5.0, 50.0, 1e3])
 def test_expm_matches_scipy(hermitian, norm):
     # the 1-norms straddle theta_13 = 5.37: below it the [13/13] Pade
-    # approximant serves unscaled, above it after up to 8 squarings; -i M is the flow of M, which a non-Hermitian part
-    # of a tenth of M's size keeps within overflow at every norm
+    # approximant serves unscaled, above it after up to 8 squarings; -i M
+    # is the flow of M, which a non-Hermitian part of a tenth of M's size
+    # keeps within overflow at every norm
     rng = np.random.default_rng(8)
     dense = random_complex(rng, (7, 7))
     for m in (dense + dense.conj().T, _permuted_block_diagonal(rng, (1, 3, 1, 2, 3), True)):
