@@ -40,17 +40,18 @@ def main() -> None:
         print(f"  sample {k}: t = {t:5.2f}, residual {res:.3e}")
     print(f"worst residual: {worst:.3e}")
 
-    # one state end to end: project, phase-advance, compare traces
+    # one state end to end: project, phase-advance, compare traces. The
+    # coefficients c[i, j] and energies E[i, j] = z_i - w_j are d x d
+    # matrices over the dyads nu = (i, j)
     rho0 = random_density(rng, ops.dim)
     coeff = project_density(decomp, rho0)
     t = 2.5
     advanced = np.exp(-1j * decomp.energies * t) * coeff
     rho_t = expm(-1j * t * h) @ rho0 @ expm(1j * t * h)
     exact = project_density(decomp, rho_t)
-    # the trace sums the population coefficients nu = (i, i)
-    pop = slice(None, None, ops.dim + 1)
-    print(f"trace through projection: {coeff[pop].sum().real:.12f}")
-    print(f"trace after phase advance: {advanced[pop].sum().real:.12f}")
+    # the trace sums the population coefficients nu = (i, i), the diagonal
+    print(f"trace through projection: {np.trace(coeff).real:.12f}")
+    print(f"trace after phase advance: {np.trace(advanced).real:.12f}")
     gap = np.max(np.abs(advanced - exact))
     print(f"largest per-dyad coefficient gap at t = {t}: {gap:.3e}")
 

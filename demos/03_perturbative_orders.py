@@ -8,7 +8,8 @@ Rayleigh-Schroedinger correction of the right eigenvector psi_i to order k
 term with its renormalization). The exact order stores the same plane in
 the same form, U = R - I for its eigenvectors psi scaled to a unit anchor,
 R = psi diag(psi)^-1. So U_k misses the exact U at O(lam^(k+1)), and the
-order-k kinetic eigenvalues miss the exact ones at O(lam^(k+2)). Halving
+order-k kinetic eigenvalues E[i, j] = z_i - w_j, a d x d matrix over the
+dyads, miss the exact ones at O(lam^(k+2)). Halving
 lam should shrink those errors by about 4 and 8 at order 1, and by about 8
 and 16 at order 2.
 
@@ -41,8 +42,8 @@ def main() -> None:
             print(line)
             previous = (c_gap, e_gap)
 
-    # collapse two levels: the dyad (0,1) becomes degenerate with (1,0) and
-    # its own partners, and the coupled series divides by zero
+    # collapse two levels: the interaction couples the degenerate levels 0
+    # and 1, so every dyad (0, k) meets (1, k) and the series divides by zero
     h0_res = np.diag([0.0, 0.0, 2.7, 4.6])
     print("\ndegenerate levels, order 1:")
     try:
@@ -53,6 +54,7 @@ def main() -> None:
     worst_im = float(np.max(regulated.energies.imag))
     print(f"  with eta = 0.05 the series is finite; max Im E = {worst_im:.3e}"
           " (retarded side)")
+    print(f"  E[0, 1] = z_0 - w_1 = {complex(regulated.energies[0, 1]):.6f}")
 
 
 if __name__ == "__main__":

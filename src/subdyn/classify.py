@@ -88,8 +88,9 @@ def check_diagonal_condition(decomp: Decomposition) -> float:
 
 
 def spectral_shift(decomp: Decomposition) -> np.ndarray:
-    """Per-nu kinetic eigenvalue shift E_nu - E0_nu."""
-    return decomp.energies - decomp.basis.e0
+    """Kinetic eigenvalue shift (z_i - w_j) - (eps_i - eps_j) of each dyad, a d x d matrix."""
+    eps = decomp.basis.f_values
+    return decomp.energies - np.subtract.outer(eps, eps)
 
 
 def check_triangular_condition(decomp: Decomposition) -> float:
@@ -99,28 +100,33 @@ def check_triangular_condition(decomp: Decomposition) -> float:
 
 
 def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> FidelityTrace:
-    """Kinetic fidelity of the projected coefficients c_nu(0), phased by E_nu.
+    """Kinetic fidelity of the projected coefficients c[i, j](0), phased by E[i, j].
 
-    The exponent table exp(t Im E) is built over the dyads of nonzero weight
-    only, one block of the time grid at a time (time_blocks), so a zero
-    coefficient costs nothing. When every such E_nu is real each term of
-    the table is exactly 0, so no table is built and every value is 1.0.
-    Raises ValueError when max|E| max|t| eps >= 1, where e^{-i E t} keeps
-    no correct digit.
+    energies and coefficients are d x d matrices indexed (i, j), as
+    Decomposition.energies and project_density return them. The weights
+    are summed, and the populated dyads walked, in the column-stacked order
+    i + d j. The exponent table exp(t Im E) is built over the dyads of
+    nonzero weight only, one block of the time grid at a time
+    (time_blocks), so a zero coefficient costs nothing. When every such E
+    is real each term of the table is exactly 0, so no table is built and
+    every value is 1.0. Raises ValueError when max|E| max|t| eps >= 1, where
+    e^{-i E t} keeps no correct digit.
     """
     ts = np.asarray(times, dtype=np.float64)
     scale = float(np.max(np.abs(energies), initial=0.0)) * float(np.max(np.abs(ts), initial=0.0))
     if scale * np.finfo(np.float64).eps >= 1.0:
         raise ValueError(f"kinetic phases keep no correct digit: max|E| max|t| = {scale:.3e}")
-    mags = np.abs(coefficients)
-    total = mags.sum()
+    # indexed [j, i] and C-contiguous, so that memory holds the dyads in
+    # the order i + d j
+    mags = np.abs(coefficients.T, order="C")
+    total = mags.ravel().sum()
     if total <= 0.0:
         raise ValueError("initial state has no weight on any dyad")
     weights = mags / total
-    nonzero = np.flatnonzero(weights)
-    rates, populated = energies.imag[nonzero], weights[nonzero]
+    j, i = np.nonzero(weights)
+    rates, populated = energies.imag[i, j], weights[j, i]
     if not rates.any():
-        return FidelityTrace(times=ts, values=np.ones_like(ts), weights=weights)
+        return FidelityTrace(times=ts, values=np.ones_like(ts), weights=weights.T)
     # sum(weights) is 1 only to rounding, so the deviation from 1 is summed
     # directly: exactly zero when every E_nu is real. Each step is its own
     # pairwise sum, so the blocks do not change a bit of it (a matrix-vector
@@ -131,7 +137,7 @@ def fidelity_trace(energies: np.ndarray, coefficients: np.ndarray, times) -> Fid
         terms -= 1.0
         terms *= populated
         deviation[block] = terms.sum(axis=1)
-    return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights)
+    return FidelityTrace(times=ts, values=1.0 + deviation, weights=weights.T)
 
 
 def _touched_levels(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -285,15 +291,17 @@ def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float
 
 
 def projected_space_evidence(decomp: Decomposition) -> dict[str, float]:
-    """Kinetic eigenvalue structure split into population and coherence dyads."""
+    """Kinetic eigenvalue structure split into population dyads, the diagonal
+    nu = (i, i) of the energy matrix, and coherence dyads, its off-diagonal."""
+    energies = decomp.energies
     shift = spectral_shift(decomp)
-    # vec of the identity: True on the population dyads nu = (i, i)
-    pop = np.eye(decomp.basis.dim, dtype=bool).ravel(order="F")
+    populations = np.diagonal(energies)
+    coherence = ~np.eye(decomp.basis.dim, dtype=bool)
     return {
-        "population_dyad_shift": float(np.max(np.abs(decomp.energies[pop]))),
-        "coherence_dyad_shift": float(np.max(np.abs(shift[~pop].real))),
-        "coherence_dyad_decay": float(np.max(np.abs(decomp.energies[~pop].imag))),
-        "population_dyad_decay": float(np.max(np.abs(decomp.energies[pop].imag))),
+        "population_dyad_shift": float(np.max(np.abs(populations))),
+        "coherence_dyad_shift": float(np.max(np.abs(shift[coherence].real))),
+        "coherence_dyad_decay": float(np.max(np.abs(energies[coherence].imag))),
+        "population_dyad_decay": float(np.max(np.abs(populations.imag))),
     }
 
 

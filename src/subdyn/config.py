@@ -235,49 +235,29 @@ def _check_memory(config: ScenarioConfig) -> int:
     """Estimate the run's peak bytes; refuse it above half of physical memory.
 
     The estimate is 16 (q d^2 + max(2 max(d^2, 2^15), gather) + steps s)
-    bytes, fitted to tracemalloc peaks of runner.run: it bounds the
-    Python-visible allocations, not the process RSS, which adds the
-    interpreter, the libraries and LAPACK's workspace. The q d^2 term
-    covers the decomposition's d x d factors: q = 14 for classify at the
-    exact order, whose four plane factors are two arrays, the anchored
-    eigenvectors of H less the identity, which serve off the planes too,
-    q = 18 for classify at orders 1 and 2, which hold four plane factors
-    (and order 2 four off-plane ones) and diagonalize H only on the levels
-    the canonical ket touches (at most half of them: one parity block on
-    the general kind, two levels on the others), q = 20 for verify, whose
-    kinetic check flows three kets, and for swap-calibrate, and q = 32 for
-    evolve, whose energies table holds a row of Python numbers per dyad,
-    built once the decomposition is freed. The block
-    term covers one block of a walk over the time grid: classify's
-    total-space evidence and the kinetic traces walk it in blocks of about
-    2^15 entries, counting every entry a step holds (time_blocks), each at
-    most 32 bytes, so no steps x d^2 array exists. A step of the evidence
-    holds n (n + 4 r) entries over the n levels the state touches, so its
-    block is one step only from n = 180, which the canonical ket reaches on
-    the general kind from d = 360 and never on the others. The gather term
-    counts only for order 2 at eta > 0 on an interaction that is not
-    one-sided (ModelSpec.one_sided_interaction), whose off-plane sums run
-    between the grid walks: gather = 3 * 2^15 + d^2, a kernel chunk of
-    about 2^15 pairs and its square in two buffers that every chunk reuses,
-    numpy's broadcast buffers of about half a chunk, and the pair lists of
-    the interaction's nonzeros, about 88 bytes a nonzero, bounded by
-    16 d^2 bytes while A' has at most d^2 / 5.5 nonzeros (the shipped kinds
-    have at most 14 a row in the block-sparse free frame). So from d = 314
-    it adds nothing to the block term. The grid term is s = 2 per step for
-    classify (the times and the fidelity trace's deviations and values),
-    s = 1 for verify, and s = 10 for evolve, whose fidelity table holds a
-    row of Python floats per step next to the times, the trace and the
-    trace drift. tracemalloc peaks of
-    runner.run over 101 steps: at d = 64, classify at orders 1 and 2 on the
-    diagonal kind, any eta, 0.87 to 1.33 MB (2.23 MB estimated), and at
-    order 2 on the general kind 1.64 MB and 2.55 MB at eta = 0.05
-    (2.82 MB); at d = 82, exact classify 1.31 MB (2.56 MB); at d = 256, on
-    the diagonal, triangular and general kinds alike, 16 (11.2) d^2 for
-    classify at the exact order and 16 (13.0..17.2) d^2 at orders 1 and 2,
-    16 (14.0..14.7) d^2 for verify on the diagonal and triangular kinds and
-    16 (16.5) d^2 on the general one, 16 (14.6) d^2 for swap-calibrate, and
-    16 (23.4..23.6) d^2 for evolve at every order. At d = 64 with 10,001
-    steps classify peaks at 1.4 MB and evolve at 2.8 MB.
+    bytes, fitted to tracemalloc peaks of runner.run (the cases and their
+    peaks are listed with MEMORY_CASES in tests/test_config.py): it bounds
+    the Python-visible allocations, not the process RSS, which adds the
+    interpreter, the libraries and LAPACK's workspace. The terms:
+
+    - q d^2 for the d x d arrays: the decomposition's factors, H, the state
+      flows and the projections. q = 12 for classify at the exact order and
+      18 at orders 1 and 2, which store more factors; 14 and 20 for evolve,
+      whose kinetic check flows the canonical ket and projects it twice;
+      20 for verify, whose kinetic check flows three kets, and for
+      swap-calibrate. evolve's energies table holds a row of Python numbers
+      per dyad of nonzero weight, at most a quarter of the dyads for the
+      canonical ket, and is built once the decomposition is freed.
+    - 2 max(d^2, 2^15) for one block of a walk over the time grid
+      (subdynamics.time_blocks): about 2^15 entries of at most 32 bytes.
+    - gather = 3 * 2^15 + d^2, only for order 2 at eta > 0 on an interaction
+      that is not one-sided (ModelSpec.one_sided_interaction): a kernel
+      chunk of the off-plane gather and its square, numpy's broadcast
+      buffers, and the pair lists of the interaction's nonzeros. From
+      d = 314 it adds nothing to the block term.
+    - steps s for the time grid: s = 2 for classify (the times and the
+      fidelity trace), 1 for verify, and 10 for evolve, whose fidelity
+      table holds a row of Python floats per step.
     """
     d = config.model.dim
     steps = config.t_grid[2] if config.scenario in _GRID_SCENARIOS else 0
@@ -286,9 +266,9 @@ def _check_memory(config: ScenarioConfig) -> int:
                and not config.model.one_sided_interaction)
     gather = 3 * 2**15 + d**2 if gathers else 0
     if config.scenario == "evolve":
-        per_dyad, per_step = 32, 10
+        per_dyad, per_step = (14 if config.order == "exact" else 20), 10
     elif config.scenario == "classify":
-        per_dyad, per_step = (14 if config.order == "exact" else 18), 2
+        per_dyad, per_step = (12 if config.order == "exact" else 18), 2
     else:
         per_dyad, per_step = 20, 1
     estimate = 16 * (per_dyad * d**2 + max(2 * max(d**2, 2**15), gather) + steps * per_step)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, vec
+from .linalg import DEFAULT_TOL
 from .subdynamics import decompose
 
 CNOT_PERMUTATION = (0, 1, 3, 2)
@@ -137,10 +137,9 @@ def calibrate_timing(free_levels, levels, t_sw: float,
     """Solve e^{-i E0 t_sw} = e^{-i E (t_sw + delta_t)} for one delta_t.
 
     free_levels = (e, f) and levels = (z, w) give the free and shifted
-    energies of the n m dyads nu = (i, j), E0 = e_i - f_j and E = z_i - w_j,
-    in the Liouville order i + n j of Decomposition.energies. A flat list
-    of energies E0, E is the case m = 1: free_levels = (E0, [0]) and
-    levels = (E, [0]). With homogeneous shifts dE = E0 / ratio the
+    energies of the n m dyads nu = (i, j), E0 = e_i - f_j and E = z_i - w_j.
+    A flat list of energies E0, E is the case m = 1: free_levels = (E0, [0])
+    and levels = (E, [0]). With homogeneous shifts dE = E0 / ratio the
     principal solution is delta_t = -t_sw / (ratio + 1). Inhomogeneous
     shifts get the least-squares delta_t with the residual reporting how
     far from cancellation the gate stays: its cost, O(n + m) a point
@@ -151,8 +150,10 @@ def calibrate_timing(free_levels, levels, t_sw: float,
     z, w = _as_levels(levels, np.complex128)
     if e.shape != z.shape or f.shape != w.shape:
         raise ValueError("free and shifted levels must have the same shapes")
-    e0 = np.subtract.outer(e, f).reshape(-1, order="F")
-    energies = vec(np.subtract.outer(z, w))
+    # m x n tables, row j and column i, so that the mean of the ratios
+    # sums the dyads in the order i + n j
+    e0 = e[None, :] - f[:, None]
+    energies = z[None, :] - w[:, None]
     if np.max(np.abs(energies.imag)) > DEFAULT_TOL:
         raise ValueError("timing calibration needs real shifted energies")
     energies = energies.real

@@ -1,7 +1,6 @@
 """Dense complex linear algebra used by the rest of the package.
 
-Everything operates on plain numpy arrays (complex128). Vectorization uses
-the column-stacking convention, vec(A X B) = (B^T kron A) vec(X).
+Everything operates on plain numpy arrays (complex128).
 """
 
 from __future__ import annotations
@@ -117,19 +116,6 @@ def tensor(*factors) -> np.ndarray:
             (m, n), (p, q) = out.shape, b.shape
             out = (out.reshape(m, 1, n, 1) * b.reshape(1, p, 1, q)).reshape(m * p, n * q)
     return out
-
-
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(matrix, dtype=np.complex128).reshape(-1, order="F")
-
-
-def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vec for a dim x dim matrix."""
-    v = np.asarray(vector, dtype=np.complex128).ravel()
-    if dim * dim != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape((dim, dim), order="F")
 
 
 def components(matrix: np.ndarray) -> np.ndarray:

@@ -274,12 +274,6 @@ def canonical_initial_ket(ops: ModelOperators) -> np.ndarray:
     return psi
 
 
-def canonical_initial_state(ops: ModelOperators) -> np.ndarray:
-    """Density matrix |psi><psi| of canonical_initial_ket."""
-    psi = canonical_initial_ket(ops)
-    return np.outer(psi, psi.conj())
-
-
 def triangular_sort_order(labels: Sequence[tuple]) -> np.ndarray:
     """Basis permutation sorting (j, n) labels by (n, j) ascending."""
     return np.array(sorted(range(len(labels)), key=lambda i: (labels[i][1], labels[i][0])))

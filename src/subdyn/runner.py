@@ -72,9 +72,10 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
 
     # the trace reads only the population coefficients nu = (i, i), and of
     # those only the nonzero ones, one block of the time grid at a time
-    d = decomp.basis.dim
-    nonzero = np.flatnonzero(coeff[:: d + 1]) * (d + 1)
-    pop_energies, pop_coeff = decomp.energies[nonzero], coeff[nonzero]
+    populations = np.diagonal(coeff)
+    nonzero = np.flatnonzero(populations)
+    z, w = decomp.z, decomp.w
+    pop_energies, pop_coeff = (z - w)[nonzero], populations[nonzero]
     ts = trace.times
     start = pop_coeff.sum()
     drift = np.empty_like(ts)
@@ -89,16 +90,20 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
     trace_drift = float(np.max(drift, initial=0.0))
 
     fidelity_rows = [(float(t), float(v)) for t, v in zip(trace.times, trace.values)]
-    e0, e = decomp.basis.e0, decomp.energies
+    eps = decomp.basis.f_values
     diagnostics = {"order": decomp.order, "lam": decomp.lam, "eta": decomp.eta}
-    # the per-dyad table reads only e0, e and coeff: its rows of Python
+    # the tables read only the levels and coeff: their rows of Python
     # numbers are built after the d x d factors are freed
     del decomp
-    # row k = i + d j lists the dyad nu = (i, j)
-    k = np.arange(d * d)
-    energy_rows = list(zip((k % d).tolist(), (k // d).tolist(), e0.real.tolist(),
-                           e0.imag.tolist(), e.real.tolist(), e.imag.tolist(),
-                           np.hypot(coeff.real, coeff.imag).tolist()))
+    level_rows = list(zip(range(eps.shape[0]), eps.tolist(), z.real.tolist(), z.imag.tolist(),
+                          w.real.tolist(), w.imag.tolist()))
+    # the dyads nu = (i, j) of nonzero weight, in the order i + d j; any
+    # other dyad has weight 0 and its energies from two level rows
+    j, i = np.nonzero(coeff.T)
+    e0, e, weight = eps[i] - eps[j], z[i] - w[j], coeff[i, j]
+    energy_rows = list(zip(i.tolist(), j.tolist(), e0.tolist(), [0.0] * i.shape[0],
+                           e.real.tolist(), e.imag.tolist(),
+                           np.hypot(weight.real, weight.imag).tolist()))
     payload = {
         "fidelity_max_deviation": trace.max_deviation,
         "fidelity_unit": trace.is_unit(),
@@ -110,6 +115,7 @@ def _run_evolve(config: ScenarioConfig, ops: ModelOperators):
         "fidelity": (("t", "fidelity"), fidelity_rows),
         "energies": (("nu_i", "nu_j", "e0_re", "e0_im", "e_re", "e_im", "weight"),
                      energy_rows),
+        "levels": (("i", "eps", "z_re", "z_im", "w_re", "w_im"), level_rows),
     }
     return payload, diagnostics, tables
 
@@ -251,8 +257,11 @@ def _run_verify(config: ScenarioConfig, ops: ModelOperators):
             trace = fidelity_trace(decomp.energies, coeff, config.times())
             checks.append(("fidelity_unit", trace.max_deviation, FIDELITY_UNIT_TOL))
 
-        if ops.spec.kind == "general" and ops.spec.fock_cutoff >= 1:
-            block = extract_block(ops, 0, (0,) * len(ops.spec.bath))
+        # the closed form assumes equal singly-excited energies, so equal atoms
+        spec = ops.spec
+        if spec.kind == "general" and spec.fock_cutoff >= 1 \
+                and spec.omega_atoms[0] == spec.omega_atoms[1]:
+            block = extract_block(ops, 0, (0,) * len(spec.bath))
             solved = block_eigensolve(float(block[0, 0].real), float(block[1, 1].real),
                                       float(block[0, 1].real))
             numeric = np.sort(np.linalg.eigvalsh(block))

@@ -8,8 +8,11 @@ counterpart), the kinetic eigenvalue E_nu, and the total projector
 Pi_nu = (P + C)(P + DC)^-1(P + D). Collecting the nu columns gives the
 similarity Omega = I + C with L Omega = Omega Theta, Theta = diag(E_nu).
 A state is projected once into its kinetic coefficients c_nu = P_nu Pi_nu
-rho (project_density, a plain vector over the dyads); each coefficient then
-only picks up the phase e^{-i E_nu t}.
+rho (project_density, a d x d matrix c[i, j] over the dyads); each
+coefficient then only picks up the phase e^{-i E_nu t}. Every d^2 quantity
+is indexed (i, j) the same way: the kinetic eigenvalues E[i, j] = z_i - w_j
+(Decomposition.energies), their free values eps_i - eps_j and the pairings
+kappa[i, j].
 
 All quantities here are expressed in the frame of the free eigenbasis
 (the "phi frame"), where L0 is diagonal; states convert via rho_f = F^dag
@@ -79,8 +82,6 @@ from .linalg import (
     is_hermitian,
     max_overlap_matching,
     psd_factor,
-    unvec,
-    vec,
 )
 
 ORDERS = ("exact", "1", "2")
@@ -89,45 +90,33 @@ ORDERS = ("exact", "1", "2")
 class ResonanceError(ValueError):
     """Degenerate free eigenvalues coupled by the interaction at eta = 0.
 
-    pairs lists the coupled dyads as ((i, j), (k, l)) tuples of free-basis
-    indices.
+    pairs lists the resonant entries h1_f[x, y] as (x, y) tuples of free
+    levels, in row-major order. Each couples the dyads (x, k) and (y, k),
+    and (k, y) and (k, x), for every level k.
     """
 
-    def __init__(self, pairs: list[tuple[tuple[int, int], tuple[int, int]]]):
+    def __init__(self, pairs: list[tuple[int, int]]):
         self.pairs = pairs
-        shown = ", ".join(f"{a}<->{b}" for a, b in pairs[:4])
+        shown = ", ".join(f"{x}<->{y}" for x, y in pairs[:4])
         more = "" if len(pairs) <= 4 else f" (+{len(pairs) - 4} more)"
         super().__init__(
-            f"resonant nu pairs with coupled degenerate free eigenvalues: {shown}{more}; "
+            f"resonant level pairs with coupled degenerate free eigenvalues: {shown}{more}; "
             "set eta > 0 to regularize")
 
 
 @dataclasses.dataclass(frozen=True)
 class PhiBasis:
-    """Free eigenframe: H0 eigenpairs and the induced Liouville dyad grid.
+    """Free eigenframe: H0 eigenpairs, f_values sorted ascending.
 
-    f_values are sorted ascending. The dyad nu = (i, j), |f_i><f_j|, sits at
-    Liouville index r = i + dim * j (column stacking), so r % dim and
-    r // dim recover (i, j); e0[r] = eps_i - eps_j.
+    The dyad nu = (i, j) is |f_i><f_j|, with free energy eps_i - eps_j.
     """
 
     f_values: np.ndarray
     f_vectors: np.ndarray
-    e0: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.f_values.shape[0]
-
-    def to_frame(self, rho: np.ndarray) -> np.ndarray:
-        """Density matrix -> Liouville vector in the free eigenframe."""
-        f = self.f_vectors
-        return vec(f.conj().T @ as_complex_matrix(rho, "rho") @ f)
-
-    def from_frame(self, rho_vec: np.ndarray) -> np.ndarray:
-        """Liouville vector in the free eigenframe -> density matrix."""
-        f = self.f_vectors
-        return f @ unvec(rho_vec, self.dim) @ f.conj().T
 
 
 def liouville_basis(h0) -> PhiBasis:
@@ -136,9 +125,7 @@ def liouville_basis(h0) -> PhiBasis:
     if not is_hermitian(h):
         raise NonHermitianError("free Hamiltonian must be Hermitian")
     system = eig(h)
-    eps = system.values.real
-    e0 = vec(np.subtract.outer(eps, eps)).astype(np.complex128)
-    return PhiBasis(f_values=eps, f_vectors=system.right_vectors, e0=e0)
+    return PhiBasis(f_values=system.values.real, f_vectors=system.right_vectors)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,12 +164,12 @@ class Decomposition:
 
     @property
     def energies(self) -> np.ndarray:
-        """Kinetic eigenvalues E_nu = z_i - w_j, a Liouville-index vector."""
-        return vec(np.subtract.outer(self.z, self.w))
+        """Kinetic eigenvalues E[i, j] = z_i - w_j, a d x d matrix."""
+        return np.subtract.outer(self.z, self.w)
 
     @property
     def kappa(self) -> np.ndarray:
-        """kappa_nu = 1 + d_nu . c_nu, the (P + DC) scale on each P block.
+        """kappa[i, j] = 1 + d_nu . c_nu, the (P + DC) scale on the P block of nu = (i, j).
 
         kappa_nu = 1 + (U~ U)_ii + (V V~)_jj + (U~o Uo)_ii (Vo V~o)_jj; order 2
         at eta > 0 adds its remainder, gathered over the interaction's
@@ -201,43 +188,31 @@ class Decomposition:
             if remainder is not None:
                 off += remainder
             kappa += off
-        return vec(kappa)
-
-
-def _resonant_pairs(basis: PhiBasis, mask: np.ndarray) -> list[tuple[tuple, tuple]]:
-    """Dyad pairs (mu, nu) that L1 = [h1_f, .] couples through a resonant h1_f[x, y].
-
-    h1_f[x, y] couples mu = (x, k) to nu = (y, k) and mu = (k, y) to
-    nu = (k, x) for every k; pairs are listed in Liouville (row, column) order.
-    """
-    d = basis.dim
-    x, y = (v[:, None] for v in np.nonzero(mask))
-    k = np.arange(d)[None, :]
-    rows = np.concatenate([(x + d * k).ravel(), (k + d * y).ravel()])
-    cols = np.concatenate([(y + d * k).ravel(), (k + d * x).ravel()])
-    order = np.lexsort((cols, rows))
-    return [((r % d, r // d), (c % d, c // d))
-            for r, c in zip(rows[order].tolist(), cols[order].tolist())]
+        return kappa
 
 
 def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -> np.ndarray:
     """r[k, i] = 1/(eps_i - eps_k + i eta), the resolvent of one dyad index.
 
-    r is zero on k = i and, at eta = 0, on every degenerate pair; h1_f
-    coupling a degenerate pair at eta = 0 raises ResonanceError. The coupling
-    threshold is relative to ||lam L1||_F = |lam| sqrt(2d|h1_f|^2 - 2|tr h1_f|^2).
+    r is zero on k = i and, at eta = 0, on every degenerate pair, whose gap
+    is below DEGENERACY_TOL times the free spectrum's width max eps - min eps
+    (at least 1); h1_f coupling a degenerate pair at eta = 0 raises
+    ResonanceError. The coupling threshold is relative to
+    ||lam L1||_F = |lam| sqrt(2d|h1_f|^2 - 2|tr h1_f|^2).
     """
     eps = basis.f_values
     d = eps.shape[0]
     gap = eps[None, :] - eps[:, None]
     if eta == 0.0:
-        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(basis.e0))))
+        width = float(np.max(eps) - np.min(eps))
+        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, width)
         norm2 = 2 * d * float(np.linalg.norm(h1_f)) ** 2 - 2 * abs(np.trace(h1_f)) ** 2
         scale = max(1.0, abs(lam) * math.sqrt(max(norm2, 0.0)))
         resonant = blocked & (np.abs(lam * h1_f) > DEFAULT_TOL * scale)
         np.fill_diagonal(resonant, False)
         if resonant.any():
-            raise ResonanceError(_resonant_pairs(basis, resonant))
+            xs, ys = np.nonzero(resonant)
+            raise ResonanceError(list(zip(xs.tolist(), ys.tolist())))
     else:
         blocked = np.eye(d, dtype=bool)
     return np.where(blocked, 0.0, 1.0 / np.where(blocked, 1.0, gap + 1j * eta))
@@ -526,7 +501,7 @@ def _project_frame(decomp: Decomposition,
     state (see _gathered_sums).
     """
     remainder, remainder_rows = _gathered_sums(decomp, states)
-    kappa = unvec(decomp._pairings(remainder), decomp.basis.dim)
+    kappa = decomp._pairings(remainder)
     del remainder  # d x d: freed before the rows are formed
     if np.min(np.abs(kappa)) < DEFAULT_TOL:
         raise ValueError("(P + DC) numerically singular on at least one P block")
@@ -568,17 +543,17 @@ def _free_pair(basis: PhiBasis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_density(decomp: Decomposition, rho: np.ndarray) -> np.ndarray:
-    """Kinetic coefficients c_nu = weight of P_nu Pi_nu rho on each dyad.
+    """Kinetic coefficients c[i, j] = weight of P_nu Pi_nu rho on each dyad nu = (i, j).
 
     rho is a ket psi (1-d) standing for the pure state |psi><psi|, or a
     Hermitian PSD density matrix; either is projected as its free-frame
     factor pair (see state_factor), without forming a d x d state.
-    Returned as a Liouville-index vector; each coefficient evolves alone,
-    c_nu(t) = e^{-i E_nu t} c_nu(0). _project_frame gives the formula of
-    each order.
+    Returned as a d x d matrix; each coefficient evolves alone,
+    c[i, j](t) = e^{-i E[i, j] t} c[i, j](0). _project_frame gives the
+    formula of each order.
     """
     basis = decomp.basis
-    return vec(_project_frame(decomp, [_free_pair(basis, state_factor(rho, basis.dim))])[0])
+    return _project_frame(decomp, [_free_pair(basis, state_factor(rho, basis.dim))])[0]
 
 
 def _hilbert_flow(h: np.ndarray, u: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -597,7 +572,7 @@ def _hilbert_flow(h: np.ndarray, u: np.ndarray, t: float) -> tuple[np.ndarray, n
 
 def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
                                  t: float) -> tuple[np.ndarray, float]:
-    """(coeff0, residual): rho0's kinetic coefficients, and the operator-norm
+    """(coeff0, residual): rho0's kinetic coefficients c[i, j], and the operator-norm
     gap between projected exact evolution and kinetic phases.
 
     Compares P_nu Pi_nu e^{-iLt} rho0 (exact route, the Hilbert-space flow
@@ -619,5 +594,5 @@ def kinetic_consistency_residual(decomp: Decomposition, hamiltonian, rho0,
     u = state_factor(rho0, d)
     k, b = _hilbert_flow(h, u, t)
     c0, lhs = _project_frame(decomp, [_free_pair(basis, u), (f.conj().T @ k, b @ f)])
-    gap = lhs - np.exp(-1j * unvec(decomp.energies, d) * t) * c0
-    return vec(c0), float(np.linalg.norm(gap, ord=2))
+    gap = lhs - np.exp(-1j * decomp.energies * t) * c0
+    return c0, float(np.linalg.norm(gap, ord=2))

@@ -11,9 +11,11 @@ evidence loop built on it are the reference for subdyn.classify's
 rank-factored evidence. They cost O(d^4) memory and up to O(d^6) time, so
 they are for small d only.
 
-Superoperators use the column-stacking convention of subdyn.linalg.vec:
+Superoperators use the column-stacking convention of vec here:
 vec(A X B) = (B^T kron A) vec(X). A dyad nu = (i, j) is a plain tuple of
-free-basis indices; it sits at Liouville index i + d j.
+free-basis indices; it sits at Liouville index i + d j, so vec carries the
+engine's d x d matrices over the dyads (energies, kappa, coefficients) to
+the Liouville vectors of the dense routes, and unvec back.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from subdyn.linalg import (
     as_complex_matrix,
     is_hermitian,
     norm_scale,
-    unvec,
-    vec,
 )
+from subdyn.models import ModelOperators, canonical_initial_ket
 from subdyn.subdynamics import (
     Decomposition,
     PhiBasis,
@@ -41,10 +42,57 @@ from subdyn.subdynamics import (
 )
 
 
+def vec(matrix: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a vector."""
+    return np.asarray(matrix, dtype=np.complex128).reshape(-1, order="F")
+
+
+def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of vec for a dim x dim matrix."""
+    v = np.asarray(vector, dtype=np.complex128).ravel()
+    if dim * dim != v.size:
+        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
+    return v.reshape((dim, dim), order="F")
+
+
+def free_energies(basis: PhiBasis) -> np.ndarray:
+    """E0 = vec(eps_i - eps_j), the free kinetic eigenvalues over the Liouville index."""
+    eps = basis.f_values
+    return vec(np.subtract.outer(eps, eps))
+
+
+def to_frame(basis: PhiBasis, rho: np.ndarray) -> np.ndarray:
+    """Density matrix -> Liouville vector in the free eigenframe."""
+    f = basis.f_vectors
+    return vec(f.conj().T @ as_complex_matrix(rho, "rho") @ f)
+
+
+def from_frame(basis: PhiBasis, rho_vec: np.ndarray) -> np.ndarray:
+    """Liouville vector in the free eigenframe -> density matrix."""
+    f = basis.f_vectors
+    return f @ unvec(rho_vec, basis.dim) @ f.conj().T
+
+
+def canonical_initial_state(ops: ModelOperators) -> np.ndarray:
+    """Density matrix |psi><psi| of models.canonical_initial_ket."""
+    psi = canonical_initial_ket(ops)
+    return np.outer(psi, psi.conj())
+
+
 def dyad_index(basis: PhiBasis, nu: tuple[int, int]) -> int:
     """Liouville index i + d j of the dyad nu = (i, j)."""
     i, j = nu
     return i + basis.dim * j
+
+
+def level_pair(dyads: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
+    """The entry (x, y) of h1 through which L1 = [h1, .] couples the dyads (mu, nu).
+
+    (h1 X)[x, k] = h1[x, y] X[y, k] couples mu = (x, k) to nu = (y, k), and
+    (X h1)[k, y] = X[k, x] h1[x, y] couples mu = (k, y) to nu = (k, x).
+    """
+    (a, b), (i, j) = dyads
+    return (a, i) if b == j else (j, b)
 
 
 def commutator_superop(hamiltonian) -> np.ndarray:
@@ -71,10 +119,11 @@ def dyad_resolvent(basis: PhiBasis, eta: float) -> np.ndarray:
     second_order_columns sets its own value); real at eta = 0.
     """
     d = basis.dim
-    e0 = basis.e0.real.reshape(d, d)  # e0[b, a] = eps_a - eps_b
-    gap = e0[None, None, :, :] - e0[:, :, None, None]
+    e0 = free_energies(basis).real
+    grid = e0.reshape(d, d)  # grid[b, a] = eps_a - eps_b
+    gap = grid[None, None, :, :] - grid[:, :, None, None]
     if eta == 0.0:
-        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(basis.e0))))
+        blocked = np.abs(gap) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(e0))))
         inv = gap
     else:
         blocked = np.eye(d * d, dtype=bool).reshape(gap.shape)
@@ -158,7 +207,7 @@ def columns(decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
 
 def liouvillian(decomp: Decomposition) -> np.ndarray:
     """Full phi-frame Liouvillian diag(E0) + lam * L1."""
-    return np.diag(decomp.basis.e0) + decomp.lam * interaction(decomp)
+    return np.diag(free_energies(decomp.basis)) + decomp.lam * interaction(decomp)
 
 
 def omega(decomp: Decomposition) -> np.ndarray:
@@ -168,7 +217,7 @@ def omega(decomp: Decomposition) -> np.ndarray:
 
 def theta_matrix(decomp: Decomposition) -> np.ndarray:
     """Intermediate operator Theta = diag(E_nu), diagonal in the phi frame."""
-    return np.diag(decomp.energies)
+    return np.diag(vec(decomp.energies))
 
 
 def pairing(decomp: Decomposition) -> np.ndarray:
@@ -215,9 +264,10 @@ def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: tuple[in
     k = dyad_index(basis, nu)
     n = basis.dim ** 2
     mask = np.arange(n) != k
-    lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
+    e0 = free_energies(basis)
+    lq = (np.diag(e0) + lam * v1)[np.ix_(mask, mask)]
     rhs = lam * v1[mask, k]
-    z_used = complex(basis.e0[k]) if z is None else complex(z)
+    z_used = complex(e0[k]) if z is None else complex(z)
 
     def solve(zval: complex) -> np.ndarray:
         a = (zval + 1j * eta) * np.eye(n - 1, dtype=np.complex128) - lq
@@ -229,7 +279,7 @@ def creation_resolvent(basis: PhiBasis, v1: np.ndarray, lam: float, nu: tuple[in
     cq = solve(z_used)
     if self_consistent:
         for _ in range(max_iter):
-            z_next = complex(basis.e0[k] + lam * v1[k, k] + lam * (v1[k, mask] @ cq))
+            z_next = complex(e0[k] + lam * v1[k, k] + lam * (v1[k, mask] @ cq))
             if abs(z_next - z_used) <= tol * max(1.0, abs(z_next)):
                 z_used = z_next
                 cq = solve(z_used)
@@ -254,8 +304,9 @@ def stationary_residual(basis: PhiBasis, v1: np.ndarray, lam: float, nu: tuple[i
     k = dyad_index(basis, nu)
     n = basis.dim ** 2
     mask = np.arange(n) != k
-    lq = (np.diag(basis.e0) + lam * v1)[np.ix_(mask, mask)]
-    z_used = complex(basis.e0[k]) if z is None else complex(z)
+    e0 = free_energies(basis)
+    lq = (np.diag(e0) + lam * v1)[np.ix_(mask, mask)]
+    z_used = complex(e0[k]) if z is None else complex(z)
     res = (lq - (z_used + 1j * eta) * np.eye(n - 1)) @ column[mask] + lam * v1[mask, k]
     scale = max(float(np.linalg.norm(lam * v1[mask, k])), 1e-30)
     return float(np.linalg.norm(res)) / scale
@@ -334,7 +385,7 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     basis = liouville_basis(h0)
     f = basis.f_vectors
     v1 = commutator_superop(f.conj().T @ np.asarray(h1, dtype=complex) @ f)
-    e0 = basis.e0
+    e0 = free_energies(basis)
     gap = np.abs(e0[None, :] - e0[:, None])
     degenerate = gap <= tol * max(1.0, float(np.max(np.abs(e0))))
     coupling = np.abs(lam * v1) > DEFAULT_TOL * max(1.0, float(np.linalg.norm(lam * v1)))

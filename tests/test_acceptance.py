@@ -9,12 +9,11 @@ import time
 
 import numpy as np
 
-from oracle import columns, random_density
+from oracle import canonical_initial_state, columns, random_density
 from subdyn.classify import classify, fidelity_trace
 from subdyn.config import load_config
 from subdyn.gates import build_cnot_rls, calibrate_timing, verify_closure
-from subdyn.models import ModelSpec, block_eigensolve, build_model, \
-    canonical_initial_state
+from subdyn.models import ModelSpec, block_eigensolve, build_model
 from subdyn.report import REPORT_NAME
 from subdyn.runner import run
 from subdyn.subdynamics import decompose, decompose_model, \

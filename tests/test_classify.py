@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracle import dense_total_space_evidence, fidelity, random_density
+from oracle import (canonical_initial_state, dense_total_space_evidence, fidelity, random_density,
+                    unvec, vec)
 from subdyn import classify as classify_module
 from subdyn import subdynamics
 from subdyn.classify import (
@@ -24,7 +25,7 @@ from subdyn.classify import (
 from subdyn.config import load_config
 from subdyn.linalg import (DefectiveMatrixError, NonHermitianError,
                            NotPositiveSemidefiniteError, components, eig)
-from subdyn.models import ModelSpec, build_model, canonical_initial_ket, canonical_initial_state
+from subdyn.models import ModelSpec, build_model, canonical_initial_ket
 from subdyn.subdynamics import (decompose, decompose_model, kinetic_consistency_residual,
                                 project_density)
 
@@ -157,7 +158,7 @@ def test_fidelity_trace_of_real_energies_builds_no_table(monkeypatch):
     monkeypatch.setattr(classify_module, "time_blocks", no_table)
     rng = np.random.default_rng(17)
     signed = rng.standard_normal(36) + 1j * np.where(rng.uniform(size=36) < 0.5, -0.0, 0.0)
-    cases = [(signed, rng.standard_normal(36) + 1j * rng.standard_normal(36))]
+    cases = [(unvec(signed, 6), unvec(rng.standard_normal(36) + 1j * rng.standard_normal(36), 6))]
     for spec, order in ((DIAG, "exact"), (TRI, "exact"), (GEN, "exact"), (GEN, "1")):
         ops = build_model(spec)
         decomp = decompose_model(ops, order=order)
@@ -165,14 +166,18 @@ def test_fidelity_trace_of_real_energies_builds_no_table(monkeypatch):
     for energies, coefficients in cases:
         assert not energies.imag.any()
         trace = fidelity_trace(energies, coefficients, TIMES)
-        weights = np.abs(coefficients) / np.abs(coefficients).sum()
-        table = 1.0 + ((np.exp(np.outer(TIMES, energies.imag)) - 1.0) * weights).sum(axis=1)
+        # the table formula over the Liouville index i + d j
+        mags = np.abs(vec(coefficients))
+        weights = mags / mags.sum()
+        table = 1.0 + ((np.exp(np.outer(TIMES, vec(energies).imag)) - 1.0)
+                       * weights).sum(axis=1)
         assert trace.values.tobytes() == table.tobytes()
-        assert trace.weights.tobytes() == weights.tobytes()
+        assert trace.weights.ravel(order="F").tobytes() == weights.tobytes()
 
 
 def _full_table(energies, coefficients, times):
-    """The fidelity trace summed over every dyad, zero weights included."""
+    """The fidelity trace summed over every dyad, zero weights included,
+    of Liouville vectors."""
     weights = np.abs(coefficients) / np.abs(coefficients).sum()
     return 1.0 + ((np.exp(np.outer(times, energies.imag)) - 1.0) * weights).sum(axis=1)
 
@@ -182,19 +187,19 @@ def test_fidelity_trace_sums_over_the_nonzero_weights():
     energies = rng.standard_normal(36) + 0.05j * rng.standard_normal(36)
     coefficients = rng.standard_normal(36) + 1j * rng.standard_normal(36)
     # no zero weight: the full table's bytes
-    trace = fidelity_trace(energies, coefficients, TIMES)
+    trace = fidelity_trace(unvec(energies, 6), unvec(coefficients, 6), TIMES)
     assert trace.values.tobytes() == _full_table(energies, coefficients, TIMES).tobytes()
     # zero weights leave the sum, which then rounds in another grouping
     coefficients[::3] = 0.0
-    trace = fidelity_trace(energies, coefficients, TIMES)
+    trace = fidelity_trace(unvec(energies, 6), unvec(coefficients, 6), TIMES)
     np.testing.assert_allclose(trace.values, _full_table(energies, coefficients, TIMES),
                                rtol=0, atol=1e-15)
-    assert trace.weights.shape == (36,)
+    assert trace.weights.shape == (6, 6)
     assert np.count_nonzero(trace.weights) == 24
     # a zero weight on a growing E_nu costs nothing: the full table would
     # overflow there and read inf * 0 = NaN
     energies[0] = 1j * 50.0
-    trace = fidelity_trace(energies, coefficients, TIMES)
+    trace = fidelity_trace(unvec(energies, 6), unvec(coefficients, 6), TIMES)
     assert np.all(np.isfinite(trace.values))
 
 

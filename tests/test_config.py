@@ -220,8 +220,8 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     # of H, and orders 1 and 2 their plane factors next to the eigensystem
     # of H_f on the levels the canonical ket touches
     base = est(load_config(diagonal_doc(d)))
-    assert base == 16 * (14 * d**2 + 2 * 2**15 + 2 * 101)
-    perturbative = base + 16 * 4 * d**2
+    assert base == 16 * (12 * d**2 + 2 * 2**15 + 2 * 101)
+    perturbative = base + 16 * 6 * d**2
     assert est(load_config(diagonal_doc(d, order="1"))) == perturbative
     # order 2 holds d x d arrays at eta = 0 and at eta > 0 gathers over
     # chunks of 2^15 pairs, a kernel and its square in reused buffers next
@@ -241,15 +241,19 @@ def test_memory_estimate_counts_steps_and_order_two_only_where_run():
     # from d = 182 the block term is 2 d^2, a block of a walk over all d
     # levels; the canonical ket's walk over the |S| <= d / 2 levels it
     # touches holds less
-    assert est(load_config(diagonal_doc(256))) == 16 * (16 * 256**2 + 2 * 101)
+    assert est(load_config(diagonal_doc(256))) == 16 * (14 * 256**2 + 2 * 101)
     # classify pays two entries a step; evolve's fidelity rows, times and
-    # traces 10, and its energies table 18 d^2 more
+    # traces 10, and its kinetic check 2 d^2 more than classify's 12 at the
+    # exact order and 20 d^2 in all at orders 1 and 2
     assert est(load_config(diagonal_doc(d, t_grid=[0.0, 1.0, 1001]))) == base + 16 * 2 * 900
+    evolve = base + 16 * (2 * d**2 + 10 * 1001 - 2 * 101)
     assert est(load_config(diagonal_doc(d, scenario="evolve", t_grid=[0.0, 1.0, 1001]))) \
-        == base + 16 * (18 * d**2 + 10 * 1001 - 2 * 101)
+        == evolve
+    assert est(load_config(diagonal_doc(d, scenario="evolve", order="1",
+                                        t_grid=[0.0, 1.0, 1001]))) == evolve + 16 * 6 * d**2
     # verify runs the exact order, holds 20 d^2 and one entry a step;
     # swap-calibrate reads no time grid
-    verify = base + 16 * (6 * d**2 - 101)
+    verify = base + 16 * (8 * d**2 - 101)
     assert est(load_config(diagonal_doc(d, scenario="verify"))) == verify
     assert est(load_config(diagonal_doc(d, scenario="swap-calibrate"))) == verify - 16 * 101
 
@@ -309,6 +313,17 @@ def _traced_peak(cfg) -> int:
         tracemalloc.stop()
 
 
+# config._check_memory is fitted to tracemalloc peaks of runner.run over 101
+# steps at d = 256 and 512 on the diagonal, the Hermitian triangular and the
+# general kind (two bath modes), in units of 16 d^2 bytes, against the
+# estimate's q + 2 there: classify 10.0 at the exact order (14), 12.0 at
+# order 1, 16.0-16.1 at order 2 and 18.0-18.6 at eta = 0.05 (20); evolve
+# 12.0-15.5 at the exact order (16), 13.0-17.5 at order 1, 18.0-21.5 at
+# order 2 and 20.0-21.5 at eta = 0.05 (22); verify 13.0-16.2 and
+# swap-calibrate 13.6 (22). The peaks of the cases below, in MiB, with the
+# estimate in brackets: 64-2 1.08 (2.13), 64-2-eta 1.20 (2.13), 82-exact
+# 1.14 (2.23), 64-classify-10001-steps 1.30 (2.06), 64-evolve-10001-steps
+# 1.86 (3.40), general-512-evolve-2-eta 86.1 (88.0).
 MEMORY_CASES = {f"{dim}-{order}": diagonal_doc(dim, order=order)
                 for dim, order in [(16, "exact"), (16, "1"), (16, "2"), (32, "exact"),
                                    (32, "1"), (32, "2"), (48, "2"), (64, "2"), (82, "exact")]}
@@ -321,8 +336,8 @@ MEMORY_CASES.update({f"64-{scenario}-10001-steps": diagonal_doc(
 # d = 32 and in seven at d = 48
 MEMORY_CASES.update({f"general-{dim}-2-eta": general_doc(dim, order="2", eta=0.05)
                      for dim in (32, 48)})
-# evolve frees the decomposition before its per-dyad table: kept alive, it
-# adds about 10 units of 16 d^2 bytes, which at d = 512 breaks the estimate
+# evolve at order 2 peaks in its kinetic check, where the decomposition's
+# eight factors meet the flow of the canonical ket and two projections
 MEMORY_CASES["general-512-evolve-2-eta"] = general_doc(512, scenario="evolve", order="2",
                                                        eta=0.05)
 TIGHT_MEMORY_CASES = ("64-2", "64-2-eta", "82-exact", "64-classify-10001-steps",

@@ -110,7 +110,8 @@ def _general_config_decomposition(order):
 def test_least_squares_calibration_is_stationary_to_rounding(order):
     decomp = _general_config_decomposition(order)
     free = (decomp.basis.f_values, decomp.basis.f_values)
-    e0, energies = decomp.basis.e0.real, decomp.energies.real
+    eps = decomp.basis.f_values
+    e0, energies = np.subtract.outer(eps, eps), decomp.energies.real
     cal = calibrate_timing(free, (decomp.z, decomp.w), t_sw=1.0)
     assert not cal.homogeneous
     # the cost's derivative vanishes at the returned point

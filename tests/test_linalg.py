@@ -9,7 +9,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import commutator_superop, propagator, random_density, sqrtm_psd
+from oracle import commutator_superop, propagator, random_density, sqrtm_psd, unvec, vec
 from subdyn.linalg import (
     DefectiveMatrixError,
     NonHermitianError,
@@ -20,8 +20,6 @@ from subdyn.linalg import (
     max_overlap_matching,
     psd_factor,
     tensor,
-    unvec,
-    vec,
 )
 
 

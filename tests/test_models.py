@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracle import canonical_initial_state
 from subdyn.models import (
     ModelSpec,
     block_eigensolve,
     build_model,
     canonical_initial_ket,
-    canonical_initial_state,
     extract_block,
     one_sided_norms,
     triangular_sort_order,

@@ -6,11 +6,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from oracle import dense_perturbative
+from oracle import canonical_initial_state, dense_perturbative, to_frame, unvec
 from subdyn import subdynamics
 from subdyn.classify import fidelity_trace
+from subdyn.cli import EXIT_OK, main
 from subdyn.config import load_config
-from subdyn.models import build_model, canonical_initial_ket, canonical_initial_state
+from subdyn.models import build_model, canonical_initial_ket
 from subdyn.report import REPORT_NAME
 from subdyn.runner import run
 from subdyn.subdynamics import decompose_model, kinetic_consistency_residual, project_density
@@ -64,35 +65,53 @@ def test_evolve_payload_unit_fidelity_and_consistency():
     assert p["fidelity_unit"] is True or p["fidelity_max_deviation"] <= 1e-9
     assert p["trace_drift"] <= 1e-10
     assert p["kinetic_consistency_residual"] <= 1e-6
+    # one row per level, and one per dyad of nonzero weight: the canonical
+    # ket leaves part of the 16 x 16 dyads empty
+    assert len(report.tables["levels"][1]) == 16
+    ops = build_model(load_config({"scenario": "evolve", "model": GEN_MODEL}).model)
+    coeff = project_density(decompose_model(ops), canonical_initial_ket(ops))
     header, rows = report.tables["energies"]
-    assert len(rows) == 16 * 16
+    assert len(rows) == np.count_nonzero(coeff) < 16 * 16
     header_f, rows_f = report.tables["fidelity"]
     assert len(rows_f) == 101
 
 
 @pytest.mark.parametrize("order, eta", [("exact", 0.0), ("1", 0.0), ("2", 0.05)])
 def test_evolve_tables_match_the_per_dyad_loop(order, eta):
-    # the energies rows and trace drift are array expressions; the per-nu
-    # loop over every evolved state is the reference, and must agree exactly.
-    # evolve projects the canonical state as its ket
+    # the tables and trace drift are array expressions; per-dyad loops over
+    # the level rows and over every evolved state are the reference, and
+    # must agree exactly. evolve projects the canonical state as its ket
     config = make_config("evolve", model=GEN_MODEL, order=order, eta=eta)
     report = run(config)
     ops = build_model(config.model)
     decomp = decompose_model(ops, order=order, eta=eta)
     coeff = project_density(decomp, canonical_initial_ket(ops))
     d = decomp.basis.dim
-    rows = []
+    levels = report.tables["levels"][1]
+    assert [row[0] for row in levels] == list(range(d))
+    eps = [row[1] for row in levels]
+    z = [complex(row[2], row[3]) for row in levels]
+    w = [complex(row[4], row[5]) for row in levels]
+    assert z == decomp.z.tolist() and w == decomp.w.tolist()
+    # every row of nonzero weight, rebuilt from two level rows and the
+    # projected coefficient, in the order i + d j; repr tells 0.0 from -0.0
+    rows, zero = [], set()
     for j in range(d):
         for i in range(d):
-            k = i + d * j
-            e0, e = decomp.basis.e0[k], decomp.energies[k]
-            rows.append((i, j, e0.real, e0.imag, e.real, e.imag, abs(coeff[k])))
+            if coeff[i, j] == 0:
+                zero.add((i, j))
+                continue
+            e = z[i] - w[j]
+            rows.append((i, j, eps[i] - eps[j], 0.0, e.real, e.imag, float(abs(coeff[i, j]))))
+    assert repr(report.tables["energies"][1]) == repr(rows)
+    # the dropped dyads are exactly those of zero weight
+    kept = {(i, j) for i, j, *_ in report.tables["energies"][1]}
+    assert zero and kept.isdisjoint(zero) and len(kept) + len(zero) == d * d
     drift = 0.0
-    trace0 = complex(coeff[:: d + 1].sum())
+    trace0 = complex(np.diagonal(coeff).sum())
     for t in config.times():
         evolved = np.exp(-1j * decomp.energies * float(t)) * coeff
-        drift = max(drift, abs(complex(evolved[:: d + 1].sum()) - trace0))
-    assert report.tables["energies"][1] == rows
+        drift = max(drift, abs(complex(np.diagonal(evolved).sum()) - trace0))
     assert report.payload["trace_drift"] == drift
     if eta > 0.0:
         assert drift > 0.0
@@ -135,21 +154,26 @@ def test_order_two_eta_runs_match_dense_oracle(scenario, model, dim):
     ops = build_model(config.model)
     _, d, energies, kappa = dense_perturbative(ops.h0, ops.h1, ops.spec.lam, 0.05, "2")
     basis = decompose_model(ops).basis
-    rho_f = basis.to_frame(canonical_initial_state(ops))
+    rho_f = to_frame(basis, canonical_initial_state(ops))
     coeff = (rho_f + d @ rho_f) / kappa
+    energies, coeff = unvec(energies, dim), unvec(coeff, dim)
     if scenario == "evolve":
-        rows = report.tables["energies"][1]
-        np.testing.assert_allclose([complex(r[4], r[5]) for r in rows], energies,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose([r[6] for r in rows], np.abs(coeff), rtol=0, atol=1e-12)
+        levels = report.tables["levels"][1]
+        z = np.array([complex(r[2], r[3]) for r in levels])
+        w = np.array([complex(r[4], r[5]) for r in levels])
+        np.testing.assert_allclose(np.subtract.outer(z, w), energies, rtol=0, atol=1e-12)
+        weights = np.zeros((dim, dim))
+        for i, j, *_, weight in report.tables["energies"][1]:
+            weights[i, j] = weight
+        np.testing.assert_allclose(weights, np.abs(coeff), rtol=0, atol=1e-12)
     else:
         trace = fidelity_trace(energies, coeff, config.times())
         evidence = report.payload["evidence"]
         assert evidence["kinetic_fidelity_deviation"] == pytest.approx(trace.max_deviation,
                                                                        rel=0, abs=1e-12)
-        pop = np.eye(dim, dtype=bool).ravel(order="F")
+        coherence = ~np.eye(dim, dtype=bool)
         assert evidence["coherence_dyad_decay"] == pytest.approx(
-            float(np.max(np.abs(energies[~pop].imag))), rel=0, abs=1e-12)
+            float(np.max(np.abs(energies[coherence].imag))), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.05])
@@ -212,6 +236,21 @@ def test_verify_counts_and_block_check():
     names = {c["name"] for c in p["checks"]}
     assert "block_eigenvalues" in names
     assert "kinetic_consistency" in names
+
+
+@pytest.mark.parametrize("atoms, block_check", [([1.0, 1.02], False), ([1.02, 1.02], True)],
+                         ids=["detuned", "equal"])
+def test_verify_reads_the_block_check_on_equal_atoms_only(tmp_path, capsys, atoms, block_check):
+    # the closed-form exchange block assumes equal singly-excited energies,
+    # which detuned atoms split by omega_1 - omega_2: verify passes without it
+    doc = tmp_path / "verify.json"
+    doc.write_text(json.dumps({"scenario": "verify",
+                               "model": {**GEN_MODEL, "omega_atoms": atoms}}))
+    assert main(["verify", "--config", str(doc), "--out", str(tmp_path / "run")]) == EXIT_OK
+    capsys.readouterr()
+    p = json.loads((tmp_path / "run" / REPORT_NAME).read_text())["payload"]
+    assert p["failed"] == 0 and p["passed"] == p["total"] == 6 + block_check
+    assert ("block_eigenvalues" in {c["name"] for c in p["checks"]}) == block_check
 
 
 def test_write_persists_all_tables(tmp_path):
