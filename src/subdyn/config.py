@@ -283,5 +283,11 @@ def _check_memory(config: ScenarioConfig) -> int:
 
 
 def config_echo(config: ScenarioConfig) -> dict:
-    """Resolved config as a plain dict for the run report, model nested."""
-    return dataclasses.asdict(config)
+    """Resolved config as a plain dict for the run report, model nested.
+
+    Field by field: dataclasses.asdict would deep-copy every value, and the
+    values are immutable.
+    """
+    echo = {key: getattr(config, key) for key in _TOP_KEYS}
+    echo["model"] = {key: getattr(config.model, key) for key in _MODEL_KEYS}
+    return echo

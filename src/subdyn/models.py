@@ -19,26 +19,13 @@ from .linalg import is_hermitian, tensor
 
 MODEL_KINDS = ("diagonal", "triangular", "general")
 
-# Atom conventions. The two-level models label states j in {1, 2} with
-# sigma_z = |2><2| - |1><1| (eigenvalues -1, +1). The two-atom model labels
-# states +/- with S_z = diag(+1/2, -1/2), which is what reproduces the
-# documented three-state block entries at resonant atom frequencies.
+# The two-level models label states j in {1, 2} with
+# sigma_z = |2><2| - |1><1| (eigenvalues -1, +1).
 SIGMA_Z_TWO_LEVEL = np.diag([-1.0, 1.0]).astype(np.complex128)
-S_Z = np.diag([0.5, -0.5]).astype(np.complex128)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_PLUS = SIGMA_MINUS.T.copy()
 
 
 def number_op(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
-
-
-def lowering_op(dim: int) -> np.ndarray:
-    """Bosonic annihilation operator truncated to the given dimension."""
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,43 +193,49 @@ def build_triangular_model(spec: ModelSpec) -> ModelOperators:
 def build_general_model(spec: ModelSpec) -> ModelOperators:
     """Two atoms exchanging with a field mode, all coupled to bath modes.
 
-    H0 carries the atom splittings, the atom-field exchange g, the field
-    mode, and the free bath modes. H1 couples every bath mode to both atoms
-    through (b_k^dag + b_k)(sigma_j^- + sigma_j^+); the overall interaction
-    scale lam stays outside the matrix.
+    H0 = omega_1 S_z1 + omega_2 S_z2 + omega a^dag a + sum_k omega_k b_k^dag b_k
+    + g sum_j (sigma_j^- a^dag + sigma_j^+ a), with S_z = diag(+1/2, -1/2)
+    over the atom states (+, -), which reproduces the documented three-state
+    block entries at resonant atom frequencies. H1 couples every bath mode
+    to both atoms through g_k (b_k^dag + b_k)(sigma_j^- + sigma_j^+); the
+    overall interaction scale lam stays outside the matrix.
+
+    Entries are written from each basis state's factor digits: moving a
+    factor by one unit moves the basis index by that factor's stride. Each
+    entry is one product or, on the diagonal, a sum in the order of the
+    terms above, so both matrices equal the sums of Kronecker products,
+    bit for bit at a non-negative field frequency omega.
     """
     nf = spec.fock_cutoff + 1
     nb = spec.bath_cutoff + 1
-    factors = (("atom1", 2), ("atom2", 2), ("field", nf)) + tuple(
-        (f"bath{k}", nb) for k in range(len(spec.bath)))
+    dims = (2, 2, nf) + (nb,) * len(spec.bath)
+    d = math.prod(dims)
+    digits = np.indices(dims).reshape(len(dims), d)
+    strides = [math.prod(dims[f + 1:]) for f in range(len(dims))]
+    field = digits[2]
 
-    def embed(ops: dict[str, np.ndarray]) -> np.ndarray:
-        mats = [ops.get(name, np.eye(dim, dtype=np.complex128)) for name, dim in factors]
-        return tensor(*mats)
-
-    a = lowering_op(nf)
-    h0 = (spec.omega_atoms[0] * embed({"atom1": S_Z})
-          + spec.omega_atoms[1] * embed({"atom2": S_Z})
-          + spec.omega * embed({"field": number_op(nf)}))
-    for atom in ("atom1", "atom2"):
-        h0 = h0 + spec.g * (embed({atom: SIGMA_MINUS, "field": a.conj().T})
-                            + embed({atom: SIGMA_PLUS, "field": a}))
+    diag = (spec.omega_atoms[0] * (0.5 - digits[0]) + spec.omega_atoms[1] * (0.5 - digits[1])
+            + spec.omega * field)
+    for k, (omega_k, _) in enumerate(spec.bath):
+        diag = diag + omega_k * digits[3 + k]
+    h0 = np.zeros((d, d), dtype=np.complex128)
+    h0.flat[::d + 1] = diag
+    # sigma_j^- a^dag takes (+, n) to (-, n + 1) with amplitude g sqrt(n + 1)
+    for atom in (0, 1):
+        src = np.flatnonzero((digits[atom] == 0) & (field < nf - 1))
+        dst = src + strides[atom] + strides[2]
+        h0[dst, src] = h0[src, dst] = spec.g * np.sqrt(field[src] + 1)
     h1 = np.zeros_like(h0)
-    for k, (omega_k, g_k) in enumerate(spec.bath):
-        b = lowering_op(nb)
-        h0 = h0 + omega_k * embed({f"bath{k}": number_op(nb)})
-        flip = SIGMA_MINUS + SIGMA_PLUS
-        for atom in ("atom1", "atom2"):
-            h1 = h1 + g_k * embed({atom: flip, f"bath{k}": b.conj().T + b})
+    # b_k^dag flips either atom and takes bath mode k from m to m + 1
+    for k, (_, g_k) in enumerate(spec.bath):
+        mode = digits[3 + k]
+        src = np.flatnonzero(mode < nb - 1)
+        amplitude = g_k * np.sqrt(mode[src] + 1)
+        for atom in (0, 1):
+            dst = src + strides[3 + k] + (1 - 2 * digits[atom][src]) * strides[atom]
+            h1[dst, src] = h1[src, dst] = amplitude
 
-    atom_states = ("+", "-")
-    labels = tuple(
-        (s1, s2, n) + nks
-        for s1 in atom_states
-        for s2 in atom_states
-        for n in range(nf)
-        for nks in itertools.product(range(nb), repeat=len(spec.bath))
-    )
+    labels = tuple(itertools.product("+-", "+-", range(nf), *[range(nb)] * len(spec.bath)))
     return ModelOperators(spec=spec, h0=h0, h1=h1,
                           basis_labels=labels, hermitian_h1=True)
 

@@ -20,6 +20,9 @@ the Liouville vectors of the dense routes, and unvec back.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -31,8 +34,9 @@ from subdyn.linalg import (
     as_complex_matrix,
     is_hermitian,
     norm_scale,
+    tensor,
 )
-from subdyn.models import ModelOperators, canonical_initial_ket
+from subdyn.models import ModelOperators, ModelSpec, canonical_initial_ket, number_op
 from subdyn.subdynamics import (
     Decomposition,
     PhiBasis,
@@ -77,6 +81,58 @@ def canonical_initial_state(ops: ModelOperators) -> np.ndarray:
     """Density matrix |psi><psi| of models.canonical_initial_ket."""
     psi = canonical_initial_ket(ops)
     return np.outer(psi, psi.conj())
+
+
+def lowering_op(dim: int) -> np.ndarray:
+    """Bosonic annihilation operator truncated to the given dimension."""
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(n)
+    return a
+
+
+def kronecker_general_model(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(h0, h1, basis labels) of the general kind as sums of Kronecker products.
+
+    Every term of the Hamiltonian is embedded as a d x d matrix, one factor
+    per atom, field and bath mode, identity elsewhere, and the terms are
+    summed in the order models.build_general_model documents, so its
+    entries must match bit for bit.
+    """
+    nf = spec.fock_cutoff + 1
+    nb = spec.bath_cutoff + 1
+    factors = (("atom1", 2), ("atom2", 2), ("field", nf)) + tuple(
+        (f"bath{k}", nb) for k in range(len(spec.bath)))
+
+    def embed(ops: dict[str, np.ndarray]) -> np.ndarray:
+        mats = [ops.get(name, np.eye(dim, dtype=np.complex128)) for name, dim in factors]
+        return tensor(*mats)
+
+    s_z = np.diag([0.5, -0.5]).astype(np.complex128)
+    sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
+    sigma_plus = sigma_minus.T.copy()
+    a = lowering_op(nf)
+    h0 = (spec.omega_atoms[0] * embed({"atom1": s_z})
+          + spec.omega_atoms[1] * embed({"atom2": s_z})
+          + spec.omega * embed({"field": number_op(nf)}))
+    for atom in ("atom1", "atom2"):
+        h0 = h0 + spec.g * (embed({atom: sigma_minus, "field": a.conj().T})
+                            + embed({atom: sigma_plus, "field": a}))
+    h1 = np.zeros_like(h0)
+    for k, (omega_k, g_k) in enumerate(spec.bath):
+        b = lowering_op(nb)
+        h0 = h0 + omega_k * embed({f"bath{k}": number_op(nb)})
+        flip = sigma_minus + sigma_plus
+        for atom in ("atom1", "atom2"):
+            h1 = h1 + g_k * embed({atom: flip, f"bath{k}": b.conj().T + b})
+    labels = tuple(
+        (s1, s2, n) + nks
+        for s1 in ("+", "-")
+        for s2 in ("+", "-")
+        for n in range(nf)
+        for nks in itertools.product(range(nb), repeat=len(spec.bath))
+    )
+    return h0, h1, labels
 
 
 def dyad_index(basis: PhiBasis, nu: tuple[int, int]) -> int:

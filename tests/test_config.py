@@ -1,5 +1,6 @@
 """Strict config parsing: typos rejected with suggestions, oversize runs refused."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -415,6 +416,9 @@ def test_echo_nests_model():
     echo = config_echo(load_config({**GOOD, "seed": 9}))
     assert echo["seed"] == 9
     assert echo["model"]["kind"] == "diagonal"
+    # the echo holds what dataclasses.asdict gives, without its deep copy
+    cfg = load_config(general_doc(32, order="2", eta=0.05))
+    assert config_echo(cfg) == dataclasses.asdict(cfg)
 
 
 def test_scenario_list_is_closed():

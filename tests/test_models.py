@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracle import canonical_initial_state
+from oracle import canonical_initial_state, kronecker_general_model
 from subdyn.models import (
     ModelSpec,
     block_eigensolve,
@@ -178,3 +178,49 @@ def test_spec_dim_formula():
     assert DIAG_SPEC.dim == 6
     assert GEN_SPEC.dim == 16
     assert ModelSpec(kind="general", bath=(), fock_cutoff=2).dim == 12
+
+
+def _random_general_spec(rng):
+    return ModelSpec(kind="general",
+                     omega_atoms=(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)),
+                     omega=rng.uniform(0.5, 1.5), g=rng.uniform(0.1, 1.0), lam=0.05,
+                     bath=tuple((rng.uniform(0.5, 1.5), rng.uniform(0.1, 1.0))
+                                for _ in range(rng.integers(0, 4))),
+                     fock_cutoff=int(rng.integers(0, 5)), bath_cutoff=int(rng.integers(0, 3)))
+
+
+# the four general layouts of the benchmark decks, d = 8, 16, 32 and 48:
+# (fock_cutoff, bath modes, bath_cutoff)
+DECK_LAYOUTS = ((0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1))
+
+
+def test_general_model_matches_kronecker_sums():
+    # each entry is the one product or the same ordered sum that the
+    # Kronecker construction forms, so the matrices agree bit for bit
+    rng = np.random.default_rng(20)
+    specs = [_random_general_spec(rng) for _ in range(150)]
+    specs += [ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5, lam=0.05,
+                        bath=((0.9, 0.6), (0.97, 0.6))[:modes], fock_cutoff=fock,
+                        bath_cutoff=cutoff) for fock, modes, cutoff in DECK_LAYOUTS]
+    for spec in specs:
+        ops = build_model(spec)
+        h0, h1, labels = kronecker_general_model(spec)
+        assert ops.h0.tobytes() == h0.tobytes()
+        assert ops.h1.tobytes() == h1.tobytes()
+        assert ops.basis_labels == labels
+
+
+def test_general_model_matches_kronecker_sums_at_any_sign():
+    # with a negative field frequency the Kronecker sums leave -0.0 in some
+    # zero entries where the direct build writes +0.0, so the match is by value
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        spec = _random_general_spec(rng)
+        signs = rng.choice([-1.0, 1.0], size=4)
+        spec = dataclasses.replace(
+            spec, omega_atoms=(signs[0] * spec.omega_atoms[0], spec.omega_atoms[1]),
+            omega=signs[1] * spec.omega, g=signs[2] * spec.g,
+            bath=tuple((signs[3] * w, -c) for w, c in spec.bath))
+        ops = build_model(spec)
+        h0, h1, _ = kronecker_general_model(spec)
+        assert np.array_equal(ops.h0, h0) and np.array_equal(ops.h1, h1)

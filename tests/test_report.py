@@ -116,3 +116,44 @@ def test_report_payload_survives_nan(tmp_path):
                        diagnostics={}, tables={})
     path = write_report(report, tmp_path, wall_time_s=0.0)
     assert json.loads(path.read_text())["payload"]["gap"] is None
+
+
+def test_write_csv_rewrite_leaves_no_stale_tail(tmp_path):
+    # a run overwrites its files in place; the shorter content must not keep
+    # the longer file's tail
+    path = tmp_path / "t.csv"
+    write_csv(path, ("k", "v"), [(f"row{k}", k * 0.1) for k in range(100)])
+    write_csv(path, ("k", "v"), [("a", 1.0)])
+    assert path.read_bytes() == b"k,v\na,1.0\n"
+
+
+def test_write_csv_in_place_matches_a_fresh_write(tmp_path):
+    rows = [(f"s{k}", np.float64(k) / 7, k, k % 2 == 0) for k in range(50)]
+    header = ("s", "x", "n", "b")
+    rewritten, fresh = tmp_path / "rewritten.csv", tmp_path / "fresh.csv"
+    assert not fresh.exists()
+    write_csv(rewritten, header, rows[::-1] * 3)
+    write_csv(rewritten, header, rows)
+    write_csv(fresh, header, rows)
+    assert rewritten.read_bytes() == fresh.read_bytes()
+
+
+def test_write_report_rewrite_leaves_exactly_the_new_files(tmp_path):
+    long = RunReport(scenario="classify", config={"note": "x" * 5000},
+                     payload={"v": list(range(500))}, diagnostics={},
+                     tables={"alpha": (("k",), [(k,) for k in range(500)])})
+    write_report(long, tmp_path / "run", wall_time_s=123456789.0)
+    path = write_report(sample_report(), tmp_path / "run", wall_time_s=0.5)
+    fresh = write_report(sample_report(), tmp_path / "fresh", wall_time_s=0.5)
+    assert path.read_bytes() == fresh.read_bytes() == sample_report().to_json().encode()
+    for name in ("alpha.csv", "beta.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    meta = (tmp_path / "run" / METADATA_NAME).read_text()
+    assert json.loads(meta)["wall_time_s"] == 0.5
+
+
+def test_write_csv_into_a_directory_raises_oserror(tmp_path):
+    # the CLI maps OSError to its exit 2
+    (tmp_path / "t.csv").mkdir()
+    with pytest.raises(OSError):
+        write_csv(tmp_path / "t.csv", ("k",), [(1,)])
