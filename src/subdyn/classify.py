@@ -16,8 +16,8 @@ import numpy as np
 
 from .linalg import DefectiveMatrixError, components, eig, is_hermitian
 from .models import ModelOperators, canonical_initial_ket
-from .subdynamics import (Decomposition, _hilbert_flow, _phi_hamiltonian, decompose_model,
-                          project_density, state_factor, time_blocks)
+from .subdynamics import (Decomposition, _hilbert_flow, decompose_model, project_density,
+                          state_factor, time_blocks)
 
 DF = "DF"
 PHASE_ERROR = "PE"
@@ -82,7 +82,7 @@ def check_diagonal_condition(decomp: Decomposition) -> float:
     The off-diagonal entries of L1 = [h1_f, .] are the off-diagonal entries
     of h1_f and their negatives, so this reads h1_f instead of building L1.
     """
-    off = decomp.lam * decomp.h1_f
+    off = decomp.lam * decomp.basis.h1_f
     np.fill_diagonal(off, 0.0)
     return float(np.max(np.abs(off)))
 
@@ -236,7 +236,7 @@ def total_space_evidence(decomp: Decomposition, state, times) -> dict[str, float
     minimum before the next.
     """
     basis = decomp.basis
-    h = _phi_hamiltonian(basis, decomp.lam, decomp.h1_f)
+    h = basis.hamiltonian(decomp.lam)
     hermitian = is_hermitian(h)
     g0 = basis.f_vectors.conj().T @ state_factor(state, basis.dim)
     levels = _touched_levels(h, g0)

@@ -21,13 +21,12 @@ from .subdynamics import normalize_order
 SCENARIOS = ("classify", "evolve", "swap-calibrate", "cnot-demo", "turing-demo", "verify")
 # Scenarios that read the time grid and start from the model's canonical
 # initial state, and those of them that decompose at the configured order
-# (verify runs the exact order, swap-calibrate the exact order and order 1,
-# both on d x d factors).
+# and read eta there at orders 1 and 2 (verify runs the exact order,
+# swap-calibrate the exact order and order 1, both on d x d factors and at
+# eta = 0: eta > 0 gives the order-1 levels decay rates, and a timing
+# calibration needs real energies).
 _GRID_SCENARIOS = ("classify", "evolve", "verify")
 _ORDERED_SCENARIOS = ("classify", "evolve")
-# Scenarios that read eta: the ordered ones at orders 1 and 2, and
-# swap-calibrate's order-1 calibration.
-_ETA_SCENARIOS = ("classify", "evolve", "swap-calibrate")
 
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelSpec))
 # Model keys read by some kinds only. Set on another kind, such a key would be
@@ -224,7 +223,7 @@ def _check_read(config: ScenarioConfig) -> None:
     if config.order != "exact" and config.scenario not in _ORDERED_SCENARIOS:
         raise ConfigError(f"{config.scenario} runs the exact order only; "
                           f"order {config.order!r} is not read")
-    if config.eta != 0.0 and config.scenario not in _ETA_SCENARIOS:
+    if config.eta != 0.0 and config.scenario not in _ORDERED_SCENARIOS:
         raise ConfigError(f"eta is not read by {config.scenario}; got {config.eta}")
     if config.eta != 0.0 and config.order == "exact" and config.scenario in _ORDERED_SCENARIOS:
         raise ConfigError(f"eta regularizes the perturbative orders only; "

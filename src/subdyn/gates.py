@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from .linalg import DEFAULT_TOL
-from .subdynamics import decompose
 
 CNOT_PERMUTATION = (0, 1, 3, 2)
 GATE_LABELS = ("00", "01", "10", "11")
@@ -194,21 +193,6 @@ def calibrate_timing(free_levels, levels, t_sw: float,
     return SwapCalibration(t_sw=t_sw, delta_t=delta_t, E0_over_dE=ratio,
                            order=order, residual=residual, homogeneous=homogeneous,
                            spread=spread, phase_gap=gap)
-
-
-def calibrate_timing_second_order(h0, h1, lam: float, t_sw: float,
-                                  eta: float = 0.0) -> SwapCalibration:
-    """Calibration from the second-order kinetic eigenvalues of H0 + lam H1."""
-    decomp = decompose(h0, h1, lam=lam, order="1", eta=eta)
-    free = decomp.basis.f_values
-    return calibrate_timing((free, free), (decomp.z, decomp.w), t_sw, order="second")
-
-
-def calibrate_timing_exact(h0, h1, lam: float, t_sw: float) -> SwapCalibration:
-    """Calibration from the exact kinetic eigenvalues (oracle for convergence)."""
-    decomp = decompose(h0, h1, lam=lam, order="exact")
-    free = decomp.basis.f_values
-    return calibrate_timing((free, free), (decomp.z, decomp.w), t_sw, order="exact")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,8 +14,9 @@ from .linalg import is_hermitian, tensor
 from .models import ModelOperators, block_eigensolve, build_model, canonical_initial_ket, \
     extract_block
 from .report import RunReport, write_report
-from .subdynamics import block_residual, completeness_residual, decompose_model, \
-    kinetic_consistency_residual, project_density, similarity_residual, time_blocks
+from .subdynamics import block_residual, completeness_residual, decompose, decompose_model, \
+    kinetic_consistency_residual, liouville_basis, project_density, similarity_residual, \
+    time_blocks
 
 # The fixed gate and Turing experiments: swap-calibrate times a swap of
 # t_sw = T_SWAP; turing-demo runs a head and TAPE_SPINS tape spins through
@@ -127,8 +128,15 @@ def _calibration_row(cal: gates.SwapCalibration):
 
 def _run_swap_calibrate(config: ScenarioConfig, ops: ModelOperators):
     lam = config.model.lam
-    second = gates.calibrate_timing_second_order(ops.h0, ops.h1, lam, T_SWAP, eta=config.eta)
-    exact = gates.calibrate_timing_exact(ops.h0, ops.h1, lam, T_SWAP)
+    basis = liouville_basis(ops.h0, ops.h1)
+    free = (basis.f_values, basis.f_values)
+
+    def calibration(order: str, label: str) -> gates.SwapCalibration:
+        decomp = decompose(basis, lam, order=order)
+        return gates.calibrate_timing(free, (decomp.z, decomp.w), T_SWAP, order=label)
+
+    # order 1's levels carry the second-order energy shifts
+    second, exact = calibration("1", "second"), calibration("exact", "exact")
     payload = {
         "second_order": dataclasses.asdict(second),
         "exact": dataclasses.asdict(exact),

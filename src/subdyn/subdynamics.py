@@ -16,10 +16,14 @@ kappa[i, j].
 
 All quantities here are expressed in the frame of the free eigenbasis
 (the "phi frame"), where L0 is diagonal; states convert via rho_f = F^dag
-rho F. linalg.eig builds F block by block from the connected components of
-H0's nonzero pattern, so F, h1_f and everything weighted by h1_f carry
-exact zeros between components that H1 does not couple. Three
-construction orders are supported: "exact" (from the full
+rho F. The frame is built once per model, by liouville_basis(h0, h1): the
+free levels eps, F, and the interaction read in the frame,
+h1_f = F^dag H1 F, the one place where H1 enters. None of it depends on
+lam or on the order, so decompose(basis, lam, order, eta) reads one frame
+at every lam and every order. linalg.eig builds F block by block from the
+connected components of H0's nonzero pattern, so F, h1_f and everything
+weighted by h1_f carry exact zeros between components that H1 does not
+couple. Three construction orders are supported: "exact" (from the full
 eigendecomposition of H), and the stationary-resolvent perturbation
 expansion truncated at first ("1") or second ("2") order in lam.
 
@@ -106,26 +110,38 @@ class ResonanceError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class PhiBasis:
-    """Free eigenframe: H0 eigenpairs, f_values sorted ascending.
+    """Free eigenframe of one model: H0 eigenpairs, f_values sorted ascending,
+    and the interaction read in that frame, h1_f = F^dagger H1 F.
 
     The dyad nu = (i, j) is |f_i><f_j|, with free energy eps_i - eps_j.
+    Neither depends on lam or on the order, so one frame serves every
+    decomposition of the model.
     """
 
     f_values: np.ndarray
     f_vectors: np.ndarray
+    h1_f: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.f_values.shape[0]
 
+    def hamiltonian(self, lam: float) -> np.ndarray:
+        """H_f = diag(f_values) + lam h1_f, the Hamiltonian H0 + lam H1 in this frame."""
+        return np.diag(self.f_values).astype(np.complex128) + lam * self.h1_f
 
-def liouville_basis(h0) -> PhiBasis:
-    """Diagonalize a Hermitian free Hamiltonian into the dyad frame."""
+
+def liouville_basis(h0, h1) -> PhiBasis:
+    """Diagonalize a Hermitian free Hamiltonian into the dyad frame and read h1 in it."""
     h = as_complex_matrix(h0, "h0")
     if not is_hermitian(h):
         raise NonHermitianError("free Hamiltonian must be Hermitian")
+    v = as_complex_matrix(h1, "h1")
+    if v.shape != h.shape:
+        raise ValueError(f"h1 must have the shape of h0, {h.shape}; got {v.shape}")
     system = eig(h)
-    return PhiBasis(f_values=system.values.real, f_vectors=system.right_vectors)
+    f = system.right_vectors
+    return PhiBasis(f_values=system.values.real, f_vectors=f, h1_f=f.conj().T @ v @ f)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,7 +157,7 @@ class Decomposition:
     and planes (R - I, L - I, L - I, R - I) for the anchored right and left
     eigenvectors R and L, with off_plane the planes themselves. Orders 1 and
     2 build from the resolvent-weighted interactions A = lam h1_f * r and
-    A' = lam h1_f * r^T (elementwise products), with r[k, i] =
+    A' = lam h1_f * r^T (elementwise products, h1_f = basis.h1_f), with r[k, i] =
     1/(eps_i - eps_k + i eta), zero on k = i and, at eta = 0, on degenerate
     pairs. Order 1 has planes (A, -A, A', -A'), the superoperators [A, .]
     and [A', .], and no off_plane. Order 2 has the second-order
@@ -156,7 +172,6 @@ class Decomposition:
     order: str
     lam: float
     eta: float
-    h1_f: np.ndarray
     z: np.ndarray
     w: np.ndarray
     planes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -191,7 +206,7 @@ class Decomposition:
         return kappa
 
 
-def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -> np.ndarray:
+def _free_resolvent(basis: PhiBasis, lam: float, eta: float) -> np.ndarray:
     """r[k, i] = 1/(eps_i - eps_k + i eta), the resolvent of one dyad index.
 
     r is zero on k = i and, at eta = 0, on every degenerate pair, whose gap
@@ -200,7 +215,7 @@ def _free_resolvent(basis: PhiBasis, h1_f: np.ndarray, lam: float, eta: float) -
     ResonanceError. The coupling threshold is relative to
     ||lam L1||_F = |lam| sqrt(2d|h1_f|^2 - 2|tr h1_f|^2).
     """
-    eps = basis.f_values
+    eps, h1_f = basis.f_values, basis.h1_f
     d = eps.shape[0]
     gap = eps[None, :] - eps[:, None]
     if eta == 0.0:
@@ -347,11 +362,6 @@ def _gathered_sums(decomp: Decomposition, states: list[tuple[np.ndarray, np.ndar
     return kappa, rows
 
 
-def _phi_hamiltonian(basis: PhiBasis, lam: float, h1_f: np.ndarray) -> np.ndarray:
-    """H = diag(f_values) + lam * h1_f in the phi frame."""
-    return np.diag(basis.f_values).astype(np.complex128) + lam * h1_f
-
-
 def _exact_factors(h: np.ndarray):
     """Matched eigensystem (psi, psi_tilde, z) of the phi-frame Hamiltonian.
 
@@ -385,14 +395,16 @@ def normalize_order(order) -> str:
     return text
 
 
-def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Decomposition:
-    """Build the full projected-subspace decomposition of H = H0 + lam H1."""
+def decompose(basis: PhiBasis, lam: float, order="exact", eta: float = 0.0) -> Decomposition:
+    """Build the full projected-subspace decomposition of H = H0 + lam H1 on its free frame.
+
+    basis is liouville_basis(h0, h1); it does not depend on lam, order or
+    eta, so one frame serves every decomposition of a model.
+    """
     order = normalize_order(order)
-    basis = liouville_basis(h0)
-    f = basis.f_vectors
-    h1_f = f.conj().T @ as_complex_matrix(h1, "h1") @ f
+    h1_f = basis.h1_f
     if order == "exact":
-        psi, psi_tilde, z = _exact_factors(_phi_hamiltonian(basis, lam, h1_f))
+        psi, psi_tilde, z = _exact_factors(basis.hamiltonian(lam))
         # R - I and L - I for R = psi diag(1/psi_ii) and L = diag(1/psi~_ii) psi~
         u, u_dual = psi / np.diag(psi)[None, :], psi_tilde / np.diag(psi_tilde)[:, None]
         np.fill_diagonal(u, 0.0)
@@ -400,7 +412,7 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
         planes = off_plane = (u, u_dual, u_dual, u)
         w = z
     else:
-        r = _free_resolvent(basis, h1_f, lam, eta)
+        r = _free_resolvent(basis, lam, eta)
         a, a_dual = lam * h1_f * r, lam * h1_f * r.T
         # order 1's planes are order 2's off-plane factors
         planes = off_plane = (a, -a, a_dual, -a_dual)
@@ -415,13 +427,13 @@ def decompose(h0, h1, lam: float = 1.0, order="exact", eta: float = 0.0) -> Deco
         level = basis.f_values + lam * np.diag(h1_f)
         z = level + lam * np.einsum("ia,ai->i", h1_f, planes[0])
         w = level + lam * np.einsum("jb,bj->j", planes[1], h1_f)
-    return Decomposition(basis=basis, order=order, lam=lam, eta=eta, h1_f=h1_f,
+    return Decomposition(basis=basis, order=order, lam=lam, eta=eta,
                          z=z, w=w, planes=planes, off_plane=off_plane)
 
 
 def decompose_model(ops, order="exact", eta: float = 0.0) -> Decomposition:
-    """decompose() of a ModelOperators at its own scale ModelSpec.lam."""
-    return decompose(ops.h0, ops.h1, lam=ops.spec.lam, order=order, eta=eta)
+    """decompose() of a ModelOperators on its own frame, at its own scale ModelSpec.lam."""
+    return decompose(liouville_basis(ops.h0, ops.h1), ops.spec.lam, order=order, eta=eta)
 
 
 def _anchored_eigenvectors(decomp: Decomposition, check: str):
@@ -446,7 +458,7 @@ def similarity_residual(decomp: Decomposition) -> float:
     T = L H - Z L, and ||L||_F = sqrt(2d) ||H - (tr H/d) I||_F.
     """
     right, left, z = _anchored_eigenvectors(decomp, "similarity_residual")
-    h = _phi_hamiltonian(decomp.basis, decomp.lam, decomp.h1_f)
+    h = decomp.basis.hamiltonian(decomp.lam)
     s = h @ right - right * z[None, :]
     t = left @ h - z[:, None] * left
     # Summed over nu, ||S_i L_j - R_i T_j||^2 = |S_i|^2 |L_j|^2 + |R_i|^2 |T_j|^2

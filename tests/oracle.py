@@ -165,7 +165,7 @@ def commutator_superop(hamiltonian) -> np.ndarray:
 
 def interaction(decomp: Decomposition) -> np.ndarray:
     """Interaction Liouvillian L1 = [h1_f, .] as a dense matrix."""
-    return commutator_superop(decomp.h1_f)
+    return commutator_superop(decomp.basis.h1_f)
 
 
 def dyad_resolvent(basis: PhiBasis, eta: float) -> np.ndarray:
@@ -243,7 +243,7 @@ def columns(decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """
     if decomp.order == "2":
         a, _, a_dual, _ = decomp.off_plane
-        h, lam = decomp.h1_f, decomp.lam
+        h, lam = decomp.basis.h1_f, decomp.lam
         resolvent = dyad_resolvent(decomp.basis, decomp.eta)
         return (second_order_columns(h, a, lam, resolvent),
                 second_order_columns(h.T, a_dual.T, lam, resolvent).T)
@@ -251,7 +251,7 @@ def columns(decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
         a, _, a_dual, _ = decomp.planes
         return commutator_superop(a), commutator_superop(a_dual)
     psi, psi_tilde, _ = _exact_factors(
-        np.diag(decomp.basis.f_values) + decomp.lam * decomp.h1_f)
+        np.diag(decomp.basis.f_values) + decomp.lam * decomp.basis.h1_f)
     w = np.kron(psi_tilde.T, psi)
     c = w / np.diag(w)[None, :]
     np.fill_diagonal(c, 0.0)
@@ -402,7 +402,7 @@ def hamiltonian_spectral_projectors(decomp: Decomposition) -> list[np.ndarray]:
     right and left eigenvectors, with none of linalg.eig's block splitting,
     sorting or hermiticity detection.
     """
-    h = np.diag(decomp.basis.f_values).astype(complex) + decomp.lam * decomp.h1_f
+    h = np.diag(decomp.basis.f_values).astype(complex) + decomp.lam * decomp.basis.h1_f
     right = np.linalg.eig(h)[1]
     left = np.linalg.inv(right)
     assign = {}
@@ -438,7 +438,7 @@ def dense_perturbative(h0, h1, lam, eta, order, tol=DEGENERACY_TOL):
     uncoupled degenerate dyad pairs at eta = 0, order 2 takes the value of
     the removable singularity of the two paths through the planes.
     """
-    basis = liouville_basis(h0)
+    basis = liouville_basis(h0, h1)
     f = basis.f_vectors
     v1 = commutator_superop(f.conj().T @ np.asarray(h1, dtype=complex) @ f)
     e0 = free_energies(basis)

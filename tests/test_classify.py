@@ -27,7 +27,7 @@ from subdyn.linalg import (DefectiveMatrixError, NonHermitianError,
                            NotPositiveSemidefiniteError, components, eig)
 from subdyn.models import ModelSpec, build_model, canonical_initial_ket
 from subdyn.subdynamics import (decompose, decompose_model, kinetic_consistency_residual,
-                                project_density)
+                                liouville_basis, project_density)
 
 DIAG = ModelSpec(kind="diagonal", omega0=1.0, omega=1.3, g=0.5, lam=1.0,
                  fock_cutoff=2)
@@ -304,7 +304,7 @@ def _jordan_decomposition(dim):
     h0 = np.diag([0.0, 0.0, 2.5, 4.0][:dim])
     h1 = np.zeros((dim, dim))
     h1[0, 1] = 1.0
-    return decompose(h0, h1, lam=1.0, order="1", eta=0.05), h0 + h1
+    return decompose(liouville_basis(h0, h1), 1.0, order="1", eta=0.05), h0 + h1
 
 
 @pytest.mark.parametrize("rank", [1, None], ids=["pure", "full"])
@@ -321,7 +321,7 @@ def test_total_space_evidence_defective_hamiltonian(rank):
 def _touched(decomp, state):
     """Levels of the components of H_f that the state's free-frame factor touches."""
     basis = decomp.basis
-    labels = components(np.diag(basis.f_values) + decomp.lam * decomp.h1_f)
+    labels = components(np.diag(basis.f_values) + decomp.lam * basis.h1_f)
     rho = np.outer(state, state.conj()) if state.ndim == 1 else state
     populated = np.diagonal(basis.f_vectors.conj().T @ rho @ basis.f_vectors)
     return np.flatnonzero(np.isin(labels, labels[np.flatnonzero(populated)]))
@@ -331,9 +331,9 @@ def _framed(spec, order="exact", eta=0.0):
     """(decomposition, H, component labels) of a model rebuilt in its free
     frame: H0 = diag(eps), so F = I and a state is its own free-frame factor."""
     decomp = decompose_model(build_model(spec), order=order, eta=eta)
-    h0 = np.diag(decomp.basis.f_values)
-    h = h0 + decomp.lam * decomp.h1_f
-    return decompose(h0, decomp.h1_f, lam=decomp.lam, order=order, eta=eta), h, components(h)
+    h0, h1 = np.diag(decomp.basis.f_values), decomp.basis.h1_f
+    h = h0 + decomp.lam * h1
+    return decompose(liouville_basis(h0, h1), decomp.lam, order=order, eta=eta), h, components(h)
 
 
 def _on_levels(rng, dim, levels, rank):

@@ -14,14 +14,12 @@ from subdyn.gates import (
     RLSGate,
     build_cnot_rls,
     calibrate_timing,
-    calibrate_timing_exact,
-    calibrate_timing_second_order,
     exchange_hamiltonian,
     exchange_swap_time,
     verify_closure,
 )
 from subdyn.models import ModelSpec, build_model
-from subdyn.subdynamics import decompose
+from subdyn.subdynamics import decompose, liouville_basis
 
 
 def test_exchange_swaps_the_single_excitation_pair():
@@ -103,7 +101,7 @@ def _general_config_decomposition(order):
     """Decomposition of configs/general.json at the given order."""
     ops = build_model(ModelSpec(kind="general", omega_atoms=(1.0, 1.0), omega=1.0, g=0.5,
                                 lam=0.05, bath=((0.9, 0.6),), fock_cutoff=1, bath_cutoff=1))
-    return decompose(ops.h0, ops.h1, lam=0.05, order=order)
+    return decompose(liouville_basis(ops.h0, ops.h1), 0.05, order=order)
 
 
 @pytest.mark.parametrize("order", ["exact", "1"])
@@ -206,11 +204,13 @@ def test_second_order_calibration_approaches_exact():
     h0 = np.diag([0.0, 1.5, 4.0])
     h1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h1 = h1 + h1.conj().T
-    lam = 1e-3
-    second = calibrate_timing_second_order(h0, h1, lam, t_sw=1.0)
-    exact = calibrate_timing_exact(h0, h1, lam, t_sw=1.0)
-    assert second.order == "second"
-    assert exact.order == "exact"
+    # order 1's levels carry the second-order energy shifts; both orders
+    # read one frame
+    basis = liouville_basis(h0, h1)
+    free = (basis.f_values, basis.f_values)
+    first, full = (decompose(basis, 1e-3, order=order) for order in ("1", "exact"))
+    second = calibrate_timing(free, (first.z, first.w), t_sw=1.0)
+    exact = calibrate_timing(free, (full.z, full.w), t_sw=1.0)
     assert second.delta_t == pytest.approx(exact.delta_t, abs=5e-7)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracle import canonical_initial_state, dense_perturbative, to_frame, unvec
-from subdyn import subdynamics
+from subdyn import runner, subdynamics
 from subdyn.classify import fidelity_trace
 from subdyn.cli import EXIT_OK, main
 from subdyn.config import load_config
@@ -191,8 +191,20 @@ def test_projections_leave_the_decomposition_as_built(order, eta):
     assert coeff0.tobytes() == coeff.tobytes()
 
 
-def test_swap_calibration_payload_orders():
+def test_swap_calibration_payload_orders(monkeypatch):
+    # order 1 and the exact order read one free frame: H0 is diagonalized,
+    # and H1 read in its eigenbasis, once per run
+    frames = []
+    build = subdynamics.liouville_basis
+
+    def counted(h0, h1):
+        frames.append(h0)
+        return build(h0, h1)
+
+    monkeypatch.setattr(subdynamics, "liouville_basis", counted)
+    monkeypatch.setattr(runner, "liouville_basis", counted)
     report = run(make_config("swap-calibrate", model=GEN_MODEL))
+    assert len(frames) == 1
     p = report.payload
     assert p["second_order"]["order"] == "second"
     assert p["exact"]["order"] == "exact"

@@ -82,12 +82,12 @@ def test_normalize_order():
 
 def test_liouville_basis_layout():
     h0 = np.diag([0.0, 1.0, 2.5])
-    basis = liouville_basis(h0)
+    basis = liouville_basis(h0, np.zeros((3, 3)))
     np.testing.assert_allclose(basis.f_values, [0.0, 1.0, 2.5])
     assert basis.dim == 3
     # without interaction the energy matrix is E[i, j] = eps_i - eps_j, the
     # dyad (i, j) at Liouville index i + 3 j of the dense routes
-    energies = decompose(h0, np.zeros((3, 3)), lam=0.0).energies
+    energies = decompose(basis, 0.0).energies
     assert energies.shape == (3, 3)
     e0 = free_energies(basis)
     for j in range(3):
@@ -95,12 +95,27 @@ def test_liouville_basis_layout():
             assert energies[i, j] == e0[i + 3 * j] == basis.f_values[i] - basis.f_values[j]
 
 
-def test_decompose_rejects_a_non_hermitian_free_hamiltonian():
+def test_liouville_basis_rejects_a_non_hermitian_free_hamiltonian():
     # linalg.eig would take its general path on this H0 without complaint:
     # liouville_basis checks hermiticity itself
     h0 = np.array([[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NonHermitianError, match="free Hamiltonian must be Hermitian"):
-        decompose(h0, np.zeros((2, 2)))
+        liouville_basis(h0, np.zeros((2, 2)))
+
+
+BAD_INTERACTIONS = {
+    "non_finite": (np.array([[0.0, np.nan], [np.nan, 0.0]]), "h1 contains non-finite entries"),
+    "non_square": (np.zeros((2, 3)), "h1 must be a square 2-d array"),
+    "other_shape": (np.zeros((3, 3)), "h1 must have the shape of h0"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_INTERACTIONS))
+def test_liouville_basis_rejects_a_bad_interaction(bad):
+    # the frame is the one place where H1 enters, so it is checked there
+    h1, match = BAD_INTERACTIONS[bad]
+    with pytest.raises(ValueError, match=match):
+        liouville_basis(np.diag([0.0, 1.0]), h1)
 
 
 BAD_KETS = {
@@ -121,7 +136,7 @@ def test_projection_and_kinetic_check_reject_a_bad_ket(gen_ops, gen_exact, bad):
 
 
 def test_frame_roundtrip(gen_ops):
-    basis = liouville_basis(gen_ops.h0)
+    basis = liouville_basis(gen_ops.h0, gen_ops.h1)
     rng = np.random.default_rng(0)
     rho = random_density(rng, gen_ops.dim)
     np.testing.assert_allclose(from_frame(basis, to_frame(basis, rho)), rho,
@@ -129,7 +144,7 @@ def test_frame_roundtrip(gen_ops):
 
 
 def test_from_frame_of_unit_vector_is_dyad_outer(gen_ops):
-    basis = liouville_basis(gen_ops.h0)
+    basis = liouville_basis(gen_ops.h0, gen_ops.h1)
     unit = np.zeros(basis.dim ** 2)
     unit[dyad_index(basis, (2, 5))] = 1.0
     m = from_frame(basis, unit)
@@ -207,11 +222,11 @@ def test_second_order_column_adds_one_resolvent_power(gen_ops):
 def test_resonance_raises_on_coupled_degeneracy():
     h0 = np.diag([0.0, 0.0, 1.0])
     h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    basis = liouville_basis(h0)
+    basis = liouville_basis(h0, h1)
     # guard: the degenerate block must not have been rotated away
     np.testing.assert_allclose(np.abs(basis.f_vectors), np.eye(3), atol=1e-12)
     with pytest.raises(ResonanceError) as excinfo:
-        decompose(h0, h1, lam=0.1, order="1")
+        decompose(basis, 0.1, order="1")
     # the resonant entries h1[0, 1] and h1[1, 0], in row-major order; each
     # couples the dyads (x, k) <-> (y, k) and (k, y) <-> (k, x)
     assert excinfo.value.pairs == [(0, 1), (1, 0)]
@@ -227,7 +242,7 @@ def test_resonance_raises_on_coupled_degeneracy():
 def test_eta_regularizes_resonance():
     h0 = np.diag([0.0, 0.0, 1.0])
     h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    decomp = decompose(h0, h1, lam=0.1, order="1", eta=1e-3)
+    decomp = decompose(liouville_basis(h0, h1), 0.1, order="1", eta=1e-3)
     c = columns(decomp)[0]
     assert np.all(np.isfinite(c))
     # retarded denominator: coupling / (E0 gap + i eta)
@@ -241,7 +256,7 @@ def test_eta_regularizes_resonance():
 def test_uncoupled_degeneracy_is_dropped():
     h0 = np.diag([0.0, 0.0, 1.0])
     h1 = np.diag([1.0, 2.0, 3.0])  # diagonal: degenerate but never coupled
-    decomp = decompose(h0, h1, lam=0.1, order="2")
+    decomp = decompose(liouville_basis(h0, h1), 0.1, order="2")
     np.testing.assert_allclose(columns(decomp)[0], np.zeros((9, 9)), atol=1e-15)
     np.testing.assert_allclose(vec(decomp.energies),
                                free_energies(decomp.basis) + 0.1 * np.diag(interaction(decomp)),
@@ -325,7 +340,7 @@ def test_projected_trace_is_population_sum(gen_ops, gen_exact):
 
 def test_project_density_free_theory(gen_ops):
     # lam = 0: the projection is the plain dyad expansion of rho
-    decomp = decompose(gen_ops.h0, gen_ops.h1, lam=0.0, order="exact")
+    decomp = decompose(liouville_basis(gen_ops.h0, gen_ops.h1), 0.0, order="exact")
     rng = np.random.default_rng(6)
     rho = random_density(rng, gen_ops.dim)
     coeff = vec(project_density(decomp, rho))
@@ -385,9 +400,10 @@ def test_self_consistent_resolvent_finds_exact_eigenvalue(gen_ops, gen_exact):
 
 def test_resolvent_beats_series_at_small_lambda(gen_ops):
     nu = (1, 0)
+    frame = liouville_basis(gen_ops.h0, gen_ops.h1)
     gaps = []
     for lam in (1e-2, 5e-3):
-        decomp = decompose(gen_ops.h0, gen_ops.h1, lam=lam, order="1")
+        decomp = decompose(frame, lam, order="1")
         basis, v1 = decomp.basis, interaction(decomp)
         col, _ = creation_resolvent(basis, v1, lam, nu)
         c1 = columns(decomp)[0][:, dyad_index(basis, nu)]
@@ -415,11 +431,11 @@ def test_lambda_halving_ratios(order):
     # O(lam^(k+2)); h1 has a diagonal, so order 2 reaches these rates only
     # with the renormalization term -lam (L1)_nunu R c1
     c_ratios, e_ratios = {"1": ((3.5, 4.5), (6.0, 10.0)), "2": ((7.0, 9.0), (12.8, 20.0))}[order]
-    h0, h1 = nondegenerate_toy()
+    basis = liouville_basis(*nondegenerate_toy())
     c_gaps, e_gaps = [], []
     for lam in (1e-2, 5e-3, 2.5e-3):
-        exact = decompose(h0, h1, lam=lam, order="exact")
-        series = decompose(h0, h1, lam=lam, order=order)
+        exact = decompose(basis, lam, order="exact")
+        series = decompose(basis, lam, order=order)
         c_gaps.append(np.linalg.norm(columns(exact)[0] - columns(series)[0]))
         e_gaps.append(np.max(np.abs(series.energies - exact.energies)))
     for a, b in zip(c_gaps, c_gaps[1:]):
@@ -438,7 +454,7 @@ def test_second_order_similarity_converges_at_order_three_on_triangular_model(he
         ops = build_model(ModelSpec(kind="triangular", omega0=1.0, omega=1.3, g=0.4, lam=lam,
                                     fock_cutoff=3, hermitian_variant=hermitian_variant))
         decomp = decompose_model(ops, order="2")
-        assert np.max(np.abs(np.diag(decomp.h1_f))) > 0.1
+        assert np.max(np.abs(np.diag(decomp.basis.h1_f))) > 0.1
         oracle = dense_perturbative(ops.h0, ops.h1, lam, 0.0, "2")
         assert_matches_dense(decomp, oracle, random_density(np.random.default_rng(15), ops.dim))
         l_full = liouvillian(decomp)
@@ -477,10 +493,11 @@ def test_indirectly_coupled_degenerate_levels_meet_the_order_two_energy_rate():
     h0 = np.diag([0.0, 1.0, 0.0])
     h1 = np.zeros((3, 3))
     h1[0, 1] = h1[1, 0] = h1[1, 2] = h1[2, 1] = 1.0
+    basis = liouville_basis(h0, h1)
     gaps = []
     try:
         for lam in (0.1, 0.05, 0.025):
-            exact, second = (decompose(h0, h1, lam=lam, order=order) for order in ("exact", "2"))
+            exact, second = (decompose(basis, lam, order=order) for order in ("exact", "2"))
             gaps.append(np.max(np.abs(second.energies - exact.energies)))
     except ResonanceError:
         return
@@ -495,7 +512,7 @@ def test_exact_columns_reject_lost_anchor():
     h0 = np.diag([0.0, 1.0])
     h1 = np.array([[0.0, 3e8], [0.0, 0.0]])
     with pytest.raises(ValueError, match="anchor"):
-        decompose(h0, h1, lam=1.0, order="exact")
+        decompose(liouville_basis(h0, h1), 1.0, order="exact")
 
 
 def test_diagonal_model_has_no_creation():
@@ -581,7 +598,7 @@ def test_exact_decomposition_properties_random(seed, dim):
     h0 = np.diag(np.sort(rng.uniform(0.0, 1.0, dim) + 2.0 * np.arange(dim)))
     h1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h1 = h1 + h1.conj().T
-    decomp = decompose(h0, h1, lam=0.05, order="exact")
+    decomp = decompose(liouville_basis(h0, h1), 0.05, order="exact")
     assert similarity_residual(decomp) <= 1e-8
     np.testing.assert_allclose(projector_sum(decomp), np.eye(dim * dim),
                                atol=1e-8)
@@ -670,7 +687,7 @@ def test_every_order_stores_the_one_factor_form(gen_ops, order, eta):
         u, u_dual, _, _ = decomp.planes
         eye = np.eye(gen_ops.dim)
         right, left = eye + u, eye + u_dual
-        h = np.diag(decomp.basis.f_values) + decomp.lam * decomp.h1_f
+        h = np.diag(decomp.basis.f_values) + decomp.lam * decomp.basis.h1_f
         scale = np.linalg.norm(h) * max(np.linalg.norm(right), np.linalg.norm(left))
         assert np.linalg.norm(h @ right - right * decomp.z) <= 1e-12 * scale
         assert np.linalg.norm(left @ h - decomp.z[:, None] * left) <= 1e-12 * scale
@@ -678,8 +695,9 @@ def test_every_order_stores_the_one_factor_form(gen_ops, order, eta):
     elif order == "1":
         assert decomp.off_plane is None
     else:
-        r = subdynamics._free_resolvent(decomp.basis, decomp.h1_f, decomp.lam, eta)
-        a, a_dual = decomp.lam * decomp.h1_f * r, decomp.lam * decomp.h1_f * r.T
+        r = subdynamics._free_resolvent(decomp.basis, decomp.lam, eta)
+        h1_f = decomp.basis.h1_f
+        a, a_dual = decomp.lam * h1_f * r, decomp.lam * h1_f * r.T
         for got, want in zip(decomp.off_plane, (a, -a, a_dual, -a_dual)):
             np.testing.assert_array_equal(got, want)
     if eta == 0.0:
@@ -796,12 +814,14 @@ def test_first_order_decompose_and_classify_stay_small_at_d48():
 
 
 def test_second_order_swap_calibration_stays_small_at_d48():
-    from subdyn.gates import calibrate_timing_second_order
+    # the whole swap-calibrate run: one frame, then order 1 and the exact order
+    from subdyn.config import ScenarioConfig
+    from subdyn.runner import run
 
     ops = _general_ops(2)
     assert ops.dim == 48
-    peak = _traced_peak_mb(lambda: calibrate_timing_second_order(
-        ops.h0, ops.h1, ops.spec.lam, 1.0))
+    peak = _traced_peak_mb(lambda: run(ScenarioConfig(scenario="swap-calibrate",
+                                                      model=ops.spec)))
     assert peak < 40
 
 
@@ -847,7 +867,11 @@ def test_second_order_stream_matches_broadcast_oracle_at_d32(eta):
 
 def assert_matches_dense(decomp, oracle, rho, scaled=False):
     """Every perturbative quantity within 1e-12 of the oracle's, times
-    max(1, max|oracle value|) when scaled. rho is a density matrix, or a
+    max(1, cond) entry by entry when scaled. For kappa and the projection,
+    cond is the conditioning of the sum that forms the entry, from the
+    oracle's dense (c, d): 1 + sum_mu |d_nu(mu) c_nu(mu)| for kappa_nu, and
+    (|rho_f| + |d| @ |rho_f|) / |kappa| for the projection; for the other
+    quantities it is max|oracle value|. rho is a density matrix, or a
     ket the engine projects as it stands and the oracle as |rho><rho|."""
     c, d, energies, kappa = oracle
     dense = np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
@@ -859,9 +883,15 @@ def assert_matches_dense(decomp, oracle, rho, scaled=False):
         "pairing": (vec(decomp.kappa), kappa),
         "project_density": (vec(project_density(decomp, rho)), (rho_f + d @ rho_f) / kappa),
     }
+    conditioning = {
+        "pairing": 1.0 + np.einsum("ij,ji->i", np.abs(d), np.abs(c)),
+        "project_density": (np.abs(rho_f) + np.abs(d) @ np.abs(rho_f)) / np.abs(kappa),
+    }
     for name, (got, want) in pairs.items():
-        atol = 1e-12 * (max(1.0, float(np.max(np.abs(want)))) if scaled else 1.0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=atol, err_msg=name)
+        cond = conditioning.get(name, np.max(np.abs(want))) if scaled else 1.0
+        assert got.shape == want.shape, name
+        excess = np.abs(got - want) / (1e-12 * np.maximum(1.0, cond))
+        assert np.max(excess) <= 1.0, (name, float(np.max(excess)))
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.05])
@@ -1043,17 +1073,17 @@ def test_dense_oracle_halves_to_the_same_eta_limit(route, state):
         rho = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
     else:
         rho = _rank_two_density(rng, 5)
-    basis = liouville_basis(h0)
+    basis = liouville_basis(h0, h1)
 
     def routes(eta):
         if route == "factored":
-            decomp = decompose(h0, h1, lam=0.1, order="2", eta=eta)
+            decomp = decompose(basis, 0.1, order="2", eta=eta)
             return decomp.kappa, project_density(decomp, rho)
         _, rows, _, kappa = dense_perturbative(h0, h1, 0.1, eta, "2")
         rho_f = to_frame(basis, rho)
         return unvec(kappa, 5), unvec((rho_f + rows @ rho_f) / kappa, 5)
 
-    assert_halves_to_the_eta_limit(decompose(h0, h1, lam=0.1, order="2"), rho, routes)
+    assert_halves_to_the_eta_limit(decompose(basis, 0.1, order="2"), rho, routes)
 
 
 @pytest.mark.parametrize("entries", [1, 7, 40, 2**15])
@@ -1068,7 +1098,7 @@ def test_gather_over_several_chunks_matches_dense_oracle(monkeypatch, entries, o
     levels = np.array([0.0, 0.35, 0.8, 1.3, 1.9])
     h1 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h1 = np.triu(h1, 1) if one_sided else h1 + h1.conj().T
-    decomp = decompose(np.diag(levels), h1, lam=0.2, order="2", eta=0.03)
+    decomp = decompose(liouville_basis(np.diag(levels), h1), 0.2, order="2", eta=0.03)
     assert np.count_nonzero(decomp.off_plane[2]) == (10 if one_sided else 20)
     oracle = dense_perturbative(np.diag(levels), h1, 0.2, 0.03, "2")
     ket = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -1096,8 +1126,8 @@ def test_general_free_frame_is_exactly_block_sparse_at_d32():
         coupled[labels[x], labels[y]] = True
     outside = ~coupled[owner[:, None], owner[None, :]]
     assert outside.any()
-    assert not decomp.h1_f[outside].any()
-    assert np.count_nonzero(decomp.h1_f) == 238
+    assert not decomp.basis.h1_f[outside].any()
+    assert np.count_nonzero(decomp.basis.h1_f) == 238
     # so A, A' and the pair weights P = A'^T * A and Q = A * A'^T carry the same zeros
     a, _, a_dual, _ = decomp.off_plane
     for m in (a, a_dual, a_dual.T * a, a * a_dual.T):
@@ -1122,16 +1152,17 @@ def test_factored_orders_match_dense_oracle_random(seed, dim, one_sided, eta, or
     h1 = np.triu(h1, 1) if one_sided else h1 + h1.conj().T
     h0 = np.diag(levels)
     lam = float(rng.uniform(0.01, 0.3))
+    basis = liouville_basis(h0, h1)
     try:
         oracle = dense_perturbative(h0, h1, lam, eta, order)
     except ResonanceError as dense_error:
         with pytest.raises(ResonanceError) as excinfo:
-            decompose(h0, h1, lam=lam, order=order, eta=eta)
+            decompose(basis, lam, order=order, eta=eta)
         # the dense mask lists every Liouville pair that a resonant entry of
         # h1_f couples; the engine lists the entries themselves
         assert excinfo.value.pairs == sorted(set(map(level_pair, dense_error.pairs)))
         return
-    decomp = decompose(h0, h1, lam=lam, order=order, eta=eta)
+    decomp = decompose(basis, lam, order=order, eta=eta)
     # near-degenerate dyad pairs give large, ill-conditioned entries; the
     # two routes round the free gaps differently, so the bound scales
     assert_matches_dense(decomp, oracle, random_density(rng, dim), scaled=True)
